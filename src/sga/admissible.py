@@ -59,10 +59,6 @@ class AdmWord:
         t = {"uu": "uu", "up": "pu", "pu": "up", "pp": "pp", "b": "b"}[self.wtype]
         return AdmWord(winv(self.letters), t)
 
-    @property
-    def punctured_count(self) -> int:
-        return {"uu": 0, "up": 1, "pu": 1, "pp": 2, "b": 0}[self.wtype]
-
 
 def classify(q: PolarizedQuiver, x: Word, band: bool = False) -> AdmWord:
     """Wrap a hat-quiver string or band with its type tag."""
@@ -80,7 +76,7 @@ def classify(q: PolarizedQuiver, x: Word, band: bool = False) -> AdmWord:
 
 # -- the orientation construction -------------------------------------------
 
-def _orient(q: PolarizedQuiver, bigger: bool, eps: str) -> Letter:
+def _orient(bigger: bool, eps: str) -> Letter:
     return ordl(eps) if bigger else invl(eps)
 
 
@@ -111,20 +107,20 @@ def a_of_w(q: PolarizedQuiver, w: Word) -> AdmWord:
         sym = w == winv(w)
         if not sym:
             out = [w[k] if w[k].kind != SPE else
-                   _orient(q, _string_cmp(q, w, k), w[k].name)
+                   _orient(_string_cmp(q, w, k), w[k].name)
                    for k in range(len(w))]
             return classify(q, tuple(out))
         m = (len(w) - 1) // 2
         b = q.by_name[w[m].name].source
         out = [w[k] if w[k].kind != SPE else
-               _orient(q, _string_cmp(q, w, k), w[k].name)
+               _orient(_string_cmp(q, w, k), w[k].name)
                for k in range(m)]
         out.append(trivl(b, -1))
         return classify(q, tuple(out))
     if is_primitive_band(q, w):
         if not is_symmetric_band(q, w):
             out = [w[k] if w[k].kind != SPE else
-                   _orient(q, _band_cmp(q, w, k), w[k].name)
+                   _orient(_band_cmp(q, w, k), w[k].name)
                    for k in range(len(w))]
             return classify(q, tuple(out), band=True)
         if w not in standard_form_rotations(q, w):
@@ -134,7 +130,7 @@ def a_of_w(q: PolarizedQuiver, w: Word) -> AdmWord:
         out = [tinvl(a, -1)]
         for k in range(1, n):
             out.append(w[k] if w[k].kind != SPE else
-                       _orient(q, _band_cmp(q, w, k), w[k].name))
+                       _orient(_band_cmp(q, w, k), w[k].name))
         out.append(trivl(b, -1))
         return classify(q, tuple(out))
     raise WordError("expected a string or a primitive band")
@@ -295,7 +291,7 @@ def _positions_doublebar(q: PolarizedQuiver, x: AdmWord) -> tuple[list[Letter], 
 
 
 def _positions_hat(q: PolarizedQuiver, x: AdmWord) -> tuple[list[Letter], int, bool]:
-    """Reading word over the hat quiver; punctured positions hold a
+    """The reading word over the hat quiver; punctured positions hold a
     placeholder whose orientation is chosen per ray (so that the plus
     reading is always below the minus reading)."""
     w, t = x.letters, x.wtype
@@ -340,12 +336,6 @@ def _ray_from(letters: list[Letter], offset: int, periodic: bool, i: int,
     return Ray(tuple(_subst(l, delta) for l in pre))
 
 
-@dataclass(frozen=True)
-class Reading:
-    doublebar: dict[int, Ray]   # rho -> ray
-    hat: dict[tuple[int, int], Ray]   # (delta, rho) -> ray
-
-
 @lru_cache(maxsize=1 << 18)
 def doublebar_ray(q: PolarizedQuiver, x: AdmWord, i: int, rho: int) -> Ray:
     letters, off, per = _positions_doublebar(q, x)
@@ -361,16 +351,6 @@ def hat_ray(q: PolarizedQuiver, x: AdmWord, i: int, rho: int, delta: int) -> Ray
     here = letters[(off + i) % len(letters)] if per else letters[off + i]
     t1 = -1 if here.kind == PUNCT else letter_target(h, here)[1]
     return _ray_from(letters, off, per, i, forward=(t1 == rho), delta=delta)
-
-
-def reading(q: PolarizedQuiver, x: AdmWord, i: int, rho: int) -> Reading:
-    lo = 0 if x.wtype == "b" else 1
-    if not lo <= i <= len(x.letters) - 1:
-        raise WordError(f"reading index {i} out of range")
-    return Reading(
-        {r: doublebar_ray(q, x, i, r) for r in (-1, 1)},
-        {(d, r): hat_ray(q, x, i, r, d) for d in (-1, 1) for r in (-1, 1)},
-    )
 
 
 # -- enumeration ---------------------------------------------------------------

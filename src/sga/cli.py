@@ -13,11 +13,12 @@ from . import gf
 from .admissible import (classify, enumerate_adm, enumerate_adm_direct,
                          is_admissible, tau_adm, tau_adm_via_successors)
 from .errors import ParseError, SgaError, TheoremViolation
-from .homgraph import build_H, build_HQ, classify_components, real_long_bijection, \
-    to_dot, winding_to_dot
+from .homgraph import (build_H, build_HQ, classify_components, generalized_diagonal,
+                       real_long_bijection, to_dot, winding_to_dot)
 from .invariants import (e_comb, enumerate_components, g_comb, is_tau_generic,
                          simplified_check, tags_for)
-from .parsing import parse_module, parse_quiver, parse_tag, parse_word, print_quiver
+from .parsing import (format_tag, parse_module, parse_quiver, parse_tag, parse_word,
+                      print_quiver)
 from .quiver import as_fringing, auto_fringe, check_fringing, gabriel_presentation, \
     tilde_vertices, validate
 from .repmod import (E_oracle, build_module, g_oracle, hom_dim_formula,
@@ -27,12 +28,18 @@ from .words import (enumerate_bands, enumerate_strings_at, format_word,
 
 
 def _load_quiver(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse_quiver(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SgaError(f"cannot read {path}: {exc.strerror}") from None
+    return parse_quiver(text)
 
 
 def _slot(text: str):
-    v, s = text.rsplit(",", 1)
+    v, comma, s = text.rpartition(",")
+    if not comma or s.strip() not in ("+", "-"):
+        raise ParseError(f"malformed slot {text!r}, expected VERTEX,SIGN")
     return (v, 1 if s.strip() == "+" else -1)
 
 
@@ -51,7 +58,7 @@ def _fringing(q, spec_text: str):
     return as_fringing(q, _load_quiver(spec_text))
 
 
-def _adm_word(q, text: str, allow_nonadm=False):
+def _adm_word(q, text: str):
     letters, band = parse_word(q, text)
     return classify(q, letters, band=band)
 
@@ -151,9 +158,10 @@ def cmd_hquiver(args) -> int:
             real_long_bijection(g, rep)
             for c in rep.plus:
                 flags = [k for k in ("real", "dual_real", "hline", "dual_hline",
-                                     "kiss", "dual_kiss", "generalized_diagonal")
-                         if c[k]]
-                print(f"{c['ctype']}: {sorted(c['vertices'])} {' '.join(flags)}")
+                                     "kiss", "dual_kiss") if getattr(c, k)]
+                if generalized_diagonal(g, c):
+                    flags.append("generalized_diagonal")
+                print(f"{c.ctype}: {sorted(c.vertices)} {' '.join(flags)}")
         return 0
     h = build_H(q, x)
     if args.dot:
@@ -248,8 +256,7 @@ def cmd_components(args) -> int:
     header = ["id", "word", "tag", "type", "dim", "g"]
     print("\t".join(header))
     for i, l in enumerate(labels):
-        tag = "*" if l.tag == "*" else ("**" if l.tag == ("*", "*") else
-                                        "".join("+" if c > 0 else "-" for c in l.tag))
+        tag = format_tag(l.tag)
         dim = ",".join(str(l.dim[k]) for k in order)
         g = ",".join(str(l.g[k]) for k in order)
         word = ("band: " if l.word.wtype == "b" else "") + str(l.word)
@@ -267,8 +274,10 @@ def cmd_selftest(args) -> int:
     fr = auto_fringe(q)
     sets = enumerate_adm(q, args.max_len)
     direct = enumerate_adm_direct(q, args.max_len)
-    assert set(sets.strings) == set(direct.strings), "dual-route strings"
-    assert set(sets.bands) == set(direct.bands), "dual-route bands"
+    if set(sets.strings) != set(direct.strings) or \
+            set(sets.bands) != set(direct.bands):
+        print("DUAL-ROUTE MISMATCH", file=sys.stderr)
+        return 4
     print(f"adm ok: {len(sets.strings)} strings, {len(sets.bands)} bands")
     words = list(sets.strings) + list(sets.bands)
     pairs = 0
@@ -324,8 +333,9 @@ def main(argv=None) -> int:
     p.add_argument("--word", help="test a single word instead of enumerating")
     p.add_argument("--allow-nonadmissible", action="store_true")
     p = add("tau", cmd_tau)
-    p.add_argument("--word", help="base-quiver string or band")
-    p.add_argument("--adm", help="admissible word over the hat quiver")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--word", help="base-quiver string or band")
+    g.add_argument("--adm", help="admissible word over the hat quiver")
     p = add("hquiver", cmd_hquiver)
     p.add_argument("--x", required=True)
     p.add_argument("--y")
@@ -362,7 +372,6 @@ def main(argv=None) -> int:
     p = add("selftest", cmd_selftest)
     p.add_argument("--max-len", type=int, default=6)
     p.add_argument("--field", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
 
     args = ap.parse_args(argv)
     try:

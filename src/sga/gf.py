@@ -11,7 +11,14 @@ import numpy as np
 from .errors import SgaError
 
 
+# Fields must be smaller than this: a product of two reduced entries is then
+# below 2^40, so int64 matrix products and eliminations cannot overflow.
+MAX_FIELD = 1 << 20
+
+
 def check_prime(p: int) -> None:
+    if p >= MAX_FIELD:
+        raise SgaError(f"field size must be below 2^20, got {p}")
     if p == 2:
         raise SgaError("characteristic 2 is not supported")
     if p < 3 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):

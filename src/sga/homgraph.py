@@ -14,7 +14,7 @@ from .admissible import (AdmWord, doublebar_ray, hat_of, hat_ray,
                          is_projective_adm, tau_adm)
 from .errors import TheoremViolation, WordError
 from .quiver import Fringing, PolarizedQuiver
-from .words import INV, ORD, Ray, compare_letters, ray_compare
+from .words import INV, ORD, compare_letters, ray_compare
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,6 @@ class Winding:
     vlabel: dict[int, str]
     edges: tuple[HEdge, ...]
     loops: tuple[HLoop, ...]
-
-    def loop_at(self, key: int) -> HLoop:
-        for l in self.loops:
-            if l.key == key:
-                return l
-        raise KeyError(key)
 
     def edges_at(self, v: int) -> list[HEdge]:
         return [e for e in self.edges if v in (e.src, e.tgt)]
@@ -156,10 +150,6 @@ class HomGraph:
         return self.hy.is_boundary(j) or self.hx.is_boundary(i)
 
 
-def _first_letter(r: Ray):
-    return r.first()
-
-
 def build_HQ(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> HomGraph:
     """Vertices are label-matching pairs; arrows pair up equal-image edges
     and loops; colors record one-letter ray comparisons and the special
@@ -207,8 +197,8 @@ def build_HQ(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> HomGraph:
     for (j, i) in vertices:
         r = b = 0
         for rho in (-1, 1):
-            fy = _first_letter(doublebar_ray(q, y, j, rho))
-            fx = _first_letter(doublebar_ray(q, x, i, rho))
+            fy = doublebar_ray(q, y, j, rho).first()
+            fx = doublebar_ray(q, x, i, rho).first()
             if fy == fx:
                 continue
             c = compare_letters(q, fy, fx)
@@ -232,12 +222,30 @@ def build_HQ(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> HomGraph:
 
 # -- components and classification ---------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Component:
     vertices: tuple[tuple[int, int], ...]
     arrows: tuple[HArrow, ...]
     ctype: str                       # 'A' | 'Dp' | 'At' | 'Dpt'
     endpoints: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class PlusComponent(Component):
+    """A component of the plus-arrows: an h-line candidate with its flags."""
+    real: bool
+    dual_real: bool
+    hline: bool
+    dual_hline: bool
+    kiss: bool
+    dual_kiss: bool
+    full_component: int              # index into ComponentReport.full
+
+
+@dataclass(frozen=True)
+class FullComponent(Component):
+    """A component of all arrows; long when no vertex is red."""
+    long: bool
 
 
 def _components(vertices, arrows):
@@ -287,18 +295,18 @@ def _component_type(cv, ca) -> tuple[str, tuple]:
 
 @dataclass
 class ComponentReport:
-    plus: list[dict]
-    full: list[dict]
+    plus: list[PlusComponent]
+    full: list[FullComponent]
     real_to_long: dict[int, int]
 
 
-def _colored(g: HomGraph, cv, colors) -> bool:
+def _colored(cv, colors) -> bool:
     return any(v in colors for v in cv)
 
 
-def classify_components(g: HomGraph, cross_check: bool = True) -> ComponentReport:
-    """Flags per component, with the ray characterizations re-derived at a
-    sample vertex when cross_check is set."""
+def classify_components(g: HomGraph) -> ComponentReport:
+    """Flags per component, with the ray characterizations of real and long
+    re-derived at a sample vertex of each component."""
     plus_arrows = [a for a in g.arrows if a.family == PLUS]
     po_arrows = [a for a in g.arrows if a.family in (PLUS, CIRC)]
     comps_plus = _components(g.vertices, plus_arrows)
@@ -326,15 +334,6 @@ def classify_components(g: HomGraph, cross_check: bool = True) -> ComponentRepor
                     return False
         return True
 
-    def ray_hline(v) -> bool:
-        j, i = v
-        for rho in (-1, 1):
-            ry = hat_ray(q, y, j, rho, +1)
-            rx = hat_ray(q, x, i, rho, -1)
-            if ray_compare(h, ry, rx)[0] not in ("<", "="):
-                return False
-        return True
-
     def ray_long(v) -> bool:
         j, i = v
         for rho in (-1, 1):
@@ -344,66 +343,55 @@ def classify_components(g: HomGraph, cross_check: bool = True) -> ComponentRepor
                 return False
         return True
 
-    def gen_diag(v) -> bool:
-        j, i = v
-        return all(ray_compare(q, doublebar_ray(q, y, j, rho),
-                               doublebar_ray(q, x, i, rho))[0] == "="
-                   for rho in (-1, 1))
-
     plus_out = []
     for cv, ca in comps_plus:
         ctype, ends = _component_type(cv, ca)
-        nored = not _colored(g, cv, g.red)
-        noblue = not _colored(g, cv, g.blue)
         po_cv = comps_po[po_of[cv[0]]][0]
-        is_real = nored and not _colored(g, cv, g.orange) and not _colored(g, cv, g.purple)
-        is_dual_real = noblue and not _colored(g, cv, g.cyan) and not _colored(g, cv, g.teal)
-        is_h = not _colored(g, po_cv, g.red) and not _colored(g, po_cv, g.orange)
-        is_dual_h = not _colored(g, po_cv, g.blue) and not _colored(g, po_cv, g.cyan)
-        kiss = is_real and not any(g.is_boundary(v) for v in ends)
-        dual_kiss = is_dual_real and not any(g.is_boundary(v) for v in ends)
-        diag = any(gen_diag(v) for v in cv)
-        if cross_check:
-            v0 = cv[0]
-            if ray_real(v0) != is_real:
-                raise TheoremViolation(f"real h-line characterization differs at {v0}")
-        plus_out.append(dict(vertices=cv, arrows=ca, ctype=ctype, endpoints=ends,
-                             real=is_real, dual_real=is_dual_real,
-                             hline=is_h, dual_hline=is_dual_h,
-                             kiss=kiss, dual_kiss=dual_kiss,
-                             generalized_diagonal=diag,
-                             full_component=full_of[cv[0]]))
+        is_real = not (_colored(cv, g.red) or _colored(cv, g.orange)
+                       or _colored(cv, g.purple))
+        is_dual_real = not (_colored(cv, g.blue) or _colored(cv, g.cyan)
+                            or _colored(cv, g.teal))
+        is_h = not _colored(po_cv, g.red) and not _colored(po_cv, g.orange)
+        is_dual_h = not _colored(po_cv, g.blue) and not _colored(po_cv, g.cyan)
+        interior = not any(g.is_boundary(v) for v in ends)
+        if ray_real(cv[0]) != is_real:
+            raise TheoremViolation(f"real h-line characterization differs at {cv[0]}")
+        plus_out.append(PlusComponent(cv, ca, ctype, ends, is_real, is_dual_real,
+                                      is_h, is_dual_h, is_real and interior,
+                                      is_dual_real and interior, full_of[cv[0]]))
     full_out = []
     for cv, ca in comps_full:
         ctype, ends = _component_type(cv, ca)
-        is_long = not _colored(g, cv, g.red)
-        is_dual_long = not _colored(g, cv, g.blue)
-        if cross_check:
-            v0 = cv[0]
-            if ray_long(v0) != is_long:
-                raise TheoremViolation(f"long h-line characterization differs at {v0}")
-        full_out.append(dict(vertices=cv, arrows=ca, ctype=ctype, endpoints=ends,
-                             long=is_long, dual_long=is_dual_long))
+        is_long = not _colored(cv, g.red)
+        if ray_long(cv[0]) != is_long:
+            raise TheoremViolation(f"long h-line characterization differs at {cv[0]}")
+        full_out.append(FullComponent(cv, ca, ctype, ends, is_long))
 
-    real_to_long: dict[int, int] = {}
-    for pi, comp in enumerate(plus_out):
-        if comp["real"]:
-            real_to_long[pi] = comp["full_component"]
+    real_to_long = {pi: c.full_component for pi, c in enumerate(plus_out) if c.real}
     return ComponentReport(plus_out, full_out, real_to_long)
+
+
+def generalized_diagonal(g: HomGraph, comp: PlusComponent) -> bool:
+    """Some vertex of the component pairs equal doublebar rays on both sides."""
+    q = g.q
+    return any(all(ray_compare(q, doublebar_ray(q, g.y, j, rho),
+                               doublebar_ray(q, g.x, i, rho))[0] == "="
+                   for rho in (-1, 1))
+               for (j, i) in comp.vertices)
 
 
 def real_long_bijection(g: HomGraph, report: ComponentReport | None = None):
     """Pair each real h-line with its enclosing long h-line; the pairing must
     be a type-preserving bijection, else the structure theorem failed."""
     report = report or classify_components(g)
-    longs = [fi for fi, c in enumerate(report.full) if c["long"]]
+    longs = [fi for fi, c in enumerate(report.full) if c.long]
     pairs = {}
     for pi, fi in report.real_to_long.items():
         if fi in pairs.values():
             raise TheoremViolation("two real h-lines inside one long h-line")
-        if not report.full[fi]["long"]:
+        if not report.full[fi].long:
             raise TheoremViolation("real h-line inside a non-long component")
-        if report.plus[pi]["ctype"] != report.full[fi]["ctype"]:
+        if report.plus[pi].ctype != report.full[fi].ctype:
             raise TheoremViolation("real/long h-line types differ")
         pairs[pi] = fi
     if sorted(pairs.values()) != sorted(longs):
@@ -413,38 +401,24 @@ def real_long_bijection(g: HomGraph, report: ComponentReport | None = None):
 
 # -- triples --------------------------------------------------------------------
 
-@dataclass
-class Triple:
-    component: dict
-    ctype: str
-    is_kiss: bool
-    # projections: vertex (j,i) -> j resp. i
-
-    def pi_s(self, v):
-        return v[0]
-
-    def pi_q(self, v):
-        return v[1]
-
-
-def _check_property_q(g: HomGraph, comp: dict) -> bool:
+def _check_property_q(g: HomGraph, comp: PlusComponent) -> bool:
     """Every ordinary arrow of H(x) ending at the image of a component
     endpoint must be hit by a component arrow ending there (top condition)."""
-    for v in comp["endpoints"]:
+    for v in comp.endpoints:
         _, i = v
-        covered = {a.xpart for a in comp["arrows"] if a.tgt == v}
+        covered = {a.xpart for a in comp.arrows if a.tgt == v}
         for e in g.hx.edges:
             if e.tgt == i and ("edge", e.idx) not in covered:
                 return False
     return True
 
 
-def _check_property_s(g: HomGraph, comp: dict) -> bool:
+def _check_property_s(g: HomGraph, comp: PlusComponent) -> bool:
     """Dually on the second word: arrows starting at the image must lift
     (socle condition)."""
-    for v in comp["endpoints"]:
+    for v in comp.endpoints:
         j, _ = v
-        covered = {a.ypart for a in comp["arrows"] if a.src == v}
+        covered = {a.ypart for a in comp.arrows if a.src == v}
         for e in g.hy.edges:
             if e.src == j and ("edge", e.idx) not in covered:
                 return False
@@ -453,8 +427,9 @@ def _check_property_s(g: HomGraph, comp: dict) -> bool:
 
 def triples(q: PolarizedQuiver, x: AdmWord, y: AdmWord,
             report: ComponentReport | None = None,
-            g: HomGraph | None = None) -> list[Triple]:
-    """H-triples realized as real h-lines with their two projections.
+            g: HomGraph | None = None) -> list[PlusComponent]:
+    """H-triples, realized as the real h-lines (a vertex (j, i) projects to
+    j in y and to i in x).
 
     Properties (q) and (s) are checked explicitly on every endpoint; their
     failure would contradict the triple/real-h-line correspondence.
@@ -463,13 +438,13 @@ def triples(q: PolarizedQuiver, x: AdmWord, y: AdmWord,
     report = report or classify_components(g)
     out = []
     for comp in report.plus:
-        if not comp["real"]:
+        if not comp.real:
             continue
         if not _check_property_q(g, comp):
             raise TheoremViolation("real h-line fails property (q)")
         if not _check_property_s(g, comp):
             raise TheoremViolation("real h-line fails property (s)")
-        out.append(Triple(comp, comp["ctype"], comp["kiss"]))
+        out.append(comp)
     return out
 
 
@@ -480,22 +455,22 @@ def tau_f(fr: Fringing, x: AdmWord) -> AdmWord:
     return tau_adm(fr.extended, x)
 
 
-@dataclass
-class KissCounts:
-    by_type: dict[str, int]
-
-    def total(self) -> int:
-        return sum(self.by_type.values())
-
-
-def kisses_of(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[list[dict], HomGraph, ComponentReport]:
+def kisses_of(q: PolarizedQuiver, x: AdmWord, y: AdmWord
+              ) -> tuple[list[PlusComponent], HomGraph, ComponentReport]:
     g = build_HQ(q, x, y)
     rep = classify_components(g)
-    return [c for c in rep.plus if c["kiss"]], g, rep
+    return [c for c in rep.plus if c.kiss], g, rep
 
 
-def kiss_transport(q: PolarizedQuiver, fr: Fringing, x: AdmWord, y: AdmWord,
-                   verify_bijection: bool = True) -> KissCounts:
+def _count_types(comps) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for c in comps:
+        counts[c.ctype] = counts.get(c.ctype, 0) + 1
+    return counts
+
+
+def kiss_transport(q: PolarizedQuiver, fr: Fringing, x: AdmWord,
+                   y: AdmWord) -> dict[str, int]:
     """Count kisses between the fringed translates, by type.
 
     When y is not projective the counts must agree with the real h-lines
@@ -503,25 +478,17 @@ def kiss_transport(q: PolarizedQuiver, fr: Fringing, x: AdmWord, y: AdmWord,
     """
     tx, ty = tau_f(fr, x), tau_f(fr, y)
     kx, _, _ = kisses_of(fr.extended, tx, ty)
-    counts: dict[str, int] = {}
-    for c in kx:
-        counts[c["ctype"]] = counts.get(c["ctype"], 0) + 1
+    counts = _count_types(kx)
     if is_projective_adm(q, y):
         if kx:
             raise TheoremViolation("kisses against a projective translate")
-        return KissCounts(counts)
-    if verify_bijection:
-        ta = tau_adm(q, y)
-        g2 = build_HQ(q, x, ta)
-        rep2 = classify_components(g2)
-        by_type2: dict[str, int] = {}
-        for c in rep2.plus:
-            if c["real"]:
-                by_type2[c["ctype"]] = by_type2.get(c["ctype"], 0) + 1
-        if by_type2 != counts:
-            raise TheoremViolation(
-                f"kiss transport mismatch: {counts} vs h-triples {by_type2}")
-    return KissCounts(counts)
+        return counts
+    rep2 = classify_components(build_HQ(q, x, tau_adm(q, y)))
+    by_type2 = _count_types(c for c in rep2.plus if c.real)
+    if by_type2 != counts:
+        raise TheoremViolation(
+            f"kiss transport mismatch: {counts} vs h-triples {by_type2}")
+    return counts
 
 
 # -- DOT export -----------------------------------------------------------------

@@ -131,7 +131,7 @@ def kiss_census(q: PolarizedQuiver, fr: Fringing, x: AdmWord, y: AdmWord) -> Kis
     for (u, v) in ((tx, ty), (ty, tx)):
         ks, _, _ = kisses_of(qf, u, v)
         for c in ks:
-            counts[c["ctype"]] += 1
+            counts[c.ctype] += 1
     ps = p_set(q, x, y)
     diag = diag_b(x, y)
     census = KissCensus(counts["A"], ps, diag, counts["Dp"], counts["At"],

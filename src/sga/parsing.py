@@ -116,6 +116,15 @@ def parse_tag(text: str):
     raise ParseError(f"malformed tag {text}")
 
 
+def format_tag(tag) -> str:
+    """The text form of a tag, inverse to parse_tag."""
+    if tag == STAR:
+        return "*"
+    if tag == DSTAR:
+        return "**"
+    return "".join("+" if c > 0 else "-" for c in tag)
+
+
 _MOD_RE = re.compile(r"^(Vt|V|W|Wchi)\((\d+),([+-]|\d+)\)$")
 
 

@@ -92,9 +92,6 @@ class PolarizedQuiver:
     def ordinary_arrows(self) -> tuple[Arrow, ...]:
         return tuple(a for a in self.arrows if not a.special)
 
-    def special_vertices(self) -> tuple[str, ...]:
-        return tuple(sorted({a.source for a in self.special_arrows if a.source == a.target}))
-
     def is_special_vertex(self, v: str) -> bool:
         return any(a.source == v == a.target for a in self.special_arrows)
 
@@ -321,13 +318,6 @@ def auto_fringe(q: PolarizedQuiver) -> Fringing:
     if not check_fringing(q, ext):
         raise QuiverError("auto fringing failed its own invariants")
     return fr
-
-
-def trivial_fringing(q: PolarizedQuiver) -> Fringing:
-    """Wrap an already-complete quiver (all slots filled) as its own fringing."""
-    if not check_fringing(q, q):
-        raise QuiverError("quiver has empty slots; use auto_fringe")
-    return Fringing(q, q, (), ())
 
 
 def check_fringing(base: PolarizedQuiver, extended: PolarizedQuiver) -> bool:

@@ -341,10 +341,10 @@ def _transfer(x: AdmWord, y: AdmWord, X: AxModule, Y: AxModule, arrow, p: int):
 def _component_base_space(q, x, y, X, Y, comp, p):
     """Propagate along a spanning tree; each non-tree arrow closes a cycle
     and contributes a linear constraint on the base block."""
-    base = comp["vertices"][0]
+    base = comp.vertices[0]
     transfer = {base: (gf.eye(Y.dim), gf.eye(X.dim))}
     frontier = [base]
-    pending = list(comp["arrows"])
+    pending = list(comp.arrows)
     constraints = []
     while pending:
         progress = False
@@ -394,7 +394,7 @@ def hom_dim_formula(q: PolarizedQuiver, x: AdmWord, X: AxModule,
     report = report or classify_components(g)
     total = 0
     for comp in report.plus:
-        if not comp["real"]:
+        if not comp.real:
             continue
         basis, _ = _component_base_space(q, x, y, X, Y, comp, X.p)
         total += basis.shape[0]
@@ -426,7 +426,7 @@ def hom_basis_structured(q: PolarizedQuiver, x: AdmWord, X: AxModule,
 
     out = []
     for comp in report.full:
-        if not comp["long"]:
+        if not comp.long:
             continue
         basis, transfer = _component_base_space(q, x, y, X, Y, comp, p)
         for row in basis:

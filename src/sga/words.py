@@ -120,14 +120,6 @@ def winv(w: Word) -> Word:
     return tuple(inverse_letter(l) for l in reversed(w))
 
 
-def word_source(q: PolarizedQuiver, w: Word) -> Slot | None:
-    return letter_source(q, w[-1])
-
-
-def word_target(q: PolarizedQuiver, w: Word) -> Slot | None:
-    return letter_target(q, w[0])
-
-
 def is_string(q: PolarizedQuiver, w: Word) -> bool:
     return (is_word(q, w) and w[0].kind == TINV and w[-1].kind == TRIV)
 

@@ -104,15 +104,15 @@ def test_c2_decorated_quiver(loop_quiver):
     rep = classify_components(g)
     comp_of = {}
     for idx, c in enumerate(rep.plus):
-        for v in c["vertices"]:
+        for v in c.vertices:
             comp_of[v] = idx
     a_cells = [(1, 4), (3, 4), (6, 4)]          # display (0,4),(2,4),(5,4)
     ok = len({comp_of[v] for v in a_cells}) == 3
     for v in a_cells:
         c = rep.plus[comp_of[v]]
-        ok = ok and c["real"] and c["ctype"] == "A"
+        ok = ok and c.real and c.ctype == "A"
     c = rep.plus[comp_of[(2, 4)]]               # display (1,4)
-    ok = ok and c["real"] and c["ctype"] == "Dp"
+    ok = ok and c.real and c.ctype == "Dp"
 
     def colors_of(v):
         out = set()

@@ -1,0 +1,62 @@
+"""Every CLI refusal path exits with its documented code (2 parse error,
+3 precondition violation, 4 a verified identity failed), never with a
+traceback."""
+
+import os
+
+import pytest
+
+import sga.cli
+from sga import gf
+from sga.cli import main
+from sga.errors import SgaError
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+EX1 = os.path.join(DATA, "ex1.quiver")
+X = "1(1,-)- g b e b- 1(3,+)"   # a uu word
+Y = "1(2,-)- a 1(1,-)"
+
+
+def _hom(*extra):
+    return ["hom", EX1, "--x", X, "--X", "Vo", "--y", Y, "--Y", "V+", *extra]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["strings", EX1, "--at", "1"], 2),
+    (["check", os.path.join(DATA, "nonexistent.quiver")], 3),
+    (["tau", EX1], 2),
+    (_hom("--field", "9"), 3),
+    (_hom("--field", "1048583"), 3),
+    (["hom", EX1, "--x", X, "--X", "Q", "--y", Y, "--Y", "V+"], 2),
+    (["hom", EX1, "--x", X, "--X", "V(1,2)", "--y", Y, "--Y", "V+"], 3),
+    (["einv", EX1, "--x", X, "--y", Y, "--tag-x", "+x", "--tag-y=-+"], 2),
+    (["components", EX1, "--max-len", "4", "--fringe", EX1], 3),
+    (["tau", EX1, "--adm", "a b"], 3),
+    (["hquiver", EX1, "--x", "zz"], 2),
+])
+def test_cli_exit_codes(argv, code, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:   # argparse refusals
+        rc = exc.code
+    assert rc == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_field_cap():
+    gf.check_prime(1048573)          # the largest prime below 2^20
+    with pytest.raises(SgaError):
+        gf.check_prime(1048583)      # the smallest prime above it
+    assert main(_hom("--field", "1048573")) == 0
+
+
+def test_selftest_dual_route_mismatch(monkeypatch, capsys):
+    direct = sga.cli.enumerate_adm_direct
+
+    def drop_one(q, max_len):
+        sets = direct(q, max_len)
+        return sets.__class__(sets.strings[1:], sets.bands, sets.truncated)
+
+    monkeypatch.setattr(sga.cli, "enumerate_adm_direct", drop_one)
+    assert main(["selftest", EX1, "--max-len", "4"]) == 4
+    assert "DUAL-ROUTE MISMATCH" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 
 from sga.admissible import classify, doublebar_ray, enumerate_adm, hat_of, hat_ray
 from sga.cli import main
-from sga.homgraph import build_HQ, classify_components
+from sga.homgraph import build_HQ, classify_components, generalized_diagonal
 from sga.quiver import Arrow, PolarizedQuiver, auto_fringe, validate
 from sga.randquiver import random_skewed_gentle_quiver
 from sga.repmod import build_module, iso_witness, module_Vband
@@ -96,9 +96,9 @@ def test_gentle_case_hline_notions_coincide(ex1):
             g = build_HQ(h, x, y)
             assert not g.orange and not g.purple and not g.cyan and not g.teal
             rep = classify_components(g)
-            reals = sum(1 for c in rep.plus if c["real"])
-            hlines = sum(1 for c in rep.plus if c["hline"])
-            longs = sum(1 for c in rep.full if c["long"])
+            reals = sum(1 for c in rep.plus if c.real)
+            hlines = sum(1 for c in rep.plus if c.hline)
+            longs = sum(1 for c in rep.full if c.long)
             assert reals == hlines == longs
 
 
@@ -111,11 +111,11 @@ def test_cyclic_components_only_for_bands(loop_quiver):
     g = build_HQ(q, x, y)
     rep = classify_components(g)
     for c in rep.plus:
-        if c["ctype"] in ("At", "Dpt"):
-            assert c["generalized_diagonal"]
+        if c.ctype in ("At", "Dpt"):
+            assert generalized_diagonal(g, c)
     gy = build_HQ(q, y, y)
     repy = classify_components(gy)
-    assert any(c["ctype"] == "Dpt" and c["generalized_diagonal"]
+    assert any(c.ctype == "Dpt" and generalized_diagonal(gy, c)
                for c in repy.plus)
 
 
@@ -148,7 +148,7 @@ def test_unpunctured_pairs_no_loops_hline_is_real(ex1):
             assert not any(a.is_loop for a in g.arrows)
             rep = classify_components(g)
             for c in rep.plus:
-                assert c["hline"] == c["real"]
+                assert c.hline == c.real
 
 
 def test_build_Ho_partners(ex1):
