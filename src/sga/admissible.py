@@ -52,6 +52,18 @@ class AdmWord:
     letters: Word
     wtype: str  # 'uu' | 'up' | 'pu' | 'pp' | 'b'
 
+    # Words key the ray caches and the translate store, so the hash is
+    # computed once.  It depends on the interpreter's hash seed, hence a
+    # pickle carries only the fields and the copy recomputes it.
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.letters, self.wtype)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return AdmWord, (self.letters, self.wtype)
+
     def __str__(self) -> str:
         return format_word(self.letters)
 

@@ -193,7 +193,16 @@ def cmd_hom(args) -> int:
     return 0
 
 
+def _require_pair(a, b, name_a: str, name_b: str) -> None:
+    if bool(a) != bool(b):
+        raise ParseError(f"{name_a} and {name_b} must be given together")
+
+
 def cmd_einv(args) -> int:
+    _require_pair(args.tag_x, args.tag_y, "--tag-x", "--tag-y")
+    _require_pair(args.X, args.Y, "--X", "--Y")
+    if not (args.tag_x or args.X):
+        raise ParseError("einv needs --tag-x/--tag-y or --X/--Y")
     q = _load_quiver(args.quiver)
     _require_admissible(q, False)
     gf.check_prime(args.field)
@@ -211,6 +220,8 @@ def cmd_einv(args) -> int:
 
 
 def cmd_gvec(args) -> int:
+    if not (args.tag or args.module):
+        raise ParseError("gvec needs --tag or --module")
     q = _load_quiver(args.quiver)
     _require_admissible(q, False)
     fr = _fringing(q, args.fringe)

@@ -451,8 +451,16 @@ def triples(q: PolarizedQuiver, x: AdmWord, y: AdmWord,
 # -- kisses and fringing -----------------------------------------------------------
 
 def tau_f(fr: Fringing, x: AdmWord) -> AdmWord:
-    """AR translate inside the fringed quiver (never projective there)."""
-    return tau_adm(fr.extended, x)
+    """AR translate inside the fringed quiver (never projective there).
+
+    Memoised per word in the extended quiver's store, so repeated calls
+    return the identical object and the ray caches hit by identity.
+    """
+    store = fr.extended._cache.setdefault("tau_f", {})
+    tx = store.get(x)
+    if tx is None:
+        tx = store[x] = tau_adm(fr.extended, x)
+    return tx
 
 
 def kisses_of(q: PolarizedQuiver, x: AdmWord, y: AdmWord

@@ -64,6 +64,9 @@ class PolarizedQuiver:
                 raise QuiverError(f"arrow {a.name} has a sign outside {{-1,+1}}")
         names = [a.name for a in self.arrows]
         self._dup_names = sorted({n for n in names if names.count(n) > 1})
+        # equality ignores arrow order
+        self._key = (self.vertices, tuple(sorted(self.arrows, key=lambda a: a.name)))
+        self._hash = hash(self._key)
         self._cache: dict = {}
         self.by_name: dict[str, Arrow] = {a.name: a for a in self.arrows}
         # slot -> arrow maps; only trustworthy when the quiver is polarized
@@ -112,15 +115,15 @@ class PolarizedQuiver:
         return set(self.vertices)
 
     def __eq__(self, other):
-        return (isinstance(other, PolarizedQuiver)
-                and self.vertices == other.vertices
-                and sorted(self.arrows, key=lambda a: a.name) == sorted(other.arrows, key=lambda a: a.name))
+        return self is other or (isinstance(other, PolarizedQuiver)
+                                 and self._key == other._key)
 
     def __hash__(self):
-        if "hash" not in self._cache:
-            self._cache["hash"] = hash(
-                (self.vertices, tuple(sorted(self.arrows, key=lambda a: a.name))))
-        return self._cache["hash"]
+        return self._hash
+
+    def __reduce__(self):
+        # the hash and the stores are rebuilt, never carried across interpreters
+        return PolarizedQuiver, (self.vertices, self.arrows)
 
     def __repr__(self):
         return f"PolarizedQuiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"

@@ -1,6 +1,11 @@
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 
-from sga.admissible import (a_of_w, bar_length, classify, completion,
+from sga.admissible import (AdmWord, a_of_w, bar_length, classify, completion,
                             doublebar_ray, enumerate_adm, enumerate_adm_direct,
                             hat_of, hat_ray, is_admissible, is_projective_adm,
                             tau_adm, tau_adm_via_successors, a_image_of_completion)
@@ -190,3 +195,43 @@ def test_bar_length(ex1):
     for x in sets.strings:
         assert bar_length(x) <= 9
         assert bar_length(x) == len(completion(ex1, x))
+
+
+def test_adm_word_hash_kept_fields_unchanged(ex1):
+    assert [f.name for f in dataclasses.fields(AdmWord)] == ["letters", "wtype"]
+    for x in enumerate_adm(ex1, 8).strings:
+        y = AdmWord(x.letters, x.wtype)
+        assert y == x and y is not x and hash(y) == hash(x)
+        assert repr(y) == f"AdmWord(letters={x.letters!r}, wtype={x.wtype!r})"
+
+
+_PICKLE_WORDS = """
+import pickle, sys
+from sga.admissible import enumerate_adm
+from sga.parsing import parse_quiver
+q = parse_quiver(open(sys.argv[1]).read())
+words = enumerate_adm(q, 8).strings
+if sys.argv[2] == "dump":
+    sys.stdout.buffer.write(pickle.dumps((q, words)))
+else:
+    index = {x: k for k, x in enumerate(words)}
+    q2, loaded = pickle.loads(sys.stdin.buffer.read())
+    assert q2 == q and hash(q2) == hash(q)
+    print(sum(index.get(x) == k for k, x in enumerate(loaded)), len(words))
+"""
+
+
+def test_adm_word_pickle_across_hash_seeds():
+    """A word (and a quiver) pickled under one hash seed is found in a dict
+    built under another: the kept hash does not travel through pickle."""
+    quiver = os.path.join(os.path.dirname(__file__), "data", "ex1.quiver")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+    def run(seed, mode, data=None):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-c", _PICKLE_WORDS, quiver, mode],
+                              input=data, env=env, capture_output=True,
+                              check=True).stdout
+
+    found, total = run(2, "load", run(1, "dump")).split()
+    assert int(total) > 0 and found == total

@@ -1,0 +1,43 @@
+"""The library still offers everything the benchmark measures.
+
+``perfbench/tracer.py`` skips a wrapped function or a ray cache that the
+library no longer has and reports its metrics as absent, so a renamed
+function or a replaced ``lru_cache`` would silently shrink the metric set
+that ``BENCHMARK.json`` declares.  This installs the tracer in a fresh
+interpreter and compares the metric names it can produce with the
+declared ones."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+_PROBE = """
+import json
+import sga.admissible
+from tracer import RAY_CACHES, Tracer, layer_metrics
+t = Tracer()
+t.install()
+print(json.dumps({
+    "metrics": sorted(layer_metrics(t.raw())),
+    "uncovered": t.uncovered(),
+    "ray_caches": [c for c in RAY_CACHES
+                   if callable(getattr(getattr(sga.admissible, c), "cache_info", None))],
+}))
+"""
+
+
+def test_tracer_covers_declared_metrics():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]))
+    out = subprocess.run([sys.executable, "-c", _PROBE], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    probe = json.loads(out)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = {m["name"] for m in json.load(fh)["per_layer"]}
+    assert len(declared) == 45
+    assert set(probe["metrics"]) | {"trace.overhead_ratio"} == declared
+    assert probe["uncovered"] == []
+    assert probe["ray_caches"] == ["doublebar_ray", "hat_ray"]

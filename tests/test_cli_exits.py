@@ -33,6 +33,14 @@ def _hom(*extra):
     (["components", EX1, "--max-len", "4", "--fringe", EX1], 3),
     (["tau", EX1, "--adm", "a b"], 3),
     (["hquiver", EX1, "--x", "zz"], 2),
+    (["einv", EX1, "--x", X, "--y", Y, "--tag-x", "++"], 2),
+    (["einv", EX1, "--x", X, "--y", Y, "--tag-y", "++"], 2),
+    (["einv", EX1, "--x", X, "--y", Y, "--X", "Vo"], 2),
+    (["einv", EX1, "--x", X, "--y", Y, "--Y", "V+"], 2),
+    (["einv", EX1, "--x", X, "--y", Y, "--tag-x", "++", "--tag-y", "++",
+      "--X", "Vo"], 2),
+    (["einv", EX1, "--x", X, "--y", Y], 2),
+    (["gvec", EX1, "--x", X], 2),
 ])
 def test_cli_exit_codes(argv, code, capsys):
     try:

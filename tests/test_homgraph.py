@@ -2,8 +2,10 @@ import pytest
 
 from sga.admissible import classify, enumerate_adm, tau_adm
 from sga.homgraph import (build_H, build_HQ, classify_components,
-                          kiss_transport, real_long_bijection, to_dot, triples)
+                          kiss_transport, real_long_bijection, tau_f, to_dot,
+                          triples)
 from sga.quiver import as_fringing, auto_fringe
+from sga.randquiver import random_skewed_gentle_quiver
 from sga.words import invl, ordl, tinvl, trivl
 
 
@@ -244,3 +246,15 @@ def test_to_dot_stable(loop_quiver, loopq_words):
     g = build_HQ(loop_quiver, x, y)
     d1, d2 = to_dot(g), to_dot(g)
     assert d1 == d2 and d1.startswith("digraph")
+
+
+@pytest.mark.parametrize("seed", [None, 11])
+def test_tau_f_memoised(ex1, seed):
+    q = ex1 if seed is None else random_skewed_gentle_quiver(seed, forbid_pp=True)
+    fr = auto_fringe(q)
+    sets = enumerate_adm(q, 8)
+    for x in sets.strings + sets.bands:
+        tx = tau_f(fr, x)
+        assert tau_f(fr, x) is tx
+        assert tx == tau_adm(fr.extended, x)
+    assert len(fr.extended._cache["tau_f"]) == len(sets.strings) + len(sets.bands)

@@ -6,7 +6,8 @@ from sga.invariants import (DSTAR, STAR, canonical_tagged, d2, d3, diag_b,
                             dim_vector_comb, e_comb, enumerate_components,
                             g_comb, is_tau_generic, kiss_census, p_set,
                             simplified_check, tag_chi, tag_iota, tags_for, wt)
-from sga.quiver import as_fringing, auto_fringe
+from sga.quiver import PolarizedQuiver, as_fringing, auto_fringe
+from sga.randquiver import random_skewed_gentle_quiver
 from sga.repmod import build_module, module_V, module_k
 from sga.words import invl, ordl, tinvl, trivl
 
@@ -165,3 +166,25 @@ def test_diag_b_band(loop_quiver):
     y = classify(loop_quiver, (tinvl("1", -1), ordl("a"), ordl("e"), ordl("a"),
                                ordl("e"), invl("a"), trivl("1", -1)))
     assert diag_b(y, y) == 1 and diag_b(y, x) == 0
+
+
+def _census_lines(q, n):
+    fr = auto_fringe(q)
+    words = enumerate_adm(q, 8).strings[:n]
+    out = []
+    for x in words:
+        for y in words:
+            c = kiss_census(q, fr, x, y)
+            out.append(f"{x}\t{y}\t{c.a_count}\t{c.p_set}\t{c.diag}\t{c.d_count}\t"
+                       f"{c.at_count}\t{c.dpt_count}\t{c.total}\n")
+    return "".join(out)
+
+
+def test_kiss_census_repeated_with_rebuilt_quiver():
+    """The ray caches and the translate store are shared between
+    content-equal quivers; a repeat on a rebuilt quiver answers the same."""
+    q = random_skewed_gentle_quiver(11, forbid_pp=True)
+    first = _census_lines(q, 16)
+    rebuilt = PolarizedQuiver(q.vertices, q.arrows)
+    assert rebuilt == q and rebuilt is not q
+    assert _census_lines(rebuilt, 16) == first

@@ -105,3 +105,14 @@ def test_fringe_idempotent_on_complete(ex1):
     # fringing the fringed quiver adds slots only at fringe vertices
     fr2 = auto_fringe(fr.extended)
     assert set(fr.extended.vertices) <= set(fr2.extended.vertices)
+
+
+def test_quiver_equality_ignores_arrow_order(ex1):
+    permuted = PolarizedQuiver(reversed(ex1.vertices), reversed(ex1.arrows))
+    assert permuted == ex1 and hash(permuted) == hash(ex1)
+    a = ex1.arrows[0]
+    flipped = PolarizedQuiver(ex1.vertices, (Arrow(a.name, a.source, -a.s_sign,
+                                                   a.target, a.t_sign),)
+                              + ex1.arrows[1:])
+    assert flipped != ex1
+    assert ex1 != "ex1"
