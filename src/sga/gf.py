@@ -99,7 +99,10 @@ def inv(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return np.kron(a, b) % p
+    """Kronecker product of two matrices as one broadcast product; entries
+    reduced mod p stay below 2^40, so int64 is exact."""
+    (m, n), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * r, n * s) % p
 
 
 def jordan_block(m: int, t: int, p: int) -> np.ndarray:

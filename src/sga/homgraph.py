@@ -248,7 +248,9 @@ class FullComponent(Component):
     long: bool
 
 
-def _components(vertices, arrows):
+def _components(vertices, arrows, rank: dict[int, int]):
+    """Connected components, vertices sorted and arrows in ``rank`` order
+    (an arrow's position in the repr order, keyed by ``id``)."""
     adj: dict = {v: [] for v in vertices}
     for a in arrows:
         adj[a.src].append(a)
@@ -270,7 +272,7 @@ def _components(vertices, arrows):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        comps.append((tuple(sorted(cv)), tuple(sorted(ca, key=repr))))
+        comps.append((tuple(sorted(cv)), tuple(sorted(ca, key=lambda a: rank[id(a)]))))
     return comps
 
 
@@ -309,9 +311,10 @@ def classify_components(g: HomGraph) -> ComponentReport:
     re-derived at a sample vertex of each component."""
     plus_arrows = [a for a in g.arrows if a.family == PLUS]
     po_arrows = [a for a in g.arrows if a.family in (PLUS, CIRC)]
-    comps_plus = _components(g.vertices, plus_arrows)
-    comps_po = _components(g.vertices, po_arrows)
-    comps_full = _components(g.vertices, g.arrows)
+    rank = {id(a): k for k, a in enumerate(sorted(g.arrows, key=repr))}
+    comps_plus = _components(g.vertices, plus_arrows, rank)
+    comps_po = _components(g.vertices, po_arrows, rank)
+    comps_full = _components(g.vertices, g.arrows, rank)
     po_of = {}
     full_of = {}
     for ci, (cv, _) in enumerate(comps_po):

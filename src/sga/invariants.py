@@ -97,7 +97,7 @@ def diag_b(x: AdmWord, y: AdmWord) -> int:
     return 0
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class KissCensus:
     a_count: int                       # type-A kisses, both directions
     p_set: tuple[tuple[int, int], ...]  # pairs of punctured letters of type D'
@@ -125,6 +125,22 @@ def p_set(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[tuple[int, int], 
 
 
 def kiss_census(q: PolarizedQuiver, fr: Fringing, x: AdmWord, y: AdmWord) -> KissCensus:
+    """Kisses between the fringed translates of x and y, both directions,
+    checked against the punctured pairs and the band orientation.
+
+    Memoised per pair in ``fr.extended._cache["census"]`` when q is the
+    fringing's base quiver; any other q is computed and not stored.
+    """
+    if q != fr.base:
+        return _kiss_census(q, fr, x, y)
+    store = fr.extended._cache.setdefault("census", {})
+    census = store.get((x, y))
+    if census is None:
+        census = store[(x, y)] = _kiss_census(q, fr, x, y)
+    return census
+
+
+def _kiss_census(q: PolarizedQuiver, fr: Fringing, x: AdmWord, y: AdmWord) -> KissCensus:
     qf = fr.extended
     tx, ty = tau_f(fr, x), tau_f(fr, y)
     counts = {"A": 0, "Dp": 0, "At": 0, "Dpt": 0}

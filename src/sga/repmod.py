@@ -214,9 +214,27 @@ def verify_relations(rep: Rep) -> None:
                     raise SgaError(f"relation {a.name}{b.name} violated")
 
 
+def _matrix_key(m: np.ndarray | None):
+    return None if m is None else (m.dtype.str, m.shape, m.tobytes())
+
+
 def build_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
     """The representation attached to (x, X): one copy of X per blueprint
-    vertex, arrow matrices assembled blockwise from the unit actions."""
+    vertex, arrow matrices assembled blockwise from the unit actions.
+
+    Memoised per quiver in ``q._cache["modules"]``, keyed by the word and
+    the module's label, size, field and matrices; the shared matrices are
+    read-only.
+    """
+    key = (x, X.label, X.dim, X.p, _matrix_key(X.T), _matrix_key(X.S))
+    store = q._cache.setdefault("modules", {})
+    rep = store.get(key)
+    if rep is None:
+        rep = store[key] = _assemble_module(q, x, X)
+    return rep
+
+
+def _assemble_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
     if not module_matches(x.wtype, X):
         raise SgaError(f"module {X.label} does not live over {algebra_of(x.wtype)}")
     p = X.p
@@ -250,6 +268,8 @@ def build_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
         add_block(l.image, l.vertex, l.vertex, u)
     rep = Rep(q, p, dims, mats)
     verify_relations(rep)
+    for m in mats.values():
+        m.flags.writeable = False
     return rep
 
 
@@ -502,10 +522,19 @@ def E_formula(q: PolarizedQuiver, fr, x: AdmWord, X: AxModule,
 
 
 def tau_module(q: PolarizedQuiver, x: AdmWord, X: AxModule):
-    """(tau x, X twisted); None marks the zero module for projectives."""
-    if is_projective_adm(q, x):
+    """(tau x, X twisted); None marks the zero module for projectives.
+
+    The word translate is memoised per quiver in ``q._cache["tau"]``
+    (None for projectives); the twist is applied on every call.
+    """
+    store = q._cache.setdefault("tau", {})
+    if x in store:
+        tx = store[x]
+    else:
+        tx = store[x] = None if is_projective_adm(q, x) else tau_adm(q, x)
+    if tx is None:
         return None
-    return tau_adm(q, x), chi_twist(q, x, X)
+    return tx, chi_twist(q, x, X)
 
 
 def E_oracle(q: PolarizedQuiver, x: AdmWord, X: AxModule,
