@@ -128,19 +128,13 @@ def kiss_census(q: PolarizedQuiver, fr: Fringing, x: AdmWord, y: AdmWord) -> Kis
     """Kisses between the fringed translates of x and y, both directions,
     checked against the punctured pairs and the band orientation.
 
-    Memoised per pair in ``fr.extended._cache["census"]`` when q is the
-    fringing's base quiver; any other q is computed and not stored.
+    Memoised per pair in ``fr.extended._cache["census"]``, keyed by
+    (q, x, y): q enters the census through the punctured pairs.
     """
-    if q != fr.base:
-        return _kiss_census(q, fr, x, y)
     store = fr.extended._cache.setdefault("census", {})
-    census = store.get((x, y))
-    if census is None:
-        census = store[(x, y)] = _kiss_census(q, fr, x, y)
-    return census
-
-
-def _kiss_census(q: PolarizedQuiver, fr: Fringing, x: AdmWord, y: AdmWord) -> KissCensus:
+    census = store.get((q, x, y))
+    if census is not None:
+        return census
     qf = fr.extended
     tx, ty = tau_f(fr, x), tau_f(fr, y)
     counts = {"A": 0, "Dp": 0, "At": 0, "Dpt": 0}
@@ -160,6 +154,7 @@ def _kiss_census(q: PolarizedQuiver, fr: Fringing, x: AdmWord, y: AdmWord) -> Ki
         raise TheoremViolation("D' kisses do not match the punctured pairs")
     if census.a_count + len(ps) + 2 * abs(diag) != census.total:
         raise TheoremViolation("kiss census does not add up")
+    store[(q, x, y)] = census
     return census
 
 

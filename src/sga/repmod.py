@@ -171,7 +171,7 @@ def unit_of(x: AdmWord, part: tuple[str, int | None], forward: bool) -> str:
     return "1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Rep:
     q: PolarizedQuiver
     p: int
@@ -223,8 +223,11 @@ def build_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
     vertex, arrow matrices assembled blockwise from the unit actions.
 
     Memoised per quiver in ``q._cache["modules"]``, keyed by the word and
-    the module's label, size, field and matrices; the shared matrices are
-    read-only.
+    the module's label, size, field and matrices. The returned ``Rep`` is
+    shared by every later call with that key: its fields cannot be
+    reassigned and its matrices are read-only, but its ``dims`` and
+    ``mats`` dicts are plain dicts that callers must not modify (copy the
+    ``Rep`` first, e.g. with ``copy.deepcopy``).
     """
     key = (x, X.label, X.dim, X.p, _matrix_key(X.T), _matrix_key(X.S))
     store = q._cache.setdefault("modules", {})

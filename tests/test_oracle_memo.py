@@ -49,6 +49,8 @@ def test_memoised_module_is_shared_and_read_only(ex1):
         M.mats[name][0, 0] = 1
     with pytest.raises(ValueError):
         M.mats[name] += 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        M.mats = {}
 
 
 def test_module_key_sees_the_matrices(ex1):
