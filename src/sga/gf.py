@@ -1,7 +1,14 @@
 """Exact linear algebra over GF(p) for an odd prime p.
 
-Matrices are numpy int64 arrays with entries reduced mod p; elimination is
-vectorized row arithmetic, so everything stays exact.
+Matrices are numpy int64 arrays with entries reduced mod p. Two exact
+kernels eliminate:
+
+- ``rank`` runs an online elimination in Python integers over sparse rows
+  (``dict`` column -> value), so the small, structurally sparse intertwiner
+  systems of the Hom oracle cost only their nonzeros; a dense matrix is
+  turned into such rows first.
+- ``rref`` is a Python loop over columns with numpy row arithmetic; it
+  serves ``nullspace`` and ``inv``, whose dense systems it handles faster.
 """
 
 from __future__ import annotations
@@ -66,10 +73,39 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
-    return len(rref(a, p)[1])
+def rank(a: np.ndarray | list[dict[int, int]], p: int) -> int:
+    """Rank of a matrix given as an ndarray or as sparse rows (column ->
+    integer value); the rows are not modified.
+
+    Online elimination: each row is reduced by the stored pivot row of its
+    least column until it vanishes or opens a new pivot. A stored row is
+    normalised to a leading 1, which is left implicit, and keeps only the
+    columns after its pivot, so every reduction raises the least column.
+    """
+    if isinstance(a, np.ndarray):
+        dense = a % p
+        rs, cs = np.nonzero(dense)
+        a = [{} for _ in range(dense.shape[0])]
+        for r, c, v in zip(rs.tolist(), cs.tolist(), dense[rs, cs].tolist()):
+            a[r][c] = v
+    pivots: dict[int, dict[int, int]] = {}
+    for row in a:
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            c = min(row)
+            tail = pivots.get(c)
+            if tail is None:
+                s = pow(row.pop(c), -1, p)
+                pivots[c] = {cc: v * s % p for cc, v in row.items()}
+                break
+            f = row.pop(c)
+            for cc, v in tail.items():
+                w = (row.get(cc, 0) - f * v) % p
+                if w:
+                    row[cc] = w
+                else:
+                    row.pop(cc, None)
+    return len(pivots)
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:

@@ -41,6 +41,14 @@ class AxModule:
             return self.S
         raise SgaError(f"unknown generator {gen}")
 
+    def act_inv(self, gen: str) -> np.ndarray:
+        """Inverse of ``act(gen)``; the unit and T- need no elimination."""
+        if gen == "1":
+            return gf.eye(self.dim)
+        if gen == "T-":
+            return self.T
+        return gf.inv(self.act(gen), self.p)
+
 
 def module_k(p: int) -> AxModule:
     return AxModule("Vo", 1, p)
@@ -261,11 +269,11 @@ def _assemble_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
             (mats[name][r:r + X.dim, c:c + X.dim] + block) % p
 
     for e in h.edges:
-        u = X.act(unit_of(x, ("edge", e.idx), True))
-        add_block(e.image, e.tgt, e.src, u)
+        gen = unit_of(x, ("edge", e.idx), True)
+        add_block(e.image, e.tgt, e.src, X.act(gen))
         if q.by_name[e.image].special:
             # the inverse partner arrow of the doubled quiver
-            add_block(e.image, e.src, e.tgt, gf.inv(u, p))
+            add_block(e.image, e.src, e.tgt, X.act_inv(gen))
     for l in h.loops:
         u = X.act(unit_of(x, ("loop", l.key), True))
         add_block(l.image, l.vertex, l.vertex, u)
@@ -293,9 +301,14 @@ def zero_module(q: PolarizedQuiver, p: int) -> Rep:
 
 # -- brute-force Hom ------------------------------------------------------------
 
-def hom_system(M: Rep, N: Rep) -> tuple[np.ndarray, dict[str, tuple[int, int]]]:
-    """Linear system for intertwiners f with f M(a) = N(a) f, unknowns the
-    stacked row-major entries of the blocks f_v."""
+def hom_rows(M: Rep, N: Rep) -> tuple[list[dict[int, int]], dict[str, tuple[int, int]]]:
+    """Linear system for intertwiners f with f_t M(a) = N(a) f_s, as sparse
+    rows (column -> value mod p), and the (start, size) of each block f_v
+    among the unknowns, the stacked row-major entries of the blocks.
+
+    Row (a, i, j) holds M(a)[k, j] at the column of f_t[i, k] and
+    -N(a)[i, k] at the column of f_s[k, j]; on a loop both land in one row.
+    """
     q, p = M.q, M.p
     cols = 0
     span: dict[str, tuple[int, int]] = {}
@@ -303,30 +316,44 @@ def hom_system(M: Rep, N: Rep) -> tuple[np.ndarray, dict[str, tuple[int, int]]]:
         size = N.dims[v] * M.dims[v]
         span[v] = (cols, size)
         cols += size
-    rows = []
+    rows: list[dict[int, int]] = []
     for a in q.arrows:
         s, t = a.source, a.target
-        r = N.dims[t] * M.dims[s]
-        if r == 0:
+        ms, mt = M.dims[s], M.dims[t]
+        if N.dims[t] * ms == 0:
             continue
-        block = gf.zeros(r, cols)
-        if span[t][1]:
-            left = gf.kron(gf.eye(N.dims[t]), M.mats[a.name].T, p)
-            block[:, span[t][0]:span[t][0] + span[t][1]] = left
-        if span[s][1]:
-            right = gf.kron(N.mats[a.name], gf.eye(M.dims[s]), p)
-            block[:, span[s][0]:span[s][0] + span[s][1]] = \
-                (block[:, span[s][0]:span[s][0] + span[s][1]] - right) % p
-        rows.append(block)
-    if not rows:
-        return gf.zeros(0, cols), span
-    return np.concatenate(rows, axis=0), span
+        m_cols = [[(k, v % p) for k, v in enumerate(col) if v % p]
+                  for col in M.mats[a.name].T.tolist()]
+        n_rows = [[(k, -v % p) for k, v in enumerate(row) if v % p]
+                  for row in N.mats[a.name].tolist()]
+        t0, s0 = span[t][0], span[s][0]
+        for i in range(N.dims[t]):
+            ti = t0 + i * mt
+            for j in range(ms):
+                row = {ti + k: v for k, v in m_cols[j]}
+                for k, v in n_rows[i]:
+                    c = s0 + k * ms + j
+                    w = (row.get(c, 0) + v) % p
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
+                rows.append(row)
+    return rows, span
+
+
+def hom_system(M: Rep, N: Rep) -> tuple[np.ndarray, dict[str, tuple[int, int]]]:
+    """The system of ``hom_rows`` as a dense matrix, one row per equation."""
+    rows, span = hom_rows(M, N)
+    out = gf.zeros(len(rows), sum(size for _, size in span.values()))
+    out[[r for r, row in enumerate(rows) for _ in row],
+        [c for row in rows for c in row]] = [v for row in rows for v in row.values()]
+    return out, span
 
 
 def hom_dim_oracle(M: Rep, N: Rep) -> int:
-    sys_mat, span = hom_system(M, N)
-    cols = sys_mat.shape[1]
-    return cols - gf.rank(sys_mat, M.p)
+    rows, span = hom_rows(M, N)
+    return sum(size for _, size in span.values()) - gf.rank(rows, M.p)
 
 
 def hom_basis_oracle(M: Rep, N: Rep) -> list[dict[str, np.ndarray]]:
@@ -344,21 +371,22 @@ def hom_basis_oracle(M: Rep, N: Rep) -> list[dict[str, np.ndarray]]:
 
 # -- structured Hom along h-lines -------------------------------------------------
 
-def _transfer(x: AdmWord, y: AdmWord, X: AxModule, Y: AxModule, arrow, p: int):
-    """(P, Q) with f_target = P f_source Q along the given product arrow.
+def _transfer(x: AdmWord, y: AdmWord, X: AxModule, Y: AxModule, arrow,
+              inverse: bool = False):
+    """(P, Q) with f_target = P f_source Q along the given product arrow, or
+    with inverse set (P^-1, Q^-1), which carries f_target back to f_source.
 
     Derived from the intertwiner equations with the actual unit actions, so
     the closing edge of a band over a special loop is handled correctly.
     """
-    uy = Y.act(unit_of(y, arrow.ypart, True))
-    ux = X.act(unit_of(x, arrow.xpart, True))
-    if arrow.family == PLUS:
-        return uy, gf.inv(ux, p)
-    if arrow.family == CROSS:
-        return gf.inv(uy, p), gf.inv(ux, p)
-    if arrow.ypart[0] == "loop":   # y-loop against an x-edge
-        return uy, gf.inv(ux, p)
-    return gf.inv(uy, p), ux       # y-edge against an x-loop
+    if arrow.family in (PLUS, CROSS) or arrow.ypart[0] == "loop":
+        inv_y, inv_x = arrow.family == CROSS, True
+    else:                           # y-edge against an x-loop
+        inv_y, inv_x = True, False
+    gy, gx = unit_of(y, arrow.ypart, True), unit_of(x, arrow.xpart, True)
+    P = Y.act_inv(gy) if inv_y != inverse else Y.act(gy)
+    Q = X.act_inv(gx) if inv_x != inverse else X.act(gx)
+    return P, Q
 
 
 def _component_base_space(q, x, y, X, Y, comp, p):
@@ -376,7 +404,7 @@ def _component_base_space(q, x, y, X, Y, comp, p):
             ps, qs = None, None
             if a.src in transfer:
                 P0, Q0 = transfer[a.src]
-                P, Q = _transfer(x, y, X, Y, a, p)
+                P, Q = _transfer(x, y, X, Y, a)
                 ps, qs = gf.mul(P, P0, p), gf.mul(Q0, Q, p)
                 if a.tgt not in transfer:
                     transfer[a.tgt] = (ps, qs)
@@ -386,9 +414,9 @@ def _component_base_space(q, x, y, X, Y, comp, p):
                     constraints.append((ps, qs, P1, Q1))
             elif a.tgt in transfer:
                 P1, Q1 = transfer[a.tgt]
-                P, Q = _transfer(x, y, X, Y, a, p)
-                ps = gf.mul(gf.inv(P, p), P1, p)
-                qs = gf.mul(Q1, gf.inv(Q, p), p)
+                P, Q = _transfer(x, y, X, Y, a, inverse=True)
+                ps = gf.mul(P, P1, p)
+                qs = gf.mul(Q1, Q, p)
                 transfer[a.src] = (ps, qs)
                 progress = True
             else:
