@@ -7,6 +7,8 @@ product builder (the textbook ``I (x) M(a)^T - N(a) (x) I`` blocks) for the
 system.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,6 @@ from sga.parsing import parse_quiver
 from sga.randquiver import random_skewed_gentle_quiver
 from sga.repmod import (build_module, hom_dim_oracle, hom_rows, hom_system,
                         indecomposables_Ax, module_Vband)
-
-from pathlib import Path
 
 DATA = Path(__file__).parent / "data"
 
