@@ -10,7 +10,7 @@ from .words import (Letter, Word, enumerate_bands, enumerate_strings_at,
 from .admissible import (AdmWord, a_of_w, classify, completion, enumerate_adm,
                          is_admissible, tau_adm)
 from .homgraph import (HomGraph, Winding, build_H, build_HQ,
-                       classify_components, kiss_transport,
+                       classify_components, kiss_transport, kiss_types,
                        real_long_bijection, triples)
 from .repmod import (AxModule, E_oracle, Rep, build_module, g_oracle,
                      hom_basis_oracle, hom_basis_structured, hom_dim_formula,

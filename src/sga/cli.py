@@ -14,7 +14,8 @@ from .admissible import (classify, enumerate_adm, enumerate_adm_direct,
                          is_admissible, tau_adm, tau_adm_via_successors)
 from .errors import ParseError, SgaError, TheoremViolation
 from .homgraph import (build_H, build_HQ, classify_components, generalized_diagonal,
-                       real_long_bijection, to_dot, winding_to_dot)
+                       kiss_types, real_long_bijection, tau_f, to_dot,
+                       winding_to_dot)
 from .invariants import (e_comb, enumerate_components, g_comb, is_tau_generic,
                          simplified_check, tags_for)
 from .parsing import (format_tag, parse_module, parse_quiver, parse_tag, parse_word,
@@ -299,6 +300,15 @@ def cmd_selftest(args) -> int:
             real_long_bijection(g, rep)
             pairs += 1
     print(f"real/long bijection ok on {pairs} pairs")
+    qf = fr.extended
+    translates = [tau_f(fr, x) for x in words]
+    for u in translates:
+        for v in translates:
+            kisses = classify_components(build_HQ(qf, u, v)).plus
+            if kiss_types(qf, u, v) != tuple(c.ctype for c in kisses if c.kiss):
+                print(f"KISS DUAL-ROUTE MISMATCH {u} {v}", file=sys.stderr)
+                return 4
+    print(f"kiss dual route ok on {len(translates) ** 2} translate pairs")
     checked = 0
     for x in words:
         for X in indecomposables_Ax(x.wtype, 1, args.field):

@@ -14,7 +14,7 @@ from .admissible import (AdmWord, doublebar_ray, hat_of, hat_ray,
                          is_projective_adm, tau_adm)
 from .errors import TheoremViolation, WordError
 from .quiver import Fringing, PolarizedQuiver
-from .words import INV, ORD, compare_letters, ray_compare
+from .words import INV, ORD, Letter, compare_letters, ray_compare
 
 
 @dataclass(frozen=True)
@@ -306,6 +306,30 @@ def _colored(cv, colors) -> bool:
     return any(v in colors for v in cv)
 
 
+def ray_real(q: PolarizedQuiver, x: AdmWord, y: AdmWord, v) -> bool:
+    """The hat-ray characterization of a real h-line through v = (j, i)."""
+    j, i = v
+    h = hat_of(q)
+    for delta in (-1, 1):
+        for rho in (-1, 1):
+            ry = hat_ray(q, y, j, rho, delta)
+            rx = hat_ray(q, x, i, rho, delta)
+            if ray_compare(h, ry, rx)[0] not in ("<", "="):
+                return False
+    return True
+
+
+def ray_long(q: PolarizedQuiver, x: AdmWord, y: AdmWord, v) -> bool:
+    """The doublebar-ray characterization of a long h-line through v."""
+    j, i = v
+    for rho in (-1, 1):
+        ry = doublebar_ray(q, y, j, rho)
+        rx = doublebar_ray(q, x, i, rho)
+        if ray_compare(q, ry, rx)[0] not in ("<", "="):
+            return False
+    return True
+
+
 def classify_components(g: HomGraph) -> ComponentReport:
     """Flags per component, with the ray characterizations of real and long
     re-derived at a sample vertex of each component."""
@@ -325,27 +349,6 @@ def classify_components(g: HomGraph) -> ComponentReport:
             full_of[v] = ci
 
     q, x, y = g.q, g.x, g.y
-    h = hat_of(q)
-
-    def ray_real(v) -> bool:
-        j, i = v
-        for delta in (-1, 1):
-            for rho in (-1, 1):
-                ry = hat_ray(q, y, j, rho, delta)
-                rx = hat_ray(q, x, i, rho, delta)
-                if ray_compare(h, ry, rx)[0] not in ("<", "="):
-                    return False
-        return True
-
-    def ray_long(v) -> bool:
-        j, i = v
-        for rho in (-1, 1):
-            ry = doublebar_ray(q, y, j, rho)
-            rx = doublebar_ray(q, x, i, rho)
-            if ray_compare(q, ry, rx)[0] not in ("<", "="):
-                return False
-        return True
-
     plus_out = []
     for cv, ca in comps_plus:
         ctype, ends = _component_type(cv, ca)
@@ -357,7 +360,7 @@ def classify_components(g: HomGraph) -> ComponentReport:
         is_h = not _colored(po_cv, g.red) and not _colored(po_cv, g.orange)
         is_dual_h = not _colored(po_cv, g.blue) and not _colored(po_cv, g.cyan)
         interior = not any(g.is_boundary(v) for v in ends)
-        if ray_real(cv[0]) != is_real:
+        if ray_real(q, x, y, cv[0]) != is_real:
             raise TheoremViolation(f"real h-line characterization differs at {cv[0]}")
         plus_out.append(PlusComponent(cv, ca, ctype, ends, is_real, is_dual_real,
                                       is_h, is_dual_h, is_real and interior,
@@ -366,7 +369,7 @@ def classify_components(g: HomGraph) -> ComponentReport:
     for cv, ca in comps_full:
         ctype, ends = _component_type(cv, ca)
         is_long = not _colored(cv, g.red)
-        if ray_long(cv[0]) != is_long:
+        if ray_long(q, x, y, cv[0]) != is_long:
             raise TheoremViolation(f"long h-line characterization differs at {cv[0]}")
         full_out.append(FullComponent(cv, ca, ctype, ends, is_long))
 
@@ -466,17 +469,180 @@ def tau_f(fr: Fringing, x: AdmWord) -> AdmWord:
     return tx
 
 
-def kisses_of(q: PolarizedQuiver, x: AdmWord, y: AdmWord
-              ) -> tuple[list[PlusComponent], HomGraph, ComponentReport]:
-    g = build_HQ(q, x, y)
-    rep = classify_components(g)
-    return [c for c in rep.plus if c.kiss], g, rep
+@dataclass(frozen=True, slots=True)
+class WordTable:
+    """What the kiss route reads of one word: its winding, its boundary
+    vertices, its vertices by label, the first letters of its doublebar rays
+    and its edges and loops by image."""
+    winding: Winding
+    boundary: frozenset[int]                   # vertices of valency <= 1
+    by_label: dict[str, tuple[int, ...]]       # ascending
+    heads: dict[int, tuple[Letter, Letter]]    # doublebar first letters, rho = -1, +1
+    edges: dict[str, tuple[HEdge, ...]]
+    loops: dict[str, tuple[HLoop, ...]]
 
 
-def _count_types(comps) -> dict[str, int]:
+def word_table(q: PolarizedQuiver, x: AdmWord) -> WordTable:
+    """The tables of x, memoised per word in ``q._cache["word_tables"]``."""
+    store = q._cache.setdefault("word_tables", {})
+    t = store.get(x)
+    if t is None:
+        h = build_H(q, x)
+        by_label: dict = {}
+        edges: dict = {}
+        loops: dict = {}
+        for v in h.vertices:
+            by_label.setdefault(h.vlabel[v], []).append(v)
+        for e in h.edges:
+            edges.setdefault(e.image, []).append(e)
+        for l in h.loops:
+            loops.setdefault(l.image, []).append(l)
+        t = store[x] = WordTable(
+            h, frozenset(v for v in h.vertices if h.is_boundary(v)),
+            {k: tuple(vs) for k, vs in by_label.items()},
+            {v: (doublebar_ray(q, x, v, -1).first(), doublebar_ray(q, x, v, 1).first())
+             for v in h.vertices},
+            {k: tuple(es) for k, es in edges.items()},
+            {k: tuple(ls) for k, ls in loops.items()})
+    return t
+
+
+def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord
+               ) -> tuple[tuple[str, tuple[int, int]], ...]:
+    """The ctype and least vertex of each kiss of ``build_HQ(q, x, y)``, in
+    least-vertex order, without building the product quiver.
+
+    A union-find over the label-matching pairs (j, i), linked by the
+    equal-image edge pairs and loop pairs, gives the plus components; adding
+    the cross and circle links gives the full ones.  Red comes from the
+    doublebar first letters, orange and purple are the targets of cross and
+    circle links.  As in :func:`classify_components`, the ray
+    characterization of real is checked at the least vertex of every plus
+    component and that of long at the least vertex of every full component.
+    """
+    tx, ty = word_table(q, x), word_table(q, y)
+    m = max(tx.winding.vertices, default=0) + 1   # (j, i) is the integer j*m + i
+    verts = sorted(j * m + i for lab, js in ty.by_label.items()
+                   for i in tx.by_label.get(lab, ()) for j in js)
+    parent = {v: v for v in verts}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    plus, loops, cross, circ = [], [], [], []
+    for image, eys in ty.edges.items():
+        exs = tx.edges.get(image, ())
+        special = bool(exs) and q.by_name[image].special
+        for ny in eys:
+            for nx in exs:
+                s = ny.src * m + nx.src
+                if s in parent:
+                    plus.append((s, ny.tgt * m + nx.tgt))
+                if special:
+                    s = ny.tgt * m + nx.src
+                    if s in parent:
+                        cross.append((s, ny.src * m + nx.tgt))
+    for image, lys in ty.loops.items():
+        for ly in lys:
+            for lx in tx.loops.get(image, ()):
+                v = ly.vertex * m + lx.vertex
+                if v in parent:
+                    loops.append(v)
+            for nx in tx.edges.get(image, ()):
+                s = ly.vertex * m + nx.src
+                if s in parent:
+                    circ.append((s, ly.vertex * m + nx.tgt))
+    for image, lxs in tx.loops.items():
+        for ny in ty.edges.get(image, ()):
+            for lx in lxs:
+                s = ny.tgt * m + lx.vertex
+                if s in parent:
+                    circ.append((s, ny.src * m + lx.vertex))
+
+    deg = dict.fromkeys(verts, 0)
+    links = []
+    for s, t in plus:
+        if s == t:
+            loops.append(s)
+        else:
+            links.append((s, t))
+            deg[s] += 1
+            deg[t] += 1
+            parent[find(s)] = find(t)
+    for v in loops:
+        deg[v] += 1
+
+    red = []
+    for v in verts:
+        j, i = divmod(v, m)
+        hit = False
+        for fy, fx in zip(ty.heads[j], tx.heads[i]):
+            if fy == fx:
+                continue
+            c = compare_letters(q, fy, fx)
+            if c is None:
+                raise WordError(f"incomparable ray heads at {(j, i)}")
+            hit = hit or c > 0
+        if hit:
+            red.append(v)
+
+    order, size = [], {}
+    for v in verts:
+        r = find(v)
+        if r in size:
+            size[r] += 1
+        else:
+            size[r] = 1
+            order.append((r, v))
+    cycles = {r: 1 - n for r, n in size.items()}   # arrows - (vertices - 1)
+    for s, _ in links:
+        cycles[find(s)] += 1
+    nloops = dict.fromkeys(size, 0)
+    for v in loops:
+        nloops[find(v)] += 1
+    colored = {find(v) for v in red}
+    colored.update(find(t) for _, t in cross)
+    colored.update(find(t) for _, t in circ)
+    at_boundary = {find(v) for v in verts if deg[v] <= 1 and
+                   (v // m in ty.boundary or v % m in tx.boundary)}
+
+    out = []
+    for r, v in order:
+        real = r not in colored
+        vt = divmod(v, m)
+        if ray_real(q, x, y, vt) != real:
+            raise TheoremViolation(f"real h-line characterization differs at {vt}")
+        if real and r not in at_boundary:
+            k = nloops[r]
+            out.append(("Dp" if k == 1 else "Dpt" if k else
+                        "At" if cycles[r] > 0 else "A", vt))
+
+    for s, t in cross + circ:
+        parent[find(s)] = find(t)
+    red_full = {find(v) for v in red}
+    seen = set()
+    for v in verts:
+        r = find(v)
+        if r in seen:
+            continue
+        seen.add(r)
+        vt = divmod(v, m)
+        if ray_long(q, x, y, vt) != (r not in red_full):
+            raise TheoremViolation(f"long h-line characterization differs at {vt}")
+    return tuple(out)
+
+
+def kiss_types(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[str, ...]:
+    """The ctype of each kiss, in least-vertex order (see :func:`kiss_sites`)."""
+    return tuple(t for t, _ in kiss_sites(q, x, y))
+
+
+def _count_types(types) -> dict[str, int]:
     counts: dict[str, int] = {}
-    for c in comps:
-        counts[c.ctype] = counts.get(c.ctype, 0) + 1
+    for t in types:
+        counts[t] = counts.get(t, 0) + 1
     return counts
 
 
@@ -487,15 +653,13 @@ def kiss_transport(q: PolarizedQuiver, fr: Fringing, x: AdmWord,
     When y is not projective the counts must agree with the real h-lines
     towards the plain translate of y; a mismatch is a theorem violation.
     """
-    tx, ty = tau_f(fr, x), tau_f(fr, y)
-    kx, _, _ = kisses_of(fr.extended, tx, ty)
-    counts = _count_types(kx)
+    counts = _count_types(kiss_types(fr.extended, tau_f(fr, x), tau_f(fr, y)))
     if is_projective_adm(q, y):
-        if kx:
+        if counts:
             raise TheoremViolation("kisses against a projective translate")
         return counts
     rep2 = classify_components(build_HQ(q, x, tau_adm(q, y)))
-    by_type2 = _count_types(c for c in rep2.plus if c.real)
+    by_type2 = _count_types(c.ctype for c in rep2.plus if c.real)
     if by_type2 != counts:
         raise TheoremViolation(
             f"kiss transport mismatch: {counts} vs h-triples {by_type2}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .admissible import AdmWord, enumerate_adm
 from .errors import SgaError, TheoremViolation
-from .homgraph import build_H, kisses_of, tau_f
+from .homgraph import build_H, kiss_types, tau_f, word_table
 from .quiver import Fringing, PolarizedQuiver, tilde_vertices
 from .words import band_canonical, winv
 
@@ -111,7 +111,7 @@ class KissCensus:
 def p_set(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[tuple[int, int], ...]:
     """Loop pairs (j, i) over the same special vertex, minus the diagonal
     exclusions for a word paired with itself or its inverse."""
-    hx, hy = build_H(q, x), build_H(q, y)
+    hx, hy = word_table(q, x).winding, word_table(q, y).winding
     pairs = [(ly.key, lx.key) for ly in hy.loops for lx in hx.loops
              if ly.image == lx.image]
     if x.wtype in ("uu", "up", "pu", "pp") and y.wtype == x.wtype \
@@ -129,19 +129,25 @@ def kiss_census(q: PolarizedQuiver, fr: Fringing, x: AdmWord, y: AdmWord) -> Kis
     checked against the punctured pairs and the band orientation.
 
     Memoised per pair in ``fr.extended._cache["census"]``, keyed by
-    (q, x, y): q enters the census through the punctured pairs.
+    (q, x, y): q enters the census through the punctured pairs.  The kisses
+    of each direction are memoised in ``fr.extended._cache["kiss_types"]``,
+    keyed by the ordered translate pair, so census(x, y) and census(y, x)
+    classify each direction once.
     """
     store = fr.extended._cache.setdefault("census", {})
     census = store.get((q, x, y))
     if census is not None:
         return census
     qf = fr.extended
+    kinds = qf._cache.setdefault("kiss_types", {})
     tx, ty = tau_f(fr, x), tau_f(fr, y)
     counts = {"A": 0, "Dp": 0, "At": 0, "Dpt": 0}
-    for (u, v) in ((tx, ty), (ty, tx)):
-        ks, _, _ = kisses_of(qf, u, v)
-        for c in ks:
-            counts[c.ctype] += 1
+    for uv in ((tx, ty), (ty, tx)):
+        types = kinds.get(uv)
+        if types is None:
+            types = kinds[uv] = kiss_types(qf, *uv)
+        for t in types:
+            counts[t] += 1
     ps = p_set(q, x, y)
     diag = diag_b(x, y)
     census = KissCensus(counts["A"], ps, diag, counts["Dp"], counts["At"],

@@ -68,3 +68,14 @@ def test_selftest_dual_route_mismatch(monkeypatch, capsys):
     monkeypatch.setattr(sga.cli, "enumerate_adm_direct", drop_one)
     assert main(["selftest", EX1, "--max-len", "4"]) == 4
     assert "DUAL-ROUTE MISMATCH" in capsys.readouterr().err
+
+
+def test_selftest_kiss_dual_route_mismatch(monkeypatch, capsys):
+    route = sga.cli.kiss_types
+
+    def one_more(q, u, v):
+        return route(q, u, v) + ("A",)
+
+    monkeypatch.setattr(sga.cli, "kiss_types", one_more)
+    assert main(["selftest", EX1, "--max-len", "4"]) == 4
+    assert "KISS DUAL-ROUTE MISMATCH" in capsys.readouterr().err

@@ -149,6 +149,7 @@ def test_cli_components_stable(capsys):
 def test_cli_selftest(capsys):
     assert main(["selftest", EX1, "--max-len", "5"]) == 0
     out = capsys.readouterr().out
+    assert "kiss dual route ok on 400 translate pairs" in out
     assert "hom theorem ok" in out
 
 
