@@ -348,12 +348,20 @@ def _ray_from(letters: list[Letter], offset: int, periodic: bool, i: int,
     return Ray(tuple(_subst(l, delta) for l in pre))
 
 
+def _interned(q: PolarizedQuiver, r: Ray) -> Ray:
+    """The one ray of r's content in q's store, so that equal readings at
+    different positions are the same object."""
+    if "rays" not in q._cache:
+        q._cache["rays"] = {}
+    return q._cache["rays"].setdefault(r, r)
+
+
 @lru_cache(maxsize=1 << 18)
 def doublebar_ray(q: PolarizedQuiver, x: AdmWord, i: int, rho: int) -> Ray:
     letters, off, per = _positions_doublebar(q, x)
     here = letters[(off + i) % len(letters)] if per else letters[off + i]
     t1 = letter_target(q, here)[1]
-    return _ray_from(letters, off, per, i, forward=(t1 == rho))
+    return _interned(q, _ray_from(letters, off, per, i, forward=(t1 == rho)))
 
 
 @lru_cache(maxsize=1 << 18)
@@ -362,7 +370,8 @@ def hat_ray(q: PolarizedQuiver, x: AdmWord, i: int, rho: int, delta: int) -> Ray
     letters, off, per = _positions_hat(q, x)
     here = letters[(off + i) % len(letters)] if per else letters[off + i]
     t1 = -1 if here.kind == PUNCT else letter_target(h, here)[1]
-    return _ray_from(letters, off, per, i, forward=(t1 == rho), delta=delta)
+    return _interned(h, _ray_from(letters, off, per, i, forward=(t1 == rho),
+                                  delta=delta))
 
 
 # -- enumeration ---------------------------------------------------------------

@@ -44,6 +44,17 @@ def _slot(text: str):
     return (v, 1 if s.strip() == "+" else -1)
 
 
+def _max_len(text: str) -> int:
+    """argparse type of --max-len: a length budget of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _require_admissible(q, allow: bool):
     rep = validate(q)
     if not rep.is_skewed_gentle and not allow:
@@ -346,11 +357,11 @@ def main(argv=None) -> int:
     add("check", cmd_check)
     p = add("strings", cmd_strings)
     p.add_argument("--at", required=True, help="slot, e.g. 1,-")
-    p.add_argument("--max-len", type=int, default=20)
+    p.add_argument("--max-len", type=_max_len, default=20)
     p = add("bands", cmd_bands)
-    p.add_argument("--max-len", type=int, default=10)
+    p.add_argument("--max-len", type=_max_len, default=10)
     p = add("adm", cmd_adm)
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--max-len", type=_max_len, default=8)
     p.add_argument("--word", help="test a single word instead of enumerating")
     p.add_argument("--allow-nonadmissible", action="store_true")
     p = add("tau", cmd_tau)
@@ -388,10 +399,10 @@ def main(argv=None) -> int:
     p = add("fringe", cmd_fringe)
     p.add_argument("--check", help="validate this extended quiver instead")
     p = add("components", cmd_components)
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--max-len", type=_max_len, default=8)
     p.add_argument("--fringe", default="auto")
     p = add("selftest", cmd_selftest)
-    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--max-len", type=_max_len, default=6)
     p.add_argument("--field", type=int, default=5)
 
     args = ap.parse_args(argv)

@@ -244,6 +244,18 @@ class Ray:
     pre: Word
     per: Word = ()
 
+    # Rays key the per-quiver ray and ray-order stores, so the hash is
+    # computed once.  It depends on the interpreter's hash seed, hence a
+    # pickle carries only the fields, as for AdmWord.
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.pre, self.per)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Ray, (self.pre, self.per)
+
     def __getitem__(self, i: int) -> Letter:
         if i < len(self.pre):
             return self.pre[i]
@@ -260,6 +272,23 @@ class Ray:
 
 def ray_compare(q: PolarizedQuiver, v: Ray, w: Ray) -> tuple[str, int | None]:
     """Lexicographic comparison of eventually periodic rays.
+
+    The order of each ordered pair is kept in ``q._cache["ray_order"]``, as
+    the letter order depends on q; the readings hand out interned rays, so
+    the lookup mostly compares by identity.
+    """
+    if "ray_order" not in q._cache:
+        q._cache["ray_order"] = {}
+    order = q._cache["ray_order"]
+    key = (v, w)
+    rel = order.get(key)
+    if rel is None:
+        rel = order[key] = _ray_scan(q, v, w)
+    return rel
+
+
+def _ray_scan(q: PolarizedQuiver, v: Ray, w: Ray) -> tuple[str, int | None]:
+    """The letter-by-letter comparison behind :func:`ray_compare`.
 
     Two rays agreeing beyond both preperiods plus a common period multiple
     agree forever, which bounds the scan.

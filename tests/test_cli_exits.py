@@ -41,6 +41,12 @@ def _hom(*extra):
       "--X", "Vo"], 2),
     (["einv", EX1, "--x", X, "--y", Y], 2),
     (["gvec", EX1, "--x", X], 2),
+    (["components", EX1, "--max-len", "-3"], 2),
+    (["selftest", EX1, "--max-len", "0"], 2),
+    (["adm", EX1, "--max-len", "-1"], 2),
+    (["adm", EX1, "--max-len", "0", "--word", X], 2),
+    (["strings", EX1, "--at", "1,-", "--max-len", "0"], 2),
+    (["bands", EX1, "--max-len", "-2"], 2),
 ])
 def test_cli_exit_codes(argv, code, capsys):
     try:
