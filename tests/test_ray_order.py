@@ -39,7 +39,6 @@ def _census_pairs(q, max_len, monkeypatch):
     for x in ws:
         for y in ws:
             kiss_census(q, fr, x, y)
-    monkeypatch.setattr(homgraph, "ray_compare", compare)
     return seen
 
 
