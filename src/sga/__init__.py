@@ -12,12 +12,26 @@ from .admissible import (AdmWord, a_of_w, classify, completion, enumerate_adm,
 from .homgraph import (HomGraph, Winding, build_H, build_HQ,
                        classify_components, kiss_transport, kiss_types,
                        real_long_bijection, triples)
-from .repmod import (AxModule, E_oracle, Rep, build_module, g_oracle,
-                     hom_basis_oracle, hom_basis_structured, hom_dim_formula,
-                     hom_dim_oracle, indecomposables_Ax, iso_witness,
-                     tau_module)
 from .invariants import (e_comb, enumerate_components, g_comb, is_tau_generic,
                          kiss_census, simplified_check, tags_for)
 
-__all__ = [n for n in dir() if not n.startswith("_")]
+# The GF(p) oracle (repmod, on gf) is the only part that needs numpy, so it
+# loads on first access to one of these names (PEP 562) and the word
+# combinatorics never import it.
+_ORACLE_MODULES = ("gf", "repmod")
+_ORACLE = ("AxModule", "E_oracle", "Rep", "build_module", "g_oracle",
+           "hom_basis_oracle", "hom_basis_structured", "hom_dim_formula",
+           "hom_dim_oracle", "indecomposables_Ax", "iso_witness", "tau_module")
+
+__all__ = [n for n in dir() if not n.startswith("_")] + \
+    list(_ORACLE_MODULES) + list(_ORACLE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    import importlib
+    if name in _ORACLE_MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _ORACLE:
+        return getattr(importlib.import_module(f"{__name__}.repmod"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import gf
 from .admissible import (classify, enumerate_adm, enumerate_adm_direct,
                          is_admissible, tau_adm, tau_adm_via_successors)
 from .errors import ParseError, SgaError, TheoremViolation
@@ -22,8 +21,6 @@ from .parsing import (format_tag, parse_module, parse_quiver, parse_tag, parse_w
                       print_quiver)
 from .quiver import as_fringing, auto_fringe, check_fringing, gabriel_presentation, \
     tilde_vertices, validate
-from .repmod import (E_oracle, build_module, g_oracle, hom_dim_formula,
-                     hom_dim_oracle, indecomposables_Ax)
 from .words import (enumerate_bands, enumerate_strings_at, format_word,
                     string_labels, tau_string)
 
@@ -53,6 +50,12 @@ def _max_len(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
+
+
+def _note_truncation(truncated: bool) -> None:
+    """Tell stderr that --max-len cut an infinite family of words."""
+    if truncated:
+        print("# truncated at max-len", file=sys.stderr)
 
 
 def _require_admissible(q, allow: bool):
@@ -101,8 +104,7 @@ def cmd_strings(args) -> int:
         labels = string_labels(q, w)
         suffix = ("   [" + " ".join(labels) + "]") if labels else ""
         print(format_word(w) + suffix)
-    if truncated:
-        print("# truncated at max-len", file=sys.stderr)
+    _note_truncation(truncated)
     return 0
 
 
@@ -133,6 +135,7 @@ def cmd_adm(args) -> int:
         print(f"{x.wtype}: {x}")
     for x in sets.bands:
         print(f"b: band: {x}")
+    _note_truncation(sets.truncated)
     return 0
 
 
@@ -185,6 +188,8 @@ def cmd_hquiver(args) -> int:
 
 
 def cmd_hom(args) -> int:
+    from . import gf
+    from .repmod import build_module, hom_dim_formula, hom_dim_oracle
     q = _load_quiver(args.quiver)
     _require_admissible(q, False)
     gf.check_prime(args.field)
@@ -217,7 +222,6 @@ def cmd_einv(args) -> int:
         raise ParseError("einv needs --tag-x/--tag-y or --X/--Y")
     q = _load_quiver(args.quiver)
     _require_admissible(q, False)
-    gf.check_prime(args.field)
     fr = _fringing(q, args.fringe)
     x = _adm_word(q, args.x)
     y = _adm_word(q, args.y)
@@ -225,6 +229,9 @@ def cmd_einv(args) -> int:
         s, t = parse_tag(args.tag_x), parse_tag(args.tag_y)
         print(f"e_comb: {e_comb(q, fr, (x, s), (y, t))}")
     if args.X and args.Y:
+        from . import gf
+        from .repmod import E_oracle
+        gf.check_prime(args.field)
         X = parse_module(args.X, args.field)
         Y = parse_module(args.Y, args.field)
         print(f"E_oracle: {E_oracle(q, x, X, y, Y)}")
@@ -245,6 +252,8 @@ def cmd_gvec(args) -> int:
         g = g_comb(q, fr, x, s)
         results["comb"] = [g[k] for k in order]
     if args.module:
+        from . import gf
+        from .repmod import g_oracle
         gf.check_prime(args.field)
         X = parse_module(args.module, args.field)
         g = g_oracle(q, x, X)
@@ -274,7 +283,7 @@ def cmd_components(args) -> int:
     q = _load_quiver(args.quiver)
     _require_admissible(q, False)
     fr = _fringing(q, args.fringe)
-    labels, matrix = enumerate_components(q, fr, args.max_len)
+    labels, matrix, truncated = enumerate_components(q, fr, args.max_len)
     order = tilde_vertices(q)
     header = ["id", "word", "tag", "type", "dim", "g"]
     print("\t".join(header))
@@ -287,10 +296,14 @@ def cmd_components(args) -> int:
     print("# pairwise generic E matrix")
     for row in matrix:
         print("\t".join(str(v) for v in row))
+    _note_truncation(truncated)
     return 0
 
 
 def cmd_selftest(args) -> int:
+    from . import gf
+    from .repmod import (build_module, hom_dim_formula, hom_dim_oracle,
+                         indecomposables_Ax)
     q = _load_quiver(args.quiver)
     _require_admissible(q, False)
     gf.check_prime(args.field)
@@ -302,6 +315,7 @@ def cmd_selftest(args) -> int:
         print("DUAL-ROUTE MISMATCH", file=sys.stderr)
         return 4
     print(f"adm ok: {len(sets.strings)} strings, {len(sets.bands)} bands")
+    _note_truncation(sets.truncated)
     words = list(sets.strings) + list(sets.bands)
     pairs = 0
     for x in words:

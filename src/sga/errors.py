@@ -29,10 +29,6 @@ class TheoremViolation(SgaError):
     """A verified structural theorem failed on concrete data (test hook)."""
 
 
-class BudgetExceeded(SgaError):
-    """An enumeration was truncated by its length budget."""
-
-
 class ParseError(SgaError):
     """Input text rejected by one of the DSL parsers."""
 

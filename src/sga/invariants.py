@@ -319,18 +319,11 @@ def canonical_tagged(x: AdmWord, s: Tag) -> tuple[AdmWord, Tag]:
     return x, s
 
 
-def enumerate_components(q: PolarizedQuiver, fr: Fringing, max_len: int,
-                         strict: bool = False):
+def enumerate_components(q: PolarizedQuiver, fr: Fringing, max_len: int):
     """Deduplicated tau-generic tagged words with dimension vectors,
-    g-vectors, and the pairwise generic-E matrix.
-
-    With strict set, a truncated enumeration (max_len cut an infinite
-    family) raises instead of silently returning the partial list.
-    """
-    from .errors import BudgetExceeded
+    g-vectors, and the pairwise generic-E matrix, and whether max_len cut
+    an infinite family of words (then the list is partial)."""
     sets = enumerate_adm(q, max_len)
-    if strict and sets.truncated:
-        raise BudgetExceeded(f"word enumeration truncated at {max_len}")
     words = list(sets.strings) + list(sets.bands)
     seen: set = set()
     labels: list[ComponentLabel] = []
@@ -353,4 +346,4 @@ def enumerate_components(q: PolarizedQuiver, fr: Fringing, max_len: int,
             e = e_comb(q, fr, (labels[i].word, labels[i].tag),
                        (labels[j].word, labels[j].tag))
             matrix[i][j] = matrix[j][i] = e
-    return labels, matrix
+    return labels, matrix, sets.truncated

@@ -21,7 +21,6 @@ from .errors import ParseError
 from .invariants import DSTAR, STAR
 from .quiver import Arrow, PolarizedQuiver
 from .words import (Letter, Word, invl, ordl, spel, tinvl, trivl)
-from . import repmod
 
 _ARROW_RE = re.compile(
     r"^arrow\s+(\S+)\s+(\S+):([+-])\s*->\s*(\S+):([+-])\s*$")
@@ -129,6 +128,7 @@ _MOD_RE = re.compile(r"^(Vt|V|W|Wchi)\((\d+),([+-]|\d+)\)$")
 
 
 def parse_module(text: str, p: int) -> repmod.AxModule:
+    from . import repmod
     t = text.strip()
     if t == "Vo":
         return repmod.module_k(p)

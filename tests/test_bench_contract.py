@@ -41,3 +41,34 @@ def test_tracer_covers_declared_metrics():
     assert set(probe["metrics"]) | {"trace.overhead_ratio"} == declared
     assert probe["uncovered"] == []
     assert probe["ray_caches"] == ["doublebar_ray", "hat_ray"]
+
+
+_HOM_PROBE = """
+import contextlib, io, json
+from tracer import Tracer
+t = Tracer()
+t.install()
+import sga.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = sga.cli.main(["hom", "tests/data/ex1.quiver", "--x", "1(1,-)- g b e b- 1(3,+)",
+                       "--X", "Vo", "--y", "1(2,-)- a 1(1,-)", "--Y", "V+"])
+raw = t.raw()
+print(json.dumps({"rc": rc, "calls": raw["calls"], "uncovered": t.uncovered()}))
+"""
+
+
+def test_tracer_sees_oracle_calls_made_from_cli():
+    """``sga.cli`` imports the oracle when a command runs, not at import;
+    those call-time imports must still bind the tracer's wrappers."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]))
+    out = subprocess.run([sys.executable, "-c", _HOM_PROBE], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    probe = json.loads(out)
+    assert probe["rc"] == 0
+    calls = probe["calls"]
+    assert calls["cli.main"] == 1
+    assert calls["repmod.build_module"] == 2
+    assert calls["repmod.hom_dim_formula"] == 1
+    assert calls["gf.rank"] >= 1    # hom_dim_oracle ranks its system
+    assert probe["uncovered"] == []

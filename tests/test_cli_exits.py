@@ -85,3 +85,14 @@ def test_selftest_kiss_dual_route_mismatch(monkeypatch, capsys):
     monkeypatch.setattr(sga.cli, "kiss_types", one_more)
     assert main(["selftest", EX1, "--max-len", "4"]) == 4
     assert "KISS DUAL-ROUTE MISMATCH" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["components", "adm", "selftest"])
+def test_truncation_notice(cmd, capsys):
+    assert main([cmd, EX1, "--max-len", "3"]) == 0
+    assert "# truncated at max-len" in capsys.readouterr().err
+
+
+def test_no_truncation_notice_when_complete(capsys):
+    assert main(["components", EX1, "--max-len", "8"]) == 0
+    assert capsys.readouterr().err == ""

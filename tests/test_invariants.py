@@ -143,8 +143,8 @@ def test_tau_generic_equivalence(ex1, frp, fra):
 
 
 def test_enumerate_components_ex1(ex1, fra):
-    labels, matrix = enumerate_components(ex1, fra, 8)
-    assert labels
+    labels, matrix, truncated = enumerate_components(ex1, fra, 8)
+    assert labels and not truncated
     # (u,u) classes appear exactly with the tag (1,1)
     for l in labels:
         if l.word.wtype == "uu":

@@ -1,0 +1,81 @@
+"""The GF(p) oracle (``sga.gf``, ``sga.repmod``, and numpy under them) loads
+only when something uses it: importing the package or the command line and
+running a word-level command leave it unloaded, while the package still
+offers every oracle name."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import sga
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+EX1 = os.path.join(ROOT, "tests", "data", "ex1.quiver")
+ORACLE = ("numpy", "sga.gf", "sga.repmod")
+
+_PROBE = """
+import contextlib, io, json, sys
+loaded = lambda: sorted(m for m in %r if m in sys.modules)
+seen = {}
+import sga
+seen["import sga"] = loaded()
+import sga.cli
+seen["import sga.cli"] = loaded()
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    rc = sga.cli.main(["components", %r, "--max-len", "6"])
+seen["components"] = loaded()
+with contextlib.redirect_stdout(out):
+    rc_hom = sga.cli.main(["hom", %r, "--x", "1(1,-)- g b e b- 1(3,+)", "--X", "Vo",
+                           "--y", "1(2,-)- a 1(1,-)", "--Y", "V+"])
+seen["hom"] = loaded()
+print(json.dumps({"seen": seen, "rc": [rc, rc_hom], "out": out.getvalue()}))
+""" % (ORACLE, EX1, EX1)
+
+
+def test_word_commands_leave_the_oracle_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    res = json.loads(subprocess.run(
+        [sys.executable, "-c", _PROBE], env=env, cwd=ROOT, capture_output=True,
+        text=True, check=True).stdout)
+    seen = res["seen"]
+    assert seen["import sga"] == []
+    assert seen["import sga.cli"] == []
+    assert seen["components"] == []
+    assert seen["hom"] == sorted(ORACLE)
+    assert res["rc"] == [0, 0]
+    assert res["out"].endswith("formula: 1\noracle: 1\n")
+
+
+PUBLIC = [
+    "AdmWord", "Arrow", "AxModule", "E_oracle", "Fringing", "GabrielPresentation",
+    "HomGraph", "Letter", "PolarizedQuiver", "Rep", "Winding", "Word", "a_of_w",
+    "admissible", "auto_fringe", "build_H", "build_HQ", "build_module",
+    "check_fringing", "classify", "classify_components", "completion", "e_comb",
+    "enumerate_adm", "enumerate_bands", "enumerate_components",
+    "enumerate_strings_at", "errors", "format_word", "g_comb", "g_oracle",
+    "gabriel_presentation", "gf", "hat_quiver", "hom_basis_oracle",
+    "hom_basis_structured", "hom_dim_formula", "hom_dim_oracle", "homgraph",
+    "indecomposables_Ax", "invariants", "is_admissible", "is_tau_generic",
+    "iso_witness", "kiss_census", "kiss_transport", "kiss_types", "lex_compare",
+    "quiver", "real_long_bijection", "repmod", "simplified_check", "successor",
+    "tags_for", "tau_adm", "tau_module", "tau_string", "triples", "validate",
+    "words",
+]
+
+
+def test_public_names():
+    assert sorted(sga.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(sga, name) is not None, name
+    star: dict = {}
+    exec("from sga import *", star)
+    assert set(star) - {"__builtins__"} == set(PUBLIC)
+    assert star["build_module"] is sga.repmod.build_module
+    assert sga.build_module is sga.repmod.build_module
+    assert sga.AxModule is sga.repmod.AxModule
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sga.no_such_name
