@@ -53,7 +53,7 @@ def _max_len(text: str) -> int:
 
 
 def _note_truncation(truncated: bool) -> None:
-    """Tell stderr that --max-len cut an infinite family of words."""
+    """Tell stderr that --max-len cut off longer words."""
     if truncated:
         print("# truncated at max-len", file=sys.stderr)
 

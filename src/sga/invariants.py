@@ -322,7 +322,7 @@ def canonical_tagged(x: AdmWord, s: Tag) -> tuple[AdmWord, Tag]:
 def enumerate_components(q: PolarizedQuiver, fr: Fringing, max_len: int):
     """Deduplicated tau-generic tagged words with dimension vectors,
     g-vectors, and the pairwise generic-E matrix, and whether max_len cut
-    an infinite family of words (then the list is partial)."""
+    off longer words (then the list may be partial)."""
     sets = enumerate_adm(q, max_len)
     words = list(sets.strings) + list(sets.bands)
     seen: set = set()
