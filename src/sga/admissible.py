@@ -8,10 +8,9 @@ images) of strings and standard-form bands under that construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import AtMaximum, IsProjective, WordError
-from .quiver import PolarizedQuiver, hat_quiver
+from .quiver import PolarizedQuiver, hat_quiver, per_quiver
 from .words import (INV, ORD, SPE, TINV, TRIV, Letter, Ray, Word, band_canonical,
                     enumerate_bands, enumerate_strings, format_word, invl,
                     inverse_letter, is_band, is_primitive_band, is_string,
@@ -22,11 +21,7 @@ from .words import (INV, ORD, SPE, TINV, TRIV, Letter, Ray, Word, band_canonical
 
 TYPES = ("uu", "up", "pu", "pp", "b")
 
-
-def hat_of(q: PolarizedQuiver) -> PolarizedQuiver:
-    if "hat" not in q._cache:
-        q._cache["hat"] = hat_quiver(q)
-    return q._cache["hat"]
+hat_of = per_quiver(hat_quiver)
 
 
 def is_punctured(q: PolarizedQuiver, l: Letter) -> bool:
@@ -52,7 +47,7 @@ class AdmWord:
     letters: Word
     wtype: str  # 'uu' | 'up' | 'pu' | 'pp' | 'b'
 
-    # Words key the ray caches and the translate store, so the hash is
+    # Words key the ray and translate stores of each quiver, so the hash is
     # computed once.  It depends on the interpreter's hash seed, hence a
     # pickle carries only the fields and the copy recomputes it.
     def __post_init__(self) -> None:
@@ -348,30 +343,25 @@ def _ray_from(letters: list[Letter], offset: int, periodic: bool, i: int,
     return Ray(tuple(_subst(l, delta) for l in pre))
 
 
-def _interned(q: PolarizedQuiver, r: Ray) -> Ray:
-    """The one ray of r's content in q's store, so that equal readings at
+def _read(over: PolarizedQuiver, letters: list[Letter], offset: int, periodic: bool,
+          i: int, rho: int, delta: int = 0) -> Ray:
+    """The ray read at i towards rho, as the one ray of its content in the
+    store ``rays`` of the quiver it is read over, so that equal readings at
     different positions are the same object."""
-    if "rays" not in q._cache:
-        q._cache["rays"] = {}
-    return q._cache["rays"].setdefault(r, r)
+    here = letters[(offset + i) % len(letters)] if periodic else letters[offset + i]
+    t1 = -1 if here.kind == PUNCT else letter_target(over, here)[1]
+    r = _ray_from(letters, offset, periodic, i, forward=(t1 == rho), delta=delta)
+    return over.store("rays").setdefault(r, r)
 
 
-@lru_cache(maxsize=1 << 18)
+@per_quiver
 def doublebar_ray(q: PolarizedQuiver, x: AdmWord, i: int, rho: int) -> Ray:
-    letters, off, per = _positions_doublebar(q, x)
-    here = letters[(off + i) % len(letters)] if per else letters[off + i]
-    t1 = letter_target(q, here)[1]
-    return _interned(q, _ray_from(letters, off, per, i, forward=(t1 == rho)))
+    return _read(q, *_positions_doublebar(q, x), i, rho)
 
 
-@lru_cache(maxsize=1 << 18)
+@per_quiver
 def hat_ray(q: PolarizedQuiver, x: AdmWord, i: int, rho: int, delta: int) -> Ray:
-    h = hat_of(q)
-    letters, off, per = _positions_hat(q, x)
-    here = letters[(off + i) % len(letters)] if per else letters[off + i]
-    t1 = -1 if here.kind == PUNCT else letter_target(h, here)[1]
-    return _interned(h, _ray_from(letters, off, per, i, forward=(t1 == rho),
-                                  delta=delta))
+    return _read(hat_of(q), *_positions_hat(q, x), i, rho, delta)
 
 
 # -- enumeration ---------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .admissible import (AdmWord, doublebar_ray, hat_of, hat_ray,
                          is_projective_adm, tau_adm)
 from .errors import TheoremViolation, WordError
-from .quiver import Fringing, PolarizedQuiver
+from .quiver import Fringing, PolarizedQuiver, per_quiver
 from .words import INV, ORD, Letter, compare_letters, ray_compare
 
 
@@ -460,9 +460,9 @@ def tau_f(fr: Fringing, x: AdmWord) -> AdmWord:
     """AR translate inside the fringed quiver (never projective there).
 
     Memoised per word in the extended quiver's store, so repeated calls
-    return the identical object and the ray caches hit by identity.
+    return the identical object and the ray stores hit by identity.
     """
-    store = fr.extended._cache.setdefault("tau_f", {})
+    store = fr.extended.store("tau_f")
     tx = store.get(x)
     if tx is None:
         tx = store[x] = tau_adm(fr.extended, x)
@@ -482,29 +482,26 @@ class WordTable:
     loops: dict[str, tuple[HLoop, ...]]
 
 
+@per_quiver
 def word_table(q: PolarizedQuiver, x: AdmWord) -> WordTable:
-    """The tables of x, memoised per word in ``q._cache["word_tables"]``."""
-    store = q._cache.setdefault("word_tables", {})
-    t = store.get(x)
-    if t is None:
-        h = build_H(q, x)
-        by_label: dict = {}
-        edges: dict = {}
-        loops: dict = {}
-        for v in h.vertices:
-            by_label.setdefault(h.vlabel[v], []).append(v)
-        for e in h.edges:
-            edges.setdefault(e.image, []).append(e)
-        for l in h.loops:
-            loops.setdefault(l.image, []).append(l)
-        t = store[x] = WordTable(
-            h, frozenset(v for v in h.vertices if h.is_boundary(v)),
-            {k: tuple(vs) for k, vs in by_label.items()},
-            {v: (doublebar_ray(q, x, v, -1).first(), doublebar_ray(q, x, v, 1).first())
-             for v in h.vertices},
-            {k: tuple(es) for k, es in edges.items()},
-            {k: tuple(ls) for k, ls in loops.items()})
-    return t
+    """The tables of x, memoised per word in q's store ``word_table``."""
+    h = build_H(q, x)
+    by_label: dict = {}
+    edges: dict = {}
+    loops: dict = {}
+    for v in h.vertices:
+        by_label.setdefault(h.vlabel[v], []).append(v)
+    for e in h.edges:
+        edges.setdefault(e.image, []).append(e)
+    for l in h.loops:
+        loops.setdefault(l.image, []).append(l)
+    return WordTable(
+        h, frozenset(v for v in h.vertices if h.is_boundary(v)),
+        {k: tuple(vs) for k, vs in by_label.items()},
+        {v: (doublebar_ray(q, x, v, -1).first(), doublebar_ray(q, x, v, 1).first())
+         for v in h.vertices},
+        {k: tuple(es) for k, es in edges.items()},
+        {k: tuple(ls) for k, ls in loops.items()})
 
 
 def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord

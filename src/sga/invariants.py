@@ -128,18 +128,18 @@ def kiss_census(q: PolarizedQuiver, fr: Fringing, x: AdmWord, y: AdmWord) -> Kis
     """Kisses between the fringed translates of x and y, both directions,
     checked against the punctured pairs and the band orientation.
 
-    Memoised per pair in ``fr.extended._cache["census"]``, keyed by
+    Memoised per pair in the store ``census`` of ``fr.extended``, keyed by
     (q, x, y): q enters the census through the punctured pairs.  The kisses
-    of each direction are memoised in ``fr.extended._cache["kiss_types"]``,
-    keyed by the ordered translate pair, so census(x, y) and census(y, x)
-    classify each direction once.
+    of each direction are memoised in its store ``kiss_types``, keyed by
+    the ordered translate pair, so census(x, y) and census(y, x) classify
+    each direction once.
     """
-    store = fr.extended._cache.setdefault("census", {})
+    store = fr.extended.store("census")
     census = store.get((q, x, y))
     if census is not None:
         return census
     qf = fr.extended
-    kinds = qf._cache.setdefault("kiss_types", {})
+    kinds = qf.store("kiss_types")
     tx, ty = tau_f(fr, x), tau_f(fr, y)
     counts = {"A": 0, "Dp": 0, "At": 0, "Dpt": 0}
     for uv in ((tx, ty), (ty, tx)):

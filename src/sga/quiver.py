@@ -8,6 +8,8 @@ in the skewed-gentle case every special arrow is a self-paired loop.
 
 from __future__ import annotations
 
+import functools
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 
 from .errors import QuiverError
@@ -67,7 +69,7 @@ class PolarizedQuiver:
         # equality ignores arrow order
         self._key = (self.vertices, tuple(sorted(self.arrows, key=lambda a: a.name)))
         self._hash = hash(self._key)
-        self._cache: dict = {}
+        self._cache: defaultdict[str, dict] = defaultdict(dict)
         self.by_name: dict[str, Arrow] = {a.name: a for a in self.arrows}
         # slot -> arrow maps; only trustworthy when the quiver is polarized
         self.out_slot: dict[Slot, Arrow] = {}
@@ -114,6 +116,10 @@ class PolarizedQuiver:
     def by_vertex(self) -> set[str]:
         return set(self.vertices)
 
+    def store(self, name: str) -> dict:
+        """The memo table ``name`` of this quiver, made on first use."""
+        return self._cache[name]
+
     def __eq__(self, other):
         return self is other or (isinstance(other, PolarizedQuiver)
                                  and self._key == other._key)
@@ -127,6 +133,29 @@ class PolarizedQuiver:
 
     def __repr__(self):
         return f"PolarizedQuiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def per_quiver(fn):
+    """Memoise ``fn(q, *args)`` in q's store named after fn, keyed by args;
+    a None is computed again. ``cache_info()`` sums over all quivers, and
+    its currsize counts every value stored, also those freed since."""
+    name, counts = fn.__name__, [0, 0]     # calls, misses
+
+    @functools.wraps(fn)
+    def memo(q, *args):
+        counts[0] += 1
+        store = q._cache[name]
+        value = store.get(args)
+        if value is None:
+            counts[1] += 1
+            value = store[args] = fn(q, *args)
+        return value
+
+    memo.cache_info = lambda: CacheInfo(counts[0] - counts[1], counts[1], None, counts[1])
+    return memo
 
 
 def special_pairing(q: PolarizedQuiver) -> dict[str, str] | None:

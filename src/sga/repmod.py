@@ -230,15 +230,15 @@ def build_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
     """The representation attached to (x, X): one copy of X per blueprint
     vertex, arrow matrices assembled blockwise from the unit actions.
 
-    Memoised per quiver in ``q._cache["modules"]``, keyed by the word and
-    the module's label, size, field and matrices. The returned ``Rep`` is
-    shared by every later call with that key: its fields cannot be
-    reassigned and its matrices are read-only, but its ``dims`` and
-    ``mats`` dicts are plain dicts that callers must not modify (copy the
-    ``Rep`` first, e.g. with ``copy.deepcopy``).
+    Memoised in q's store ``modules``, keyed by the word and the module's
+    label, size, field and matrices. The returned ``Rep`` is shared by every
+    later call with that key: its fields cannot be reassigned and its
+    matrices are read-only, but its ``dims`` and ``mats`` dicts are plain
+    dicts that callers must not modify (copy the ``Rep`` first, e.g. with
+    ``copy.deepcopy``).
     """
     key = (x, X.label, X.dim, X.p, _matrix_key(X.T), _matrix_key(X.S))
-    store = q._cache.setdefault("modules", {})
+    store = q.store("modules")
     rep = store.get(key)
     if rep is None:
         rep = store[key] = _assemble_module(q, x, X)
@@ -555,14 +555,13 @@ def E_formula(q: PolarizedQuiver, fr, x: AdmWord, X: AxModule,
 def tau_module(q: PolarizedQuiver, x: AdmWord, X: AxModule):
     """(tau x, X twisted); None marks the zero module for projectives.
 
-    The word translate is memoised per quiver in ``q._cache["tau"]``
-    (None for projectives); the twist is applied on every call.
+    The word translate is memoised in q's store ``tau`` (None for
+    projectives); the twist is applied on every call.
     """
-    store = q._cache.setdefault("tau", {})
-    if x in store:
-        tx = store[x]
-    else:
-        tx = store[x] = None if is_projective_adm(q, x) else tau_adm(q, x)
+    store = q.store("tau")
+    if x not in store:
+        store[x] = None if is_projective_adm(q, x) else tau_adm(q, x)
+    tx = store[x]
     if tx is None:
         return None
     return tx, chi_twist(q, x, X)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import AtMaximum, AtMinimum, IsProjective, WordError
-from .quiver import PolarizedQuiver, Slot
+from .quiver import PolarizedQuiver, Slot, per_quiver
 
 ORD, INV, SPE, TRIV, TINV = "ord", "inv", "spe", "triv", "tinv"
 
@@ -273,17 +273,14 @@ class Ray:
 def ray_compare(q: PolarizedQuiver, v: Ray, w: Ray) -> tuple[str, int | None]:
     """Lexicographic comparison of eventually periodic rays.
 
-    The order of each ordered pair is kept in ``q._cache["ray_order"]``, as
+    The order of each ordered pair is kept in q's store ``ray_order``, as
     the letter order depends on q; the readings hand out interned rays, so
     the lookup mostly compares by identity.
     """
-    if "ray_order" not in q._cache:
-        q._cache["ray_order"] = {}
-    order = q._cache["ray_order"]
-    key = (v, w)
-    rel = order.get(key)
+    order = q.store("ray_order")
+    rel = order.get((v, w))
     if rel is None:
-        rel = order[key] = _ray_scan(q, v, w)
+        rel = order[v, w] = _ray_scan(q, v, w)
     return rel
 
 
@@ -315,49 +312,34 @@ def _ray_scan(q: PolarizedQuiver, v: Ray, w: Ray) -> tuple[str, int | None]:
 
 # -- greedy extremal words ----------------------------------------------------
 
-def _extend_guard(steps: int, limit: int) -> None:
-    if steps > limit:
-        raise WordError("greedy extension did not terminate; quiver not admissible")
-
-
-def max_word_into(q: PolarizedQuiver, slot: Slot, limit: int = 10000) -> Word:
+def max_word_into(q: PolarizedQuiver, slot: Slot) -> Word:
     """Largest right-inextensible word u with target slot.
 
     Greedy: take the largest available letter; inverse and special letters
     keep the word going, a trivial letter ends it.
     """
-    out: list[Letter] = []
-    steps = 0
-    while True:
-        _extend_guard(steps, limit)
-        steps += 1
-        ls = letters_at(q, slot)
-        if not ls:
-            raise WordError(f"no letters end at slot {slot}")
-        l = ls[-1]
-        out.append(l)
-        if l.kind == TRIV:
-            return tuple(out)
-        src = letter_source(q, l)
-        slot = (src[0], -src[1])
+    return _greedy_word_into(q, slot, -1)
 
 
-def min_word_into(q: PolarizedQuiver, slot: Slot, limit: int = 10000) -> Word:
+def min_word_into(q: PolarizedQuiver, slot: Slot) -> Word:
     """Smallest right-inextensible word with target slot (no inverse letters)."""
+    return _greedy_word_into(q, slot, 0)
+
+
+def _greedy_word_into(q: PolarizedQuiver, slot: Slot, end: int) -> Word:
+    """Take ``letters_at(q, slot)[end]`` until a trivial letter ends the word."""
     out: list[Letter] = []
-    steps = 0
-    while True:
-        _extend_guard(steps, limit)
-        steps += 1
+    while len(out) <= 10000:
         ls = letters_at(q, slot)
         if not ls:
             raise WordError(f"no letters end at slot {slot}")
-        l = ls[0]
+        l = ls[end]
         out.append(l)
         if l.kind == TRIV:
             return tuple(out)
         src = letter_source(q, l)
         slot = (src[0], -src[1])
+    raise WordError("greedy extension did not terminate; quiver not admissible")
 
 
 def legal_string_slots(q: PolarizedQuiver) -> list[Slot]:
@@ -478,14 +460,13 @@ def simple_string(q: PolarizedQuiver, v: str, rho: int = 1) -> Word:
     return (tinvl(v, rho), trivl(v, -rho))
 
 
+@per_quiver
 def projective_injective_strings(q: PolarizedQuiver):
     """The families (P, Q) as dicts label -> string.
 
     Labels: ('p', i, rho) and ('q', i, rho) at ordinary vertices,
     ('p', i) and ('q', i) at special vertices.
     """
-    if "pi_strings" in q._cache:
-        return q._cache["pi_strings"]
     proj: dict[tuple, Word] = {}
     inj: dict[tuple, Word] = {}
     for i in q.vertices:
@@ -501,7 +482,6 @@ def projective_injective_strings(q: PolarizedQuiver):
                     max_word_into(q, (i, -rho))
                 inj[("q", i, rho)] = winv(min_word_into(q, (i, rho))) + \
                     min_word_into(q, (i, -rho))
-    q._cache["pi_strings"] = (proj, inj)
     return proj, inj
 
 

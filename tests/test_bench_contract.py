@@ -2,10 +2,10 @@
 
 ``perfbench/tracer.py`` skips a wrapped function or a ray cache that the
 library no longer has and reports its metrics as absent, so a renamed
-function or a replaced ``lru_cache`` would silently shrink the metric set
-that ``BENCHMARK.json`` declares.  This installs the tracer in a fresh
-interpreter and compares the metric names it can produce with the
-declared ones."""
+function or a ray reading without ``cache_info()`` would silently shrink
+the metric set that ``BENCHMARK.json`` declares.  This installs the
+tracer in a fresh interpreter and compares the metric names it can
+produce with the declared ones."""
 
 import json
 import os

@@ -257,4 +257,4 @@ def test_tau_f_memoised(ex1, seed):
         tx = tau_f(fr, x)
         assert tau_f(fr, x) is tx
         assert tx == tau_adm(fr.extended, x)
-    assert len(fr.extended._cache["tau_f"]) == len(sets.strings) + len(sets.bands)
+    assert len(fr.extended.store("tau_f")) == len(sets.strings) + len(sets.bands)

@@ -78,6 +78,6 @@ def test_census_classifies_each_translate_pair_once(ex1, monkeypatch):
     assert [kiss_census(ex1, fr, x, y) for x in words for y in words] == first
     assert calls == []
     # the per-direction store answers even when the census store is empty
-    fr.extended._cache["census"].clear()
+    fr.extended.store("census").clear()
     assert [kiss_census(ex1, fr, x, y) for x in words for y in words] == first
     assert calls == []

@@ -1,9 +1,12 @@
+import pathlib
+import re
+
 import pytest
 
 from sga.errors import QuiverError
 from sga.quiver import (Arrow, PolarizedQuiver, as_fringing, auto_fringe,
                         check_fringing, gabriel_presentation, hat_quiver,
-                        special_pairing, tilde_vertices, validate)
+                        per_quiver, special_pairing, tilde_vertices, validate)
 
 
 def test_hat_quiver_idempotent(ex1):
@@ -116,3 +119,43 @@ def test_quiver_equality_ignores_arrow_order(ex1):
                               + ex1.arrows[1:])
     assert flipped != ex1
     assert ex1 != "ex1"
+
+
+def test_per_quiver_memoises_in_each_quivers_store(ex1):
+    calls = []
+
+    @per_quiver
+    def arrow_names(q, prefix):
+        """The arrow names of q, each with prefix."""
+        calls.append(q)
+        return [prefix + a.name for a in q.arrows]
+
+    twin = PolarizedQuiver(ex1.vertices, ex1.arrows)
+    assert twin == ex1 and twin is not ex1
+    first = arrow_names(ex1, "x")
+    assert arrow_names(ex1, "x") is first
+    assert arrow_names(twin, "x") is not first
+    assert arrow_names(twin, "x") == first
+    arrow_names(ex1, "y")
+    assert [id(q) for q in calls] == [id(ex1), id(twin), id(ex1)]
+    assert ex1.store("arrow_names")[("x",)] is first
+    assert twin.store("arrow_names") is not ex1.store("arrow_names")
+    info = arrow_names.cache_info()
+    assert info.hits + info.misses == 5     # calls above
+    assert info.currsize == info.misses == 3
+    assert arrow_names.__name__ == "arrow_names"
+    assert arrow_names.__doc__ == "The arrow names of q, each with prefix."
+    assert arrow_names.__wrapped__.__name__ == "arrow_names"
+
+
+def test_quiver_stores_are_the_only_caches():
+    """Memos live in the stores of ``quiver.py``: no module-level function
+    cache and no store reached around ``PolarizedQuiver.store``."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "sga"
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if re.search(r"lru_cache|functools\.cache\b|@cache\b", line) or (
+                    path.name != "quiver.py" and re.search(r"\._cache\b", line)):
+                stray.append(f"{path.name}:{n}: {line.strip()}")
+    assert stray == []

@@ -127,10 +127,6 @@ def test_ray_pickle_across_hash_seeds():
 
 
 def test_equal_readings_are_one_object(ex1):
-    # the lru caches answer content-equal quivers alike, so start them empty
-    # to read every ray over this quiver object
-    doublebar_ray.cache_clear()
-    hat_ray.cache_clear()
     q = auto_fringe(ex1).extended
     # doublebar rays are read over q, hat rays over its companion quiver
     h = hat_of(q)
@@ -149,7 +145,7 @@ def test_equal_readings_are_one_object(ex1):
     assert keys > 2 * (len(by_content[q]) + len(by_content[h]))
     for over, rays in by_content.items():
         assert all(len(ids) == 1 for ids in rays.values())
-        assert all(over._cache["rays"][r] is r for r in rays)
+        assert all(over.store("rays")[r] is r for r in rays)
 
 
 def test_repeated_census_scans_nothing(monkeypatch):
@@ -174,7 +170,7 @@ def test_repeated_census_scans_nothing(monkeypatch):
     def census():
         # empty the census stores so that the repeat compares its rays again
         for store in ("census", "kiss_types"):
-            fr.extended._cache.pop(store, None)
+            fr.extended.store(store).clear()
         for x in ws:
             for y in ws:
                 kiss_census(q, fr, x, y)
@@ -185,3 +181,37 @@ def test_repeated_census_scans_nothing(monkeypatch):
     census()
     assert len(calls) == 2 * first_calls
     assert len(scans) == first_scans
+
+
+def test_rebuilt_quiver_reads_its_own_rays(monkeypatch):
+    """A census on a rebuilt, content-equal quiver memoises in the new
+    quiver's stores and never compares the two quivers."""
+    q1 = random_skewed_gentle_quiver(11, forbid_pp=True)
+    q2 = PolarizedQuiver(q1.vertices, q1.arrows)
+    assert q2 == q1 and q2 is not q1
+
+    def census(q):
+        fr = auto_fringe(q)
+        sets = enumerate_adm(q, 6)
+        ws = list(sets.strings) + list(sets.bands)
+        for x in ws:
+            for y in ws:
+                kiss_census(q, fr, x, y)
+        return sets
+
+    census(q1)
+    cross = []
+    eq = PolarizedQuiver.__eq__
+
+    def counted(self, other):
+        if self is not other and isinstance(other, PolarizedQuiver):
+            cross.append((self, other))
+        return eq(self, other)
+
+    monkeypatch.setattr(PolarizedQuiver, "__eq__", counted)
+    sets = census(q2)
+    assert cross == []
+    for x in sets.strings + sets.bands:
+        for i in homgraph.build_H(q2, x).vertices:
+            r = doublebar_ray(q2, x, i, 1)
+            assert q2.store("rays")[r] is r
