@@ -6,7 +6,8 @@ kernels eliminate:
 - ``rank`` runs an online elimination in Python integers over sparse rows
   (``dict`` column -> value), so the small, structurally sparse intertwiner
   systems of the Hom oracle cost only their nonzeros; a dense matrix is
-  turned into such rows first.
+  turned into such rows first. It works on a plain copy of each row and
+  reduces an entry mod p only when the entry comes up as a pivot candidate.
 - ``rref`` is a Python loop over columns with numpy row arithmetic; it
   serves ``nullspace`` and ``inv``, whose dense systems it handles faster.
 """
@@ -75,12 +76,14 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 def rank(a: np.ndarray | list[dict[int, int]], p: int) -> int:
     """Rank of a matrix given as an ndarray or as sparse rows (column ->
-    integer value); the rows are not modified.
+    integer value, reduced mod p or not); the rows are not modified.
 
     Online elimination: each row is reduced by the stored pivot row of its
-    least column until it vanishes or opens a new pivot. A stored row is
-    normalised to a leading 1, which is left implicit, and keeps only the
-    columns after its pivot, so every reduction raises the least column.
+    least column until it vanishes or opens a new pivot. Entries are
+    reduced lazily: the least column's entry is taken mod p when it is
+    popped, and skipped if that is 0. A stored row is normalised to a
+    leading 1, which is left implicit, and keeps only the nonzero columns
+    after its pivot, so every reduction raises the least column.
     """
     if isinstance(a, np.ndarray):
         dense = a % p
@@ -90,21 +93,19 @@ def rank(a: np.ndarray | list[dict[int, int]], p: int) -> int:
             a[r][c] = v
     pivots: dict[int, dict[int, int]] = {}
     for row in a:
-        row = {c: v % p for c, v in row.items() if v % p}
+        row = dict(row)
         while row:
             c = min(row)
+            f = row.pop(c) % p
+            if not f:
+                continue
             tail = pivots.get(c)
             if tail is None:
-                s = pow(row.pop(c), -1, p)
-                pivots[c] = {cc: v * s % p for cc, v in row.items()}
+                s = pow(f, -1, p)
+                pivots[c] = {cc: w for cc, v in row.items() if (w := v * s % p)}
                 break
-            f = row.pop(c)
             for cc, v in tail.items():
-                w = (row.get(cc, 0) - f * v) % p
-                if w:
-                    row[cc] = w
-                else:
-                    row.pop(cc, None)
+                row[cc] = row.get(cc, 0) - f * v
     return len(pivots)
 
 

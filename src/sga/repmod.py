@@ -9,6 +9,7 @@ each long h-line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,34 +21,67 @@ from .quiver import PolarizedQuiver, tilde_vertices
 from .words import ORD
 
 
-@dataclass(frozen=True)
+def _matrix_key(m: np.ndarray | None):
+    return None if m is None else (m.dtype.str, m.shape, m.tobytes())
+
+
+@dataclass(frozen=True, eq=False)
 class AxModule:
     """A module over the letter-type algebra of a word: k, k[T]/(T^2-1),
-    the dihedral algebra, or k[T,T^-1], given by generator matrices."""
+    the dihedral algebra, or k[T,T^-1], given by generator matrices.
+
+    Equal and hashed by content (``key``). The inverses of T and S are
+    computed once per instance, on first use.
+    """
     label: str
     dim: int
     p: int
     T: np.ndarray | None = None
     S: np.ndarray | None = None
 
-    def act(self, gen: str) -> np.ndarray:
-        if gen == "1":
-            return gf.eye(self.dim)
-        if gen == "T":
-            return self.T
-        if gen == "T-":
-            return gf.inv(self.T, self.p)
-        if gen == "S":
-            return self.S
-        raise SgaError(f"unknown generator {gen}")
+    @property
+    def key(self) -> tuple:
+        """Label, size, field, and dtype, shape and bytes of T and S."""
+        return (self.label, self.dim, self.p, _matrix_key(self.T), _matrix_key(self.S))
 
-    def act_inv(self, gen: str) -> np.ndarray:
-        """Inverse of ``act(gen)``; the unit and T- need no elimination."""
+    def __eq__(self, other):
+        if not isinstance(other, AxModule):
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    @cached_property
+    def _T_inv(self) -> np.ndarray:
+        return gf.inv(self.act("T"), self.p)
+
+    @cached_property
+    def _S_inv(self) -> np.ndarray:
+        return gf.inv(self.act("S"), self.p)
+
+    def act(self, gen: str) -> np.ndarray | None:
+        """Matrix of a generator; None for the unit "1" (the identity)."""
         if gen == "1":
-            return gf.eye(self.dim)
+            return None
         if gen == "T-":
-            return self.T
-        return gf.inv(self.act(gen), self.p)
+            return self._T_inv
+        if gen not in ("T", "S"):
+            raise SgaError(f"unknown generator {gen}")
+        m = self.T if gen == "T" else self.S
+        if m is None:
+            raise SgaError(f"generator {gen} does not act on {self.label}")
+        return m
+
+    def act_inv(self, gen: str) -> np.ndarray | None:
+        """Inverse of ``act(gen)``; None for the unit."""
+        if gen == "T-":
+            return self.act("T")
+        if gen == "T":
+            return self._T_inv
+        if gen == "S":
+            return self._S_inv
+        return self.act(gen)
 
 
 def module_k(p: int) -> AxModule:
@@ -189,6 +223,21 @@ class Rep:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
+    @cached_property
+    def arrow_tables(self) -> dict[str, tuple[list, list]]:
+        """Per arrow a, the nonzeros of M(a) as the intertwiner system reads
+        them: ``cols[j]`` lists (k, M(a)[k, j]) and ``neg_rows[i]`` lists
+        (k, -M(a)[i, k] mod p). Built once per ``Rep``, on first use."""
+        p = self.p
+        out = {}
+        for name, m in self.mats.items():
+            cols = [[(k, v % p) for k, v in enumerate(col) if v % p]
+                    for col in m.T.tolist()]
+            neg_rows = [[(k, -v % p) for k, v in enumerate(row) if v % p]
+                        for row in m.tolist()]
+            out[name] = cols, neg_rows
+        return out
+
     def dim_vector(self) -> dict[tuple[str, str], int]:
         """Dimension vector over the split vertices.
 
@@ -222,10 +271,6 @@ def verify_relations(rep: Rep) -> None:
                     raise SgaError(f"relation {a.name}{b.name} violated")
 
 
-def _matrix_key(m: np.ndarray | None):
-    return None if m is None else (m.dtype.str, m.shape, m.tobytes())
-
-
 def build_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
     """The representation attached to (x, X): one copy of X per blueprint
     vertex, arrow matrices assembled blockwise from the unit actions.
@@ -237,7 +282,7 @@ def build_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
     dicts that callers must not modify (copy the ``Rep`` first, e.g. with
     ``copy.deepcopy``).
     """
-    key = (x, X.label, X.dim, X.p, _matrix_key(X.T), _matrix_key(X.S))
+    key = (x, X.key)
     store = q.store("modules")
     rep = store.get(key)
     if rep is None:
@@ -263,7 +308,9 @@ def _assemble_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
     for arr in q.arrows:
         mats[arr.name] = gf.zeros(dims[arr.target], dims[arr.source])
 
-    def add_block(name: str, vt: int, vs: int, block: np.ndarray) -> None:
+    def add_block(name: str, vt: int, vs: int, block: np.ndarray | None) -> None:
+        if block is None:
+            block = gf.eye(X.dim)
         r, c = offset[vt], offset[vs]
         mats[name][r:r + X.dim, c:c + X.dim] = \
             (mats[name][r:r + X.dim, c:c + X.dim] + block) % p
@@ -317,15 +364,13 @@ def hom_rows(M: Rep, N: Rep) -> tuple[list[dict[int, int]], dict[str, tuple[int,
         span[v] = (cols, size)
         cols += size
     rows: list[dict[int, int]] = []
+    m_tables, n_tables = M.arrow_tables, N.arrow_tables
     for a in q.arrows:
         s, t = a.source, a.target
         ms, mt = M.dims[s], M.dims[t]
         if N.dims[t] * ms == 0:
             continue
-        m_cols = [[(k, v % p) for k, v in enumerate(col) if v % p]
-                  for col in M.mats[a.name].T.tolist()]
-        n_rows = [[(k, -v % p) for k, v in enumerate(row) if v % p]
-                  for row in N.mats[a.name].tolist()]
+        m_cols, n_rows = m_tables[a.name][0], n_tables[a.name][1]
         t0, s0 = span[t][0], span[s][0]
         for i in range(N.dims[t]):
             ti = t0 + i * mt
@@ -389,51 +434,73 @@ def _transfer(x: AdmWord, y: AdmWord, X: AxModule, Y: AxModule, arrow,
     return P, Q
 
 
-def _component_base_space(q, x, y, X, Y, comp, p):
+def _mul(a: np.ndarray | None, b: np.ndarray | None, p: int) -> np.ndarray | None:
+    """Product over GF(p), where None is the identity."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return gf.mul(a, b, p)
+
+
+def _t(a: np.ndarray | None) -> np.ndarray | None:
+    return None if a is None else a.T
+
+
+def _kron(a: np.ndarray | None, b: np.ndarray | None, m: int, n: int,
+          p: int) -> np.ndarray:
+    """Kronecker product over GF(p) of an m x m matrix a and an n x n matrix
+    b, where None is the identity; no identity matrix is built."""
+    if a is not None and b is not None:
+        return gf.kron(a, b, p)
+    out = gf.zeros(m * n, m * n)
+    blocks = out.reshape(m, n, m, n)        # blocks[i, k, j, l] = a[i, j] b[k, l]
+    if a is None and b is None:
+        np.fill_diagonal(out, 1)
+    elif a is None:
+        i = np.arange(m)
+        blocks[i, :, i, :] = b
+    else:
+        k = np.arange(n)
+        blocks[:, k, :, k] = a
+    return out
+
+
+def _component_base_space(x, y, X, Y, comp, p):
     """Propagate along a spanning tree; each non-tree arrow closes a cycle
-    and contributes a linear constraint on the base block."""
-    base = comp.vertices[0]
-    transfer = {base: (gf.eye(Y.dim), gf.eye(X.dim))}
-    frontier = [base]
+    and contributes a linear constraint on the base block.
+
+    Returns the constraints on the row-major entries of the base block, one
+    row per equation (none: a 0-row matrix), and the transfer (P, Q) of each
+    vertex, with f_v = P f_base Q and None for an identity factor.
+    """
+    transfer = {comp.vertices[0]: (None, None)}
     pending = list(comp.arrows)
     constraints = []
     while pending:
-        progress = False
         remaining = []
         for a in pending:
-            ps, qs = None, None
             if a.src in transfer:
                 P0, Q0 = transfer[a.src]
                 P, Q = _transfer(x, y, X, Y, a)
-                ps, qs = gf.mul(P, P0, p), gf.mul(Q0, Q, p)
+                ps, qs = _mul(P, P0, p), _mul(Q0, Q, p)
                 if a.tgt not in transfer:
                     transfer[a.tgt] = (ps, qs)
-                    progress = True
                 else:
-                    P1, Q1 = transfer[a.tgt]
-                    constraints.append((ps, qs, P1, Q1))
+                    constraints.append((ps, qs) + transfer[a.tgt])
             elif a.tgt in transfer:
                 P1, Q1 = transfer[a.tgt]
                 P, Q = _transfer(x, y, X, Y, a, inverse=True)
-                ps = gf.mul(P, P1, p)
-                qs = gf.mul(Q1, Q, p)
-                transfer[a.src] = (ps, qs)
-                progress = True
+                transfer[a.src] = (_mul(P, P1, p), _mul(Q1, Q, p))
             else:
                 remaining.append(a)
-                continue
-        pending = remaining
-        if not progress and pending:
+        if len(remaining) == len(pending):
             raise SgaError("disconnected component data")
-    rows = []
-    n_unk = Y.dim * X.dim
-    for (P2, Q2, P1, Q1) in constraints:
-        m = (gf.kron(P2, Q2.T, p) - gf.kron(P1, Q1.T, p)) % p
-        rows.append(m)
-    if not rows:
-        return gf.eye(n_unk), transfer
-    basis = gf.nullspace(np.concatenate(rows, axis=0), p)
-    return basis, transfer
+        pending = remaining
+    m, n = Y.dim, X.dim
+    rows = [(_kron(P2, _t(Q2), m, n, p) - _kron(P1, _t(Q1), m, n, p)) % p
+            for P2, Q2, P1, Q1 in constraints if not (P2 is P1 and Q2 is Q1)]
+    return (np.concatenate(rows, axis=0) if rows else gf.zeros(0, m * n)), transfer
 
 
 def hom_dim_formula(q: PolarizedQuiver, x: AdmWord, X: AxModule,
@@ -447,8 +514,8 @@ def hom_dim_formula(q: PolarizedQuiver, x: AdmWord, X: AxModule,
     for comp in report.plus:
         if not comp.real:
             continue
-        basis, _ = _component_base_space(q, x, y, X, Y, comp, X.p)
-        total += basis.shape[0]
+        cons, _ = _component_base_space(x, y, X, Y, comp, X.p)
+        total += Y.dim * X.dim - (gf.rank(cons, X.p) if len(cons) else 0)
     return total
 
 
@@ -479,12 +546,12 @@ def hom_basis_structured(q: PolarizedQuiver, x: AdmWord, X: AxModule,
     for comp in report.full:
         if not comp.long:
             continue
-        basis, transfer = _component_base_space(q, x, y, X, Y, comp, p)
-        for row in basis:
+        cons, transfer = _component_base_space(x, y, X, Y, comp, p)
+        for row in gf.nullspace(cons, p):
             f0 = row.reshape(Y.dim, X.dim)
             f = {v: gf.zeros(N.dims[v], M.dims[v]) for v in q.vertices}
             for (j, i), (P, Q) in transfer.items():
-                block = gf.mul(gf.mul(P, f0, p), Q, p)
+                block = _mul(_mul(P, f0, p), Q, p)
                 a = hx.vlabel[i]
                 r, c = off_y[j], off_x[i]
                 f[a][r:r + Y.dim, c:c + X.dim] = \
@@ -523,8 +590,8 @@ def hom_dim_alg(X: AxModule, Y: AxModule, gens: tuple[str, ...], p: int,
     rows = []
     for gx, gy in zip(ux, uy):
         a, b = Y.act(gy), X.act(gx)
-        rows.append((gf.kron(gf.eye(Y.dim), b.T, p)
-                     - gf.kron(a, gf.eye(X.dim), p)) % p)
+        rows.append((_kron(None, _t(b), Y.dim, X.dim, p)
+                     - _kron(a, None, Y.dim, X.dim, p)) % p)
     m = np.concatenate(rows, axis=0)
     return Y.dim * X.dim - gf.rank(m, p)
 

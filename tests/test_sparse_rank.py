@@ -96,6 +96,26 @@ def test_rank_does_not_modify_its_rows():
     assert rows == copy
 
 
+def test_rank_of_unreduced_sparse_rows():
+    """Values may be negative, nonzero multiples of p or at least p; only
+    their residues count."""
+    rng = np.random.default_rng(20232)
+    seen = set()
+    for p in (3, 5, 7, 1048573):
+        for _ in range(40):
+            r, c = rng.integers(1, 9, size=2)
+            reduced = rng.integers(0, p, size=(r, c)) * (rng.random((r, c)) < 0.5)
+            raw = reduced + rng.integers(-3, 4, size=(r, c)) * p
+            rows = [{j: int(v) for j, v in enumerate(row) if v} for row in raw]
+            seen |= {"negative" if v < 0 else "multiple" if v % p == 0
+                     else "at least p" if v >= p else "reduced"
+                     for row in rows for v in row.values()}
+            assert gf.rank(rows, p) == len(gf.rref(raw % p, p)[1]), (raw, p)
+    assert seen == {"negative", "multiple", "at least p", "reduced"}
+    assert gf.rank([{0: -1, 1: 5}, {0: 4, 1: 10}, {2: 15}], 5) == 1
+    assert gf.rank([{0: 7 * 1048573}, {1: -1048574}], 1048573) == 1
+
+
 def test_hom_system_equals_kron_builder_on_ex1():
     p = 5
     q = parse_quiver((DATA / "ex1.quiver").read_text())
