@@ -8,6 +8,7 @@ images) of strings and standard-form bands under that construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import AtMaximum, IsProjective, WordError
 from .quiver import PolarizedQuiver, hat_quiver, per_quiver
@@ -189,21 +190,29 @@ def is_admissible(q: PolarizedQuiver, x: Word, band: bool = False) -> tuple[bool
 
 # -- completion ---------------------------------------------------------------
 
-def completion(q: PolarizedQuiver, x: AdmWord) -> Word:
-    """The base-quiver string or band recovered from an admissible word."""
+def _unfold(x: AdmWord, inner, end) -> tuple[Word, int, bool]:
+    """(letters, offset, periodic): the reading of x unfolded across its
+    punctured ends, with ``inner`` applied to the letters kept and ``end``
+    to the punctured end letters.  Index i of the reading is at
+    letters[(offset + i) % len] when periodic, letters[offset + i] otherwise.
+    """
     w, t = x.letters, x.wtype
     if t == "uu" or t == "b":
-        return f_word(q, w)
+        return tuple(map(inner, w)), 0, t == "b"
     if t == "up":
-        body = f_word(q, w[:-1])
-        eps = f_letter(q, w[-1])
-        return body + (eps,) + winv(body)
+        body = tuple(map(inner, w[:-1]))
+        return body + (end(w[-1]),) + winv(body), 0, False
     if t == "pu":
-        body = f_word(q, w[1:])
-        eps = f_letter(q, w[0])
-        return winv(body) + (eps,) + body
-    body = f_word(q, w[1:-1])
-    return (f_letter(q, w[0]),) + body + (f_letter(q, w[-1]),) + winv(body)
+        body = tuple(map(inner, w[1:]))
+        return winv(body) + (end(w[0]),) + body, len(w) - 1, False
+    body = tuple(map(inner, w[1:-1]))
+    return (end(w[0]),) + body + (end(w[-1]),) + winv(body), 0, True
+
+
+def completion(q: PolarizedQuiver, x: AdmWord) -> Word:
+    """The base-quiver string or band recovered from an admissible word."""
+    f = partial(f_letter, q)
+    return _unfold(x, f, f)[0]
 
 
 def a_image_of_completion(q: PolarizedQuiver, x: AdmWord) -> AdmWord:
@@ -275,57 +284,11 @@ def _subst(l: Letter, delta: int) -> Letter:
     return l
 
 
-def _positions_doublebar(q: PolarizedQuiver, x: AdmWord) -> tuple[list[Letter], int, bool]:
-    """(letters, offset, periodic): the reading word with index i at
-    letters[(offset + i) % len] for periodic, letters[offset + i] otherwise."""
-    w, t = x.letters, x.wtype
-    l = len(w) - 1
-    if t == "uu":
-        return list(f_word(q, w)), 0, False
-    if t == "up":
-        body = list(f_word(q, w[:-1]))
-        eps = f_letter(q, w[-1])
-        return body + [eps] + list(winv(tuple(body))), 0, False
-    if t == "pu":
-        body = list(f_word(q, w[1:]))
-        eps = f_letter(q, w[0])
-        return list(winv(tuple(body))) + [eps] + body, l, False
-    if t == "pp":
-        body = list(f_word(q, w[1:-1]))
-        per = [f_letter(q, w[0])] + body + [f_letter(q, w[-1])] + list(winv(tuple(body)))
-        return per, 0, True
-    return list(f_word(q, w)), 0, True
-
-
-def _positions_hat(q: PolarizedQuiver, x: AdmWord) -> tuple[list[Letter], int, bool]:
-    """The reading word over the hat quiver; punctured positions hold a
-    placeholder whose orientation is chosen per ray (so that the plus
-    reading is always below the minus reading)."""
-    w, t = x.letters, x.wtype
-    l = len(w) - 1
-    if t == "uu":
-        return list(w), 0, False
-    if t == "up":
-        mark = Letter(PUNCT, q.special_loop_at(w[-1].vertex).name)
-        body = list(w[:-1])
-        return body + [mark] + list(winv(tuple(body))), 0, False
-    if t == "pu":
-        mark = Letter(PUNCT, q.special_loop_at(w[0].vertex).name)
-        body = list(w[1:])
-        return list(winv(tuple(body))) + [mark] + body, l, False
-    if t == "pp":
-        m0 = Letter(PUNCT, q.special_loop_at(w[0].vertex).name)
-        m1 = Letter(PUNCT, q.special_loop_at(w[-1].vertex).name)
-        body = list(w[1:-1])
-        return [m0] + body + [m1] + list(winv(tuple(body))), 0, True
-    return list(w), 0, True
-
-
 def _inv_keep_mark(l: Letter) -> Letter:
     return l if l.kind == PUNCT else inverse_letter(l)
 
 
-def _ray_from(letters: list[Letter], offset: int, periodic: bool, i: int,
+def _ray_from(letters: Word, offset: int, periodic: bool, i: int,
               forward: bool, delta: int = 0) -> Ray:
     n = len(letters)
     if periodic:
@@ -343,7 +306,7 @@ def _ray_from(letters: list[Letter], offset: int, periodic: bool, i: int,
     return Ray(tuple(_subst(l, delta) for l in pre))
 
 
-def _read(over: PolarizedQuiver, letters: list[Letter], offset: int, periodic: bool,
+def _read(over: PolarizedQuiver, letters: Word, offset: int, periodic: bool,
           i: int, rho: int, delta: int = 0) -> Ray:
     """The ray read at i towards rho, as the one ray of its content in the
     store ``rays`` of the quiver it is read over, so that equal readings at
@@ -356,12 +319,19 @@ def _read(over: PolarizedQuiver, letters: list[Letter], offset: int, periodic: b
 
 @per_quiver
 def doublebar_ray(q: PolarizedQuiver, x: AdmWord, i: int, rho: int) -> Ray:
-    return _read(q, *_positions_doublebar(q, x), i, rho)
+    """The ray at i towards rho of the completion, read over q."""
+    f = partial(f_letter, q)
+    return _read(q, *_unfold(x, f, f), i, rho)
 
 
 @per_quiver
 def hat_ray(q: PolarizedQuiver, x: AdmWord, i: int, rho: int, delta: int) -> Ray:
-    return _read(hat_of(q), *_positions_hat(q, x), i, rho, delta)
+    """The ray read over the hat quiver; punctured positions hold a
+    placeholder whose orientation is chosen per ray (so that the plus
+    reading is always below the minus reading)."""
+    def mark(l: Letter) -> Letter:
+        return Letter(PUNCT, q.special_loop_at(l.vertex).name)
+    return _read(hat_of(q), *_unfold(x, lambda l: l, mark), i, rho, delta)
 
 
 # -- enumeration ---------------------------------------------------------------

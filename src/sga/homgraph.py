@@ -1,9 +1,13 @@
 """Windings of admissible words and the decorated product quiver.
 
 Every admissible word has a blueprint quiver whose underlying graph is a
-chain, a chain with loops, or a cycle.  Pairs of words produce a product
-quiver with three arrow families and six color labels; its connected
-components classify homomorphism contributions, kisses among them.
+chain, a chain with loops, or a cycle.  :func:`build_H` returns it as a
+frozen :class:`Winding`, the one per-word record that the product quiver,
+the kiss route, the module builder and the g-vector read; it is memoised
+in the quiver's store ``build_H`` and shared by every caller.  Pairs of
+words produce a product quiver with three arrow families and six color
+labels; its connected components classify homomorphism contributions,
+kisses among them.
 """
 
 from __future__ import annotations
@@ -32,79 +36,79 @@ class HLoop:
     image: str  # special loop name
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Winding:
+    """The blueprint quiver of one word and what the product quiver reads of
+    it: vertices by label (ascending), edges and loops by image, the boundary
+    vertices (valency <= 1, a loop counting one end) and the first letters of
+    the doublebar rays at each vertex, read on first use by :meth:`head`.
+    Built once per word by :func:`build_H` and shared by every caller, so it
+    is frozen; callers must not modify its dicts."""
     word: AdmWord
-    shape: str                       # 'A' | 'Dp' | 'At' | 'Dpt'
+    shape: str                                 # 'A' | 'Dp' | 'At' | 'Dpt'
     vertices: tuple[int, ...]
     vlabel: dict[int, str]
     edges: tuple[HEdge, ...]
     loops: tuple[HLoop, ...]
-
-    def edges_at(self, v: int) -> list[HEdge]:
-        return [e for e in self.edges if v in (e.src, e.tgt)]
-
-    def valency(self, v: int) -> int:
-        """Loops count one end; boundary vertices are those of valency <= 1."""
-        return len(self.edges_at(v)) + sum(1 for l in self.loops if l.vertex == v)
+    by_label: dict[str, tuple[int, ...]]
+    edges_by_image: dict[str, tuple[HEdge, ...]]
+    loops_by_image: dict[str, tuple[HLoop, ...]]
+    boundary: frozenset[int]
+    heads: dict[int, tuple[Letter, Letter]]    # filled by head()
 
     def is_boundary(self, v: int) -> bool:
-        return self.valency(v) <= 1
+        return v in self.boundary
+
+    def head(self, q: PolarizedQuiver, v: int) -> tuple[Letter, Letter]:
+        """The first letters of the doublebar rays at v towards rho = -1, +1,
+        read over q (the quiver the winding was built in) on first use."""
+        pair = self.heads.get(v)
+        if pair is None:
+            pair = self.heads[v] = (doublebar_ray(q, self.word, v, -1).first(),
+                                    doublebar_ray(q, self.word, v, 1).first())
+        return pair
 
 
-def build_Ho(q: PolarizedQuiver, x: AdmWord) -> tuple[Winding, tuple[HEdge, ...]]:
-    """The doubled blueprint: for each non-loop edge over a special loop,
-    the reversed partner arrow (both carry the identity unit)."""
-    h = build_H(q, x)
-    partners = tuple(HEdge(e.idx, e.tgt, e.src, e.image) for e in h.edges
-                     if q.by_name[e.image].special)
-    return h, partners
+def _group(items, key) -> dict:
+    out: dict = {}
+    for it in items:
+        out.setdefault(key(it), []).append(it)
+    return {k: tuple(v) for k, v in out.items()}
 
 
+@per_quiver
 def build_H(q: PolarizedQuiver, x: AdmWord) -> Winding:
-    """The blueprint quiver of an admissible word.
+    """The blueprint quiver of an admissible word, memoised per word in q's
+    store ``build_H``.
 
     String letters give chain edges oriented towards smaller index when
     direct; punctured ends carry special loops; bands close up cyclically.
     """
     w = x.letters
+    loops: list[HLoop] = []
     if x.wtype == "b":
-        n = len(w)
-        vertices = tuple(range(n))
-        vlabel = {i: q.by_name[w[i].name].target if w[i].kind == ORD
-                  else q.by_name[w[i].name].source for i in range(n)}
-        edges = []
-        for i in range(n):
-            jnext = (i + 1) % n
-            if w[i].kind == ORD:
-                edges.append(HEdge(i, jnext, i, w[i].name))
-            else:
-                edges.append(HEdge(i, i, jnext, w[i].name))
-        return Winding(x, "At", vertices, vlabel, tuple(edges), ())
-    n = len(w) - 1
-    vertices = tuple(range(1, n + 1))
-    vlabel = {}
-    for i in range(1, n + 1):
-        l = w[i]
-        if l.kind == ORD:
-            vlabel[i] = q.by_name[l.name].target
-        elif l.kind == INV:
-            vlabel[i] = q.by_name[l.name].source
-        else:  # trivial end letter
-            vlabel[i] = l.vertex
-    edges = []
-    for i in range(1, n):
-        if w[i].kind == ORD:
-            edges.append(HEdge(i, i + 1, i, w[i].name))
-        else:
-            edges.append(HEdge(i, i, i + 1, w[i].name))
-    loops = []
-    if x.wtype in ("pu", "pp"):
-        loops.append(HLoop(0, 1, q.special_loop_at(w[0].vertex).name))
-    if x.wtype in ("up", "pp"):
-        loops.append(HLoop(1, n, q.special_loop_at(w[-1].vertex).name))
-    shape = {0: "A", 1: "Dp", 2: "Dpt"}[len(loops)]
-    return Winding(x, shape, vertices, vlabel, tuple(edges), tuple(loops))
+        vertices = tuple(range(len(w)))
+        chain = [(i, (i + 1) % len(w)) for i in vertices]
+        shape = "At"
+    else:
+        vertices = tuple(range(1, len(w)))
+        chain = [(i, i + 1) for i in vertices[:-1]]
+        if x.wtype in ("pu", "pp"):
+            loops.append(HLoop(0, 1, q.special_loop_at(w[0].vertex).name))
+        if x.wtype in ("up", "pp"):
+            loops.append(HLoop(1, vertices[-1], q.special_loop_at(w[-1].vertex).name))
+        shape = {0: "A", 1: "Dp", 2: "Dpt"}[len(loops)]
+    vlabel = {i: q.by_name[w[i].name].target if w[i].kind == ORD else
+              q.by_name[w[i].name].source if w[i].kind == INV else w[i].vertex
+              for i in vertices}
+    edges = tuple(HEdge(i, j, i, w[i].name) if w[i].kind == ORD else
+                  HEdge(i, i, j, w[i].name) for i, j in chain)
+    ends = [v for e in edges for v in {e.src, e.tgt}] + [l.vertex for l in loops]
+    return Winding(
+        x, shape, vertices, vlabel, edges, tuple(loops),
+        _group(vertices, vlabel.get),
+        _group(edges, lambda e: e.image), _group(loops, lambda l: l.image),
+        frozenset(v for v in vertices if ends.count(v) <= 1), {})
 
 
 # -- the decorated product quiver ---------------------------------------------
@@ -196,9 +200,7 @@ def build_HQ(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> HomGraph:
     blue: dict[tuple[int, int], int] = {}
     for (j, i) in vertices:
         r = b = 0
-        for rho in (-1, 1):
-            fy = doublebar_ray(q, y, j, rho).first()
-            fx = doublebar_ray(q, x, i, rho).first()
+        for fy, fx in zip(hy.head(q, j), hx.head(q, i)):
             if fy == fx:
                 continue
             c = compare_letters(q, fy, fx)
@@ -469,41 +471,6 @@ def tau_f(fr: Fringing, x: AdmWord) -> AdmWord:
     return tx
 
 
-@dataclass(frozen=True, slots=True)
-class WordTable:
-    """What the kiss route reads of one word: its winding, its boundary
-    vertices, its vertices by label, the first letters of its doublebar rays
-    and its edges and loops by image."""
-    winding: Winding
-    boundary: frozenset[int]                   # vertices of valency <= 1
-    by_label: dict[str, tuple[int, ...]]       # ascending
-    heads: dict[int, tuple[Letter, Letter]]    # doublebar first letters, rho = -1, +1
-    edges: dict[str, tuple[HEdge, ...]]
-    loops: dict[str, tuple[HLoop, ...]]
-
-
-@per_quiver
-def word_table(q: PolarizedQuiver, x: AdmWord) -> WordTable:
-    """The tables of x, memoised per word in q's store ``word_table``."""
-    h = build_H(q, x)
-    by_label: dict = {}
-    edges: dict = {}
-    loops: dict = {}
-    for v in h.vertices:
-        by_label.setdefault(h.vlabel[v], []).append(v)
-    for e in h.edges:
-        edges.setdefault(e.image, []).append(e)
-    for l in h.loops:
-        loops.setdefault(l.image, []).append(l)
-    return WordTable(
-        h, frozenset(v for v in h.vertices if h.is_boundary(v)),
-        {k: tuple(vs) for k, vs in by_label.items()},
-        {v: (doublebar_ray(q, x, v, -1).first(), doublebar_ray(q, x, v, 1).first())
-         for v in h.vertices},
-        {k: tuple(es) for k, es in edges.items()},
-        {k: tuple(ls) for k, ls in loops.items()})
-
-
 def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord
                ) -> tuple[tuple[str, tuple[int, int]], ...]:
     """The ctype and least vertex of each kiss of ``build_HQ(q, x, y)``, in
@@ -517,8 +484,8 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord
     characterization of real is checked at the least vertex of every plus
     component and that of long at the least vertex of every full component.
     """
-    tx, ty = word_table(q, x), word_table(q, y)
-    m = max(tx.winding.vertices, default=0) + 1   # (j, i) is the integer j*m + i
+    tx, ty = build_H(q, x), build_H(q, y)
+    m = max(tx.vertices, default=0) + 1   # (j, i) is the integer j*m + i
     verts = sorted(j * m + i for lab, js in ty.by_label.items()
                    for i in tx.by_label.get(lab, ()) for j in js)
     parent = {v: v for v in verts}
@@ -529,8 +496,8 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord
         return v
 
     plus, loops, cross, circ = [], [], [], []
-    for image, eys in ty.edges.items():
-        exs = tx.edges.get(image, ())
+    for image, eys in ty.edges_by_image.items():
+        exs = tx.edges_by_image.get(image, ())
         special = bool(exs) and q.by_name[image].special
         for ny in eys:
             for nx in exs:
@@ -541,18 +508,18 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord
                     s = ny.tgt * m + nx.src
                     if s in parent:
                         cross.append((s, ny.src * m + nx.tgt))
-    for image, lys in ty.loops.items():
+    for image, lys in ty.loops_by_image.items():
         for ly in lys:
-            for lx in tx.loops.get(image, ()):
+            for lx in tx.loops_by_image.get(image, ()):
                 v = ly.vertex * m + lx.vertex
                 if v in parent:
                     loops.append(v)
-            for nx in tx.edges.get(image, ()):
+            for nx in tx.edges_by_image.get(image, ()):
                 s = ly.vertex * m + nx.src
                 if s in parent:
                     circ.append((s, ly.vertex * m + nx.tgt))
-    for image, lxs in tx.loops.items():
-        for ny in ty.edges.get(image, ()):
+    for image, lxs in tx.loops_by_image.items():
+        for ny in ty.edges_by_image.get(image, ()):
             for lx in lxs:
                 s = ny.tgt * m + lx.vertex
                 if s in parent:
@@ -575,7 +542,7 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord
     for v in verts:
         j, i = divmod(v, m)
         hit = False
-        for fy, fx in zip(ty.heads[j], tx.heads[i]):
+        for fy, fx in zip(ty.head(q, j), tx.head(q, i)):
             if fy == fx:
                 continue
             c = compare_letters(q, fy, fx)

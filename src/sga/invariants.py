@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .admissible import AdmWord, enumerate_adm
 from .errors import SgaError, TheoremViolation
-from .homgraph import build_H, kiss_types, tau_f, word_table
+from .homgraph import build_H, kiss_types, tau_f
 from .quiver import Fringing, PolarizedQuiver, tilde_vertices
 from .words import band_canonical, winv
 
@@ -111,7 +111,7 @@ class KissCensus:
 def p_set(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[tuple[int, int], ...]:
     """Loop pairs (j, i) over the same special vertex, minus the diagonal
     exclusions for a word paired with itself or its inverse."""
-    hx, hy = word_table(q, x).winding, word_table(q, y).winding
+    hx, hy = build_H(q, x), build_H(q, y)
     pairs = [(ly.key, lx.key) for ly in hy.loops for lx in hx.loops
              if ly.image == lx.image]
     if x.wtype in ("uu", "up", "pu", "pp") and y.wtype == x.wtype \
@@ -167,12 +167,12 @@ def kiss_census(q: PolarizedQuiver, fr: Fringing, x: AdmWord, y: AdmWord) -> Kis
 # -- combinatorial E and g ----------------------------------------------------------
 
 def e_comb(q: PolarizedQuiver, fr: Fringing, xs: tuple[AdmWord, Tag],
-           ys: tuple[AdmWord, Tag], census: KissCensus | None = None) -> int:
+           ys: tuple[AdmWord, Tag]) -> int:
     x, s = xs
     y, t = ys
     check_tag(x, s)
     check_tag(y, t)
-    census = census or kiss_census(q, fr, x, y)
+    census = kiss_census(q, fr, x, y)
     tot = census.a_count * wt(s) * wt(t)
     tchi = tag_chi(t)
     for (j, i) in census.p_set:

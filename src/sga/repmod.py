@@ -30,8 +30,8 @@ class AxModule:
     """A module over the letter-type algebra of a word: k, k[T]/(T^2-1),
     the dihedral algebra, or k[T,T^-1], given by generator matrices.
 
-    Equal and hashed by content (``key``). The inverses of T and S are
-    computed once per instance, on first use.
+    Equal and hashed by content (``key``). The key and the inverses of T
+    and S are computed once per instance, on first use.
     """
     label: str
     dim: int
@@ -39,9 +39,10 @@ class AxModule:
     T: np.ndarray | None = None
     S: np.ndarray | None = None
 
-    @property
+    @cached_property
     def key(self) -> tuple:
-        """Label, size, field, and dtype, shape and bytes of T and S."""
+        """Label, size, field, and dtype, shape and bytes of T and S;
+        computed once per instance."""
         return (self.label, self.dim, self.p, _matrix_key(self.T), _matrix_key(self.S))
 
     def __eq__(self, other):
@@ -197,7 +198,7 @@ def module_matches(word_type: str, X: AxModule) -> bool:
 
 # -- the push-forward ---------------------------------------------------------
 
-def unit_of(x: AdmWord, part: tuple[str, int | None], forward: bool) -> str:
+def unit_of(x: AdmWord, part: tuple[str, int | None]) -> str:
     """Generator acting along an H-degree of freedom.
 
     Loops carry S (left end of a doubly punctured string) or T; the closing
@@ -295,15 +296,8 @@ def _assemble_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
         raise SgaError(f"module {X.label} does not live over {algebra_of(x.wtype)}")
     p = X.p
     h = build_H(q, x)
-    copies: dict[str, list[int]] = {v: [] for v in q.vertices}
-    for v in h.vertices:
-        copies[h.vlabel[v]].append(v)
-    offset: dict[int, int] = {}
-    dims: dict[str, int] = {}
-    for a, vs in copies.items():
-        for k, v in enumerate(vs):
-            offset[v] = k * X.dim
-        dims[a] = len(vs) * X.dim
+    offset = {v: k * X.dim for vs in h.by_label.values() for k, v in enumerate(vs)}
+    dims = {a: len(h.by_label.get(a, ())) * X.dim for a in q.vertices}
     mats: dict[str, np.ndarray] = {}
     for arr in q.arrows:
         mats[arr.name] = gf.zeros(dims[arr.target], dims[arr.source])
@@ -316,13 +310,13 @@ def _assemble_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
             (mats[name][r:r + X.dim, c:c + X.dim] + block) % p
 
     for e in h.edges:
-        gen = unit_of(x, ("edge", e.idx), True)
+        gen = unit_of(x, ("edge", e.idx))
         add_block(e.image, e.tgt, e.src, X.act(gen))
         if q.by_name[e.image].special:
             # the inverse partner arrow of the doubled quiver
             add_block(e.image, e.src, e.tgt, X.act_inv(gen))
     for l in h.loops:
-        u = X.act(unit_of(x, ("loop", l.key), True))
+        u = X.act(unit_of(x, ("loop", l.key)))
         add_block(l.image, l.vertex, l.vertex, u)
     rep = Rep(q, p, dims, mats)
     verify_relations(rep)
@@ -428,7 +422,7 @@ def _transfer(x: AdmWord, y: AdmWord, X: AxModule, Y: AxModule, arrow,
         inv_y, inv_x = arrow.family == CROSS, True
     else:                           # y-edge against an x-loop
         inv_y, inv_x = True, False
-    gy, gx = unit_of(y, arrow.ypart, True), unit_of(x, arrow.xpart, True)
+    gy, gx = unit_of(y, arrow.ypart), unit_of(x, arrow.xpart)
     P = Y.act_inv(gy) if inv_y != inverse else Y.act(gy)
     Q = X.act_inv(gx) if inv_x != inverse else X.act(gx)
     return P, Q
@@ -521,27 +515,17 @@ def hom_dim_formula(q: PolarizedQuiver, x: AdmWord, X: AxModule,
 
 def hom_basis_structured(q: PolarizedQuiver, x: AdmWord, X: AxModule,
                          y: AdmWord, Y: AxModule,
-                         g: HomGraph | None = None, report=None,
-                         verify: bool = True) -> list[dict]:
+                         g: HomGraph | None = None, report=None) -> list[dict]:
     """A Hom basis propagated along long h-lines, one block space each.
 
-    With verify set, the collected vectors are checked to be independent
-    intertwiners spanning the brute-force solution space.
+    The collected vectors are checked to be independent intertwiners
+    spanning the brute-force solution space.
     """
     g = g or build_HQ(q, x, y)
     report = report or classify_components(g)
     p = X.p
     M, N = build_module(q, x, X), build_module(q, y, Y)
     hx, hy = g.hx, g.hy
-    copies_x: dict[str, list[int]] = {}
-    copies_y: dict[str, list[int]] = {}
-    for v in hx.vertices:
-        copies_x.setdefault(hx.vlabel[v], []).append(v)
-    for v in hy.vertices:
-        copies_y.setdefault(hy.vlabel[v], []).append(v)
-    off_x = {v: copies_x[hx.vlabel[v]].index(v) * X.dim for v in hx.vertices}
-    off_y = {v: copies_y[hy.vlabel[v]].index(v) * Y.dim for v in hy.vertices}
-
     out = []
     for comp in report.full:
         if not comp.long:
@@ -553,12 +537,12 @@ def hom_basis_structured(q: PolarizedQuiver, x: AdmWord, X: AxModule,
             for (j, i), (P, Q) in transfer.items():
                 block = _mul(_mul(P, f0, p), Q, p)
                 a = hx.vlabel[i]
-                r, c = off_y[j], off_x[i]
+                r = hy.by_label[a].index(j) * Y.dim
+                c = hx.by_label[a].index(i) * X.dim
                 f[a][r:r + Y.dim, c:c + X.dim] = \
                     (f[a][r:r + Y.dim, c:c + X.dim] + block) % p
             out.append(f)
-    if verify:
-        _verify_basis(M, N, out)
+    _verify_basis(M, N, out)
     return out
 
 
@@ -608,8 +592,8 @@ def E_formula(q: PolarizedQuiver, fr, x: AdmWord, X: AxModule,
     Ychi = chi_twist(q, y, Y)
     for (j, i) in census.p_set:
         tot += hom_dim_alg(X, Ychi, ("T",), p,
-                           ux=(unit_of(x, ("loop", i), True),),
-                           uy=(unit_of(y, ("loop", j), True),))
+                           ux=(unit_of(x, ("loop", i)),),
+                           uy=(unit_of(y, ("loop", j)),))
     if census.diag:
         Xp = X if census.diag == 1 else iota_twist(x, X)
         Yp = Y if census.diag == 1 else iota_twist(y, Y)
@@ -661,8 +645,12 @@ def g_oracle(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> dict:
     return out
 
 
-def iso_witness(M: Rep, N: Rep, tries: int = 200, seed: int = 0):
-    """Invertible intertwiner, or None; randomized search in the Hom space."""
+_ISO_TRIES, _ISO_SEED = 200, 0
+
+
+def iso_witness(M: Rep, N: Rep):
+    """Invertible intertwiner, or None; a basis element, else ``_ISO_TRIES``
+    random combinations of the Hom basis drawn with seed ``_ISO_SEED``."""
     if M.dims != N.dims:
         return None
     basis = hom_basis_oracle(M, N)
@@ -670,7 +658,7 @@ def iso_witness(M: Rep, N: Rep, tries: int = 200, seed: int = 0):
         return None
     p = M.p
     import random
-    rng = random.Random(seed)
+    rng = random.Random(_ISO_SEED)
 
     def invertible(f):
         return all(gf.is_invertible(f[v], p) for v in M.q.vertices)
@@ -678,7 +666,7 @@ def iso_witness(M: Rep, N: Rep, tries: int = 200, seed: int = 0):
     for f in basis:
         if invertible(f):
             return f
-    for _ in range(tries):
+    for _ in range(_ISO_TRIES):
         coeffs = [rng.randrange(p) for _ in basis]
         f = {v: sum(c * b[v] for c, b in zip(coeffs, basis)) % p
              for v in M.q.vertices}

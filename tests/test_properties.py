@@ -151,17 +151,6 @@ def test_unpunctured_pairs_no_loops_hline_is_real(ex1):
                 assert c.hline == c.real
 
 
-def test_build_Ho_partners(ex1):
-    from sga.homgraph import build_Ho
-    x = classify(ex1, (tinvl("1", -1), ordl("g"), ordl("b"), ordl("e"), invl("b"),
-                       trivl("3", 1)))
-    h, partners = build_Ho(ex1, x)
-    assert len(partners) == 1
-    (p,) = partners
-    e = next(e for e in h.edges if e.image == "e")
-    assert (p.src, p.tgt) == (e.tgt, e.src)
-
-
 def test_kiss_transport_with_bands():
     from sga.homgraph import kiss_transport
     from sga.quiver import auto_fringe

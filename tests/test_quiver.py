@@ -159,3 +159,21 @@ def test_quiver_stores_are_the_only_caches():
                     path.name != "quiver.py" and re.search(r"\._cache\b", line)):
                 stray.append(f"{path.name}:{n}: {line.strip()}")
     assert stray == []
+
+
+def test_readme_lists_every_store():
+    """The stores named in ``src/sga`` (``store("...")`` literals and the
+    functions memoised by ``per_quiver``) are exactly the names of README's
+    list "The stores:", where each name is in backticks before a colon or a
+    comma."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    in_src = set()
+    for path in sorted((root / "src" / "sga").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        in_src.update(re.findall(r'\.store\("(\w+)"\)', text))
+        in_src.update(re.findall(r"@per_quiver\s+def (\w+)", text))
+        in_src.update(re.findall(r"= per_quiver\((\w+)\)", text))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("The stores:", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"`(\w+)`[:,]", listed)) == in_src
+    assert "build_H" in in_src and "word_table" not in in_src

@@ -1,0 +1,66 @@
+"""The per-word record: ``build_H`` returns one frozen ``Winding`` per word
+and quiver, and the tables it carries agree with the blueprint they index.
+
+Covered: every admissible word at max-len 8 of ex1 and of the seed-7, 9,
+11 (no doubly punctured strings) and 42 random quivers, and the fringed
+translate of each word in the auto-fringed quiver.
+"""
+
+import dataclasses
+
+import pytest
+
+from sga.admissible import doublebar_ray, enumerate_adm
+from sga.homgraph import build_H, tau_f
+from sga.quiver import auto_fringe
+from sga.randquiver import random_skewed_gentle_quiver
+
+
+@pytest.fixture(params=[None, 7, 9, 11, 42],
+                ids=lambda s: "ex1" if s is None else f"seed{s}")
+def word_pairs(request, ex1):
+    seed = request.param
+    q = ex1 if seed is None else random_skewed_gentle_quiver(seed, forbid_pp=seed == 11)
+    fr = auto_fringe(q)
+    sets = enumerate_adm(q, 8)
+    words = sets.strings + sets.bands
+    return [(q, x) for x in words] + [(fr.extended, tau_f(fr, x)) for x in words]
+
+
+def _by(items, key) -> dict:
+    out: dict = {}
+    for it in items:
+        out.setdefault(key(it), []).append(it)
+    return {k: tuple(v) for k, v in out.items()}
+
+
+def test_winding_tables_match_the_blueprint(word_pairs):
+    for q, x in word_pairs:
+        h = build_H(q, x)
+        assert build_H(q, x) is h and q.store("build_H")[(x,)] is h
+        assert h.word == x
+        # by_label: ascending, and a partition of the vertices by label
+        for lab, vs in h.by_label.items():
+            assert list(vs) == sorted(vs) and all(h.vlabel[v] == lab for v in vs)
+        assert sorted(v for vs in h.by_label.values() for v in vs) == list(h.vertices)
+        # boundary: valency <= 1, an edge or a loop counting each vertex it touches once
+        valency = {v: sum(1 for e in h.edges if v in (e.src, e.tgt))
+                   + sum(1 for l in h.loops if l.vertex == v) for v in h.vertices}
+        assert h.boundary == {v for v, k in valency.items() if k <= 1}
+        assert all(h.is_boundary(v) == (v in h.boundary) for v in h.vertices)
+        # the by-image maps partition edges and loops, in order
+        assert h.edges_by_image == _by(h.edges, lambda e: e.image)
+        assert h.loops_by_image == _by(h.loops, lambda l: l.image)
+        heads = {v: (doublebar_ray(q, x, v, -1).first(),
+                     doublebar_ray(q, x, v, 1).first()) for v in h.vertices}
+        assert {v: h.head(q, v) for v in h.vertices} == heads
+        assert h.heads == heads and all(h.head(q, v) is h.heads[v] for v in heads)
+
+
+def test_winding_is_frozen(ex1):
+    x = enumerate_adm(ex1, 4).strings[0]
+    h = build_H(ex1, x)
+    for name, value in (("shape", "A"), ("boundary", frozenset()), ("heads", {})):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(h, name, value)
+    assert build_H(ex1, x) is h
