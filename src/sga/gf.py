@@ -93,6 +93,8 @@ def rank(a: np.ndarray | list[dict[int, int]], p: int) -> int:
             a[r][c] = v
     pivots: dict[int, dict[int, int]] = {}
     for row in a:
+        if not row:
+            continue
         row = dict(row)
         while row:
             c = min(row)

@@ -18,7 +18,7 @@ from .admissible import (AdmWord, doublebar_ray, hat_of, hat_ray,
                          is_projective_adm, tau_adm)
 from .errors import TheoremViolation, WordError
 from .quiver import Fringing, PolarizedQuiver, per_quiver
-from .words import INV, ORD, Letter, compare_letters, ray_compare
+from .words import INV, ORD, Ray, compare_letters, ray_compare
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,11 @@ class HLoop:
 class Winding:
     """The blueprint quiver of one word and what the product quiver reads of
     it: vertices by label (ascending), edges and loops by image, the boundary
-    vertices (valency <= 1, a loop counting one end) and the first letters of
-    the doublebar rays at each vertex, read on first use by :meth:`head`.
-    Built once per word by :func:`build_H` and shared by every caller, so it
-    is frozen; callers must not modify its dicts."""
+    vertices (valency <= 1, a loop counting one end) and, per vertex, the
+    doublebar and hat rays and the interned id of the doublebar first
+    letters, each read on first use.  Built once per word by :func:`build_H`
+    and shared by every caller, so it is frozen; callers must not modify its
+    dicts."""
     word: AdmWord
     shape: str                                 # 'A' | 'Dp' | 'At' | 'Dpt'
     vertices: tuple[int, ...]
@@ -54,19 +55,41 @@ class Winding:
     edges_by_image: dict[str, tuple[HEdge, ...]]
     loops_by_image: dict[str, tuple[HLoop, ...]]
     boundary: frozenset[int]
-    heads: dict[int, tuple[Letter, Letter]]    # filled by head()
+    doublebars: dict[int, tuple[Ray, Ray]]     # filled by doublebar()
+    hats: dict[int, Ray]                       # filled by hat()
+    head_ids: dict[int, int]                   # filled by head_id()
 
     def is_boundary(self, v: int) -> bool:
         return v in self.boundary
 
-    def head(self, q: PolarizedQuiver, v: int) -> tuple[Letter, Letter]:
-        """The first letters of the doublebar rays at v towards rho = -1, +1,
-        read over q (the quiver the winding was built in) on first use."""
-        pair = self.heads.get(v)
-        if pair is None:
-            pair = self.heads[v] = (doublebar_ray(q, self.word, v, -1).first(),
-                                    doublebar_ray(q, self.word, v, 1).first())
-        return pair
+    def doublebar(self, q: PolarizedQuiver, v: int) -> tuple[Ray, Ray]:
+        """The doublebar rays at v towards rho = -1, +1, read over q (the
+        quiver the winding was built in) on first use."""
+        rays = self.doublebars.get(v)
+        if rays is None:
+            rays = self.doublebars[v] = (doublebar_ray(q, self.word, v, -1),
+                                         doublebar_ray(q, self.word, v, 1))
+        return rays
+
+    def hat(self, q: PolarizedQuiver, v: int, rho: int, delta: int) -> Ray:
+        """The hat ray at v towards rho with punctured letters oriented by
+        delta, read on first use; the ray checks stop at their first
+        failure, so each hat ray is read only when compared."""
+        key = 4 * v + rho + 1 + (delta + 1) // 2   # a small int, not a tuple
+        ray = self.hats.get(key)
+        if ray is None:
+            ray = self.hats[key] = hat_ray(q, self.word, v, rho, delta)
+        return ray
+
+    def head_id(self, q: PolarizedQuiver, v: int) -> int:
+        """The id of the pair of first letters of the doublebar rays at v,
+        interned in q's store ``head_ids``: equal pairs get equal ids."""
+        hid = self.head_ids.get(v)
+        if hid is None:
+            ids = q.store("head_ids")
+            pair = tuple(r.first() for r in self.doublebar(q, v))
+            hid = self.head_ids[v] = ids.setdefault(pair, len(ids))
+        return hid
 
 
 def _group(items, key) -> dict:
@@ -108,10 +131,39 @@ def build_H(q: PolarizedQuiver, x: AdmWord) -> Winding:
         x, shape, vertices, vlabel, edges, tuple(loops),
         _group(vertices, vlabel.get),
         _group(edges, lambda e: e.image), _group(loops, lambda l: l.image),
-        frozenset(v for v in vertices if ends.count(v) <= 1), {})
+        frozenset(v for v in vertices if ends.count(v) <= 1), {}, {}, {})
 
 
 # -- the decorated product quiver ---------------------------------------------
+
+def red_blue(q: PolarizedQuiver, hy: Winding, j: int, hx: Winding, i: int
+             ) -> tuple[int, int]:
+    """(r, b) at the vertex (j, i) of a product quiver: how many of the two
+    doublebar first letters of y at j lie above, and how many below, those
+    of x at i; (0, 0) when the two pairs are equal.  Memoised in q's store
+    ``red_blue``, keyed by the two head ids; incomparable heads are never
+    stored, so they raise on every call."""
+    key = (hy.head_id(q, j), hx.head_id(q, i))
+    if key[0] == key[1]:
+        return (0, 0)
+    store = q.store("red_blue")
+    rb = store.get(key)
+    if rb is None:
+        r = b = 0
+        for ry, rx in zip(hy.doublebar(q, j), hx.doublebar(q, i)):
+            fy, fx = ry.first(), rx.first()
+            if fy == fx:
+                continue
+            c = compare_letters(q, fy, fx)
+            if c is None:
+                raise WordError(f"incomparable ray heads at {(j, i)}")
+            if c > 0:
+                r += 1
+            elif c < 0:
+                b += 1
+        rb = store[key] = (r, b)
+    return rb
+
 
 PLUS, CROSS, CIRC = "+", "x", "o"
 
@@ -199,17 +251,7 @@ def build_HQ(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> HomGraph:
     red: dict[tuple[int, int], int] = {}
     blue: dict[tuple[int, int], int] = {}
     for (j, i) in vertices:
-        r = b = 0
-        for fy, fx in zip(hy.head(q, j), hx.head(q, i)):
-            if fy == fx:
-                continue
-            c = compare_letters(q, fy, fx)
-            if c is None:
-                raise WordError(f"incomparable ray heads at {(j, i)}")
-            if c > 0:
-                r += 1
-            elif c < 0:
-                b += 1
+        r, b = red_blue(q, hy, j, hx, i)
         if r:
             red[(j, i)] = r
         if b:
@@ -308,25 +350,23 @@ def _colored(cv, colors) -> bool:
     return any(v in colors for v in cv)
 
 
-def ray_real(q: PolarizedQuiver, x: AdmWord, y: AdmWord, v) -> bool:
-    """The hat-ray characterization of a real h-line through v = (j, i)."""
+def ray_real(q: PolarizedQuiver, hx: Winding, hy: Winding, v) -> bool:
+    """The hat-ray characterization of a real h-line through v = (j, i) of
+    the product quiver of (x, y), read from their windings hx and hy."""
     j, i = v
     h = hat_of(q)
     for delta in (-1, 1):
         for rho in (-1, 1):
-            ry = hat_ray(q, y, j, rho, delta)
-            rx = hat_ray(q, x, i, rho, delta)
-            if ray_compare(h, ry, rx)[0] not in ("<", "="):
+            if ray_compare(h, hy.hat(q, j, rho, delta),
+                           hx.hat(q, i, rho, delta))[0] not in ("<", "="):
                 return False
     return True
 
 
-def ray_long(q: PolarizedQuiver, x: AdmWord, y: AdmWord, v) -> bool:
+def ray_long(q: PolarizedQuiver, hx: Winding, hy: Winding, v) -> bool:
     """The doublebar-ray characterization of a long h-line through v."""
     j, i = v
-    for rho in (-1, 1):
-        ry = doublebar_ray(q, y, j, rho)
-        rx = doublebar_ray(q, x, i, rho)
+    for ry, rx in zip(hy.doublebar(q, j), hx.doublebar(q, i)):
         if ray_compare(q, ry, rx)[0] not in ("<", "="):
             return False
     return True
@@ -350,7 +390,7 @@ def classify_components(g: HomGraph) -> ComponentReport:
         for v in cv:
             full_of[v] = ci
 
-    q, x, y = g.q, g.x, g.y
+    q, hx, hy = g.q, g.hx, g.hy
     plus_out = []
     for cv, ca in comps_plus:
         ctype, ends = _component_type(cv, ca)
@@ -362,7 +402,7 @@ def classify_components(g: HomGraph) -> ComponentReport:
         is_h = not _colored(po_cv, g.red) and not _colored(po_cv, g.orange)
         is_dual_h = not _colored(po_cv, g.blue) and not _colored(po_cv, g.cyan)
         interior = not any(g.is_boundary(v) for v in ends)
-        if ray_real(q, x, y, cv[0]) != is_real:
+        if ray_real(q, hx, hy, cv[0]) != is_real:
             raise TheoremViolation(f"real h-line characterization differs at {cv[0]}")
         plus_out.append(PlusComponent(cv, ca, ctype, ends, is_real, is_dual_real,
                                       is_h, is_dual_h, is_real and interior,
@@ -371,7 +411,7 @@ def classify_components(g: HomGraph) -> ComponentReport:
     for cv, ca in comps_full:
         ctype, ends = _component_type(cv, ca)
         is_long = not _colored(cv, g.red)
-        if ray_long(q, x, y, cv[0]) != is_long:
+        if ray_long(q, hx, hy, cv[0]) != is_long:
             raise TheoremViolation(f"long h-line characterization differs at {cv[0]}")
         full_out.append(FullComponent(cv, ca, ctype, ends, is_long))
 
@@ -382,9 +422,8 @@ def classify_components(g: HomGraph) -> ComponentReport:
 def generalized_diagonal(g: HomGraph, comp: PlusComponent) -> bool:
     """Some vertex of the component pairs equal doublebar rays on both sides."""
     q = g.q
-    return any(all(ray_compare(q, doublebar_ray(q, g.y, j, rho),
-                               doublebar_ray(q, g.x, i, rho))[0] == "="
-                   for rho in (-1, 1))
+    return any(all(ray_compare(q, ry, rx)[0] == "="
+                   for ry, rx in zip(g.hy.doublebar(q, j), g.hx.doublebar(q, i)))
                for (j, i) in comp.vertices)
 
 
@@ -471,24 +510,54 @@ def tau_f(fr: Fringing, x: AdmWord) -> AdmWord:
     return tx
 
 
-def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord
-               ) -> tuple[tuple[str, tuple[int, int]], ...]:
-    """The ctype and least vertex of each kiss of ``build_HQ(q, x, y)``, in
-    least-vertex order, without building the product quiver.
+Sites = tuple[tuple[str, tuple[int, int]], ...]
 
-    A union-find over the label-matching pairs (j, i), linked by the
-    equal-image edge pairs and loop pairs, gives the plus components; adding
-    the cross and circle links gives the full ones.  Red comes from the
-    doublebar first letters, orange and purple are the targets of cross and
-    circle links.  As in :func:`classify_components`, the ray
-    characterization of real is checked at the least vertex of every plus
-    component and that of long at the least vertex of every full component.
+
+def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites]:
+    """The kisses of ``build_HQ(q, x, y)`` and of ``build_HQ(q, y, x)``: for
+    each, the ctype and least vertex of every kiss, in least-vertex order.
+    One pass over the label-matching pairs (j, i) of (x, y) gives both
+    halves, without building either product quiver.
+
+    A union-find over the pairs, linked by the equal-image edge pairs and
+    loop pairs, gives the plus components; adding the cross and circle links
+    gives the full ones.  The product quiver of (y, x) is the transpose of
+    that of (x, y): the same components, red and blue swapped, and the
+    targets of cross and circle links (orange, purple) swapped with their
+    sources (cyan, teal).  So a plus component away from the boundary is a
+    kiss of (x, y) when it has no red, orange or purple vertex, and one of
+    (y, x), at its least vertex (i, j) in the transposed order, when it has
+    no blue, cyan or teal vertex.  As in :func:`classify_components`, the
+    ray characterization of real is checked at the least vertex of every
+    plus component and that of long at the least vertex of every full
+    component, in both directions.
     """
     tx, ty = build_H(q, x), build_H(q, y)
     m = max(tx.vertices, default=0) + 1   # (j, i) is the integer j*m + i
-    verts = sorted(j * m + i for lab, js in ty.by_label.items()
-                   for i in tx.by_label.get(lab, ()) for j in js)
-    parent = {v: v for v in verts}
+    n = max(ty.vertices, default=0) + 1   # and (i, j) is i*n + j
+    colours = q.store("red_blue")
+    parent: dict[int, int] = {}
+    red, blue = [], []
+    for lab, js in ty.by_label.items():
+        ixs = tx.by_label.get(lab)
+        if ixs is None:
+            continue
+        hxs = [tx.head_id(q, i) for i in ixs]
+        for j in js:
+            hy = ty.head_id(q, j)
+            for i, hx in zip(ixs, hxs):
+                v = j * m + i
+                parent[v] = v
+                if hy == hx:
+                    continue
+                rb = colours.get((hy, hx))
+                if rb is None:
+                    rb = red_blue(q, ty, j, tx, i)
+                if rb[0]:
+                    red.append(v)
+                if rb[1]:
+                    blue.append(v)
+    verts = sorted(parent)
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -538,69 +607,77 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord
     for v in loops:
         deg[v] += 1
 
-    red = []
-    for v in verts:
-        j, i = divmod(v, m)
-        hit = False
-        for fy, fx in zip(ty.head(q, j), tx.head(q, i)):
-            if fy == fx:
-                continue
-            c = compare_letters(q, fy, fx)
-            if c is None:
-                raise WordError(f"incomparable ray heads at {(j, i)}")
-            hit = hit or c > 0
-        if hit:
-            red.append(v)
+    def components() -> tuple[dict, list, dict, dict]:
+        """The root of each vertex; each root with its least vertex, in
+        least-vertex order; its least vertex in the transposed order; and
+        its number of vertices."""
+        root, order, least_t, size = {}, [], {}, {}
+        for v in verts:
+            r = root[v] = find(v)
+            j = v // m
+            i = v - j * m
+            t = i * n + j
+            if r not in size:
+                order.append((r, (j, i)))
+                least_t[r], size[r] = t, 1
+            else:
+                size[r] += 1
+                if t < least_t[r]:
+                    least_t[r] = t
+        return root, order, {r: divmod(t, n) for r, t in least_t.items()}, size
 
-    order, size = [], {}
-    for v in verts:
-        r = find(v)
-        if r in size:
-            size[r] += 1
-        else:
-            size[r] = 1
-            order.append((r, v))
-    cycles = {r: 1 - n for r, n in size.items()}   # arrows - (vertices - 1)
+    root, order, dual_at, size = components()
+    cycles = {r: 1 - k for r, k in size.items()}   # arrows - (vertices - 1)
     for s, _ in links:
-        cycles[find(s)] += 1
+        cycles[root[s]] += 1
     nloops = dict.fromkeys(size, 0)
     for v in loops:
-        nloops[find(v)] += 1
-    colored = {find(v) for v in red}
-    colored.update(find(t) for _, t in cross)
-    colored.update(find(t) for _, t in circ)
-    at_boundary = {find(v) for v in verts if deg[v] <= 1 and
+        nloops[root[v]] += 1
+    red_side = {root[v] for v in red}
+    red_side.update(root[t] for _, t in cross + circ)
+    blue_side = {root[v] for v in blue}
+    blue_side.update(root[s] for s, _ in cross + circ)
+    at_boundary = {root[v] for v in verts if deg[v] <= 1 and
                    (v // m in ty.boundary or v % m in tx.boundary)}
 
-    out = []
-    for r, v in order:
-        real = r not in colored
-        vt = divmod(v, m)
-        if ray_real(q, x, y, vt) != real:
+    # the product quiver of (x, x) is its own transpose: one half suffices
+    both = x != y
+    kisses, dual_kisses = [], []
+    for r, vt in order:
+        real, dual = r not in red_side, r not in blue_side
+        if ray_real(q, tx, ty, vt) != real:
             raise TheoremViolation(f"real h-line characterization differs at {vt}")
-        if real and r not in at_boundary:
-            k = nloops[r]
-            out.append(("Dp" if k == 1 else "Dpt" if k else
-                        "At" if cycles[r] > 0 else "A", vt))
-
-    for s, t in cross + circ:
-        parent[find(s)] = find(t)
-    red_full = {find(v) for v in red}
-    seen = set()
-    for v in verts:
-        r = find(v)
-        if r in seen:
+        if both and ray_real(q, ty, tx, dual_at[r]) != dual:
+            raise TheoremViolation(
+                f"real h-line characterization differs at {dual_at[r]}")
+        if r in at_boundary:
             continue
-        seen.add(r)
-        vt = divmod(v, m)
-        if ray_long(q, x, y, vt) != (r not in red_full):
+        k = nloops[r]
+        ctype = "Dp" if k == 1 else "Dpt" if k else "At" if cycles[r] > 0 else "A"
+        if real:
+            kisses.append((ctype, vt))
+        if dual:
+            dual_kisses.append((ctype, dual_at[r]))
+
+    if cross or circ:
+        for s, t in cross + circ:
+            parent[find(s)] = find(t)
+        root, order, dual_at, _ = components()
+    red_full = {root[v] for v in red}
+    blue_full = {root[v] for v in blue}
+    for r, vt in order:
+        if ray_long(q, tx, ty, vt) != (r not in red_full):
             raise TheoremViolation(f"long h-line characterization differs at {vt}")
-    return tuple(out)
+        if both and ray_long(q, ty, tx, dual_at[r]) != (r not in blue_full):
+            raise TheoremViolation(
+                f"long h-line characterization differs at {dual_at[r]}")
+    return tuple(kisses), tuple(sorted(dual_kisses, key=lambda k: k[1]))
 
 
 def kiss_types(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[str, ...]:
-    """The ctype of each kiss, in least-vertex order (see :func:`kiss_sites`)."""
-    return tuple(t for t, _ in kiss_sites(q, x, y))
+    """The ctype of each kiss of ``build_HQ(q, x, y)``, in least-vertex
+    order: the first half of :func:`kiss_sites`."""
+    return tuple(t for t, _ in kiss_sites(q, x, y)[0])
 
 
 def _count_types(types) -> dict[str, int]:

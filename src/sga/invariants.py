@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .admissible import AdmWord, enumerate_adm
 from .errors import SgaError, TheoremViolation
-from .homgraph import build_H, kiss_types, tau_f
+from .homgraph import build_H, kiss_sites, tau_f
 from .quiver import Fringing, PolarizedQuiver, tilde_vertices
 from .words import band_canonical, winv
 
@@ -131,8 +131,8 @@ def kiss_census(q: PolarizedQuiver, fr: Fringing, x: AdmWord, y: AdmWord) -> Kis
     Memoised per pair in the store ``census`` of ``fr.extended``, keyed by
     (q, x, y): q enters the census through the punctured pairs.  The kisses
     of each direction are memoised in its store ``kiss_types``, keyed by
-    the ordered translate pair, so census(x, y) and census(y, x) classify
-    each direction once.
+    the ordered translate pair; one :func:`kiss_sites` pass fills both
+    directions, so each unordered translate pair is classified once.
     """
     store = fr.extended.store("census")
     census = store.get((q, x, y))
@@ -141,13 +141,14 @@ def kiss_census(q: PolarizedQuiver, fr: Fringing, x: AdmWord, y: AdmWord) -> Kis
     qf = fr.extended
     kinds = qf.store("kiss_types")
     tx, ty = tau_f(fr, x), tau_f(fr, y)
+    there, back = kinds.get((tx, ty)), kinds.get((ty, tx))
+    if there is None or back is None:
+        sites, dual_sites = kiss_sites(qf, tx, ty)
+        there = kinds[tx, ty] = tuple(t for t, _ in sites)
+        back = kinds[ty, tx] = tuple(t for t, _ in dual_sites)
     counts = {"A": 0, "Dp": 0, "At": 0, "Dpt": 0}
-    for uv in ((tx, ty), (ty, tx)):
-        types = kinds.get(uv)
-        if types is None:
-            types = kinds[uv] = kiss_types(qf, *uv)
-        for t in types:
-            counts[t] += 1
+    for t in there + back:
+        counts[t] += 1
     ps = p_set(q, x, y)
     diag = diag_b(x, y)
     census = KissCensus(counts["A"], ps, diag, counts["Dp"], counts["At"],
@@ -254,11 +255,8 @@ def dim_vector_comb(q: PolarizedQuiver, x: AdmWord, s: Tag) -> dict:
     out = {tv: 0 for tv in tilde_vertices(q)}
     w = wt(s)
     loop_vertices = {l.vertex: l.key for l in h.loops}
-    paired: set[int] = set()
-    for e in h.edges:
-        if q.by_name[e.image].special:
-            paired.add(e.src)
-            paired.add(e.tgt)
+    special_edges = [e for e in h.edges if q.by_name[e.image].special]
+    on_special_edge = {v for e in special_edges for v in (e.src, e.tgt)}
     for v in h.vertices:
         lab = h.vlabel[v]
         if not q.is_special_vertex(lab):
@@ -270,15 +268,16 @@ def dim_vector_comb(q: PolarizedQuiver, x: AdmWord, s: Tag) -> dict:
                 out[(lab, "+")] += 1
             else:
                 out[(lab, "+" if c > 0 else "-")] += w
-        else:
-            # vertex on a doubled special edge: eigenvalues split evenly
-            assert v in paired
-            pass
-    for e in h.edges:
-        if q.by_name[e.image].special:
-            lab = h.vlabel[e.src]
-            out[(lab, "-")] += w
-            out[(lab, "+")] += w
+        elif v not in on_special_edge:
+            # a vertex over a special vertex that splits its eigenvalues
+            # neither by a loop nor by a doubled special edge
+            raise TheoremViolation(
+                f"{x}: vertex {v} over special vertex {lab} lies on no "
+                "special loop or edge")
+    for e in special_edges:
+        lab = h.vlabel[e.src]
+        out[(lab, "-")] += w
+        out[(lab, "+")] += w
     return out
 
 

@@ -1,7 +1,11 @@
+import dataclasses
+import re
+
 import pytest
 
 from sga.admissible import classify, enumerate_adm
-from sga.errors import SgaError
+from sga import invariants
+from sga.errors import SgaError, TheoremViolation
 from sga.invariants import (DSTAR, STAR, canonical_tagged, d2, d3, diag_b,
                             dim_vector_comb, e_comb, enumerate_components,
                             g_comb, is_tau_generic, kiss_census, p_set,
@@ -80,6 +84,20 @@ def test_dim_vector_comb(ex1):
     x = classify(ex1, (tinvl("1", -1), ordl("g"), ordl("b"), ordl("e"), invl("b"),
                        trivl("3", 1)))
     assert [dim_vector_comb(ex1, x, (1, 1))[k] for k in ORDER] == [1, 1, 1, 2]
+
+
+def test_dim_vector_comb_checks_special_vertices(ex1, monkeypatch):
+    """A vertex over a special vertex on neither a special loop nor a
+    special edge raises ``TheoremViolation`` naming the word and the
+    vertex; it is a raise, not an ``assert``, so it survives ``python -O``."""
+    x = classify(ex1, (tinvl("1", -1), ordl("g"), ordl("b"), ordl("e"), invl("b"),
+                       trivl("3", 1)))
+    h = invariants.build_H(ex1, x)
+    plain = dataclasses.replace(h, edges=tuple(
+        e for e in h.edges if not ex1.by_name[e.image].special))
+    monkeypatch.setattr(invariants, "build_H", lambda q, w: plain)
+    with pytest.raises(TheoremViolation, match=re.escape(f"{x}: vertex 3 over special")):
+        dim_vector_comb(ex1, x, (1, 1))
 
 
 def test_dim_vector_matches_modules(ex1):

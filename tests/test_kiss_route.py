@@ -1,16 +1,16 @@
 """The kiss route without the product quiver: ``kiss_sites``/``kiss_types``
-against ``classify_components``, its ray checks, and the per-direction
-store that ``kiss_census`` reads."""
+against ``classify_components`` in both directions, its ray checks, and
+the per-direction store that ``kiss_census`` reads."""
 
 import pytest
 
 from sga import homgraph, invariants
 from sga.admissible import enumerate_adm, hat_of
-from sga.errors import TheoremViolation
-from sga.homgraph import (build_HQ, classify_components, kiss_sites, kiss_types,
-                          tau_f)
+from sga.errors import TheoremViolation, WordError
+from sga.homgraph import (build_H, build_HQ, classify_components, kiss_sites,
+                          kiss_types, tau_f)
 from sga.invariants import kiss_census
-from sga.quiver import auto_fringe
+from sga.quiver import PolarizedQuiver, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
 
 
@@ -30,11 +30,15 @@ def test_kiss_sites_equal_classify_components(ex1, seed, max_len, pairs):
     q = ex1 if seed is None else random_skewed_gentle_quiver(seed, forbid_pp=seed == 11)
     qf, translates = _translates(q, max_len)
     assert len(translates) ** 2 == pairs
+
+    def kisses(u, v):
+        rep = classify_components(build_HQ(qf, u, v))
+        return tuple((c.ctype, c.vertices[0]) for c in rep.plus if c.kiss)
+
     for u in translates:
         for v in translates:
-            rep = classify_components(build_HQ(qf, u, v))
-            want = tuple((c.ctype, c.vertices[0]) for c in rep.plus if c.kiss)
-            assert kiss_sites(qf, u, v) == want, (str(u), str(v))
+            want = kisses(u, v)
+            assert kiss_sites(qf, u, v) == (want, kisses(v, u)), (str(u), str(v))
             assert kiss_types(qf, u, v) == tuple(t for t, _ in want)
 
 
@@ -61,19 +65,70 @@ def test_ray_checks_are_live(ex1, monkeypatch, on_hat, message):
         classify_components(build_HQ(qf, u, v))
 
 
+@pytest.mark.parametrize("on_hat, message", [
+    (True, "real h-line characterization differs"),
+    (False, "long h-line characterization differs")])
+def test_reverse_ray_checks_are_live(ex1, monkeypatch, on_hat, message):
+    """For u != v, a ray comparison that contradicts the colours of the
+    (v, u) product quiver alone makes the pair pass of (u, v) raise, as it
+    makes ``classify_components`` of (v, u) raise, while that of (u, v)
+    passes: the pass checks the second half too."""
+    qf, translates = _translates(ex1, 6)
+    hat, compare = hat_of(qf), homgraph.ray_compare
+
+    def rays(u):
+        h = build_H(qf, u)
+        if on_hat:
+            return {h.hat(qf, i, rho, delta) for i in h.vertices
+                    for rho in (-1, 1) for delta in (-1, 1)}
+        return {r for i in h.vertices for r in h.doublebar(qf, i)}
+
+    # (v, u) compares a ray of u with one of v, (u, v) one of v with one of u
+    only = {}
+
+    def contradict(q, a, b):
+        if (q is hat) == on_hat and a in only["u"] and b in only["v"]:
+            return (">", 0)
+        return compare(q, a, b)
+
+    def contradicted(u, v):
+        only["u"], only["v"] = rays(u) - rays(v), rays(v) - rays(u)
+        try:
+            classify_components(build_HQ(qf, v, u))
+        except TheoremViolation:
+            return True
+        return False
+
+    monkeypatch.setattr(homgraph, "ray_compare", contradict)
+    u, v = next((u, v) for u in translates for v in translates
+                if u != v and contradicted(u, v))
+    classify_components(build_HQ(qf, u, v))
+    with pytest.raises(TheoremViolation, match=message):
+        classify_components(build_HQ(qf, v, u))
+    with pytest.raises(TheoremViolation, match=message):
+        kiss_types(qf, u, v)
+    with pytest.raises(TheoremViolation, match=message):
+        kiss_sites(qf, u, v)
+
+
 def test_census_classifies_each_translate_pair_once(ex1, monkeypatch):
+    """One pair pass per unordered translate pair fills both directions of
+    the ``kiss_types`` store; a repeat, also with the census store emptied,
+    classifies none."""
     fr = auto_fringe(ex1)
     words = _words(ex1, 8)
     calls = []
-    route = invariants.kiss_types
+    route = invariants.kiss_sites
 
     def counted(q, u, v):
-        calls.append((u, v))
+        calls.append(frozenset((u, v)))
         return route(q, u, v)
 
-    monkeypatch.setattr(invariants, "kiss_types", counted)
+    monkeypatch.setattr(invariants, "kiss_sites", counted)
     first = [kiss_census(ex1, fr, x, y) for x in words for y in words]
-    assert len(calls) == len(set(calls)) == len(words) ** 2
+    pairs = {frozenset((tau_f(fr, x), tau_f(fr, y))) for x in words for y in words}
+    assert len(pairs) == len(words) * (len(words) + 1) // 2
+    assert len(calls) == len(set(calls)) and set(calls) == pairs
     calls.clear()
     assert [kiss_census(ex1, fr, x, y) for x in words for y in words] == first
     assert calls == []
@@ -81,3 +136,18 @@ def test_census_classifies_each_translate_pair_once(ex1, monkeypatch):
     fr.extended.store("census").clear()
     assert [kiss_census(ex1, fr, x, y) for x in words for y in words] == first
     assert calls == []
+
+
+def test_incomparable_heads_raise_on_every_call(ex1, monkeypatch):
+    """The ``red_blue`` store keeps no failed comparison: both routes raise
+    ``WordError`` again on a repeat."""
+    q = PolarizedQuiver(ex1.vertices, ex1.arrows)
+    qf, translates = _translates(q, 6)
+    monkeypatch.setattr(homgraph, "compare_letters", lambda q, a, b: None)
+    u, v = translates[0], translates[1]
+    for _ in range(2):
+        with pytest.raises(WordError, match="incomparable ray heads"):
+            kiss_sites(qf, u, v)
+        with pytest.raises(WordError, match="incomparable ray heads"):
+            build_HQ(qf, u, v)
+    assert qf.store("red_blue") == {}

@@ -94,6 +94,8 @@ def test_rank_does_not_modify_its_rows():
     copy = [dict(r) for r in rows]
     assert gf.rank(rows, 5) == 2
     assert rows == copy
+    # rows with no entries, as hom_rows emits them, are skipped
+    assert gf.rank([{}, {0: 3}, {}], 5) == 1 and gf.rank([{}, {}], 5) == 0
 
 
 def test_rank_of_unreduced_sparse_rows():

@@ -10,9 +10,9 @@ import dataclasses
 
 import pytest
 
-from sga.admissible import doublebar_ray, enumerate_adm
+from sga.admissible import doublebar_ray, enumerate_adm, hat_ray
 from sga.homgraph import build_H, tau_f
-from sga.quiver import auto_fringe
+from sga.quiver import PolarizedQuiver, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
 
 
@@ -51,16 +51,44 @@ def test_winding_tables_match_the_blueprint(word_pairs):
         # the by-image maps partition edges and loops, in order
         assert h.edges_by_image == _by(h.edges, lambda e: e.image)
         assert h.loops_by_image == _by(h.loops, lambda l: l.image)
-        heads = {v: (doublebar_ray(q, x, v, -1).first(),
-                     doublebar_ray(q, x, v, 1).first()) for v in h.vertices}
-        assert {v: h.head(q, v) for v in h.vertices} == heads
-        assert h.heads == heads and all(h.head(q, v) is h.heads[v] for v in heads)
+        # the per-vertex rays, kept once read
+        ids = q.store("head_ids")
+        for v in h.vertices:
+            bars = h.doublebar(q, v)
+            assert bars == tuple(doublebar_ray(q, x, v, rho) for rho in (-1, 1))
+            assert h.doublebar(q, v) is bars and h.doublebars[v] is bars
+            for rho in (-1, 1):
+                for delta in (-1, 1):
+                    ray = h.hat(q, v, rho, delta)
+                    assert ray == hat_ray(q, x, v, rho, delta)
+                    assert h.hat(q, v, rho, delta) is ray
+            hid = h.head_id(q, v)
+            assert ids[tuple(r.first() for r in bars)] == hid == h.head_ids[v]
+        # one kept hat ray per vertex, rho and delta
+        assert len(h.hats) == 4 * len(h.vertices)
+        # the ids are interned: equal first-letter pairs, equal ids
+        assert sorted(ids.values()) == list(range(len(ids)))
 
 
 def test_winding_is_frozen(ex1):
     x = enumerate_adm(ex1, 4).strings[0]
     h = build_H(ex1, x)
-    for name, value in (("shape", "A"), ("boundary", frozenset()), ("heads", {})):
+    for name, value in (("shape", "A"), ("boundary", frozenset()),
+                        ("doublebars", {}), ("hats", {}), ("head_ids", {})):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(h, name, value)
     assert build_H(ex1, x) is h
+
+
+def test_rays_are_read_on_first_use(ex1):
+    """A fresh winding holds no rays; a head id reads only the doublebar
+    rays of its own vertex, and a hat ray only itself."""
+    q = PolarizedQuiver(ex1.vertices, ex1.arrows)
+    x = enumerate_adm(q, 4).strings[0]
+    h = build_H(q, x)
+    assert h.doublebars == h.hats == h.head_ids == {}
+    v = h.vertices[0]
+    h.head_id(q, v)
+    assert list(h.doublebars) == list(h.head_ids) == [v] and h.hats == {}
+    ray = h.hat(q, v, 1, -1)
+    assert list(h.hats.values()) == [ray]
