@@ -12,6 +12,7 @@ kisses among them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .admissible import (AdmWord, doublebar_ray, hat_of, hat_ray,
@@ -292,51 +293,44 @@ class FullComponent(Component):
     long: bool
 
 
-def _components(vertices, arrows, rank: dict[int, int]):
-    """Connected components, vertices sorted and arrows in ``rank`` order
-    (an arrow's position in the repr order, keyed by ``id``)."""
-    adj: dict = {v: [] for v in vertices}
+def _components(vertices, arrows):
+    """Connected components by union-find, in least-vertex order: each with
+    its vertices ascending and its arrows in the order given."""
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
     for a in arrows:
-        adj[a.src].append(a)
-        if a.tgt != a.src:
-            adj[a.tgt].append(a)
-    seen: set = set()
-    comps = []
+        parent[find(a.src)] = find(a.tgt)
+    comps: dict = {}
     for v in sorted(vertices):
-        if v in seen:
-            continue
-        stack, cv, ca = [v], [], set()
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            cv.append(u)
-            for a in adj[u]:
-                ca.add(a)
-                w = a.tgt if a.src == u else a.src
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append((tuple(sorted(cv)), tuple(sorted(ca, key=lambda a: rank[id(a)]))))
-    return comps
+        comps.setdefault(find(v), ([], []))[0].append(v)
+    for a in arrows:
+        comps[find(a.src)][1].append(a)
+    return [(tuple(cv), tuple(ca)) for cv, ca in comps.values()]
 
 
 def _component_type(cv, ca) -> tuple[str, tuple]:
-    loops = [a for a in ca if a.is_loop]
-    nonloop = [a for a in ca if not a.is_loop]
-    cyc = len(nonloop) - (len(cv) - 1)
+    """The type of a component and its endpoints (valency <= 1, a loop
+    counting one end), from one pass over its arrows."""
+    valency = dict.fromkeys(cv, 0)
+    loops = 0
+    for a in ca:
+        valency[a.src] += 1
+        if a.is_loop:
+            loops += 1
+        else:
+            valency[a.tgt] += 1
     if loops:
-        ctype = "Dp" if len(loops) == 1 else "Dpt"
-    elif cyc > 0:
+        ctype = "Dp" if loops == 1 else "Dpt"
+    elif len(ca) > len(cv) - 1:
         ctype = "At"
     else:
         ctype = "A"
-    ends = []
-    for v in cv:
-        valency = sum(1 for a in nonloop if v in (a.src, a.tgt)) + \
-            sum(1 for a in loops if a.src == v)
-        if valency <= 1:
-            ends.append(v)
-    return ctype, tuple(ends)
+    return ctype, tuple(v for v in cv if valency[v] <= 1)
 
 
 @dataclass
@@ -344,10 +338,6 @@ class ComponentReport:
     plus: list[PlusComponent]
     full: list[FullComponent]
     real_to_long: dict[int, int]
-
-
-def _colored(cv, colors) -> bool:
-    return any(v in colors for v in cv)
 
 
 def ray_real(q: PolarizedQuiver, hx: Winding, hy: Winding, v) -> bool:
@@ -375,42 +365,33 @@ def ray_long(q: PolarizedQuiver, hx: Winding, hy: Winding, v) -> bool:
 def classify_components(g: HomGraph) -> ComponentReport:
     """Flags per component, with the ray characterizations of real and long
     re-derived at a sample vertex of each component."""
-    plus_arrows = [a for a in g.arrows if a.family == PLUS]
-    po_arrows = [a for a in g.arrows if a.family in (PLUS, CIRC)]
-    rank = {id(a): k for k, a in enumerate(sorted(g.arrows, key=repr))}
-    comps_plus = _components(g.vertices, plus_arrows, rank)
-    comps_po = _components(g.vertices, po_arrows, rank)
-    comps_full = _components(g.vertices, g.arrows, rank)
-    po_of = {}
-    full_of = {}
-    for ci, (cv, _) in enumerate(comps_po):
-        for v in cv:
-            po_of[v] = ci
-    for ci, (cv, _) in enumerate(comps_full):
-        for v in cv:
-            full_of[v] = ci
+    comps_plus = _components(g.vertices, [a for a in g.arrows if a.family == PLUS])
+    comps_po = _components(g.vertices, [a for a in g.arrows if a.family in (PLUS, CIRC)])
+    comps_full = _components(g.vertices, g.arrows)
+    po_of = {v: cv for cv, _ in comps_po for v in cv}
+    full_of = {v: fi for fi, (cv, _) in enumerate(comps_full) for v in cv}
+    not_h = g.red.keys() | g.orange
+    not_dual_h = g.blue.keys() | g.cyan
+    not_real, not_dual_real = not_h | g.purple, not_dual_h | g.teal
 
     q, hx, hy = g.q, g.hx, g.hy
     plus_out = []
     for cv, ca in comps_plus:
         ctype, ends = _component_type(cv, ca)
-        po_cv = comps_po[po_of[cv[0]]][0]
-        is_real = not (_colored(cv, g.red) or _colored(cv, g.orange)
-                       or _colored(cv, g.purple))
-        is_dual_real = not (_colored(cv, g.blue) or _colored(cv, g.cyan)
-                            or _colored(cv, g.teal))
-        is_h = not _colored(po_cv, g.red) and not _colored(po_cv, g.orange)
-        is_dual_h = not _colored(po_cv, g.blue) and not _colored(po_cv, g.cyan)
+        is_real = not_real.isdisjoint(cv)
+        is_dual_real = not_dual_real.isdisjoint(cv)
         interior = not any(g.is_boundary(v) for v in ends)
         if ray_real(q, hx, hy, cv[0]) != is_real:
             raise TheoremViolation(f"real h-line characterization differs at {cv[0]}")
+        po = po_of[cv[0]]
         plus_out.append(PlusComponent(cv, ca, ctype, ends, is_real, is_dual_real,
-                                      is_h, is_dual_h, is_real and interior,
-                                      is_dual_real and interior, full_of[cv[0]]))
+                                      not_h.isdisjoint(po), not_dual_h.isdisjoint(po),
+                                      is_real and interior, is_dual_real and interior,
+                                      full_of[cv[0]]))
     full_out = []
     for cv, ca in comps_full:
         ctype, ends = _component_type(cv, ca)
-        is_long = not _colored(cv, g.red)
+        is_long = g.red.keys().isdisjoint(cv)
         if ray_long(q, hx, hy, cv[0]) != is_long:
             raise TheoremViolation(f"long h-line characterization differs at {cv[0]}")
         full_out.append(FullComponent(cv, ca, ctype, ends, is_long))
@@ -427,10 +408,10 @@ def generalized_diagonal(g: HomGraph, comp: PlusComponent) -> bool:
                for (j, i) in comp.vertices)
 
 
-def real_long_bijection(g: HomGraph, report: ComponentReport | None = None):
-    """Pair each real h-line with its enclosing long h-line; the pairing must
-    be a type-preserving bijection, else the structure theorem failed."""
-    report = report or classify_components(g)
+def real_long_bijection(g: HomGraph, report: ComponentReport):
+    """Pair each real h-line of g's report with its enclosing long h-line;
+    the pairing must be a type-preserving bijection, else the structure
+    theorem failed."""
     longs = [fi for fi, c in enumerate(report.full) if c.long]
     pairs = {}
     for pi, fi in report.real_to_long.items():
@@ -472,17 +453,15 @@ def _check_property_s(g: HomGraph, comp: PlusComponent) -> bool:
     return True
 
 
-def triples(q: PolarizedQuiver, x: AdmWord, y: AdmWord,
-            report: ComponentReport | None = None,
-            g: HomGraph | None = None) -> list[PlusComponent]:
+def triples(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> list[PlusComponent]:
     """H-triples, realized as the real h-lines (a vertex (j, i) projects to
     j in y and to i in x).
 
     Properties (q) and (s) are checked explicitly on every endpoint; their
     failure would contradict the triple/real-h-line correspondence.
     """
-    g = g or build_HQ(q, x, y)
-    report = report or classify_components(g)
+    g = build_HQ(q, x, y)
+    report = classify_components(g)
     out = []
     for comp in report.plus:
         if not comp.real:
@@ -680,13 +659,6 @@ def kiss_types(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[str, ...]:
     return tuple(t for t, _ in kiss_sites(q, x, y)[0])
 
 
-def _count_types(types) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for t in types:
-        counts[t] = counts.get(t, 0) + 1
-    return counts
-
-
 def kiss_transport(q: PolarizedQuiver, fr: Fringing, x: AdmWord,
                    y: AdmWord) -> dict[str, int]:
     """Count kisses between the fringed translates, by type.
@@ -694,13 +666,13 @@ def kiss_transport(q: PolarizedQuiver, fr: Fringing, x: AdmWord,
     When y is not projective the counts must agree with the real h-lines
     towards the plain translate of y; a mismatch is a theorem violation.
     """
-    counts = _count_types(kiss_types(fr.extended, tau_f(fr, x), tau_f(fr, y)))
+    counts = Counter(kiss_types(fr.extended, tau_f(fr, x), tau_f(fr, y)))
     if is_projective_adm(q, y):
         if counts:
             raise TheoremViolation("kisses against a projective translate")
         return counts
     rep2 = classify_components(build_HQ(q, x, tau_adm(q, y)))
-    by_type2 = _count_types(c.ctype for c in rep2.plus if c.real)
+    by_type2 = Counter(c.ctype for c in rep2.plus if c.real)
     if by_type2 != counts:
         raise TheoremViolation(
             f"kiss transport mismatch: {counts} vs h-triples {by_type2}")

@@ -185,29 +185,29 @@ def e_comb(q: PolarizedQuiver, fr: Fringing, xs: tuple[AdmWord, Tag],
     return tot
 
 
-def proper_sets(q: PolarizedQuiver, fr: Fringing, x: AdmWord):
+def proper_sets(fr: Fringing, x: AdmWord):
     """(A+, A-, D+, D-) per base vertex on the fringed translate blueprint."""
     h = build_H(fr.extended, tau_f(fr, x))
+    outs = dict.fromkeys(h.vertices, 0)
+    ins = dict.fromkeys(h.vertices, 0)
+    for e in h.edges:
+        outs[e.src] += 1
+        ins[e.tgt] += 1
     a_plus: dict[str, int] = {}
     a_minus: dict[str, int] = {}
     d_plus: dict[str, list[int]] = {}
     d_minus: dict[str, list[int]] = {}
     for v in h.vertices:
         lab = h.vlabel[v]
-        outs = sum(1 for e in h.edges if e.src == v)
-        ins = sum(1 for e in h.edges if e.tgt == v)
-        if outs == 2:
+        if outs[v] == 2:
             a_plus[lab] = a_plus.get(lab, 0) + 1
-        if ins == 2:
+        if ins[v] == 2:
             a_minus[lab] = a_minus.get(lab, 0) + 1
     for l in h.loops:
-        lab = q.by_name[l.image].source if l.image in q.by_name else \
-            fr.extended.by_name[l.image].source
-        ins = sum(1 for e in h.edges if e.tgt == l.vertex)
-        outs = sum(1 for e in h.edges if e.src == l.vertex)
-        if ins == 0:
+        lab = fr.extended.by_name[l.image].source
+        if ins[l.vertex] == 0:
             d_plus.setdefault(lab, []).append(l.key)
-        if outs == 0:
+        if outs[l.vertex] == 0:
             d_minus.setdefault(lab, []).append(l.key)
     return a_plus, a_minus, d_plus, d_minus
 
@@ -216,7 +216,7 @@ def g_comb(q: PolarizedQuiver, fr: Fringing, x: AdmWord, s: Tag) -> dict:
     """Combinatorial g-vector over the split vertices; sources count
     positively, matching the worked examples."""
     check_tag(x, s)
-    a_plus, a_minus, d_plus, d_minus = proper_sets(q, fr, x)
+    a_plus, a_minus, d_plus, d_minus = proper_sets(fr, x)
     out = {}
     for (v, rho) in tilde_vertices(q):
         val = (a_plus.get(v, 0) - a_minus.get(v, 0)) * wt(s)

@@ -77,14 +77,23 @@ def test_selftest_dual_route_mismatch(monkeypatch, capsys):
 
 
 def test_selftest_kiss_dual_route_mismatch(monkeypatch, capsys):
-    route = sga.cli.kiss_types
+    """A kiss added to either half of ``kiss_sites`` fails the selftest,
+    which names the ordered pair of that half."""
+    route = sga.cli.kiss_sites
+    for half in (0, 1):
+        perturbed = []
 
-    def one_more(q, u, v):
-        return route(q, u, v) + ("A",)
+        def one_more(q, u, v):
+            halves = list(route(q, u, v))
+            if u != v:
+                perturbed.append((v, u) if half else (u, v))
+                halves[half] += (("A", (0, 0)),)
+            return tuple(halves)
 
-    monkeypatch.setattr(sga.cli, "kiss_types", one_more)
-    assert main(["selftest", EX1, "--max-len", "4"]) == 4
-    assert "KISS DUAL-ROUTE MISMATCH" in capsys.readouterr().err
+        monkeypatch.setattr(sga.cli, "kiss_sites", one_more)
+        assert main(["selftest", EX1, "--max-len", "4"]) == 4
+        a, b = perturbed[0]
+        assert f"KISS DUAL-ROUTE MISMATCH {a} {b}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["components", "adm", "selftest"])
