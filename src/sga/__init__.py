@@ -15,9 +15,9 @@ from .homgraph import (HomGraph, Winding, build_H, build_HQ,
 from .invariants import (e_comb, enumerate_components, g_comb, is_tau_generic,
                          kiss_census, simplified_check, tags_for)
 
-# The GF(p) oracle (repmod, on gf) is the only part that needs numpy, so it
-# loads on first access to one of these names (PEP 562) and the word
-# combinatorics never import it.
+# The GF(p) oracle (repmod, on gf) loads on first access to one of these
+# names (PEP 562), so the word-level commands never pay for compiling and
+# importing it on a cold start.
 _ORACLE_MODULES = ("gf", "repmod")
 _ORACLE = ("AxModule", "E_oracle", "Rep", "build_module", "g_oracle",
            "hom_basis_oracle", "hom_basis_structured", "hom_dim_formula",

@@ -1,26 +1,30 @@
-"""Exact linear algebra over GF(p) for an odd prime p.
+"""Exact linear algebra over GF(p) for an odd prime p, in Python integers.
 
-Matrices are numpy int64 arrays with entries reduced mod p. Two exact
-kernels eliminate:
+A matrix is a tuple of rows, one per row index. A row is a tuple of
+``(column, value)`` pairs with increasing columns and values in 1..p-1, so
+a zero row is ``()``. The number of columns is not stored: the owner of a
+matrix knows it (an ``AxModule``'s ``dim``, a ``Rep``'s ``dims``). Such
+matrices are canonical, so they compare with ``==`` and hash as tuples.
 
-- ``rank`` runs an online elimination in Python integers over sparse rows
-  (``dict`` column -> value), so the small, structurally sparse intertwiner
-  systems of the Hom oracle cost only their nonzeros; a dense matrix is
-  turned into such rows first. It works on a plain copy of each row and
-  reduces an entry mod p only when the entry comes up as a pivot candidate.
-- ``rref`` is a Python loop over columns with numpy row arithmetic; it
-  serves ``nullspace`` and ``inv``, whose dense systems it handles faster.
+One online elimination (``_echelon``) serves ``rank``, ``nullspace``,
+``inv`` and ``is_invertible``. Besides canonical matrices it accepts the
+equation rows of the Hom systems: each row a dict column -> integer or a
+sequence of (column, integer) pairs, with any residue. It works on a copy
+of each row and reduces an entry mod p only when the entry comes up as a
+pivot candidate, so a sparse system costs only its nonzeros.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import SgaError
 
+Row = tuple[tuple[int, int], ...]
+Matrix = tuple[Row, ...]
 
-# Fields must be smaller than this: a product of two reduced entries is then
-# below 2^40, so int64 matrix products and eliminations cannot overflow.
+# Fields must be smaller than this. Python integers cannot overflow, but
+# check_prime tests primality by trial division, about 1000 divisions below
+# the bound and without limit above it, so `--field` keeps refusing larger
+# values (exit 3) instead of hanging on a huge one.
 MAX_FIELD = 1 << 20
 
 
@@ -33,66 +37,48 @@ def check_prime(p: int) -> None:
         raise SgaError(f"field size must be an odd prime, got {p}")
 
 
-def mat(rows, p: int) -> np.ndarray:
-    return np.array(rows, dtype=np.int64) % p
+def matrix(rows, p: int) -> Matrix:
+    """The canonical matrix whose rows are given as dicts column -> integer
+    (any residue)."""
+    return tuple(tuple((c, w) for c, v in sorted(row.items()) if (w := v % p))
+                 if row else () for row in rows)
 
 
-def eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
+def transpose(a: Matrix, ncols: int) -> Matrix:
+    cols: list[list] = [[] for _ in range(ncols)]
+    for i, row in enumerate(a):
+        for j, v in row:
+            cols[j].append((i, v))
+    return tuple(map(tuple, cols))
 
 
-def zeros(r: int, c: int) -> np.ndarray:
-    return np.zeros((r, c), dtype=np.int64)
+def neg(a: Matrix, p: int) -> Matrix:
+    return tuple(tuple((c, p - v) for c, v in row) for row in a)
 
 
-def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
-
-
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns."""
-    m = a.copy() % p
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = nz[0] + r
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        other = np.nonzero(m[:, c])[0]
-        for rr in other:
-            if rr != r:
-                m[rr] = (m[rr] - m[rr, c] * m[r]) % p
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
-def rank(a: np.ndarray | list[dict[int, int]], p: int) -> int:
-    """Rank of a matrix given as an ndarray or as sparse rows (column ->
-    integer value, reduced mod p or not); the rows are not modified.
-
-    Online elimination: each row is reduced by the stored pivot row of its
-    least column until it vanishes or opens a new pivot. Entries are
-    reduced lazily: the least column's entry is taken mod p when it is
-    popped, and skipped if that is 0. A stored row is normalised to a
-    leading 1, which is left implicit, and keeps only the nonzero columns
-    after its pivot, so every reduction raises the least column.
-    """
-    if isinstance(a, np.ndarray):
-        dense = a % p
-        rs, cs = np.nonzero(dense)
-        a = [{} for _ in range(dense.shape[0])]
-        for r, c, v in zip(rs.tolist(), cs.tolist(), dense[rs, cs].tolist()):
-            a[r][c] = v
-    pivots: dict[int, dict[int, int]] = {}
+def mul(a: Matrix, b: Matrix, p: int) -> Matrix:
+    out = []
     for row in a:
+        acc: dict[int, int] = {}
+        for k, v in row:
+            for c, w in b[k]:
+                acc[c] = acc.get(c, 0) + v * w
+        out.append(acc)
+    return matrix(out, p)
+
+
+def _echelon(rows, p: int) -> dict[int, dict[int, int]]:
+    """An echelon basis of the row span: pivot column -> the rest of its row,
+    normalised to a leading 1 (left implicit) and holding only the nonzero
+    columns after the pivot.
+
+    Each row is reduced by the stored row of its least column until it
+    vanishes or opens a new pivot; the least column's entry is taken mod p
+    when it is popped, and skipped if that is 0. Rows with no entries are
+    skipped without a copy; the given rows are not modified.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
         if not row:
             continue
         row = dict(row)
@@ -108,50 +94,55 @@ def rank(a: np.ndarray | list[dict[int, int]], p: int) -> int:
                 break
             for cc, v in tail.items():
                 row[cc] = row.get(cc, 0) - f * v
-    return len(pivots)
+    return pivots
 
 
-def nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right nullspace as rows of the returned matrix."""
-    rows, cols = a.shape
-    if cols == 0:
-        return zeros(0, 0)
-    if rows == 0:
-        return eye(cols)
-    r, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = zeros(len(free), cols)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-r[i, c]) % p
-    return basis
+def _reduced(rows, p: int) -> dict[int, dict[int, int]]:
+    """``_echelon`` back-substituted into reduced row echelon form: no
+    stored row holds another pivot's column."""
+    pivots = _echelon(rows, p)
+    for c in sorted(pivots, reverse=True):
+        tail = pivots[c]
+        for cc in [cc for cc in tail if cc in pivots]:
+            f = tail.pop(cc)
+            for k, v in pivots[cc].items():
+                tail[k] = (tail.get(k, 0) - f * v) % p
+        pivots[c] = {k: v for k, v in tail.items() if v}
+    return pivots
 
 
-def inv(a: np.ndarray, p: int) -> np.ndarray:
-    n = a.shape[0]
-    aug = np.concatenate([a % p, eye(n)], axis=1)
-    r, pivots = rref(aug, p)
-    if pivots[:n] != list(range(n)):
+def rank(rows, p: int) -> int:
+    return len(_echelon(rows, p))
+
+
+def nullspace(rows, ncols: int, p: int) -> Matrix:
+    """Basis of the right nullspace of a matrix with ``ncols`` columns: one
+    vector per free column of its reduced row echelon form, in increasing
+    order, with 1 at that column."""
+    pivots = _reduced(rows, p)
+    vecs = {f: [(f, 1)] for f in range(ncols) if f not in pivots}
+    for c, tail in pivots.items():
+        for f, v in tail.items():
+            vecs[f].append((c, p - v))
+    return tuple(tuple(sorted(v)) for v in vecs.values())
+
+
+def inv(a: Matrix, p: int) -> Matrix:
+    """Inverse of a square matrix, by reducing (a | I)."""
+    n = len(a)
+    pivots = _reduced([row + ((n + i, 1),) for i, row in enumerate(a)], p)
+    if any(c not in pivots for c in range(n)):
         raise SgaError("matrix is singular")
-    return r[:, n:]
+    return tuple(tuple(sorted((c - n, v) for c, v in pivots[i].items()))
+                 for i in range(n))
 
 
-def kron(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Kronecker product of two matrices as one broadcast product; entries
-    reduced mod p stay below 2^40, so int64 is exact."""
-    (m, n), (r, s) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * r, n * s) % p
+def is_invertible(a: Matrix, p: int) -> bool:
+    """Whether a square matrix is invertible."""
+    return rank(a, p) == len(a)
 
 
-def jordan_block(m: int, t: int, p: int) -> np.ndarray:
+def jordan_block(m: int, t: int, p: int) -> Matrix:
     """Lower-triangular Jordan block (ones below the diagonal), the
     convention under which the binomial involution conjugates J to J^-1."""
-    j = (np.eye(m, dtype=np.int64) * (t % p)) % p
-    for i in range(m - 1):
-        j[i + 1, i] = 1
-    return j
-
-
-def is_invertible(a: np.ndarray, p: int) -> bool:
-    return a.shape[0] == a.shape[1] and rank(a, p) == a.shape[0]
+    return matrix([{i - 1: 1, i: t} if i else {0: t} for i in range(m)], p)

@@ -198,10 +198,6 @@ class HomGraph:
     cyan: set[tuple[int, int]]
     teal: set[tuple[int, int]]
 
-    def val(self, v: tuple[int, int]) -> int:
-        return sum(1 for a in self.arrows if v in (a.src, a.tgt) and not a.is_loop) \
-            + sum(1 for a in self.arrows if a.is_loop and a.src == v)
-
     def is_boundary(self, v: tuple[int, int]) -> bool:
         j, i = v
         return self.hy.is_boundary(j) or self.hx.is_boundary(i)

@@ -296,7 +296,8 @@ def c_set(x: AdmWord, s: Tag, p: int) -> list:
         if s == DSTAR:
             return [repmod.module_Vt(1, t, p) for t in range(2, p - 1)]
         return [repmod.AxModule(f"W1({s[0]},{s[1]})", 1, p,
-                                T=gf.mat([[s[1]]], p), S=gf.mat([[s[0]]], p))]
+                                T=gf.matrix([{0: s[1]}], p),
+                                S=gf.matrix([{0: s[0]}], p))]
     return [repmod.module_Vband(1, t, p) for t in range(1, p)]
 
 

@@ -11,24 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from . import gf
 from .admissible import AdmWord, is_projective_adm, tau_adm
 from .errors import SgaError, TheoremViolation
+from .gf import Matrix
 from .homgraph import CROSS, PLUS, HomGraph, build_H, build_HQ, classify_components
 from .quiver import PolarizedQuiver, tilde_vertices
 from .words import ORD
 
 
-def _matrix_key(m: np.ndarray | None):
-    return None if m is None else (m.dtype.str, m.shape, m.tobytes())
-
-
 @dataclass(frozen=True, eq=False)
 class AxModule:
     """A module over the letter-type algebra of a word: k, k[T]/(T^2-1),
-    the dihedral algebra, or k[T,T^-1], given by generator matrices.
+    the dihedral algebra, or k[T,T^-1], given by generator matrices
+    (``gf`` matrices, ``dim`` x ``dim``).
 
     Equal and hashed by content (``key``). The key and the inverses of T
     and S are computed once per instance, on first use.
@@ -36,14 +32,13 @@ class AxModule:
     label: str
     dim: int
     p: int
-    T: np.ndarray | None = None
-    S: np.ndarray | None = None
+    T: Matrix | None = None
+    S: Matrix | None = None
 
     @cached_property
     def key(self) -> tuple:
-        """Label, size, field, and dtype, shape and bytes of T and S;
-        computed once per instance."""
-        return (self.label, self.dim, self.p, _matrix_key(self.T), _matrix_key(self.S))
+        """Label, size, field and the matrices; computed once per instance."""
+        return (self.label, self.dim, self.p, self.T, self.S)
 
     def __eq__(self, other):
         if not isinstance(other, AxModule):
@@ -54,14 +49,14 @@ class AxModule:
         return hash(self.key)
 
     @cached_property
-    def _T_inv(self) -> np.ndarray:
+    def _T_inv(self) -> Matrix:
         return gf.inv(self.act("T"), self.p)
 
     @cached_property
-    def _S_inv(self) -> np.ndarray:
+    def _S_inv(self) -> Matrix:
         return gf.inv(self.act("S"), self.p)
 
-    def act(self, gen: str) -> np.ndarray | None:
+    def act(self, gen: str) -> Matrix | None:
         """Matrix of a generator; None for the unit "1" (the identity)."""
         if gen == "1":
             return None
@@ -74,7 +69,7 @@ class AxModule:
             raise SgaError(f"generator {gen} does not act on {self.label}")
         return m
 
-    def act_inv(self, gen: str) -> np.ndarray | None:
+    def act_inv(self, gen: str) -> Matrix | None:
         """Inverse of ``act(gen)``; None for the unit."""
         if gen == "T-":
             return self.act("T")
@@ -85,12 +80,16 @@ class AxModule:
         return self.act(gen)
 
 
+def _is_identity(a: Matrix) -> bool:
+    return all(row == ((i, 1),) for i, row in enumerate(a))
+
+
 def module_k(p: int) -> AxModule:
     return AxModule("Vo", 1, p)
 
 
 def module_V(sign: int, p: int) -> AxModule:
-    return AxModule("V+" if sign > 0 else "V-", 1, p, T=gf.mat([[sign]], p))
+    return AxModule("V+" if sign > 0 else "V-", 1, p, T=gf.matrix([{0: sign}], p))
 
 
 def module_Vband(m: int, t: int, p: int) -> AxModule:
@@ -99,14 +98,11 @@ def module_Vband(m: int, t: int, p: int) -> AxModule:
     return AxModule(f"V({m},{t % p})", m, p, T=gf.jordan_block(m, t, p))
 
 
-def s_tilde(m: int, sign: int, p: int) -> np.ndarray:
+def s_tilde(m: int, sign: int, p: int) -> Matrix:
     """Lower-triangular binomial involution conjugating J_m(sign) to its inverse."""
-    out = gf.zeros(m, m)
     from math import comb
-    for i in range(1, m + 1):
-        for j in range(1, i + 1):
-            out[i - 1, j - 1] = ((-1) ** (i + 1)) * (sign ** (i + j)) * comb(i, j)
-    return out % p
+    return gf.matrix([{j - 1: (-1) ** (i + 1) * sign ** (i + j) * comb(i, j)
+                       for j in range(1, i + 1)} for i in range(1, m + 1)], p)
 
 
 def module_W(m: int, sign: int, p: int, chi: bool = False) -> AxModule:
@@ -114,7 +110,7 @@ def module_W(m: int, sign: int, p: int, chi: bool = False) -> AxModule:
     S = gf.mul(st, gf.jordan_block(m, sign, p), p)
     T = st
     if chi:
-        S, T = (-S) % p, (-T) % p
+        S, T = gf.neg(S, p), gf.neg(T, p)
     name = f"W({m},{'+' if sign > 0 else '-'})"
     if chi:
         name = "Wchi" + name[1:]
@@ -125,13 +121,8 @@ def module_Vt(m: int, s: int, p: int) -> AxModule:
     if s % p in (0, 1, p - 1):
         raise SgaError("parameter must avoid 0 and +-1")
     j = gf.jordan_block(m, s, p)
-    ji = gf.inv(j, p)
-    S = gf.zeros(2 * m, 2 * m)
-    S[:m, m:] = j
-    S[m:, :m] = ji
-    T = gf.zeros(2 * m, 2 * m)
-    T[:m, m:] = gf.eye(m)
-    T[m:, :m] = gf.eye(m)
+    S = tuple(tuple((c + m, v) for c, v in row) for row in j) + gf.inv(j, p)
+    T = tuple(((i + m, 1),) for i in range(m)) + tuple(((i, 1),) for i in range(m))
     return AxModule(f"Vt({m},{s % p})", 2 * m, p, T=T, S=S)
 
 
@@ -161,15 +152,23 @@ def chi_twist(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> AxModule:
     special letters the parameter changes sign, otherwise nothing moves."""
     if x.wtype == "uu":
         return X
+    p = X.p
     if x.wtype in ("up", "pu"):
-        return AxModule(X.label + "^chi", X.dim, X.p, T=(-X.T) % X.p)
+        return AxModule(X.label + "^chi", X.dim, p, T=gf.neg(X.T, p))
     if x.wtype == "pp":
-        return AxModule(X.label + "^chi", X.dim, X.p, T=(-X.T) % X.p,
-                        S=(-X.S) % X.p)
+        return AxModule(X.label + "^chi", X.dim, p, T=gf.neg(X.T, p),
+                        S=gf.neg(X.S, p))
     odd = sum(1 for l in x.letters if q.by_name[l.name].special) % 2
     if odd:
-        return AxModule(X.label + "^chi", X.dim, X.p, T=(-X.T) % X.p)
+        return AxModule(X.label + "^chi", X.dim, p, T=gf.neg(X.T, p))
     return X
+
+
+def translate_twist(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> AxModule:
+    """The module that goes with the translate of x: X itself on a band,
+    whose translate carries the same parameter, and the sign twist
+    ``chi_twist`` on a string."""
+    return X if x.wtype == "b" else chi_twist(q, x, X)
 
 
 def iota_twist(x: AdmWord, X: AxModule) -> AxModule:
@@ -190,7 +189,7 @@ def module_matches(word_type: str, X: AxModule) -> bool:
         return X.T is None and X.S is None
     if word_type in ("up", "pu"):
         return X.T is not None and X.S is None and \
-            np.array_equal(gf.mul(X.T, X.T, X.p), gf.eye(X.dim))
+            _is_identity(gf.mul(X.T, X.T, X.p))
     if word_type == "pp":
         return X.T is not None and X.S is not None
     return X.T is not None and X.S is None and gf.is_invertible(X.T, X.p)
@@ -216,34 +215,33 @@ def unit_of(x: AdmWord, part: tuple[str, int | None]) -> str:
 
 @dataclass(frozen=True)
 class Rep:
+    """A representation of q over GF(p): a space of dimension ``dims[v]`` at
+    each vertex and a ``gf`` matrix, ``dims[target]`` x ``dims[source]``,
+    for each arrow."""
     q: PolarizedQuiver
     p: int
     dims: dict[str, int]
-    mats: dict[str, np.ndarray]
+    mats: dict[str, Matrix]
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
     @cached_property
-    def arrow_tables(self) -> dict[str, tuple[list, list]]:
+    def arrow_tables(self) -> dict[str, tuple[Matrix, Matrix]]:
         """Per arrow a, the nonzeros of M(a) as the intertwiner system reads
-        them: ``cols[j]`` lists (k, M(a)[k, j]) and ``neg_rows[i]`` lists
-        (k, -M(a)[i, k] mod p). Built once per ``Rep``, on first use."""
-        p = self.p
-        out = {}
-        for name, m in self.mats.items():
-            cols = [[(k, v % p) for k, v in enumerate(col) if v % p]
-                    for col in m.T.tolist()]
-            neg_rows = [[(k, -v % p) for k, v in enumerate(row) if v % p]
-                        for row in m.tolist()]
-            out[name] = cols, neg_rows
-        return out
+        them: ``cols[j]`` holds the pairs (k, M(a)[k, j]) and ``neg_rows[i]``
+        the pairs (k, -M(a)[i, k] mod p). Built once per ``Rep``, on first use."""
+        p, dims = self.p, self.dims
+        return {a.name: (gf.transpose(self.mats[a.name], dims[a.source]),
+                         gf.neg(self.mats[a.name], p))
+                for a in self.q.arrows}
 
     def dim_vector(self) -> dict[tuple[str, str], int]:
         """Dimension vector over the split vertices.
 
         The split idempotents at a special vertex are (1 +- eps)/2, so the
-        two split-vertex spaces are the +-1 eigenspaces of the loop action.
+        two split-vertex spaces are the +-1 eigenspaces of the loop action,
+        of dimension n - rank(eps - sign I).
         """
         out: dict[tuple[str, str], int] = {}
         for v in self.q.vertices:
@@ -251,8 +249,8 @@ class Rep:
                 eps = self.mats[self.q.special_loop_at(v).name]
                 n = self.dims[v]
                 for name, sign in (("-", -1), ("+", 1)):
-                    ker = gf.nullspace((eps - sign * gf.eye(n)) % self.p, self.p)
-                    out[(v, name)] = ker.shape[0]
+                    rows = _block_rows(((1, eps, None), (-sign, None, None)), n, 1)
+                    out[(v, name)] = n - gf.rank(rows, self.p)
             else:
                 out[(v, "o")] = self.dims[v]
         return out
@@ -262,13 +260,12 @@ def verify_relations(rep: Rep) -> None:
     q, p = rep.q, rep.p
     for e in q.special_arrows:
         m = rep.mats[e.name]
-        if not np.array_equal(gf.mul(m, m, p), gf.eye(rep.dims[e.source])):
+        if not _is_identity(gf.mul(m, m, p)):
             raise SgaError(f"special loop {e.name} does not square to identity")
     for a in q.ordinary_arrows:
         for b in q.ordinary_arrows:
             if a.s_slot == b.t_slot:
-                prod = gf.mul(rep.mats[a.name], rep.mats[b.name], p)
-                if np.any(prod):
+                if any(gf.mul(rep.mats[a.name], rep.mats[b.name], p)):
                     raise SgaError(f"relation {a.name}{b.name} violated")
 
 
@@ -279,7 +276,7 @@ def build_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
     Memoised in q's store ``modules``, keyed by the word and the module's
     label, size, field and matrices. The returned ``Rep`` is shared by every
     later call with that key: its fields cannot be reassigned and its
-    matrices are read-only, but its ``dims`` and ``mats`` dicts are plain
+    matrices are tuples, but its ``dims`` and ``mats`` dicts are plain
     dicts that callers must not modify (copy the ``Rep`` first, e.g. with
     ``copy.deepcopy``).
     """
@@ -291,37 +288,37 @@ def build_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
     return rep
 
 
+def _add_block(rows: list[dict], r: int, c: int, block: Matrix | None,
+               n: int = 0) -> None:
+    """Add a block (None: the n x n identity) at row r, column c of a matrix
+    under construction, given as dict rows."""
+    if block is None:
+        block = tuple(((i, 1),) for i in range(n))
+    for i, brow in enumerate(block):
+        row = rows[r + i]
+        for k, v in brow:
+            row[c + k] = row.get(c + k, 0) + v
+
+
 def _assemble_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
     if not module_matches(x.wtype, X):
         raise SgaError(f"module {X.label} does not live over {algebra_of(x.wtype)}")
-    p = X.p
+    p, n = X.p, X.dim
     h = build_H(q, x)
-    offset = {v: k * X.dim for vs in h.by_label.values() for k, v in enumerate(vs)}
-    dims = {a: len(h.by_label.get(a, ())) * X.dim for a in q.vertices}
-    mats: dict[str, np.ndarray] = {}
-    for arr in q.arrows:
-        mats[arr.name] = gf.zeros(dims[arr.target], dims[arr.source])
-
-    def add_block(name: str, vt: int, vs: int, block: np.ndarray | None) -> None:
-        if block is None:
-            block = gf.eye(X.dim)
-        r, c = offset[vt], offset[vs]
-        mats[name][r:r + X.dim, c:c + X.dim] = \
-            (mats[name][r:r + X.dim, c:c + X.dim] + block) % p
-
+    offset = {v: k * n for vs in h.by_label.values() for k, v in enumerate(vs)}
+    dims = {a: len(h.by_label.get(a, ())) * n for a in q.vertices}
+    rows = {arr.name: [{} for _ in range(dims[arr.target])] for arr in q.arrows}
     for e in h.edges:
         gen = unit_of(x, ("edge", e.idx))
-        add_block(e.image, e.tgt, e.src, X.act(gen))
+        _add_block(rows[e.image], offset[e.tgt], offset[e.src], X.act(gen), n)
         if q.by_name[e.image].special:
             # the inverse partner arrow of the doubled quiver
-            add_block(e.image, e.src, e.tgt, X.act_inv(gen))
+            _add_block(rows[e.image], offset[e.src], offset[e.tgt], X.act_inv(gen), n)
     for l in h.loops:
         u = X.act(unit_of(x, ("loop", l.key)))
-        add_block(l.image, l.vertex, l.vertex, u)
-    rep = Rep(q, p, dims, mats)
+        _add_block(rows[l.image], offset[l.vertex], offset[l.vertex], u, n)
+    rep = Rep(q, p, dims, {name: gf.matrix(r, p) for name, r in rows.items()})
     verify_relations(rep)
-    for m in mats.values():
-        m.flags.writeable = False
     return rep
 
 
@@ -336,8 +333,7 @@ def simple_module(q: PolarizedQuiver, v: str, rho: str, p: int) -> Rep:
 
 
 def zero_module(q: PolarizedQuiver, p: int) -> Rep:
-    return Rep(q, p, {v: 0 for v in q.vertices},
-               {a.name: gf.zeros(0, 0) for a in q.arrows})
+    return Rep(q, p, {v: 0 for v in q.vertices}, {a.name: () for a in q.arrows})
 
 
 # -- brute-force Hom ------------------------------------------------------------
@@ -381,13 +377,14 @@ def hom_rows(M: Rep, N: Rep) -> tuple[list[dict[int, int]], dict[str, tuple[int,
     return rows, span
 
 
-def hom_system(M: Rep, N: Rep) -> tuple[np.ndarray, dict[str, tuple[int, int]]]:
-    """The system of ``hom_rows`` as a dense matrix, one row per equation."""
+def hom_system(M: Rep, N: Rep) -> tuple[list[list[int]], dict[str, tuple[int, int]]]:
+    """The system of ``hom_rows`` as a dense matrix, one list per equation."""
     rows, span = hom_rows(M, N)
-    out = gf.zeros(len(rows), sum(size for _, size in span.values()))
-    out[[r for r, row in enumerate(rows) for _ in row],
-        [c for row in rows for c in row]] = [v for row in rows for v in row.values()]
-    return out, span
+    dense = [[0] * sum(size for _, size in span.values()) for _ in rows]
+    for out, row in zip(dense, rows):
+        for c, v in row.items():
+            out[c] = v
+    return dense, span
 
 
 def hom_dim_oracle(M: Rep, N: Rep) -> int:
@@ -395,17 +392,22 @@ def hom_dim_oracle(M: Rep, N: Rep) -> int:
     return sum(size for _, size in span.values()) - gf.rank(rows, M.p)
 
 
-def hom_basis_oracle(M: Rep, N: Rep) -> list[dict[str, np.ndarray]]:
-    sys_mat, span = hom_system(M, N)
-    basis = gf.nullspace(sys_mat, M.p)
-    out = []
-    for row in basis:
-        f = {}
-        for v in M.q.vertices:
-            start, size = span[v]
-            f[v] = row[start:start + size].reshape(N.dims[v], M.dims[v])
-        out.append(f)
-    return out
+def _block(vec, start: int, nrows: int, ncols: int) -> Matrix:
+    """The nrows x ncols block stored row-major from column ``start`` of a
+    vector (a ``gf`` row)."""
+    rows: list[list] = [[] for _ in range(nrows)]
+    for c, v in vec:
+        if start <= c < start + nrows * ncols:
+            i, k = divmod(c - start, ncols)
+            rows[i].append((k, v))
+    return tuple(map(tuple, rows))
+
+
+def hom_basis_oracle(M: Rep, N: Rep) -> list[dict[str, Matrix]]:
+    rows, span = hom_rows(M, N)
+    basis = gf.nullspace(rows, sum(size for _, size in span.values()), M.p)
+    return [{v: _block(vec, span[v][0], N.dims[v], M.dims[v]) for v in M.q.vertices}
+            for vec in basis]
 
 
 # -- structured Hom along h-lines -------------------------------------------------
@@ -428,7 +430,7 @@ def _transfer(x: AdmWord, y: AdmWord, X: AxModule, Y: AxModule, arrow,
     return P, Q
 
 
-def _mul(a: np.ndarray | None, b: np.ndarray | None, p: int) -> np.ndarray | None:
+def _mul(a: Matrix | None, b: Matrix | None, p: int) -> Matrix | None:
     """Product over GF(p), where None is the identity."""
     if a is None:
         return b
@@ -437,36 +439,34 @@ def _mul(a: np.ndarray | None, b: np.ndarray | None, p: int) -> np.ndarray | Non
     return gf.mul(a, b, p)
 
 
-def _t(a: np.ndarray | None) -> np.ndarray | None:
-    return None if a is None else a.T
-
-
-def _kron(a: np.ndarray | None, b: np.ndarray | None, m: int, n: int,
-          p: int) -> np.ndarray:
-    """Kronecker product over GF(p) of an m x m matrix a and an n x n matrix
-    b, where None is the identity; no identity matrix is built."""
-    if a is not None and b is not None:
-        return gf.kron(a, b, p)
-    out = gf.zeros(m * n, m * n)
-    blocks = out.reshape(m, n, m, n)        # blocks[i, k, j, l] = a[i, j] b[k, l]
-    if a is None and b is None:
-        np.fill_diagonal(out, 1)
-    elif a is None:
-        i = np.arange(m)
-        blocks[i, :, i, :] = b
-    else:
-        k = np.arange(n)
-        blocks[:, k, :, k] = a
-    return out
+def _block_rows(terms, m: int, n: int) -> list[dict[int, int]]:
+    """Equation rows of sum c P f Q = 0 over the terms (c, P, Q), on the
+    row-major entries of an m x n block f: one row per entry (i, l) of the
+    sum, with c P[i, j] Q[k, l] at the column j n + k of f[j, k]. A None
+    factor is the identity; values are left unreduced."""
+    unit = [((i, 1),) for i in range(max(m, n))]
+    terms = [(c, unit if P is None else P, unit if Q is None else gf.transpose(Q, n))
+             for c, P, Q in terms]
+    rows = []
+    for i in range(m):
+        for l in range(n):
+            row: dict[int, int] = {}
+            for c, P, Qt in terms:
+                for j, a in P[i]:
+                    for k, b in Qt[l]:
+                        col = j * n + k
+                        row[col] = row.get(col, 0) + c * a * b
+            rows.append(row)
+    return rows
 
 
 def _component_base_space(x, y, X, Y, comp, p):
     """Propagate along a spanning tree; each non-tree arrow closes a cycle
     and contributes a linear constraint on the base block.
 
-    Returns the constraints on the row-major entries of the base block, one
-    row per equation (none: a 0-row matrix), and the transfer (P, Q) of each
-    vertex, with f_v = P f_base Q and None for an identity factor.
+    Returns the constraints on the row-major entries of the base block
+    (``_block_rows``), and the transfer (P, Q) of each vertex, with
+    f_v = P f_base Q and None for an identity factor.
     """
     transfer = {comp.vertices[0]: (None, None)}
     pending = list(comp.arrows)
@@ -491,10 +491,9 @@ def _component_base_space(x, y, X, Y, comp, p):
         if len(remaining) == len(pending):
             raise SgaError("disconnected component data")
         pending = remaining
-    m, n = Y.dim, X.dim
-    rows = [(_kron(P2, _t(Q2), m, n, p) - _kron(P1, _t(Q1), m, n, p)) % p
-            for P2, Q2, P1, Q1 in constraints if not (P2 is P1 and Q2 is Q1)]
-    return (np.concatenate(rows, axis=0) if rows else gf.zeros(0, m * n)), transfer
+    rows = [row for P2, Q2, P1, Q1 in constraints if not (P2 is P1 and Q2 is Q1)
+            for row in _block_rows(((1, P2, Q2), (-1, P1, Q1)), Y.dim, X.dim)]
+    return rows, transfer
 
 
 def hom_dim_formula(q: PolarizedQuiver, x: AdmWord, X: AxModule,
@@ -509,7 +508,7 @@ def hom_dim_formula(q: PolarizedQuiver, x: AdmWord, X: AxModule,
         if not comp.real:
             continue
         cons, _ = _component_base_space(x, y, X, Y, comp, X.p)
-        total += Y.dim * X.dim - (gf.rank(cons, X.p) if len(cons) else 0)
+        total += Y.dim * X.dim - (gf.rank(cons, X.p) if cons else 0)
     return total
 
 
@@ -531,34 +530,35 @@ def hom_basis_structured(q: PolarizedQuiver, x: AdmWord, X: AxModule,
         if not comp.long:
             continue
         cons, transfer = _component_base_space(x, y, X, Y, comp, p)
-        for row in gf.nullspace(cons, p):
-            f0 = row.reshape(Y.dim, X.dim)
-            f = {v: gf.zeros(N.dims[v], M.dims[v]) for v in q.vertices}
+        for vec in gf.nullspace(cons, Y.dim * X.dim, p):
+            f0 = _block(vec, 0, Y.dim, X.dim)
+            f = {v: [{} for _ in range(N.dims[v])] for v in q.vertices}
             for (j, i), (P, Q) in transfer.items():
-                block = _mul(_mul(P, f0, p), Q, p)
                 a = hx.vlabel[i]
                 r = hy.by_label[a].index(j) * Y.dim
                 c = hx.by_label[a].index(i) * X.dim
-                f[a][r:r + Y.dim, c:c + X.dim] = \
-                    (f[a][r:r + Y.dim, c:c + X.dim] + block) % p
-            out.append(f)
+                _add_block(f[a], r, c, _mul(_mul(P, f0, p), Q, p))
+            out.append({v: gf.matrix(rows, p) for v, rows in f.items()})
     _verify_basis(M, N, out)
     return out
 
 
 def _verify_basis(M: Rep, N: Rep, basis: list[dict]) -> None:
-    p = M.p
+    p, q = M.p, M.q
+    vecs = []
     for f in basis:
-        for a in M.q.arrows:
-            lhs = gf.mul(f[a.target], M.mats[a.name], p)
-            rhs = gf.mul(N.mats[a.name], f[a.source], p)
-            if not np.array_equal(lhs, rhs):
+        for a in q.arrows:
+            if gf.mul(f[a.target], M.mats[a.name], p) != \
+                    gf.mul(N.mats[a.name], f[a.source], p):
                 raise TheoremViolation("structured basis element not an intertwiner")
-    vecs = [np.concatenate([f[v].reshape(-1) for v in M.q.vertices]) for f in basis]
-    if vecs:
-        stack = np.stack(vecs)
-        if gf.rank(stack, p) != len(vecs):
-            raise TheoremViolation("structured basis not linearly independent")
+        vec, start = {}, 0          # the blocks' row-major entries, as hom_rows orders them
+        for v in q.vertices:
+            for i, row in enumerate(f[v]):
+                vec.update((start + i * M.dims[v] + k, w) for k, w in row)
+            start += N.dims[v] * M.dims[v]
+        vecs.append(vec)
+    if gf.rank(vecs, p) != len(vecs):
+        raise TheoremViolation("structured basis not linearly independent")
     if len(vecs) != hom_dim_oracle(M, N):
         raise TheoremViolation("structured basis does not span the Hom space")
 
@@ -571,13 +571,10 @@ def hom_dim_alg(X: AxModule, Y: AxModule, gens: tuple[str, ...], p: int,
     """dim of {f : f X(u) = Y(w) f} for the paired generator actions."""
     ux = ux or gens
     uy = uy or gens
-    rows = []
-    for gx, gy in zip(ux, uy):
-        a, b = Y.act(gy), X.act(gx)
-        rows.append((_kron(None, _t(b), Y.dim, X.dim, p)
-                     - _kron(a, None, Y.dim, X.dim, p)) % p)
-    m = np.concatenate(rows, axis=0)
-    return Y.dim * X.dim - gf.rank(m, p)
+    rows = [row for gx, gy in zip(ux, uy)
+            for row in _block_rows(((1, None, X.act(gx)), (-1, Y.act(gy), None)),
+                                   Y.dim, X.dim)]
+    return Y.dim * X.dim - gf.rank(rows, p)
 
 
 def E_formula(q: PolarizedQuiver, fr, x: AdmWord, X: AxModule,
@@ -589,7 +586,7 @@ def E_formula(q: PolarizedQuiver, fr, x: AdmWord, X: AxModule,
     census = census or kiss_census(q, fr, x, y)
     p = X.p
     tot = census.a_count * X.dim * Y.dim
-    Ychi = chi_twist(q, y, Y)
+    Ychi = translate_twist(q, y, Y)
     for (j, i) in census.p_set:
         tot += hom_dim_alg(X, Ychi, ("T",), p,
                            ux=(unit_of(x, ("loop", i)),),
@@ -597,14 +594,15 @@ def E_formula(q: PolarizedQuiver, fr, x: AdmWord, X: AxModule,
     if census.diag:
         Xp = X if census.diag == 1 else iota_twist(x, X)
         Yp = Y if census.diag == 1 else iota_twist(y, Y)
-        Xchi = chi_twist(q, x, X)
+        Xchi = translate_twist(q, x, X)
         gens = ("S", "T") if x.wtype == "pp" else ("T",)
         tot += hom_dim_alg(Xp, Ychi, gens, p) + hom_dim_alg(Yp, Xchi, gens, p)
     return tot
 
 
 def tau_module(q: PolarizedQuiver, x: AdmWord, X: AxModule):
-    """(tau x, X twisted); None marks the zero module for projectives.
+    """(tau x, ``translate_twist`` of X); None marks the zero module for
+    projectives.
 
     The word translate is memoised in q's store ``tau`` (None for
     projectives); the twist is applied on every call.
@@ -615,7 +613,7 @@ def tau_module(q: PolarizedQuiver, x: AdmWord, X: AxModule):
     tx = store[x]
     if tx is None:
         return None
-    return tx, chi_twist(q, x, X)
+    return tx, translate_twist(q, x, X)
 
 
 def E_oracle(q: PolarizedQuiver, x: AdmWord, X: AxModule,
@@ -668,8 +666,14 @@ def iso_witness(M: Rep, N: Rep):
             return f
     for _ in range(_ISO_TRIES):
         coeffs = [rng.randrange(p) for _ in basis]
-        f = {v: sum(c * b[v] for c, b in zip(coeffs, basis)) % p
-             for v in M.q.vertices}
+        f = {}
+        for v in M.q.vertices:
+            rows = [{} for _ in range(N.dims[v])]
+            for coeff, b in zip(coeffs, basis):
+                for row, brow in zip(rows, b[v]):
+                    for k, w in brow:
+                        row[k] = row.get(k, 0) + coeff * w
+            f[v] = gf.matrix(rows, p)
         if invertible(f):
             return f
     return None

@@ -1,7 +1,7 @@
-"""The GF(p) oracle (``sga.gf``, ``sga.repmod``, and numpy under them) loads
-only when something uses it: importing the package or the command line and
-running a word-level command leave it unloaded, while the package still
-offers every oracle name."""
+"""The GF(p) oracle (``sga.gf``, ``sga.repmod``) loads only when something
+uses it: importing the package or the command line and running a
+word-level command leave it unloaded, while the package still offers every
+oracle name. The oracle is pure Python: no command loads numpy."""
 
 import json
 import os
@@ -14,26 +14,32 @@ import sga
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 EX1 = os.path.join(ROOT, "tests", "data", "ex1.quiver")
-ORACLE = ("numpy", "sga.gf", "sga.repmod")
+ORACLE = ("sga.gf", "sga.repmod")
+WATCHED = ("numpy",) + ORACLE
+X, Y = "1(1,-)- g b e b- 1(3,+)", "1(2,-)- a 1(1,-)"
 
 _PROBE = """
 import contextlib, io, json, sys
 loaded = lambda: sorted(m for m in %r if m in sys.modules)
-seen = {}
+seen, rc = {}, {}
 import sga
 seen["import sga"] = loaded()
 import sga.cli
 seen["import sga.cli"] = loaded()
 out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    rc = sga.cli.main(["components", %r, "--max-len", "6"])
-seen["components"] = loaded()
-with contextlib.redirect_stdout(out):
-    rc_hom = sga.cli.main(["hom", %r, "--x", "1(1,-)- g b e b- 1(3,+)", "--X", "Vo",
-                           "--y", "1(2,-)- a 1(1,-)", "--Y", "V+"])
-seen["hom"] = loaded()
-print(json.dumps({"seen": seen, "rc": [rc, rc_hom], "out": out.getvalue()}))
-""" % (ORACLE, EX1, EX1)
+for name, argv in %r:
+    with contextlib.redirect_stdout(out):
+        rc[name] = sga.cli.main(argv)
+    seen[name] = loaded()
+print(json.dumps({"seen": seen, "rc": rc, "out": out.getvalue()}))
+""" % (WATCHED, [
+    ("components", ["components", EX1, "--max-len", "6"]),
+    ("einv tags", ["einv", EX1, "--x", X, "--y", Y, "--tag-x", "++", "--tag-y", "++"]),
+    ("hom", ["hom", EX1, "--x", X, "--X", "Vo", "--y", Y, "--Y", "V+"]),
+    ("einv modules", ["einv", EX1, "--x", X, "--y", Y, "--X", "Vo", "--Y", "V+"]),
+    ("gvec module", ["gvec", EX1, "--x", X, "--module", "Vo"]),
+    ("selftest", ["selftest", EX1, "--max-len", "4"]),
+])
 
 
 def test_word_commands_leave_the_oracle_unloaded():
@@ -42,12 +48,13 @@ def test_word_commands_leave_the_oracle_unloaded():
         [sys.executable, "-c", _PROBE], env=env, cwd=ROOT, capture_output=True,
         text=True, check=True).stdout)
     seen = res["seen"]
-    assert seen["import sga"] == []
-    assert seen["import sga.cli"] == []
-    assert seen["components"] == []
-    assert seen["hom"] == sorted(ORACLE)
-    assert res["rc"] == [0, 0]
-    assert res["out"].endswith("formula: 1\noracle: 1\n")
+    for step in ("import sga", "import sga.cli", "components", "einv tags"):
+        assert seen[step] == [], step
+    for step in ("hom", "einv modules", "gvec module", "selftest"):
+        assert seen[step] == sorted(ORACLE), step
+    assert set(res["rc"].values()) == {0}
+    assert "formula: 1\noracle: 1\n" in res["out"]
+    assert "oracle: (-1,1,1,0)\n" in res["out"]
 
 
 PUBLIC = [

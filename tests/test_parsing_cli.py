@@ -52,10 +52,10 @@ def test_parse_tag_and_module():
     with pytest.raises(ParseError):
         parse_tag("+*")
     m = parse_module("V(2,3)", 5)
-    assert m.dim == 2 and m.T[0, 0] == 3 and m.T[1, 0] == 1
+    assert m.dim == 2 and m.T == (((0, 3),), ((0, 1), (1, 3)))
     assert parse_module("Vo", 5).dim == 1
     assert parse_module("W(2,-)", 5).dim == 2
-    assert parse_module("Wchi(1,+)", 5).T[0, 0] == 4
+    assert parse_module("Wchi(1,+)", 5).T == (((0, 4),),)
     assert parse_module("Vt(1,2)", 5).dim == 2
 
 

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from sga import gf
 from sga.admissible import classify, doublebar_ray, enumerate_adm, hat_of, hat_ray
 from sga.cli import main
 from sga.homgraph import build_HQ, classify_components, generalized_diagonal
@@ -169,7 +170,7 @@ def _negate_special_loops(M):
     import copy
     out = copy.deepcopy(M)
     for a in M.q.special_arrows:
-        out.mats[a.name] = (-out.mats[a.name]) % M.p
+        out.mats[a.name] = gf.neg(out.mats[a.name], M.p)
     return out
 
 

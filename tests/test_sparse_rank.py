@@ -1,10 +1,11 @@
-"""The Hom oracle's sparse kernel against dense references.
+"""The GF(p) kernel and the Hom systems against dense references.
 
-``gf.rank`` eliminates sparse rows in Python integers and ``repmod.hom_rows``
-builds the intertwiner system by index arithmetic. Each is checked against
-an independent dense route: numpy ``gf.rref`` for the rank, and a Kronecker
-product builder (the textbook ``I (x) M(a)^T - N(a) (x) I`` blocks) for the
-system.
+``gf`` eliminates sparse rows in Python integers, and ``repmod.hom_rows``
+and ``repmod._block_rows`` build equation rows by index arithmetic. Each is
+checked against an independent dense route in numpy: ``rref`` below for
+``rank``, ``nullspace`` and ``inv``, the matrix product for ``mul``, and
+Kronecker products (the textbook ``I (x) M(a)^T - N(a) (x) I`` blocks) for
+the systems.
 """
 
 from pathlib import Path
@@ -16,10 +17,44 @@ from sga import gf
 from sga.admissible import enumerate_adm
 from sga.parsing import parse_quiver
 from sga.randquiver import random_skewed_gentle_quiver
-from sga.repmod import (build_module, hom_dim_oracle, hom_rows, hom_system,
-                        indecomposables_Ax, module_Vband)
+from sga.errors import SgaError
+from sga.repmod import (_block_rows, build_module, hom_dim_oracle, hom_rows,
+                        hom_system, indecomposables_Ax, module_Vband)
 
 DATA = Path(__file__).parent / "data"
+
+
+def rref(a, p):
+    """Reduced row echelon form of a dense matrix and its pivot columns."""
+    m = np.asarray(a, dtype=np.int64) % p
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = nz[0] + r
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
+        for rr in np.nonzero(m[:, c])[0]:
+            if rr != r:
+                m[rr] = (m[rr] - m[rr, c] * m[r]) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def dense(m, ncols):
+    """A gf matrix (or any sparse rows) as a dense int64 array."""
+    out = np.zeros((len(m), ncols), dtype=np.int64)
+    for i, row in enumerate(m):
+        for c, v in dict(row).items():
+            out[i, c] = v
+    return out
 
 
 def kron_system(M, N):
@@ -41,9 +76,9 @@ def kron_system(M, N):
         (t0, tn), (s0, sn) = span[t], span[s]
         if tn:
             block[:, t0:t0 + tn] = np.kron(np.eye(N.dims[t], dtype=np.int64),
-                                           M.mats[a.name].T)
+                                           dense(M.mats[a.name], M.dims[s]).T)
         if sn:
-            block[:, s0:s0 + sn] -= np.kron(N.mats[a.name],
+            block[:, s0:s0 + sn] -= np.kron(dense(N.mats[a.name], N.dims[s]),
                                             np.eye(M.dims[s], dtype=np.int64))
         blocks.append(block % p)
     if not blocks:
@@ -53,6 +88,10 @@ def kron_system(M, N):
 
 def sparse(a):
     return [{c: int(v) for c, v in enumerate(row) if v} for row in a]
+
+
+def canonical(a, p):
+    return gf.matrix(sparse(a), p)
 
 
 def random_matrices():
@@ -84,9 +123,71 @@ def test_rank_sparse_and_dense_equal_rref():
     cases = random_matrices()
     assert len(cases) >= 200
     for a, p in cases:
-        want = len(gf.rref(a, p)[1])
-        assert gf.rank(a, p) == want, (a, p)
+        want = len(rref(a, p)[1])
+        assert gf.rank(canonical(a, p), p) == want, (a, p)
         assert gf.rank(sparse(a), p) == want, (a, p)
+
+
+def test_nullspace_inv_mul_equal_dense():
+    """``nullspace`` is the basis read off the dense rref, ``inv`` the right
+    half of rref(a | I) or a refusal, ``mul`` the reduced numpy product;
+    p = 1048573 puts entries just below ``gf.MAX_FIELD``."""
+    rng = np.random.default_rng(20233)
+    seen = {"singular": 0, "invertible": 0, "big": 0}
+    for a, p in random_matrices():
+        rows, cols = a.shape
+        red, pivots = rref(a, p)
+        free = [c for c in range(cols) if c not in pivots]
+        want = np.zeros((len(free), cols), dtype=np.int64)
+        for k, c in enumerate(free):
+            want[k, c] = 1
+            for i, pc in enumerate(pivots):
+                want[k, pc] = -red[i, c] % p
+        got = gf.nullspace(canonical(a, p), cols, p)
+        assert got == canonical(want, p), (a, p)
+        assert not (dense(got, cols) @ a.T % p).any()
+        b = rng.integers(0, p, size=(cols, int(rng.integers(0, 5))))
+        assert dense(gf.mul(canonical(a, p), canonical(b, p), p), b.shape[1]).tolist() \
+            == ((a @ b) % p).tolist(), (a, b, p)
+        seen["big"] += p == 1048573 and bool(a.any())
+        if rows != cols:
+            continue
+        red, pivots = rref(np.concatenate([a, np.eye(rows, dtype=np.int64)], axis=1), p)
+        if pivots[:rows] == list(range(rows)):
+            seen["invertible"] += 1
+            assert gf.inv(canonical(a, p), p) == canonical(red[:, rows:], p), (a, p)
+            assert gf.is_invertible(canonical(a, p), p)
+        else:
+            seen["singular"] += 1
+            assert not gf.is_invertible(canonical(a, p), p)
+            with pytest.raises(SgaError):
+                gf.inv(canonical(a, p), p)
+    assert min(seen.values()) >= 3, seen
+
+
+def test_block_rows_match_numpy_kron():
+    """The rows of c1 P1 f Q1 + c2 P2 f Q2 = 0 on the row-major entries of an
+    m x n block f are the Kronecker matrix c1 P1 (x) Q1^T + c2 P2 (x) Q2^T;
+    a None factor is the identity."""
+    rng = np.random.default_rng(0)
+    for p in (7, gf.MAX_FIELD - 3):
+        for m in (1, 2, 3):
+            for n in (1, 2, 4):
+                for none_p, none_q in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                    P = rng.integers(0, p, size=(m, m))
+                    Q = rng.integers(0, p, size=(n, n))
+                    P2 = rng.integers(0, p, size=(m, m))
+                    Q2 = rng.integers(0, p, size=(n, n))
+                    if none_p:
+                        P = np.eye(m, dtype=np.int64)
+                    if none_q:
+                        Q = np.eye(n, dtype=np.int64)
+                    terms = ((1, None if none_p else canonical(P, p),
+                              None if none_q else canonical(Q, p)),
+                             (-1, canonical(P2, p), canonical(Q2, p)))
+                    got = dense(_block_rows(terms, m, n), m * n) % p
+                    want = (np.kron(P, Q.T) - np.kron(P2, Q2.T)) % p
+                    assert got.tolist() == want.tolist(), (p, m, n, none_p, none_q)
 
 
 def test_rank_does_not_modify_its_rows():
@@ -112,7 +213,7 @@ def test_rank_of_unreduced_sparse_rows():
             seen |= {"negative" if v < 0 else "multiple" if v % p == 0
                      else "at least p" if v >= p else "reduced"
                      for row in rows for v in row.values()}
-            assert gf.rank(rows, p) == len(gf.rref(raw % p, p)[1]), (raw, p)
+            assert gf.rank(rows, p) == len(rref(raw % p, p)[1]), (raw, p)
     assert seen == {"negative", "multiple", "at least p", "reduced"}
     assert gf.rank([{0: -1, 1: 5}, {0: 4, 1: 10}, {2: 15}], 5) == 1
     assert gf.rank([{0: 7 * 1048573}, {1: -1048574}], 1048573) == 1
@@ -132,9 +233,11 @@ def test_hom_system_equals_kron_builder_on_ex1():
             got, span = hom_system(M, N)
             want, want_span = kron_system(M, N)
             assert span == want_span
-            assert got.shape == want.shape and np.array_equal(got, want)
+            assert len(got) == want.shape[0]
+            assert all(len(row) == want.shape[1] for row in got)
+            assert got == want.tolist()
             rows, rows_span = hom_rows(M, N)
-            assert rows_span == span and len(rows) == got.shape[0]
+            assert rows_span == span and len(rows) == len(got)
             checked += 1
     assert len(reps) == 30 and checked == 900
 
@@ -149,6 +252,6 @@ def large_band_module():
 
 def test_hom_dim_oracle_on_large_band_system(large_band_module):
     M = large_band_module
-    dense, _ = kron_system(M, M)
-    assert dense.shape == (2800, 1600)
-    assert hom_dim_oracle(M, M) == dense.shape[1] - len(gf.rref(dense, 5)[1])
+    system, _ = kron_system(M, M)
+    assert system.shape == (2800, 1600)
+    assert hom_dim_oracle(M, M) == system.shape[1] - len(rref(system, 5)[1])
