@@ -26,8 +26,8 @@ class AxModule:
     the dihedral algebra, or k[T,T^-1], given by generator matrices
     (``gf`` matrices, ``dim`` x ``dim``).
 
-    Equal and hashed by content (``key``). The key and the inverses of T
-    and S are computed once per instance, on first use.
+    Equal and hashed by content (``key``). The key and hash are computed
+    once per instance, the inverses of T and S on first use.
     """
     label: str
     dim: int
@@ -35,18 +35,27 @@ class AxModule:
     T: Matrix | None = None
     S: Matrix | None = None
 
+    # Modules key the module and translate stores of each quiver, so the
+    # hash is computed once.  It depends on the interpreter's hash seed,
+    # hence a pickle carries only the fields, as for AdmWord.
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.key))
+
     @cached_property
     def key(self) -> tuple:
-        """Label, size, field and the matrices; computed once per instance."""
+        """Label, size, field and the matrices."""
         return (self.label, self.dim, self.p, self.T, self.S)
 
     def __eq__(self, other):
         if not isinstance(other, AxModule):
             return NotImplemented
-        return self.key == other.key
+        return self is other or self.key == other.key
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
+
+    def __reduce__(self):
+        return AxModule, (self.label, self.dim, self.p, self.T, self.S)
 
     @cached_property
     def _T_inv(self) -> Matrix:
@@ -213,15 +222,42 @@ def unit_of(x: AdmWord, part: tuple[str, int | None]) -> str:
     return "1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rep:
     """A representation of q over GF(p): a space of dimension ``dims[v]`` at
     each vertex and a ``gf`` matrix, ``dims[target]`` x ``dims[source]``,
-    for each arrow."""
+    for each arrow.
+
+    Equal and hashed by content (``key``). The key, hash and arrow tables
+    are derived from the matrices on first use and kept; a copy or pickle
+    carries only q, p, dims and mats, so a copy modified before its first
+    use derives its own.
+    """
     q: PolarizedQuiver
     p: int
     dims: dict[str, int]
     mats: dict[str, Matrix]
+
+    @cached_property
+    def key(self) -> tuple:
+        """Quiver, field, and the dimensions and matrices in name order."""
+        return (self.q, self.p, tuple(sorted(self.dims.items())),
+                tuple(sorted(self.mats.items())))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other):
+        if not isinstance(other, Rep):
+            return NotImplemented
+        return self is other or self.key == other.key
+
+    def __hash__(self):
+        return self._hash
+
+    def __getstate__(self):
+        return {"q": self.q, "p": self.p, "dims": self.dims, "mats": self.mats}
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -273,18 +309,21 @@ def build_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
     """The representation attached to (x, X): one copy of X per blueprint
     vertex, arrow matrices assembled blockwise from the unit actions.
 
-    Memoised in q's store ``modules``, keyed by the word and the module's
-    label, size, field and matrices. The returned ``Rep`` is shared by every
-    later call with that key: its fields cannot be reassigned and its
-    matrices are tuples, but its ``dims`` and ``mats`` dicts are plain
-    dicts that callers must not modify (copy the ``Rep`` first, e.g. with
-    ``copy.deepcopy``).
+    Memoised in q's store ``modules``, keyed by the word and the module
+    (equal by label, size, field and matrices), and interned in q's store
+    ``reps``: keys whose modules have equal content, such as a word and its
+    reverse, share one ``Rep``. It is shared by every later call: its
+    fields cannot be reassigned and its matrices are tuples, but its
+    ``dims`` and ``mats`` dicts are plain dicts that callers must not
+    modify (copy the ``Rep`` first, e.g. with ``copy.deepcopy``; the copy
+    drops the derived key, hash and arrow tables).
     """
-    key = (x, X.key)
+    key = (x, X)
     store = q.store("modules")
     rep = store.get(key)
     if rep is None:
-        rep = store[key] = _assemble_module(q, x, X)
+        rep = _assemble_module(q, x, X)
+        rep = store[key] = q.store("reps").setdefault(rep, rep)
     return rep
 
 
@@ -388,8 +427,16 @@ def hom_system(M: Rep, N: Rep) -> tuple[list[list[int]], dict[str, tuple[int, in
 
 
 def hom_dim_oracle(M: Rep, N: Rep) -> int:
-    rows, span = hom_rows(M, N)
-    return sum(size for _, size in span.values()) - gf.rank(rows, M.p)
+    """dim Hom(M, N): the unknowns of ``hom_rows`` less its rank. Memoised
+    in the store ``hom_dim_oracle`` of M's quiver, keyed by the two modules
+    (equal by content)."""
+    key = (M, N)
+    store = M.q.store("hom_dim_oracle")
+    dim = store.get(key)
+    if dim is None:
+        rows, span = hom_rows(M, N)
+        dim = store[key] = sum(size for _, size in span.values()) - gf.rank(rows, M.p)
+    return dim
 
 
 def _block(vec, start: int, nrows: int, ncols: int) -> Matrix:
@@ -604,16 +651,18 @@ def tau_module(q: PolarizedQuiver, x: AdmWord, X: AxModule):
     """(tau x, ``translate_twist`` of X); None marks the zero module for
     projectives.
 
-    The word translate is memoised in q's store ``tau`` (None for
-    projectives); the twist is applied on every call.
+    Memoised in q's store ``tau_module``, keyed by (x, X); the word
+    translate in q's store ``tau`` (None for projectives).
     """
-    store = q.store("tau")
-    if x not in store:
-        store[x] = None if is_projective_adm(q, x) else tau_adm(q, x)
-    tx = store[x]
-    if tx is None:
-        return None
-    return tx, translate_twist(q, x, X)
+    key = (x, X)
+    store = q.store("tau_module")
+    if key not in store:
+        words = q.store("tau")
+        if x not in words:
+            words[x] = None if is_projective_adm(q, x) else tau_adm(q, x)
+        tx = words[x]
+        store[key] = None if tx is None else (tx, translate_twist(q, x, X))
+    return store[key]
 
 
 def E_oracle(q: PolarizedQuiver, x: AdmWord, X: AxModule,

@@ -2,7 +2,9 @@
 read-only, keys are faithful, and a warm quiver answers exactly what a
 freshly parsed copy answers."""
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -12,8 +14,9 @@ from sga.invariants import c_set, kiss_census, tags_for
 from sga.parsing import parse_quiver, print_quiver
 from sga.quiver import auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
-from sga.repmod import (AxModule, E_oracle, build_module, g_oracle, module_V,
-                        tau_module)
+from sga.repmod import (AxModule, E_oracle, build_module, g_oracle, hom_dim_oracle,
+                        hom_rows, indecomposables_Ax, module_V, module_Vband,
+                        module_W, Rep, tau_module)
 
 P = 7
 
@@ -47,11 +50,73 @@ def test_module_key_sees_the_matrices(ex1):
     assert N.dim_vector() != M.dim_vector()
 
 
-def test_tau_module_twists_per_call(ex1):
+def test_tau_module_keeps_translate_and_twist(ex1):
     x = _first_module_word(ex1)
     plus, minus = tau_module(ex1, x, module_V(1, P)), tau_module(ex1, x, module_V(-1, P))
     assert plus[0] is minus[0]
     assert plus[1].T == (((0, P - 1),),) and minus[1].T == (((0, 1),),)
+    assert tau_module(ex1, x, module_V(1, P)) is plus
+
+
+def _seed42_sample(q):
+    """Modules of dim <= 2 over GF(5) on the first doubly punctured word of
+    the seed-42 quiver, its reverse, the first band and the first `up`
+    string."""
+    sets = enumerate_adm(q, 8)
+    x = next(x for x in sets.strings if x.wtype == "pp")
+    up = next(x for x in sets.strings if x.wtype == "up")
+    return [(w, X) for w in (x, x.inverse(), sets.bands[0], up)
+            for X in indecomposables_Ax(w.wtype, 2, 5)]
+
+
+def _direct_hom_dim(M, N):
+    rows, span = hom_rows(M, N)
+    return sum(size for _, size in span.values()) - gf.rank(rows, M.p)
+
+
+def test_hom_dim_memo_equals_direct_rank(monkeypatch):
+    text = print_quiver(random_skewed_gentle_quiver(42))
+    warm, cold = parse_quiver(text), parse_quiver(text)
+    reps = [build_module(warm, x, X) for x, X in _seed42_sample(warm)]
+    direct = [[_direct_hom_dim(M, N) for N in reps] for M in reps]
+    assert [[hom_dim_oracle(M, N) for N in reps] for M in reps] == direct
+    ranks = []
+    monkeypatch.setattr(gf, "rank", lambda rows, p: ranks.append(p) or 0)
+    # a warm quiver answers every pair from its memo, without a rank
+    assert [[hom_dim_oracle(M, N) for N in reps] for M in reps] == direct
+    assert ranks == []
+    monkeypatch.undo()
+    cold_reps = [build_module(cold, x, X) for x, X in _seed42_sample(cold)]
+    assert [[hom_dim_oracle(M, N) for N in cold_reps] for M in cold_reps] == direct
+
+
+def test_equal_content_shares_one_rep():
+    """A word and its reverse build equal modules; both keys return one Rep."""
+    q = random_skewed_gentle_quiver(42)
+    x = next(x for x in enumerate_adm(q, 8).strings if x.wtype == "pp")
+    assert x.inverse() != x
+    M = build_module(q, x, module_W(1, 1, 5))
+    assert build_module(q, x.inverse(), module_W(1, 1, 5)) is M
+    N = build_module(q, x, module_W(1, -1, 5))
+    assert build_module(q, x.inverse(), module_W(1, -1, 5, chi=True)) is N
+    assert M != N and len({M, N, copy.deepcopy(M)}) == 2
+
+
+def test_modified_deep_copy_misses_the_memo():
+    """A deep copy whose special loops are negated before use is another
+    module: it neither reuses the arrow tables nor the memoised Hom
+    dimension of the original."""
+    q = random_skewed_gentle_quiver(11, forbid_pp=True)
+    M = build_module(q, enumerate_adm(q, 8).bands[0], module_Vband(1, 2, 5))
+    assert hom_dim_oracle(M, M) == 1
+    assert copy.deepcopy(M) == M
+    C = copy.deepcopy(M)
+    for a in q.special_arrows:
+        C.mats[a.name] = gf.neg(C.mats[a.name], 5)
+    fresh = Rep(q, 5, dict(M.dims), dict(C.mats))
+    assert C != M and C == fresh
+    assert hom_dim_oracle(M, C) == _direct_hom_dim(M, fresh) == 0
+    assert set(vars(pickle.loads(pickle.dumps(M)))) == {"q", "p", "dims", "mats"}
 
 
 def test_kiss_census_frozen_and_shared():
