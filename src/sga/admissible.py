@@ -240,8 +240,12 @@ def is_projective_adm(q: PolarizedQuiver, x: AdmWord) -> bool:
     return completion(q, x) in projective_strings(q)
 
 
+@per_quiver
 def tau_adm(q: PolarizedQuiver, x: AdmWord) -> AdmWord:
-    """AR translate on admissible words via the completion.
+    """AR translate on admissible words via the completion, memoised per
+    word in q's store ``tau_adm`` (in the base quiver and in a fringing
+    alike), so a repeat returns the identical object and the ray stores
+    hit by identity.
 
     Fixed on bands and doubly punctured strings; otherwise transported
     through the base-quiver translate, matching the source sign.

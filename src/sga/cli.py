@@ -13,10 +13,10 @@ from .admissible import (classify, enumerate_adm, enumerate_adm_direct,
                          is_admissible, tau_adm, tau_adm_via_successors)
 from .errors import ParseError, SgaError, TheoremViolation
 from .homgraph import (build_H, build_HQ, classify_components, generalized_diagonal,
-                       kiss_sites, real_long_bijection, tau_f, to_dot,
+                       kiss_sites, real_long_bijection, to_dot,
                        winding_to_dot)
-from .invariants import (e_comb, enumerate_components, g_comb, is_tau_generic,
-                         simplified_check, tags_for)
+from .invariants import (c_set, e_comb, enumerate_components, g_comb,
+                         is_tau_generic, simplified_check, tags_for)
 from .parsing import (format_tag, parse_module, parse_quiver, parse_tag, parse_word,
                       print_quiver)
 from .quiver import as_fringing, auto_fringe, check_fringing, gabriel_presentation, \
@@ -115,6 +115,18 @@ def cmd_bands(args) -> int:
     return 0
 
 
+def _checked_adm(q, max_len: int):
+    """``enumerate_adm``, checked against the independent route
+    ``enumerate_adm_direct`` (exit 4 when they differ)."""
+    sets = enumerate_adm(q, max_len)
+    direct = enumerate_adm_direct(q, max_len)
+    if set(sets.strings) != set(direct.strings) or \
+            set(sets.bands) != set(direct.bands):
+        raise TheoremViolation("DUAL-ROUTE MISMATCH: enumerate_adm and "
+                               "enumerate_adm_direct differ")
+    return sets
+
+
 def cmd_adm(args) -> int:
     q = _load_quiver(args.quiver)
     _require_admissible(q, args.allow_nonadmissible)
@@ -125,12 +137,7 @@ def cmd_adm(args) -> int:
         if ok and not band:
             print(f"type: {classify(q, x).wtype}")
         return 0
-    sets = enumerate_adm(q, args.max_len)
-    direct = enumerate_adm_direct(q, args.max_len)
-    if set(sets.strings) != set(direct.strings) or \
-            set(sets.bands) != set(direct.bands):
-        print("DUAL-ROUTE MISMATCH", file=sys.stderr)
-        return 4
+    sets = _checked_adm(q, args.max_len)
     for x in sets.strings:
         print(f"{x.wtype}: {x}")
     for x in sets.bands:
@@ -256,6 +263,10 @@ def cmd_gvec(args) -> int:
         from .repmod import g_oracle
         gf.check_prime(args.field)
         X = parse_module(args.module, args.field)
+        if args.tag and not any((X.dim, X.T, X.S) == (C.dim, C.T, C.S)
+                                for C in c_set(x, s, args.field)):
+            raise SgaError(f"module {X.label} is not in the family of tag "
+                           f"{args.tag} on {x}, so no identity relates them")
         g = g_oracle(q, x, X)
         results["oracle"] = [g[k] for k in order]
     for k in sorted(results):
@@ -308,12 +319,7 @@ def cmd_selftest(args) -> int:
     _require_admissible(q, False)
     gf.check_prime(args.field)
     fr = auto_fringe(q)
-    sets = enumerate_adm(q, args.max_len)
-    direct = enumerate_adm_direct(q, args.max_len)
-    if set(sets.strings) != set(direct.strings) or \
-            set(sets.bands) != set(direct.bands):
-        print("DUAL-ROUTE MISMATCH", file=sys.stderr)
-        return 4
+    sets = _checked_adm(q, args.max_len)
     print(f"adm ok: {len(sets.strings)} strings, {len(sets.bands)} bands")
     _note_truncation(sets.truncated)
     words = list(sets.strings) + list(sets.bands)
@@ -326,7 +332,7 @@ def cmd_selftest(args) -> int:
             pairs += 1
     print(f"real/long bijection ok on {pairs} pairs")
     qf = fr.extended
-    translates = [tau_f(fr, x) for x in words]
+    translates = [tau_adm(qf, x) for x in words]
     for k, u in enumerate(translates):
         for v in translates[k:]:
             for (a, b), sites in zip(((u, v), (v, u)), kiss_sites(qf, u, v)):

@@ -472,19 +472,6 @@ def triples(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> list[PlusComponent]:
 
 # -- kisses and fringing -----------------------------------------------------------
 
-def tau_f(fr: Fringing, x: AdmWord) -> AdmWord:
-    """AR translate inside the fringed quiver (never projective there).
-
-    Memoised per word in the extended quiver's store, so repeated calls
-    return the identical object and the ray stores hit by identity.
-    """
-    store = fr.extended.store("tau_f")
-    tx = store.get(x)
-    if tx is None:
-        tx = store[x] = tau_adm(fr.extended, x)
-    return tx
-
-
 Sites = tuple[tuple[str, tuple[int, int]], ...]
 
 
@@ -662,7 +649,8 @@ def kiss_transport(q: PolarizedQuiver, fr: Fringing, x: AdmWord,
     When y is not projective the counts must agree with the real h-lines
     towards the plain translate of y; a mismatch is a theorem violation.
     """
-    counts = Counter(kiss_types(fr.extended, tau_f(fr, x), tau_f(fr, y)))
+    qf = fr.extended
+    counts = Counter(kiss_types(qf, tau_adm(qf, x), tau_adm(qf, y)))
     if is_projective_adm(q, y):
         if counts:
             raise TheoremViolation("kisses against a projective translate")

@@ -8,11 +8,12 @@ the E-invariant and g-vector without touching any matrices.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .admissible import AdmWord, enumerate_adm
+from .admissible import AdmWord, enumerate_adm, tau_adm
 from .errors import SgaError, TheoremViolation
-from .homgraph import build_H, kiss_sites, tau_f
+from .homgraph import build_H, kiss_sites
 from .quiver import Fringing, PolarizedQuiver, tilde_vertices
 from .words import band_canonical, winv
 
@@ -125,43 +126,39 @@ def p_set(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[tuple[int, int], 
 
 
 def kiss_census(q: PolarizedQuiver, fr: Fringing, x: AdmWord, y: AdmWord) -> KissCensus:
-    """Kisses between the fringed translates of x and y, both directions,
-    checked against the punctured pairs and the band orientation.
+    """Kisses between the fringed translates of x and y (never projective
+    there), both directions, checked against the punctured pairs and the
+    band orientation.
 
-    Memoised per pair in the store ``census`` of ``fr.extended``, keyed by
-    (q, x, y): q enters the census through the punctured pairs.  The kisses
-    of each direction are memoised in its store ``kiss_types``, keyed by
-    the ordered translate pair; one :func:`kiss_sites` pass fills both
-    directions, so each unordered translate pair is classified once.
+    Memoised in the store ``census`` of ``fr.extended``, keyed by (q, x, y):
+    q enters the census through the punctured pairs.  A miss makes one
+    :func:`kiss_sites` pass and stores the census of (x, y) and that of
+    (y, x), which has the same kisses and band orientation and the
+    punctured pairs of (x, y) swapped; each is checked before it is stored.
     """
-    store = fr.extended.store("census")
+    qf = fr.extended
+    store = qf.store("census")
     census = store.get((q, x, y))
     if census is not None:
         return census
-    qf = fr.extended
-    kinds = qf.store("kiss_types")
-    tx, ty = tau_f(fr, x), tau_f(fr, y)
-    there, back = kinds.get((tx, ty)), kinds.get((ty, tx))
-    if there is None or back is None:
-        sites, dual_sites = kiss_sites(qf, tx, ty)
-        there = kinds[tx, ty] = tuple(t for t, _ in sites)
-        back = kinds[ty, tx] = tuple(t for t, _ in dual_sites)
-    counts = {"A": 0, "Dp": 0, "At": 0, "Dpt": 0}
-    for t in there + back:
-        counts[t] += 1
+    counts = Counter(t for sites in kiss_sites(qf, tau_adm(qf, x), tau_adm(qf, y))
+                     for t, _ in sites)
     ps = p_set(q, x, y)
     diag = diag_b(x, y)
-    census = KissCensus(counts["A"], ps, diag, counts["Dp"], counts["At"],
-                        counts["Dpt"], sum(counts.values()))
-    if census.at_count * census.dpt_count != 0:
-        raise TheoremViolation("both cyclic kiss types nonzero")
-    if census.at_count + census.dpt_count != 2 * abs(diag):
-        raise TheoremViolation("cyclic kisses inconsistent with band orientation")
-    if census.d_count != len(ps):
-        raise TheoremViolation("D' kisses do not match the punctured pairs")
-    if census.a_count + len(ps) + 2 * abs(diag) != census.total:
-        raise TheoremViolation("kiss census does not add up")
-    store[(q, x, y)] = census
+    # (x, y) comes last, so its census is the one returned
+    for key, pairs in (((q, y, x), tuple(sorted((i, j) for j, i in ps))),
+                       ((q, x, y), ps)):
+        census = KissCensus(counts["A"], pairs, diag, counts["Dp"], counts["At"],
+                            counts["Dpt"], sum(counts.values()))
+        if census.at_count * census.dpt_count != 0:
+            raise TheoremViolation("both cyclic kiss types nonzero")
+        if census.at_count + census.dpt_count != 2 * abs(diag):
+            raise TheoremViolation("cyclic kisses inconsistent with band orientation")
+        if census.d_count != len(pairs):
+            raise TheoremViolation("D' kisses do not match the punctured pairs")
+        if census.a_count + len(pairs) + 2 * abs(diag) != census.total:
+            raise TheoremViolation("kiss census does not add up")
+        store[key] = census
     return census
 
 
@@ -187,7 +184,7 @@ def e_comb(q: PolarizedQuiver, fr: Fringing, xs: tuple[AdmWord, Tag],
 
 def proper_sets(fr: Fringing, x: AdmWord):
     """(A+, A-, D+, D-) per base vertex on the fringed translate blueprint."""
-    h = build_H(fr.extended, tau_f(fr, x))
+    h = build_H(fr.extended, tau_adm(fr.extended, x))
     outs = dict.fromkeys(h.vertices, 0)
     ins = dict.fromkeys(h.vertices, 0)
     for e in h.edges:

@@ -140,6 +140,8 @@ def parse_module(text: str, p: int) -> repmod.AxModule:
     if not m:
         raise ParseError(f"malformed module literal {text}")
     kind, a, b = m.groups()
+    if int(a) < 1:
+        raise ParseError(f"module size must be at least 1 in {text}")
     if kind == "V":
         return repmod.module_Vband(int(a), int(b), p)
     if kind == "Vt":

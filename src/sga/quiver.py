@@ -138,18 +138,22 @@ class PolarizedQuiver:
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
+_MISSING = object()
+
+
 def per_quiver(fn):
     """Memoise ``fn(q, *args)`` in q's store named after fn, keyed by args;
-    a None is computed again. ``cache_info()`` sums over all quivers, and
-    its currsize counts every value stored, also those freed since."""
+    every value is kept, None too, and an exception is raised again on each
+    call. ``cache_info()`` sums over all quivers, and its currsize counts
+    every value stored, also those freed since."""
     name, counts = fn.__name__, [0, 0]     # calls, misses
 
     @functools.wraps(fn)
     def memo(q, *args):
         counts[0] += 1
         store = q._cache[name]
-        value = store.get(args)
-        if value is None:
+        value = store.get(args, _MISSING)
+        if value is _MISSING:
             counts[1] += 1
             value = store[args] = fn(q, *args)
         return value

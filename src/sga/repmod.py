@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import gf
-from .admissible import AdmWord, is_projective_adm, tau_adm
-from .errors import SgaError, TheoremViolation
+from .admissible import AdmWord, tau_adm
+from .errors import IsProjective, SgaError, TheoremViolation
 from .gf import Matrix
 from .homgraph import CROSS, PLUS, HomGraph, build_H, build_HQ, classify_components
-from .quiver import PolarizedQuiver, tilde_vertices
+from .quiver import PolarizedQuiver, per_quiver, tilde_vertices
 from .words import ORD
 
 
@@ -102,6 +102,8 @@ def module_V(sign: int, p: int) -> AxModule:
 
 
 def module_Vband(m: int, t: int, p: int) -> AxModule:
+    if m < 1:
+        raise SgaError(f"module size must be at least 1, got {m}")
     if t % p == 0:
         raise SgaError("band parameter must be a unit")
     return AxModule(f"V({m},{t % p})", m, p, T=gf.jordan_block(m, t, p))
@@ -115,6 +117,8 @@ def s_tilde(m: int, sign: int, p: int) -> Matrix:
 
 
 def module_W(m: int, sign: int, p: int, chi: bool = False) -> AxModule:
+    if m < 1:
+        raise SgaError(f"module size must be at least 1, got {m}")
     st = s_tilde(m, sign, p)
     S = gf.mul(st, gf.jordan_block(m, sign, p), p)
     T = st
@@ -127,6 +131,8 @@ def module_W(m: int, sign: int, p: int, chi: bool = False) -> AxModule:
 
 
 def module_Vt(m: int, s: int, p: int) -> AxModule:
+    if m < 1:
+        raise SgaError(f"module size must be at least 1, got {m}")
     if s % p in (0, 1, p - 1):
         raise SgaError("parameter must avoid 0 and +-1")
     j = gf.jordan_block(m, s, p)
@@ -305,26 +311,22 @@ def verify_relations(rep: Rep) -> None:
                     raise SgaError(f"relation {a.name}{b.name} violated")
 
 
+@per_quiver
 def build_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
     """The representation attached to (x, X): one copy of X per blueprint
     vertex, arrow matrices assembled blockwise from the unit actions.
 
-    Memoised in q's store ``modules``, keyed by the word and the module
-    (equal by label, size, field and matrices), and interned in q's store
-    ``reps``: keys whose modules have equal content, such as a word and its
-    reverse, share one ``Rep``. It is shared by every later call: its
-    fields cannot be reassigned and its matrices are tuples, but its
+    Memoised in q's store ``build_module``, keyed by the word and the
+    module (equal by label, size, field and matrices), and interned in q's
+    store ``reps``: keys whose modules have equal content, such as a word
+    and its reverse, share one ``Rep``. It is shared by every later call:
+    its fields cannot be reassigned and its matrices are tuples, but its
     ``dims`` and ``mats`` dicts are plain dicts that callers must not
     modify (copy the ``Rep`` first, e.g. with ``copy.deepcopy``; the copy
     drops the derived key, hash and arrow tables).
     """
-    key = (x, X)
-    store = q.store("modules")
-    rep = store.get(key)
-    if rep is None:
-        rep = _assemble_module(q, x, X)
-        rep = store[key] = q.store("reps").setdefault(rep, rep)
-    return rep
+    rep = _assemble_module(q, x, X)
+    return q.store("reps").setdefault(rep, rep)
 
 
 def _add_block(rows: list[dict], r: int, c: int, block: Matrix | None,
@@ -647,22 +649,17 @@ def E_formula(q: PolarizedQuiver, fr, x: AdmWord, X: AxModule,
     return tot
 
 
+@per_quiver
 def tau_module(q: PolarizedQuiver, x: AdmWord, X: AxModule):
     """(tau x, ``translate_twist`` of X); None marks the zero module for
-    projectives.
-
-    Memoised in q's store ``tau_module``, keyed by (x, X); the word
-    translate in q's store ``tau`` (None for projectives).
+    projectives. Memoised in q's store ``tau_module``, keyed by (x, X),
+    None included; the word translate comes from the store ``tau_adm``.
     """
-    key = (x, X)
-    store = q.store("tau_module")
-    if key not in store:
-        words = q.store("tau")
-        if x not in words:
-            words[x] = None if is_projective_adm(q, x) else tau_adm(q, x)
-        tx = words[x]
-        store[key] = None if tx is None else (tx, translate_twist(q, x, X))
-    return store[key]
+    try:
+        tx = tau_adm(q, x)
+    except IsProjective:
+        return None
+    return tx, translate_twist(q, x, X)
 
 
 def E_oracle(q: PolarizedQuiver, x: AdmWord, X: AxModule,

@@ -244,7 +244,7 @@ class Ray:
     pre: Word
     per: Word = ()
 
-    # Rays key the per-quiver ray and ray-order stores, so the hash is
+    # Rays key the per-quiver ray and ray_compare stores, so the hash is
     # computed once.  It depends on the interpreter's hash seed, hence a
     # pickle carries only the fields, as for AdmWord.
     def __post_init__(self) -> None:
@@ -270,18 +270,15 @@ class Ray:
         return self[0]
 
 
+@per_quiver
 def ray_compare(q: PolarizedQuiver, v: Ray, w: Ray) -> tuple[str, int | None]:
     """Lexicographic comparison of eventually periodic rays.
 
-    The order of each ordered pair is kept in q's store ``ray_order``, as
+    The order of each ordered pair is kept in q's store ``ray_compare``, as
     the letter order depends on q; the readings hand out interned rays, so
     the lookup mostly compares by identity.
     """
-    order = q.store("ray_order")
-    rel = order.get((v, w))
-    if rel is None:
-        rel = order[v, w] = _ray_scan(q, v, w)
-    return rel
+    return _ray_scan(q, v, w)
 
 
 def _ray_scan(q: PolarizedQuiver, v: Ray, w: Ray) -> tuple[str, int | None]:

@@ -105,3 +105,53 @@ def test_truncation_notice(cmd, capsys):
 def test_no_truncation_notice_when_complete(capsys):
     assert main(["components", EX1, "--max-len", "8"]) == 0
     assert capsys.readouterr().err == ""
+
+
+BAND9 = "band: a1- a3 e1 a4"                # an odd band of the seed-9 quiver
+PP42 = "1(v1,-)- a4 a3 1(v4,-)"             # a (p,p) word of the seed-42 quiver
+
+
+@pytest.fixture(scope="module")
+def seeded(tmp_path_factory):
+    from sga.parsing import print_quiver
+    from sga.randquiver import random_skewed_gentle_quiver
+    paths = {}
+    for seed in (9, 42):
+        path = tmp_path_factory.mktemp("quivers") / f"s{seed}.quiver"
+        path.write_text(print_quiver(random_skewed_gentle_quiver(seed)), encoding="utf-8")
+        paths[seed] = str(path)
+    return paths
+
+
+def _gvec(seed, x, module, tag, code):
+    return pytest.param(seed, ["gvec", "--x", x, "--module", module, "--tag", tag],
+                        code, id=f"s{seed}-gvec-{module}-{tag}")
+
+
+@pytest.mark.parametrize("seed, args, code", [
+    # a module literal of size 0 is a parse error, not a zero module
+    _gvec(9, BAND9, "V(0,2)", "*", 2),
+    pytest.param(9, ["hom", "--x", BAND9, "--X", "V(0,1)", "--y", BAND9, "--Y", "V(1,1)"],
+                 2, id="s9-hom-V(0,1)"),
+    _gvec(42, PP42, "W(0,+)", "++", 2),
+    _gvec(42, PP42, "Wchi(0,-)", "++", 2),
+    _gvec(42, PP42, "Vt(0,2)", "**", 2),
+    # gvec compares only a module of the tag's family
+    _gvec(42, PP42, "W(1,+)", "+-", 3),
+    _gvec(42, PP42, "W(1,+)", "**", 3),
+    _gvec(9, BAND9, "V(2,2)", "*", 3),
+    _gvec(42, PP42, "W(1,+)", "++", 0),
+    _gvec(42, PP42, "Vt(1,2)", "**", 0),
+    _gvec(9, BAND9, "V(1,2)", "*", 0),
+])
+def test_module_refusals(seeded, seed, args, code, capsys):
+    assert main([args[0], seeded[seed], *args[1:], "--field", "7"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "MISMATCH" not in err
+
+
+@pytest.mark.parametrize("make", ["module_Vband", "module_W", "module_Vt"])
+def test_module_constructors_refuse_size_zero(make):
+    from sga import repmod
+    with pytest.raises(SgaError, match="at least 1"):
+        getattr(repmod, make)(0, 2, 7)

@@ -7,8 +7,8 @@ from collections import Counter
 
 import pytest
 
-from sga.admissible import enumerate_adm
-from sga.homgraph import CIRC, PLUS, build_HQ, classify_components, tau_f
+from sga.admissible import enumerate_adm, tau_adm
+from sga.homgraph import CIRC, PLUS, build_HQ, classify_components
 from sga.quiver import auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
 
@@ -82,7 +82,7 @@ def test_components_match_naive_recount(ex1, seed, max_len):
     sets = enumerate_adm(q, max_len)
     words = list(sets.strings) + list(sets.bands)
     fr = auto_fringe(q)
-    translates = [tau_f(fr, x) for x in words]
+    translates = [tau_adm(fr.extended, x) for x in words]
     for quiver, ws in ((q, words), (fr.extended, translates)):
         for x in ws:
             for y in ws:

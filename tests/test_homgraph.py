@@ -2,11 +2,13 @@ from collections import Counter
 
 import pytest
 
-from sga.admissible import classify, enumerate_adm, tau_adm
+from sga.admissible import (classify, enumerate_adm, is_projective_adm, tau_adm,
+                            tau_adm_via_successors)
+from sga.errors import IsProjective
 from sga.homgraph import (build_H, build_HQ, classify_components,
-                          kiss_transport, real_long_bijection, tau_f, to_dot,
+                          kiss_transport, real_long_bijection, to_dot,
                           triples)
-from sga.quiver import as_fringing, auto_fringe
+from sga.quiver import PolarizedQuiver, as_fringing, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
 from sga.words import invl, ordl, tinvl, trivl
 
@@ -254,12 +256,25 @@ def test_to_dot_stable(loop_quiver, loopq_words):
 
 
 @pytest.mark.parametrize("seed", [None, 11])
-def test_tau_f_memoised(ex1, seed):
-    q = ex1 if seed is None else random_skewed_gentle_quiver(seed, forbid_pp=True)
+def test_tau_adm_memoised_on_base_and_fringed_quiver(ex1, seed):
+    """A repeat returns the identical translate, in the base quiver and in
+    its fringing; a projective raises again on each call."""
+    q = PolarizedQuiver(ex1.vertices, ex1.arrows) if seed is None else \
+        random_skewed_gentle_quiver(seed, forbid_pp=True)
     fr = auto_fringe(q)
     sets = enumerate_adm(q, 8)
-    for x in sets.strings + sets.bands:
-        tx = tau_f(fr, x)
-        assert tau_f(fr, x) is tx
-        assert tx == tau_adm(fr.extended, x)
-    assert len(fr.extended.store("tau_f")) == len(sets.strings) + len(sets.bands)
+    words = sets.strings + sets.bands
+    projective = {x for x in words if is_projective_adm(q, x)}
+    assert projective and not any(is_projective_adm(fr.extended, x) for x in words)
+    for over in (q, fr.extended):
+        for x in words:
+            if over is q and x in projective:
+                for _ in range(2):
+                    with pytest.raises(IsProjective):
+                        tau_adm(q, x)
+                continue
+            tx = tau_adm(over, x)
+            assert tau_adm(over, x) is tx
+            assert tx == tau_adm_via_successors(over, x)
+    assert set(q.store("tau_adm")) == {(x,) for x in words if x not in projective}
+    assert set(fr.extended.store("tau_adm")) == {(x,) for x in words}

@@ -1,14 +1,13 @@
 """The kiss route without the product quiver: ``kiss_sites``/``kiss_types``
 against ``classify_components`` in both directions, its ray checks, and
-the per-direction store that ``kiss_census`` reads."""
+the census of both directions that ``kiss_census`` stores from one pass."""
 
 import pytest
 
 from sga import homgraph, invariants
-from sga.admissible import enumerate_adm, hat_of
+from sga.admissible import enumerate_adm, hat_of, tau_adm
 from sga.errors import TheoremViolation, WordError
-from sga.homgraph import (build_H, build_HQ, classify_components, kiss_sites,
-                          kiss_types, tau_f)
+from sga.homgraph import build_H, build_HQ, classify_components, kiss_sites, kiss_types
 from sga.invariants import kiss_census
 from sga.quiver import PolarizedQuiver, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
@@ -21,7 +20,7 @@ def _words(q, max_len):
 
 def _translates(q, max_len):
     fr = auto_fringe(q)
-    return fr.extended, [tau_f(fr, x) for x in _words(q, max_len)]
+    return fr.extended, [tau_adm(fr.extended, x) for x in _words(q, max_len)]
 
 
 @pytest.mark.parametrize("seed, max_len, pairs", [
@@ -112,30 +111,53 @@ def test_reverse_ray_checks_are_live(ex1, monkeypatch, on_hat, message):
 
 
 def test_census_classifies_each_translate_pair_once(ex1, monkeypatch):
-    """One pair pass per unordered translate pair fills both directions of
-    the ``kiss_types`` store; a repeat, also with the census store emptied,
-    classifies none."""
+    """A census miss makes one ``kiss_sites`` pass and one ``p_set`` call,
+    and stores the census of (x, y) and of (y, x): each unordered translate
+    pair is classified once, the reverse census asks for no punctured
+    pairs, and a repeat classifies none."""
     fr = auto_fringe(ex1)
     words = _words(ex1, 8)
-    calls = []
-    route = invariants.kiss_sites
+    calls, punctured = [], []
+    route, pairs_of = invariants.kiss_sites, invariants.p_set
 
     def counted(q, u, v):
         calls.append(frozenset((u, v)))
         return route(q, u, v)
 
+    def counted_p_set(q, x, y):
+        punctured.append((x, y))
+        return pairs_of(q, x, y)
+
     monkeypatch.setattr(invariants, "kiss_sites", counted)
+    monkeypatch.setattr(invariants, "p_set", counted_p_set)
     first = [kiss_census(ex1, fr, x, y) for x in words for y in words]
-    pairs = {frozenset((tau_f(fr, x), tau_f(fr, y))) for x in words for y in words}
+    qf = fr.extended
+    pairs = {frozenset((tau_adm(qf, x), tau_adm(qf, y))) for x in words for y in words}
     assert len(pairs) == len(words) * (len(words) + 1) // 2
     assert len(calls) == len(set(calls)) and set(calls) == pairs
+    assert punctured == [(x, y) for i, x in enumerate(words) for y in words[i:]]
+    assert len(qf.store("census")) == len(words) ** 2
     calls.clear()
     assert [kiss_census(ex1, fr, x, y) for x in words for y in words] == first
     assert calls == []
-    # the per-direction store answers even when the census store is empty
-    fr.extended.store("census").clear()
-    assert [kiss_census(ex1, fr, x, y) for x in words for y in words] == first
-    assert calls == []
+
+
+@pytest.mark.parametrize("seed, max_len", [(None, 8), (9, 6), (42, 6)])
+def test_reverse_census_equals_direct_census(ex1, seed, max_len):
+    """Asked in reverse order on a second fringing, every census that the
+    first fringing derived as a reverse is computed directly, and the
+    other way round: both stores hold the same censuses."""
+    q = ex1 if seed is None else random_skewed_gentle_quiver(seed)
+    words = _words(q, max_len)
+    fr, rf = auto_fringe(q), auto_fringe(q)
+    for x in words:
+        for y in words:
+            kiss_census(q, fr, x, y)
+    for x in reversed(words):
+        for y in reversed(words):
+            kiss_census(q, rf, x, y)
+    assert rf.extended.store("census") == fr.extended.store("census")
+    assert len(fr.extended.store("census")) == len(words) ** 2
 
 
 def test_incomparable_heads_raise_on_every_call(ex1, monkeypatch):

@@ -148,6 +148,20 @@ def test_per_quiver_memoises_in_each_quivers_store(ex1):
     assert arrow_names.__wrapped__.__name__ == "arrow_names"
 
 
+def test_per_quiver_memoises_none(ex1):
+    calls = []
+
+    @per_quiver
+    def nothing(q, key):
+        calls.append(key)
+        return None
+
+    q = PolarizedQuiver(ex1.vertices, ex1.arrows)
+    assert nothing(q, 1) is None and nothing(q, 1) is None
+    assert calls == [1] and q.store("nothing") == {(1,): None}
+    assert nothing.cache_info().hits == 1
+
+
 def test_quiver_stores_are_the_only_caches():
     """Memos live in the stores of ``quiver.py``: no module-level function
     cache and no store reached around ``PolarizedQuiver.store``."""

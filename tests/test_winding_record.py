@@ -10,8 +10,8 @@ import dataclasses
 
 import pytest
 
-from sga.admissible import doublebar_ray, enumerate_adm, hat_ray
-from sga.homgraph import build_H, tau_f
+from sga.admissible import doublebar_ray, enumerate_adm, hat_ray, tau_adm
+from sga.homgraph import build_H
 from sga.quiver import PolarizedQuiver, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
 
@@ -24,7 +24,7 @@ def word_pairs(request, ex1):
     fr = auto_fringe(q)
     sets = enumerate_adm(q, 8)
     words = sets.strings + sets.bands
-    return [(q, x) for x in words] + [(fr.extended, tau_f(fr, x)) for x in words]
+    return [(q, x) for x in words] + [(fr.extended, tau_adm(fr.extended, x)) for x in words]
 
 
 def _by(items, key) -> dict:
