@@ -7,11 +7,11 @@ images) of strings and standard-form bands under that construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .errors import AtMaximum, IsProjective, WordError
-from .quiver import PolarizedQuiver, hat_quiver, per_quiver
+from .quiver import Frozen, PolarizedQuiver, hat_quiver, per_quiver
 from .words import (INV, ORD, SPE, TINV, TRIV, Letter, Ray, Word, band_canonical,
                     enumerate_bands, enumerate_strings, format_word, invl,
                     inverse_letter, is_band, is_primitive_band, is_string,
@@ -43,22 +43,35 @@ def f_word(q: PolarizedQuiver, w: Word) -> Word:
     return tuple(f_letter(q, l) for l in w)
 
 
-@dataclass(frozen=True)
-class AdmWord:
+class AdmWord(Frozen):
+    """An admissible word with its type; immutable, equal and hashed by
+    (letters, wtype)."""
+    __slots__ = ("letters", "wtype", "_hash")
     letters: Word
     wtype: str  # 'uu' | 'up' | 'pu' | 'pp' | 'b'
 
     # Words key the ray and translate stores of each quiver, so the hash is
     # computed once.  It depends on the interpreter's hash seed, hence a
     # pickle carries only the fields and the copy recomputes it.
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.letters, self.wtype)))
+    def __init__(self, letters: Word, wtype: str) -> None:
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "wtype", wtype)
+        object.__setattr__(self, "_hash", hash((letters, wtype)))
+
+    def __eq__(self, other):
+        if other.__class__ is not AdmWord:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.wtype == other.wtype
+                                  and self.letters == other.letters)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         return AdmWord, (self.letters, self.wtype)
+
+    def __repr__(self) -> str:
+        return f"AdmWord(letters={self.letters!r}, wtype={self.wtype!r})"
 
     def __str__(self) -> str:
         return format_word(self.letters)
@@ -340,8 +353,7 @@ def hat_ray(q: PolarizedQuiver, x: AdmWord, i: int, rho: int, delta: int) -> Ray
 
 # -- enumeration ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdmSets:
+class AdmSets(NamedTuple):
     strings: tuple[AdmWord, ...]        # all admissible strings, inverses included
     bands: tuple[AdmWord, ...]          # rotation-canonical admissible bands
     truncated: bool

@@ -13,7 +13,7 @@ kisses among them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .admissible import (AdmWord, doublebar_ray, hat_of, hat_ray,
                          is_projective_adm, tau_adm)
@@ -22,23 +22,20 @@ from .quiver import Fringing, PolarizedQuiver, per_quiver
 from .words import INV, ORD, Ray, compare_letters, ray_compare
 
 
-@dataclass(frozen=True)
-class HEdge:
+class HEdge(NamedTuple):
     idx: int
     src: int
     tgt: int
     image: str  # arrow name in the base quiver
 
 
-@dataclass(frozen=True)
-class HLoop:
+class HLoop(NamedTuple):
     key: int    # 0 at the left punctured end, 1 at the right one
     vertex: int
     image: str  # special loop name
 
 
-@dataclass(frozen=True, slots=True)
-class Winding:
+class Winding(NamedTuple):
     """The blueprint quiver of one word and what the product quiver reads of
     it: vertices by label (ascending), edges and loops by image, the boundary
     vertices (valency <= 1, a loop counting one end) and, per vertex, the
@@ -169,8 +166,7 @@ def red_blue(q: PolarizedQuiver, hy: Winding, j: int, hx: Winding, i: int
 PLUS, CROSS, CIRC = "+", "x", "o"
 
 
-@dataclass(frozen=True)
-class HArrow:
+class HArrow(NamedTuple):
     family: str                     # '+', 'x', 'o'
     src: tuple[int, int]
     tgt: tuple[int, int]
@@ -182,8 +178,7 @@ class HArrow:
         return self.src == self.tgt
 
 
-@dataclass
-class HomGraph:
+class HomGraph(NamedTuple):
     q: PolarizedQuiver
     x: AdmWord
     y: AdmWord
@@ -263,17 +258,12 @@ def build_HQ(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> HomGraph:
 
 # -- components and classification ---------------------------------------------
 
-@dataclass(frozen=True)
-class Component:
+class PlusComponent(NamedTuple):
+    """A component of the plus-arrows: an h-line candidate with its flags."""
     vertices: tuple[tuple[int, int], ...]
     arrows: tuple[HArrow, ...]
     ctype: str                       # 'A' | 'Dp' | 'At' | 'Dpt'
     endpoints: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class PlusComponent(Component):
-    """A component of the plus-arrows: an h-line candidate with its flags."""
     real: bool
     dual_real: bool
     hline: bool
@@ -283,9 +273,12 @@ class PlusComponent(Component):
     full_component: int              # index into ComponentReport.full
 
 
-@dataclass(frozen=True)
-class FullComponent(Component):
+class FullComponent(NamedTuple):
     """A component of all arrows; long when no vertex is red."""
+    vertices: tuple[tuple[int, int], ...]
+    arrows: tuple[HArrow, ...]
+    ctype: str
+    endpoints: tuple[tuple[int, int], ...]
     long: bool
 
 
@@ -329,8 +322,7 @@ def _component_type(cv, ca) -> tuple[str, tuple]:
     return ctype, tuple(v for v in cv if valency[v] <= 1)
 
 
-@dataclass
-class ComponentReport:
+class ComponentReport(NamedTuple):
     plus: list[PlusComponent]
     full: list[FullComponent]
     real_to_long: dict[int, int]

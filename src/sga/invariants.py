@@ -9,7 +9,7 @@ the E-invariant and g-vector without touching any matrices.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .admissible import AdmWord, enumerate_adm, tau_adm
 from .errors import SgaError, TheoremViolation
@@ -98,8 +98,7 @@ def diag_b(x: AdmWord, y: AdmWord) -> int:
     return 0
 
 
-@dataclass(frozen=True, slots=True)
-class KissCensus:
+class KissCensus(NamedTuple):
     a_count: int                       # type-A kisses, both directions
     p_set: tuple[tuple[int, int], ...]  # pairs of punctured letters of type D'
     diag: int                          # band orientation in {-1, 0, 1}
@@ -298,8 +297,7 @@ def c_set(x: AdmWord, s: Tag, p: int) -> list:
     return [repmod.module_Vband(1, t, p) for t in range(1, p)]
 
 
-@dataclass
-class ComponentLabel:
+class ComponentLabel(NamedTuple):
     word: AdmWord
     tag: Tag
     dim: dict

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import QuiverError
 
 Slot = tuple[str, int]  # (vertex, sign) with sign in {-1, +1}
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: str
     s_sign: int
@@ -39,8 +38,7 @@ def _neg(slot: Slot) -> Slot:
     return (slot[0], -slot[1])
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     is_polarized: bool
     is_admissible: bool
     is_skewed_gentle: bool
@@ -71,6 +69,12 @@ class PolarizedQuiver:
         self._hash = hash(self._key)
         self._cache: defaultdict[str, dict] = defaultdict(dict)
         self.by_name: dict[str, Arrow] = {a.name: a for a in self.arrows}
+        # the quiver is immutable, so its views are computed once
+        self.special_arrows: tuple[Arrow, ...] = tuple(a for a in self.arrows if a.special)
+        self.ordinary_arrows: tuple[Arrow, ...] = tuple(
+            a for a in self.arrows if not a.special)
+        self._special_vertices = frozenset(
+            a.source for a in self.special_arrows if a.source == a.target)
         # slot -> arrow maps; only trustworthy when the quiver is polarized
         self.out_slot: dict[Slot, Arrow] = {}
         self.in_slot: dict[Slot, Arrow] = {}
@@ -89,16 +93,8 @@ class PolarizedQuiver:
 
     # -- basic views ------------------------------------------------------
 
-    @property
-    def special_arrows(self) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if a.special)
-
-    @property
-    def ordinary_arrows(self) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if not a.special)
-
     def is_special_vertex(self, v: str) -> bool:
-        return any(a.source == v == a.target for a in self.special_arrows)
+        return v in self._special_vertices
 
     def special_loop_at(self, v: str) -> Arrow:
         for a in self.special_arrows:
@@ -133,6 +129,19 @@ class PolarizedQuiver:
 
     def __repr__(self):
         return f"PolarizedQuiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
+
+
+class Frozen:
+    """Base of the hand-written records (``Ray``, ``AdmWord``, ``AxModule``,
+    ``Rep``): ``__init__`` sets their fields past ``__setattr__``, and
+    assigning or deleting an attribute later raises AttributeError."""
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -247,8 +256,7 @@ def hat_quiver(q: PolarizedQuiver) -> PolarizedQuiver:
 TildeVertex = tuple[str, str]  # (vertex, 'o' | '-' | '+')
 
 
-@dataclass(frozen=True)
-class TildeArrow:
+class TildeArrow(NamedTuple):
     base: str    # underlying ordinary arrow
     tau: str     # sign at the target copy
     sigma: str   # sign at the source copy
@@ -260,8 +268,7 @@ class TildeArrow:
         return f"{self.tau}{self.base}{self.sigma}"
 
 
-@dataclass(frozen=True)
-class GabrielPresentation:
+class GabrielPresentation(NamedTuple):
     vertices: tuple[TildeVertex, ...]
     arrows: tuple[TildeArrow, ...]
     # each relation is a sum of 2-paths (first arrow applied second)
@@ -310,8 +317,7 @@ def gabriel_presentation(q: PolarizedQuiver) -> GabrielPresentation:
 
 # -- Fringing ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fringing:
+class Fringing(NamedTuple):
     base: PolarizedQuiver
     extended: PolarizedQuiver
     fringe_vertices: tuple[str, ...]

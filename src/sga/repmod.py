@@ -8,7 +8,6 @@ each long h-line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import gf
@@ -16,30 +15,31 @@ from .admissible import AdmWord, tau_adm
 from .errors import IsProjective, SgaError, TheoremViolation
 from .gf import Matrix
 from .homgraph import CROSS, PLUS, HomGraph, build_H, build_HQ, classify_components
-from .quiver import PolarizedQuiver, per_quiver, tilde_vertices
+from .quiver import Frozen, PolarizedQuiver, per_quiver, tilde_vertices
 from .words import ORD
 
 
-@dataclass(frozen=True, eq=False)
-class AxModule:
+class AxModule(Frozen):
     """A module over the letter-type algebra of a word: k, k[T]/(T^2-1),
     the dihedral algebra, or k[T,T^-1], given by generator matrices
     (``gf`` matrices, ``dim`` x ``dim``).
 
-    Equal and hashed by content (``key``). The key and hash are computed
-    once per instance, the inverses of T and S on first use.
+    Immutable, equal and hashed by content (``key``). The key and hash are
+    computed once per instance, the inverses of T and S on first use.
     """
     label: str
     dim: int
     p: int
-    T: Matrix | None = None
-    S: Matrix | None = None
+    T: Matrix | None
+    S: Matrix | None
 
     # Modules key the module and translate stores of each quiver, so the
     # hash is computed once.  It depends on the interpreter's hash seed,
     # hence a pickle carries only the fields, as for AdmWord.
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.key))
+    def __init__(self, label: str, dim: int, p: int, T: Matrix | None = None,
+                 S: Matrix | None = None) -> None:
+        self.__dict__.update(label=label, dim=dim, p=p, T=T, S=S)
+        self.__dict__["_hash"] = hash(self.key)
 
     @cached_property
     def key(self) -> tuple:
@@ -56,6 +56,10 @@ class AxModule:
 
     def __reduce__(self):
         return AxModule, (self.label, self.dim, self.p, self.T, self.S)
+
+    def __repr__(self) -> str:
+        return (f"AxModule(label={self.label!r}, dim={self.dim!r}, p={self.p!r}, "
+                f"T={self.T!r}, S={self.S!r})")
 
     @cached_property
     def _T_inv(self) -> Matrix:
@@ -228,21 +232,24 @@ def unit_of(x: AdmWord, part: tuple[str, int | None]) -> str:
     return "1"
 
 
-@dataclass(frozen=True, eq=False)
-class Rep:
+class Rep(Frozen):
     """A representation of q over GF(p): a space of dimension ``dims[v]`` at
     each vertex and a ``gf`` matrix, ``dims[target]`` x ``dims[source]``,
     for each arrow.
 
-    Equal and hashed by content (``key``). The key, hash and arrow tables
-    are derived from the matrices on first use and kept; a copy or pickle
-    carries only q, p, dims and mats, so a copy modified before its first
-    use derives its own.
+    Immutable, equal and hashed by content (``key``). The key, hash and
+    arrow tables are derived from the matrices on first use and kept; a
+    copy or pickle carries only q, p, dims and mats, so a copy modified
+    before its first use derives its own.
     """
     q: PolarizedQuiver
     p: int
     dims: dict[str, int]
     mats: dict[str, Matrix]
+
+    def __init__(self, q: PolarizedQuiver, p: int, dims: dict[str, int],
+                 mats: dict[str, Matrix]) -> None:
+        self.__dict__.update(q=q, p=p, dims=dims, mats=mats)
 
     @cached_property
     def key(self) -> tuple:
@@ -264,6 +271,9 @@ class Rep:
 
     def __getstate__(self):
         return {"q": self.q, "p": self.p, "dims": self.dims, "mats": self.mats}
+
+    def __repr__(self) -> str:
+        return f"Rep(q={self.q!r}, p={self.p!r}, dims={self.dims!r}, mats={self.mats!r})"
 
     def total_dim(self) -> int:
         return sum(self.dims.values())

@@ -7,17 +7,16 @@ live over, since sources, targets, and the letter order depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import AtMaximum, AtMinimum, IsProjective, WordError
-from .quiver import PolarizedQuiver, Slot, per_quiver
+from .quiver import Frozen, PolarizedQuiver, Slot, per_quiver
 
 ORD, INV, SPE, TRIV, TINV = "ord", "inv", "spe", "triv", "tinv"
 
 
-@dataclass(frozen=True, order=True)
-class Letter:
+class Letter(NamedTuple):
     kind: str
     name: str = ""
     vertex: str = ""
@@ -238,23 +237,35 @@ def lex_compare(q: PolarizedQuiver, v: Word, w: Word) -> tuple[str, int | None]:
 
 # -- eventually periodic rays ------------------------------------------------
 
-@dataclass(frozen=True)
-class Ray:
-    """A right-infinite (or finite) word: preperiod then repeated period."""
+class Ray(Frozen):
+    """A right-infinite (or finite) word: preperiod then repeated period.
+    Immutable, equal and hashed by (pre, per)."""
+    __slots__ = ("pre", "per", "_hash")
     pre: Word
-    per: Word = ()
+    per: Word
 
     # Rays key the per-quiver ray and ray_compare stores, so the hash is
     # computed once.  It depends on the interpreter's hash seed, hence a
     # pickle carries only the fields, as for AdmWord.
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.pre, self.per)))
+    def __init__(self, pre: Word, per: Word = ()) -> None:
+        object.__setattr__(self, "pre", pre)
+        object.__setattr__(self, "per", per)
+        object.__setattr__(self, "_hash", hash((pre, per)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Ray:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.pre == other.pre
+                                  and self.per == other.per)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         return Ray, (self.pre, self.per)
+
+    def __repr__(self) -> str:
+        return f"Ray(pre={self.pre!r}, per={self.per!r})"
 
     def __getitem__(self, i: int) -> Letter:
         if i < len(self.pre):
@@ -551,12 +562,14 @@ def left_predecessor(q: PolarizedQuiver, w: Word) -> Word:
     return winv(predecessor(q, winv(w))[0])
 
 
-def projective_strings(q: PolarizedQuiver) -> set[Word]:
-    return set(projective_injective_strings(q)[0].values())
+@per_quiver
+def projective_strings(q: PolarizedQuiver) -> frozenset[Word]:
+    return frozenset(projective_injective_strings(q)[0].values())
 
 
-def injective_strings(q: PolarizedQuiver) -> set[Word]:
-    return set(projective_injective_strings(q)[1].values())
+@per_quiver
+def injective_strings(q: PolarizedQuiver) -> frozenset[Word]:
+    return frozenset(projective_injective_strings(q)[1].values())
 
 
 def tau_string(q: PolarizedQuiver, w: Word) -> Word:

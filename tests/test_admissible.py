@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -198,7 +197,7 @@ def test_bar_length(ex1):
 
 
 def test_adm_word_hash_kept_fields_unchanged(ex1):
-    assert [f.name for f in dataclasses.fields(AdmWord)] == ["letters", "wtype"]
+    assert list(AdmWord.__annotations__) == ["letters", "wtype"]
     for x in enumerate_adm(ex1, 8).strings:
         y = AdmWord(x.letters, x.wtype)
         assert y == x and y is not x and hash(y) == hash(x)

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -93,7 +92,7 @@ def test_dim_vector_comb_checks_special_vertices(ex1, monkeypatch):
     x = classify(ex1, (tinvl("1", -1), ordl("g"), ordl("b"), ordl("e"), invl("b"),
                        trivl("3", 1)))
     h = invariants.build_H(ex1, x)
-    plain = dataclasses.replace(h, edges=tuple(
+    plain = h._replace(edges=tuple(
         e for e in h.edges if not ex1.by_name[e.image].special))
     monkeypatch.setattr(invariants, "build_H", lambda q, w: plain)
     with pytest.raises(TheoremViolation, match=re.escape(f"{x}: vertex 3 over special")):

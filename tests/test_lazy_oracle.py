@@ -1,7 +1,9 @@
 """The GF(p) oracle (``sga.gf``, ``sga.repmod``) loads only when something
 uses it: importing the package or the command line and running a
 word-level command leave it unloaded, while the package still offers every
-oracle name. The oracle is pure Python: no command loads numpy."""
+oracle name. The oracle is pure Python: no command loads numpy. The
+records are tuples and plain classes, so no step loads ``dataclasses`` or
+the ``inspect`` module it imports."""
 
 import json
 import os
@@ -15,7 +17,7 @@ import sga
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 EX1 = os.path.join(ROOT, "tests", "data", "ex1.quiver")
 ORACLE = ("sga.gf", "sga.repmod")
-WATCHED = ("numpy",) + ORACLE
+WATCHED = ("dataclasses", "inspect", "numpy") + ORACLE
 X, Y = "1(1,-)- g b e b- 1(3,+)", "1(2,-)- a 1(1,-)"
 
 _PROBE = """

@@ -3,7 +3,6 @@ read-only, keys are faithful, and a warm quiver answers exactly what a
 freshly parsed copy answers."""
 
 import copy
-import dataclasses
 import pickle
 
 import pytest
@@ -35,7 +34,7 @@ def test_memoised_module_is_shared_and_read_only(ex1):
         M.mats[name][0] = ((0, 1),)
     with pytest.raises(TypeError):
         M.mats[name][0][0] = (0, 1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         M.mats = {}
 
 
@@ -125,7 +124,7 @@ def test_kiss_census_frozen_and_shared():
     x, y = enumerate_adm(q, 8).strings[:2]
     c = kiss_census(q, fr, x, y)
     assert kiss_census(q, fr, x, y) is c
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         c.total = 0
 
 

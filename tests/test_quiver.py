@@ -17,6 +17,16 @@ def test_hat_quiver_idempotent(ex1):
     assert {a.name for a in h.arrows} == {a.name for a in ex1.arrows}
 
 
+def test_quiver_views_are_computed_once(ex1):
+    """The arrow views are tuples kept by the quiver, not rebuilt per call."""
+    assert ex1.special_arrows is ex1.special_arrows
+    assert ex1.ordinary_arrows is ex1.ordinary_arrows
+    assert ex1.special_arrows == tuple(a for a in ex1.arrows if a.special)
+    assert ex1.ordinary_arrows == tuple(a for a in ex1.arrows if not a.special)
+    assert [v for v in ex1.vertices if ex1.is_special_vertex(v)] == ["2"]
+    assert not ex1.is_special_vertex("f1")
+
+
 def test_special_pairing_loop(ex1):
     assert special_pairing(ex1) == {"e": "e"}
 

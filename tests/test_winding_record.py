@@ -6,8 +6,6 @@ Covered: every admissible word at max-len 8 of ex1 and of the seed-7, 9,
 translate of each word in the auto-fringed quiver.
 """
 
-import dataclasses
-
 import pytest
 
 from sga.admissible import doublebar_ray, enumerate_adm, hat_ray, tau_adm
@@ -75,7 +73,7 @@ def test_winding_is_frozen(ex1):
     h = build_H(ex1, x)
     for name, value in (("shape", "A"), ("boundary", frozenset()),
                         ("doublebars", {}), ("hats", {}), ("head_ids", {})):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(h, name, value)
     assert build_H(ex1, x) is h
 

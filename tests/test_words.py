@@ -5,11 +5,12 @@ import pytest
 from sga.errors import AtMaximum, IsProjective
 from sga.quiver import Arrow, PolarizedQuiver, validate
 from sga.words import (Ray, enumerate_bands, enumerate_strings,
-                       enumerate_strings_at, invl, is_band, is_string, is_word,
-                       letters_at, lex_compare, max_min_word, ordl, predecessor,
-                       projective_injective_strings, ray_compare, spel,
-                       string_labels, successor, tau_string, tau_string_inverse,
-                       tinvl, trivl, winv)
+                       enumerate_strings_at, injective_strings, invl, is_band,
+                       is_string, is_word, letters_at, lex_compare, max_min_word,
+                       ordl, predecessor, projective_injective_strings,
+                       projective_strings, ray_compare, spel, string_labels,
+                       successor, tau_string, tau_string_inverse, tinvl, trivl,
+                       winv)
 
 
 def W(*letters):
@@ -138,6 +139,16 @@ def test_projective_injective_families(ex1):
             assert winv(w) == inj[(key[0], key[1], -key[2])]
         else:
             assert winv(w) == w
+
+
+def test_projective_and_injective_sets_are_built_once(ex1):
+    """The translate tests membership in one frozenset per quiver: a repeat
+    returns the identical object, holding the strings of the families."""
+    proj, inj = projective_injective_strings(ex1)
+    for fn, family in ((projective_strings, proj), (injective_strings, inj)):
+        strings = fn(ex1)
+        assert isinstance(strings, frozenset) and fn(ex1) is strings
+        assert strings == set(family.values())
 
 
 def test_string_labels(ex1):
