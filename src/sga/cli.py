@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 2 parse error, 3 precondition violation, 4 verified
-theorem mismatch (the --both modes).
+Exit codes: 0 ok, 2 parse error, 3 precondition violation, 4 a verified
+identity failed (a ``TheoremViolation``, printed as ``theorem violation: ...``).
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from .homgraph import (build_H, build_HQ, classify_components, generalized_diago
                        winding_to_dot)
 from .invariants import (c_set, e_comb, enumerate_components, g_comb,
                          is_tau_generic, simplified_check, tags_for)
-from .parsing import (format_tag, parse_module, parse_quiver, parse_tag, parse_word,
-                      print_quiver)
+from .parsing import parse_module, parse_quiver, parse_tag, parse_word, print_quiver
 from .quiver import as_fringing, auto_fringe, check_fringing, gabriel_presentation, \
     tilde_vertices, validate
 from .words import (enumerate_bands, enumerate_strings_at, format_word,
@@ -154,8 +153,7 @@ def cmd_tau(args) -> int:
         t1 = tau_adm(q, x)
         t2 = tau_adm_via_successors(q, x)
         if t1 != t2:
-            print("TAU ROUTE MISMATCH", file=sys.stderr)
-            return 4
+            raise TheoremViolation("TAU ROUTE MISMATCH")
         print(f"{t1.wtype}: {t1}")
         return 0
     letters, band = parse_word(q, args.word)
@@ -212,8 +210,7 @@ def cmd_hom(args) -> int:
     for k in sorted(out):
         print(f"{k}: {out[k]}")
     if args.mode == "both" and out["formula"] != out["oracle"]:
-        print("HOM MISMATCH", file=sys.stderr)
-        return 4
+        raise TheoremViolation("HOM MISMATCH")
     return 0
 
 
@@ -272,8 +269,7 @@ def cmd_gvec(args) -> int:
     for k in sorted(results):
         print(f"{k}: (" + ",".join(str(v) for v in results[k]) + ")")
     if len(results) == 2 and results["comb"] != results["oracle"]:
-        print("GVEC MISMATCH", file=sys.stderr)
-        return 4
+        raise TheoremViolation("GVEC MISMATCH")
     return 0
 
 
@@ -299,11 +295,10 @@ def cmd_components(args) -> int:
     header = ["id", "word", "tag", "type", "dim", "g"]
     print("\t".join(header))
     for i, l in enumerate(labels):
-        tag = format_tag(l.tag)
         dim = ",".join(str(l.dim[k]) for k in order)
         g = ",".join(str(l.g[k]) for k in order)
         word = ("band: " if l.word.wtype == "b" else "") + str(l.word)
-        print(f"{i}\t{word}\t{tag}\t{l.word.wtype}\t({dim})\t({g})")
+        print(f"{i}\t{word}\t{l.tag}\t{l.word.wtype}\t({dim})\t({g})")
     print("# pairwise generic E matrix")
     for row in matrix:
         print("\t".join(str(v) for v in row))
@@ -338,8 +333,7 @@ def cmd_selftest(args) -> int:
             for (a, b), sites in zip(((u, v), (v, u)), kiss_sites(qf, u, v)):
                 rep = classify_components(build_HQ(qf, a, b))
                 if sites != tuple((c.ctype, c.vertices[0]) for c in rep.plus if c.kiss):
-                    print(f"KISS DUAL-ROUTE MISMATCH {a} {b}", file=sys.stderr)
-                    return 4
+                    raise TheoremViolation(f"KISS DUAL-ROUTE MISMATCH {a} {b}")
     print(f"kiss dual route ok on {len(translates) ** 2} translate pairs")
     checked = 0
     for x in words:
@@ -350,16 +344,14 @@ def cmd_selftest(args) -> int:
                     rhs = hom_dim_oracle(build_module(q, x, X),
                                          build_module(q, y, Y))
                     if lhs != rhs:
-                        print(f"HOM MISMATCH {x} {X.label} {y} {Y.label}",
-                              file=sys.stderr)
-                        return 4
+                        raise TheoremViolation(
+                            f"HOM MISMATCH {x} {X.label} {y} {Y.label}")
                     checked += 1
     print(f"hom theorem ok on {checked} quadruples")
     for x in words:
         for s in tags_for(x):
             if is_tau_generic(q, fr, x, s) != simplified_check(q, fr, x, s):
-                print("TAU-GENERIC MISMATCH", file=sys.stderr)
-                return 4
+                raise TheoremViolation("TAU-GENERIC MISMATCH")
     print("tau-generic simplification ok")
     return 0
 

@@ -17,59 +17,44 @@ from .homgraph import build_H, kiss_sites
 from .quiver import Fringing, PolarizedQuiver, tilde_vertices
 from .words import band_canonical, winv
 
-Tag = object  # '*' | ('*','*') | (s1, s2) with si in {-1, 1}
+Tag = str  # "++" | "+-" | "-+" | "--" (the signs at loops 0 and 1) | "*" | "**"
 
-STAR = "*"
-DSTAR = ("*", "*")
+# the order of the labels of one word (the row order of `sga components`)
+TAG_ORDER = ("*", "**", "--", "-+", "+-", "++")
+
+_TAGS = {"uu": ("++",), "up": ("+-", "++"), "pu": ("-+", "++"),
+         "pp": ("--", "-+", "+-", "++", "**"), "b": ("*",)}
+_CHI = str.maketrans("+-", "-+")
 
 
-def tags_for(x: AdmWord) -> list[Tag]:
+def tags_for(x: AdmWord) -> tuple[Tag, ...]:
     """The legal tag set of a word, by its type."""
-    if x.wtype == "uu":
-        return [(1, 1)]
-    if x.wtype == "up":
-        return [(1, -1), (1, 1)]
-    if x.wtype == "pu":
-        return [(-1, 1), (1, 1)]
-    if x.wtype == "pp":
-        return [(-1, -1), (-1, 1), (1, -1), (1, 1), DSTAR]
-    return [STAR]
+    return _TAGS[x.wtype]
 
 
 def wt(s: Tag) -> int:
-    return 2 if s == DSTAR else 1
+    return 2 if s == "**" else 1
 
 
 def tag_iota(s: Tag) -> Tag:
-    if isinstance(s, tuple) and s != DSTAR:
-        return (s[1], s[0])
-    return s
+    return s[::-1]
 
 
 def tag_chi(s: Tag) -> Tag:
-    if isinstance(s, tuple) and s != DSTAR:
-        return (-s[0], -s[1])
-    return s
+    return s.translate(_CHI)
 
 
-def tag_comp(s: Tag, k: int):
-    """Component of the tag at loop k (0-based); '*' for the star tags."""
-    if s == STAR or s == DSTAR:
-        return STAR
-    return s[k]
-
-
-def d2(a, b) -> int:
-    """Matching eigenvalue count between sign-or-star letters."""
-    if a == STAR and b == STAR:
+def d2(a: str, b: str) -> int:
+    """Matching eigenvalue count between sign-or-star characters."""
+    if a == "*" and b == "*":
         return 2
-    if a == STAR or b == STAR:
+    if a == "*" or b == "*":
         return 1
     return 1 if a == b else 0
 
 
 def d3(s: Tag, t: Tag) -> int:
-    return 1 if (isinstance(s, tuple) and s != DSTAR and s == t) else 0
+    return 1 if s == t and "*" not in s else 0
 
 
 def check_tag(x: AdmWord, s: Tag) -> None:
@@ -173,7 +158,7 @@ def e_comb(q: PolarizedQuiver, fr: Fringing, xs: tuple[AdmWord, Tag],
     tot = census.a_count * wt(s) * wt(t)
     tchi = tag_chi(t)
     for (j, i) in census.p_set:
-        tot += d2(tag_comp(s, i), tag_comp(tchi, j))
+        tot += d2(s[i], tchi[j])
     sp = s
     if census.diag == -1:
         sp = tag_iota(s)
@@ -216,11 +201,10 @@ def g_comb(q: PolarizedQuiver, fr: Fringing, x: AdmWord, s: Tag) -> dict:
     out = {}
     for (v, rho) in tilde_vertices(q):
         val = (a_plus.get(v, 0) - a_minus.get(v, 0)) * wt(s)
-        r = 1 if rho == "+" else -1
         for k in d_plus.get(v, ()):
-            val += d2(tag_comp(s, k), r)
+            val += d2(s[k], rho)
         for k in d_minus.get(v, ()):
-            val -= d2(r, -tag_comp(s, k) if tag_comp(s, k) != STAR else STAR)
+            val -= d2(rho, tag_chi(s[k]))
         out[(v, rho)] = val
     return out
 
@@ -237,7 +221,7 @@ def simplified_check(q: PolarizedQuiver, fr: Fringing, x: AdmWord, s: Tag) -> bo
     if census.a_count != 0:
         return False
     if x.wtype == "pp" and x.letters[0].vertex == x.letters[-1].vertex:
-        return s in ((-1, -1), (1, 1))
+        return s in ("--", "++")
     return True
 
 
@@ -258,12 +242,12 @@ def dim_vector_comb(q: PolarizedQuiver, x: AdmWord, s: Tag) -> dict:
         if not q.is_special_vertex(lab):
             out[(lab, "o")] += w
         elif v in loop_vertices:
-            c = tag_comp(s, loop_vertices[v])
-            if c == STAR:
+            c = s[loop_vertices[v]]
+            if c == "*":
                 out[(lab, "-")] += 1
                 out[(lab, "+")] += 1
             else:
-                out[(lab, "+" if c > 0 else "-")] += w
+                out[(lab, c)] += w
         elif v not in on_special_edge:
             # a vertex over a special vertex that splits its eigenvalues
             # neither by a loop nor by a doubled special edge
@@ -282,19 +266,19 @@ def c_set(x: AdmWord, s: Tag, p: int) -> list:
     module for sign tags, a parameter curve for the star tags."""
     from . import gf, repmod
     check_tag(x, s)
+    if x.wtype == "b":
+        return [repmod.module_Vband(1, t, p) for t in range(1, p)]
+    if s == "**":
+        return [repmod.module_Vt(1, t, p) for t in range(2, p - 1)]
+    s0, s1 = (1 if c == "+" else -1 for c in s)
     if x.wtype == "uu":
         return [repmod.module_k(p)]
     if x.wtype == "up":
-        return [repmod.module_V(s[1], p)]
+        return [repmod.module_V(s1, p)]
     if x.wtype == "pu":
-        return [repmod.module_V(s[0], p)]
-    if x.wtype == "pp":
-        if s == DSTAR:
-            return [repmod.module_Vt(1, t, p) for t in range(2, p - 1)]
-        return [repmod.AxModule(f"W1({s[0]},{s[1]})", 1, p,
-                                T=gf.matrix([{0: s[1]}], p),
-                                S=gf.matrix([{0: s[0]}], p))]
-    return [repmod.module_Vband(1, t, p) for t in range(1, p)]
+        return [repmod.module_V(s0, p)]
+    return [repmod.AxModule(f"W1({s0},{s1})", 1, p,
+                            T=gf.matrix([{0: s1}], p), S=gf.matrix([{0: s0}], p))]
 
 
 class ComponentLabel(NamedTuple):
@@ -307,9 +291,9 @@ class ComponentLabel(NamedTuple):
 def canonical_tagged(x: AdmWord, s: Tag) -> tuple[AdmWord, Tag]:
     """Representative of the inversion/rotation class of a tagged word."""
     if x.wtype == "b":
-        return AdmWord(band_canonical(x.letters), "b"), STAR
+        return AdmWord(band_canonical(x.letters), "b"), "*"
     xi, si = x.inverse(), tag_iota(s)
-    if (xi.letters, repr(si)) < (x.letters, repr(s)):
+    if (xi.letters, TAG_ORDER.index(si)) < (x.letters, TAG_ORDER.index(s)):
         return xi, si
     return x, s
 
@@ -325,7 +309,7 @@ def enumerate_components(q: PolarizedQuiver, fr: Fringing, max_len: int):
     for x in words:
         for s in tags_for(x):
             cx, cs = canonical_tagged(x, s)
-            key = (cx.letters, cx.wtype, repr(cs))
+            key = (cx.letters, cx.wtype, cs)
             if key in seen:
                 continue
             seen.add(key)
@@ -333,7 +317,7 @@ def enumerate_components(q: PolarizedQuiver, fr: Fringing, max_len: int):
                 continue
             labels.append(ComponentLabel(cx, cs, dim_vector_comb(q, cx, cs),
                                          g_comb(q, fr, cx, cs)))
-    labels.sort(key=lambda l: (l.word.letters, repr(l.tag)))
+    labels.sort(key=lambda l: (l.word.letters, TAG_ORDER.index(l.tag)))
     n = len(labels)
     matrix = [[0] * n for _ in range(n)]
     for i in range(n):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .invariants import DSTAR, STAR
 from .quiver import Arrow, PolarizedQuiver
 from .words import (Letter, Word, invl, ordl, spel, tinvl, trivl)
 
@@ -71,7 +70,7 @@ def parse_letter(q: PolarizedQuiver, tok: str) -> Letter:
     m = _TRIV_RE.match(tok)
     if m:
         v, sign, inv = m.groups()
-        if v not in q.by_vertex():
+        if v not in q.vertex_set:
             raise ParseError(f"unknown vertex {v} in trivial letter")
         s = 1 if sign == "+" else -1
         return tinvl(v, s) if inv else trivl(v, s)
@@ -104,24 +103,12 @@ def parse_word(q: PolarizedQuiver, text: str) -> tuple[Word, bool]:
     return tuple(parse_letter(q, t) for t in toks), band
 
 
-def parse_tag(text: str):
+def parse_tag(text: str) -> str:
+    """A tag is its text form."""
     t = text.strip()
-    if t == "*":
-        return STAR
-    if t == "**":
-        return DSTAR
-    if len(t) == 2 and set(t) <= {"+", "-"}:
-        return (1 if t[0] == "+" else -1, 1 if t[1] == "+" else -1)
-    raise ParseError(f"malformed tag {text}")
-
-
-def format_tag(tag) -> str:
-    """The text form of a tag, inverse to parse_tag."""
-    if tag == STAR:
-        return "*"
-    if tag == DSTAR:
-        return "**"
-    return "".join("+" if c > 0 else "-" for c in tag)
+    if t not in ("++", "+-", "-+", "--", "*", "**"):
+        raise ParseError(f"malformed tag {text}")
+    return t
 
 
 _MOD_RE = re.compile(r"^(Vt|V|W|Wchi)\((\d+),([+-]|\d+)\)$")
@@ -140,6 +127,10 @@ def parse_module(text: str, p: int) -> repmod.AxModule:
     if not m:
         raise ParseError(f"malformed module literal {text}")
     kind, a, b = m.groups()
+    if kind in ("V", "Vt") and not b.isdigit():
+        raise ParseError(f"{kind} takes an integer parameter, not {b}, in {text}")
+    if kind in ("W", "Wchi") and b.isdigit():
+        raise ParseError(f"{kind} takes a sign, not {b}, in {text}")
     if int(a) < 1:
         raise ParseError(f"module size must be at least 1 in {text}")
     if kind == "V":

@@ -56,9 +56,9 @@ class PolarizedQuiver:
     def __init__(self, vertices, arrows):
         self.vertices: tuple[str, ...] = tuple(sorted(set(vertices)))
         self.arrows: tuple[Arrow, ...] = tuple(arrows)
-        vset = set(self.vertices)
+        self.vertex_set: frozenset[str] = frozenset(self.vertices)
         for a in self.arrows:
-            if a.source not in vset or a.target not in vset:
+            if a.source not in self.vertex_set or a.target not in self.vertex_set:
                 raise QuiverError(f"arrow {a.name} references unknown vertex")
             if a.s_sign not in (-1, 1) or a.t_sign not in (-1, 1):
                 raise QuiverError(f"arrow {a.name} has a sign outside {{-1,+1}}")
@@ -75,6 +75,9 @@ class PolarizedQuiver:
             a for a in self.arrows if not a.special)
         self._special_vertices = frozenset(
             a.source for a in self.special_arrows if a.source == a.target)
+        special_starts = {a.s_slot for a in self.special_arrows}
+        self._trivial_slots = frozenset(
+            (v, s) for v in self.vertices for s in (-1, 1) if (v, s) not in special_starts)
         # slot -> arrow maps; only trustworthy when the quiver is polarized
         self.out_slot: dict[Slot, Arrow] = {}
         self.in_slot: dict[Slot, Arrow] = {}
@@ -102,15 +105,9 @@ class PolarizedQuiver:
                 return a
         raise QuiverError(f"no special loop at vertex {v}")
 
-    def special_s_slots(self) -> set[Slot]:
-        return {a.s_slot for a in self.special_arrows}
-
     def trivial_slot_ok(self, slot: Slot) -> bool:
         """Slots carrying a trivial letter: everything except special start slots."""
-        return slot[0] in self.by_vertex() and slot not in self.special_s_slots()
-
-    def by_vertex(self) -> set[str]:
-        return set(self.vertices)
+        return slot in self._trivial_slots
 
     def store(self, name: str) -> dict:
         """The memo table ``name`` of this quiver, made on first use."""
@@ -344,7 +341,7 @@ def auto_fringe(q: PolarizedQuiver) -> Fringing:
                 if occupied:
                     continue
                 f = f"f{counter}"
-                while f in q.by_vertex() or f in q.by_name:
+                while f in q.vertex_set or f in q.by_name:
                     counter += 1
                     f = f"f{counter}"
                 counter += 1

@@ -149,7 +149,7 @@ def _gvec_example_words(ex1):
 def _c3_values(ex1, fr):
     x, y = _gvec_example_words(ex1)
     out = []
-    for (w, s) in ((x, (1, 1)), (y, (1, 1)), (y, (-1, 1))):
+    for (w, s) in ((x, "++"), (y, "++"), (y, "-+")):
         g = g_comb(ex1, fr, w, s)
         out.append(tuple(g[k] for k in ORDER4))
     return out

@@ -136,6 +136,11 @@ def _gvec(seed, x, module, tag, code):
     _gvec(42, PP42, "W(0,+)", "++", 2),
     _gvec(42, PP42, "Wchi(0,-)", "++", 2),
     _gvec(42, PP42, "Vt(0,2)", "**", 2),
+    # V and Vt take an integer parameter, W and Wchi a sign
+    _gvec(42, PP42, "V(1,+)", "++", 2),
+    _gvec(42, PP42, "Vt(1,-)", "**", 2),
+    _gvec(42, PP42, "W(1,5)", "++", 2),
+    _gvec(42, PP42, "Wchi(2,7)", "++", 2),
     # gvec compares only a module of the tag's family
     _gvec(42, PP42, "W(1,+)", "+-", 3),
     _gvec(42, PP42, "W(1,+)", "**", 3),

@@ -2,19 +2,21 @@ import re
 
 import pytest
 
-from sga.admissible import classify, enumerate_adm
+from sga.admissible import AdmWord, classify, enumerate_adm
 from sga import invariants
 from sga.errors import SgaError, TheoremViolation
-from sga.invariants import (DSTAR, STAR, canonical_tagged, d2, d3, diag_b,
+from sga.invariants import (TAG_ORDER, canonical_tagged, d2, d3, diag_b,
                             dim_vector_comb, e_comb, enumerate_components,
                             g_comb, is_tau_generic, kiss_census, p_set,
                             simplified_check, tag_chi, tag_iota, tags_for, wt)
+from sga.parsing import parse_tag
 from sga.quiver import PolarizedQuiver, as_fringing, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
 from sga.repmod import build_module, module_V, module_k
 from sga.words import invl, ordl, tinvl, trivl
 
 ORDER = [("1", "o"), ("2", "-"), ("2", "+"), ("3", "o")]
+SIGN = {"+": 1, "-": -1}
 
 
 @pytest.fixture(scope="module")
@@ -28,34 +30,40 @@ def fra(ex1):
 
 
 def test_tag_algebra():
-    assert wt(DSTAR) == 2 and wt(STAR) == 1 and wt((1, -1)) == 1
-    assert tag_iota((1, -1)) == (-1, 1) and tag_iota(STAR) == STAR
-    assert tag_chi((1, -1)) == (-1, 1) and tag_chi(DSTAR) == DSTAR
-    assert tag_iota(tag_iota((1, -1))) == (1, -1)
-    assert d2(STAR, STAR) == 2 and d2(1, -1) == 0 and d2(1, 1) == 1
-    assert d2(-1, STAR) == 1
-    assert d3((1, 1), (1, 1)) == 1 and d3(DSTAR, DSTAR) == 0
+    assert wt("**") == 2 and wt("*") == 1 and wt("+-") == 1
+    assert tag_iota("+-") == "-+" and tag_iota("*") == "*"
+    assert tag_chi("+-") == "-+" and tag_chi("**") == "**"
+    assert tag_iota(tag_iota("+-")) == "+-"
+    assert d2("*", "*") == 2 and d2("+", "-") == 0 and d2("+", "+") == 1
+    assert d2("-", "*") == 1
+    assert d3("++", "++") == 1 and d3("**", "**") == 0
+    every = [s for wtype in ("uu", "up", "pu", "pp", "b")
+             for s in tags_for(AdmWord((), wtype))]
+    assert set(every) == set(TAG_ORDER)
+    for s in every:
+        assert parse_tag(s) == s
+        assert tag_iota(tag_iota(s)) == s and tag_chi(tag_chi(s)) == s
 
 
 def test_tags_for_types(ex1):
     x = classify(ex1, (tinvl("1", -1), ordl("g"), ordl("b"), ordl("e"), invl("b"),
                        trivl("3", 1)))
-    assert tags_for(x) == [(1, 1)]
+    assert tags_for(x) == ("++",)
     y = classify(ex1, (tinvl("2", -1), ordl("a"), trivl("1", -1)))
-    assert tags_for(y) == [(-1, 1), (1, 1)]
+    assert tags_for(y) == ("-+", "++")
     with pytest.raises(SgaError):
-        g_comb(ex1, auto_fringe(ex1), y, (1, -1))
+        g_comb(ex1, auto_fringe(ex1), y, "+-")
 
 
 def test_g_comb_worked_triples_hand_fringing(ex1, frp):
     x = classify(ex1, (tinvl("1", -1), ordl("g"), ordl("b"), ordl("e"), invl("b"),
                        trivl("3", 1)))
-    g = g_comb(ex1, frp, x, (1, 1))
+    g = g_comb(ex1, frp, x, "++")
     assert [g[k] for k in ORDER] == [-1, 1, 1, 0]
     y = classify(ex1, (tinvl("2", -1), ordl("a"), trivl("1", -1)))
-    gp = g_comb(ex1, frp, y, (1, 1))
+    gp = g_comb(ex1, frp, y, "++")
     assert [gp[k] for k in ORDER] == [1, -1, 0, 0]
-    gm = g_comb(ex1, frp, y, (-1, 1))
+    gm = g_comb(ex1, frp, y, "-+")
     assert [gm[k] for k in ORDER] == [1, 0, -1, 0]
 
 
@@ -72,17 +80,17 @@ def test_g_comb_matches_oracle(ex1, frp):
     for x in sets.strings:
         for s in tags_for(x):
             X = module_k(5) if x.wtype == "uu" else \
-                module_V(s[1] if x.wtype == "up" else s[0], 5)
+                module_V(SIGN[s[1] if x.wtype == "up" else s[0]], 5)
             assert g_comb(ex1, frp, x, s) == g_oracle(ex1, x, X), (str(x), s)
 
 
 def test_dim_vector_comb(ex1):
     y = classify(ex1, (tinvl("2", -1), ordl("a"), trivl("1", -1)))
-    dv = dim_vector_comb(ex1, y, (1, 1))
+    dv = dim_vector_comb(ex1, y, "++")
     assert [dv[k] for k in ORDER] == [1, 0, 1, 0]
     x = classify(ex1, (tinvl("1", -1), ordl("g"), ordl("b"), ordl("e"), invl("b"),
                        trivl("3", 1)))
-    assert [dim_vector_comb(ex1, x, (1, 1))[k] for k in ORDER] == [1, 1, 1, 2]
+    assert [dim_vector_comb(ex1, x, "++")[k] for k in ORDER] == [1, 1, 1, 2]
 
 
 def test_dim_vector_comb_checks_special_vertices(ex1, monkeypatch):
@@ -96,7 +104,7 @@ def test_dim_vector_comb_checks_special_vertices(ex1, monkeypatch):
         e for e in h.edges if not ex1.by_name[e.image].special))
     monkeypatch.setattr(invariants, "build_H", lambda q, w: plain)
     with pytest.raises(TheoremViolation, match=re.escape(f"{x}: vertex 3 over special")):
-        dim_vector_comb(ex1, x, (1, 1))
+        dim_vector_comb(ex1, x, "++")
 
 
 def test_dim_vector_matches_modules(ex1):
@@ -105,7 +113,7 @@ def test_dim_vector_matches_modules(ex1):
         for s in tags_for(x):
             dv = dim_vector_comb(ex1, x, s)
             X = module_k(5) if x.wtype == "uu" else \
-                module_V(s[1] if x.wtype == "up" else s[0], 5)
+                module_V(SIGN[s[1] if x.wtype == "up" else s[0]], 5)
             M = build_module(ex1, x, X)
             got = {(v, r): d for (v, r), d in M.dim_vector().items()}
             assert dv == got, (str(x), s)
@@ -162,10 +170,10 @@ def test_tau_generic_equivalence(ex1, frp, fra):
 def test_enumerate_components_ex1(ex1, fra):
     labels, matrix, truncated = enumerate_components(ex1, fra, 8)
     assert labels and not truncated
-    # (u,u) classes appear exactly with the tag (1,1)
+    # (u,u) classes appear exactly with the tag ++
     for l in labels:
         if l.word.wtype == "uu":
-            assert l.tag == (1, 1)
+            assert l.tag == "++"
         cx, cs = canonical_tagged(l.word, l.tag)
         assert (cx, cs) == (l.word, l.tag)
     n = len(labels)

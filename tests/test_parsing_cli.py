@@ -46,9 +46,9 @@ def test_parse_word_roundtrip(ex1):
 
 
 def test_parse_tag_and_module():
-    assert parse_tag("**") == ("*", "*")
+    assert parse_tag("**") == "**"
     assert parse_tag("*") == "*"
-    assert parse_tag("+-") == (1, -1)
+    assert parse_tag(" +- ") == "+-"
     with pytest.raises(ParseError):
         parse_tag("+*")
     m = parse_module("V(2,3)", 5)

@@ -10,7 +10,7 @@ import pytest
 
 from sga.admissible import enumerate_adm
 from sga.homgraph import build_HQ, classify_components, real_long_bijection
-from sga.invariants import DSTAR, c_set, diag_b, e_comb, kiss_census, tags_for
+from sga.invariants import c_set, diag_b, e_comb, kiss_census, tags_for
 from sga.quiver import auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
 from sga.repmod import (E_formula, E_oracle, build_module, hom_dim_formula,
@@ -129,7 +129,7 @@ def test_gf5_star_star_collapse_is_exactly_plus_two(ppq, ppwords):
                     if key not in cache:
                         cache[key] = E_oracle(ppq, x, X, y, Y)
                     best = cache[key] if best is None else min(best, cache[key])
-            degenerate = (s == DSTAR and t == DSTAR and diag_b(x, y) != 0)
+            degenerate = (s == t == "**" and diag_b(x, y) != 0)
             if degenerate:
                 assert best == ec + 2, (str(x), str(y))
             else:
