@@ -15,13 +15,15 @@ from .homgraph import (HomGraph, Winding, build_H, build_HQ,
 from .invariants import (e_comb, enumerate_components, g_comb, is_tau_generic,
                          kiss_census, simplified_check, tags_for)
 
-# The GF(p) oracle (repmod, on gf) loads on first access to one of these
-# names (PEP 562), so the word-level commands never pay for compiling and
-# importing it on a cold start.
-_ORACLE_MODULES = ("gf", "repmod")
-_ORACLE = ("AxModule", "E_oracle", "Rep", "build_module", "g_oracle",
-           "hom_basis_oracle", "hom_basis_structured", "hom_dim_formula",
-           "hom_dim_oracle", "indecomposables_Ax", "iso_witness", "tau_module")
+# The GF(p) oracle (homalg and repmod, on gf) loads on first access to one
+# of these names (PEP 562), so the word-level commands never pay for
+# compiling and importing it on a cold start.
+_ORACLE_MODULES = ("gf", "homalg", "repmod")
+_ORACLE = {**dict.fromkeys(("Rep", "hom_basis_oracle", "hom_dim_oracle",
+                            "iso_witness"), "homalg"),
+           **dict.fromkeys(("AxModule", "E_oracle", "build_module", "g_oracle",
+                            "hom_basis_structured", "hom_dim_formula",
+                            "indecomposables_Ax", "tau_module"), "repmod")}
 
 __all__ = [n for n in dir() if not n.startswith("_")] + \
     list(_ORACLE_MODULES) + list(_ORACLE)
@@ -33,5 +35,5 @@ def __getattr__(name: str):
     if name in _ORACLE_MODULES:
         return importlib.import_module(f"{__name__}.{name}")
     if name in _ORACLE:
-        return getattr(importlib.import_module(f"{__name__}.repmod"), name)
+        return getattr(importlib.import_module(f"{__name__}.{_ORACLE[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

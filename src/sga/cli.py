@@ -234,11 +234,14 @@ def cmd_einv(args) -> int:
         print(f"e_comb: {e_comb(q, fr, (x, s), (y, t))}")
     if args.X and args.Y:
         from . import gf
-        from .repmod import E_oracle
+        from .repmod import E_formula, E_oracle
         gf.check_prime(args.field)
         X = parse_module(args.X, args.field)
         Y = parse_module(args.Y, args.field)
-        print(f"E_oracle: {E_oracle(q, x, X, y, Y)}")
+        formula, oracle = E_formula(q, fr, x, X, y, Y), E_oracle(q, x, X, y, Y)
+        print(f"E_formula: {formula}\nE_oracle: {oracle}")
+        if formula != oracle:
+            raise TheoremViolation(f"E MISMATCH: E_formula {formula}, E_oracle {oracle}")
     return 0
 
 

@@ -486,27 +486,27 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites
     plus component and that of long at the least vertex of every full
     component, in both directions.
     """
-    tx, ty = build_H(q, x), build_H(q, y)
-    m = max(tx.vertices, default=0) + 1   # (j, i) is the integer j*m + i
-    n = max(ty.vertices, default=0) + 1   # and (i, j) is i*n + j
+    hx, hy = build_H(q, x), build_H(q, y)
+    m = max(hx.vertices, default=0) + 1   # (j, i) is the integer j*m + i
+    n = max(hy.vertices, default=0) + 1   # and (i, j) is i*n + j
     colours = q.store("red_blue")
     parent: dict[int, int] = {}
     red, blue = [], []
-    for lab, js in ty.by_label.items():
-        ixs = tx.by_label.get(lab)
+    for lab, js in hy.by_label.items():
+        ixs = hx.by_label.get(lab)
         if ixs is None:
             continue
-        hxs = [tx.head_id(q, i) for i in ixs]
+        heads_x = [hx.head_id(q, i) for i in ixs]
         for j in js:
-            hy = ty.head_id(q, j)
-            for i, hx in zip(ixs, hxs):
+            head_y = hy.head_id(q, j)
+            for i, head_x in zip(ixs, heads_x):
                 v = j * m + i
                 parent[v] = v
-                if hy == hx:
+                if head_y == head_x:
                     continue
-                rb = colours.get((hy, hx))
+                rb = colours.get((head_y, head_x))
                 if rb is None:
-                    rb = red_blue(q, ty, j, tx, i)
+                    rb = red_blue(q, hy, j, hx, i)
                 if rb[0]:
                     red.append(v)
                 if rb[1]:
@@ -519,8 +519,8 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites
         return v
 
     plus, loops, cross, circ = [], [], [], []
-    for image, eys in ty.edges_by_image.items():
-        exs = tx.edges_by_image.get(image, ())
+    for image, eys in hy.edges_by_image.items():
+        exs = hx.edges_by_image.get(image, ())
         special = bool(exs) and q.by_name[image].special
         for ny in eys:
             for nx in exs:
@@ -531,18 +531,18 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites
                     s = ny.tgt * m + nx.src
                     if s in parent:
                         cross.append((s, ny.src * m + nx.tgt))
-    for image, lys in ty.loops_by_image.items():
+    for image, lys in hy.loops_by_image.items():
         for ly in lys:
-            for lx in tx.loops_by_image.get(image, ()):
+            for lx in hx.loops_by_image.get(image, ()):
                 v = ly.vertex * m + lx.vertex
                 if v in parent:
                     loops.append(v)
-            for nx in tx.edges_by_image.get(image, ()):
+            for nx in hx.edges_by_image.get(image, ()):
                 s = ly.vertex * m + nx.src
                 if s in parent:
                     circ.append((s, ly.vertex * m + nx.tgt))
-    for image, lxs in tx.loops_by_image.items():
-        for ny in ty.edges_by_image.get(image, ()):
+    for image, lxs in hx.loops_by_image.items():
+        for ny in hy.edges_by_image.get(image, ()):
             for lx in lxs:
                 s = ny.tgt * m + lx.vertex
                 if s in parent:
@@ -592,16 +592,16 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites
     blue_side = {root[v] for v in blue}
     blue_side.update(root[s] for s, _ in cross + circ)
     at_boundary = {root[v] for v in verts if deg[v] <= 1 and
-                   (v // m in ty.boundary or v % m in tx.boundary)}
+                   (v // m in hy.boundary or v % m in hx.boundary)}
 
     # the product quiver of (x, x) is its own transpose: one half suffices
     both = x != y
     kisses, dual_kisses = [], []
     for r, vt in order:
         real, dual = r not in red_side, r not in blue_side
-        if ray_real(q, tx, ty, vt) != real:
+        if ray_real(q, hx, hy, vt) != real:
             raise TheoremViolation(f"real h-line characterization differs at {vt}")
-        if both and ray_real(q, ty, tx, dual_at[r]) != dual:
+        if both and ray_real(q, hy, hx, dual_at[r]) != dual:
             raise TheoremViolation(
                 f"real h-line characterization differs at {dual_at[r]}")
         if r in at_boundary:
@@ -620,9 +620,9 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites
     red_full = {root[v] for v in red}
     blue_full = {root[v] for v in blue}
     for r, vt in order:
-        if ray_long(q, tx, ty, vt) != (r not in red_full):
+        if ray_long(q, hx, hy, vt) != (r not in red_full):
             raise TheoremViolation(f"long h-line characterization differs at {vt}")
-        if both and ray_long(q, ty, tx, dual_at[r]) != (r not in blue_full):
+        if both and ray_long(q, hy, hx, dual_at[r]) != (r not in blue_full):
             raise TheoremViolation(
                 f"long h-line characterization differs at {dual_at[r]}")
     return tuple(kisses), tuple(sorted(dual_kisses, key=lambda k: k[1]))

@@ -37,6 +37,8 @@ def parse_quiver(text: str) -> PolarizedQuiver:
         if parts[0] == "vertex":
             if len(parts) != 2:
                 raise ParseError("vertex takes exactly one id", ln, 1)
+            if parts[1] in vertices:
+                raise ParseError(f"duplicate vertex {parts[1]}", ln, 1)
             vertices.append(parts[1])
         elif parts[0] == "arrow":
             m = _ARROW_RE.match(line)

@@ -193,13 +193,8 @@ def letters_at(q: PolarizedQuiver, slot: Slot) -> list[Letter]:
     if q.trivial_slot_ok(slot):
         out.append(trivl(*slot))
     a_out = q.out_slot.get(slot)
-    if a_out is not None:
-        if a_out.special:
-            # slot is the source of a special arrow only possible at the
-            # (-1) end of a non-loop special; loops were caught above
-            pass
-        else:
-            out.append(invl(a_out.name))
+    if a_out is not None and not a_out.special:
+        out.append(invl(a_out.name))
     return out
 
 

@@ -17,9 +17,9 @@ from sga.invariants import (c_set, e_comb, is_tau_generic, kiss_census,
                             simplified_check, tags_for)
 from sga.quiver import as_fringing, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
+from sga.homalg import hom_dim_oracle
 from sga.repmod import (E_formula, E_oracle, build_module, g_oracle,
-                        hom_dim_formula, hom_dim_oracle, indecomposables_Ax,
-                        tau_module)
+                        hom_dim_formula, indecomposables_Ax, tau_module)
 from sga.invariants import g_comb
 from sga.words import (enumerate_strings, enumerate_strings_at, format_word,
                        invl, ordl, projective_strings, standard_band_words,

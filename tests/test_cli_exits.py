@@ -64,6 +64,36 @@ def test_field_cap():
     assert main(_hom("--field", "1048573")) == 0
 
 
+def test_duplicate_vertex_line(tmp_path, capsys):
+    """A repeated ``vertex`` line is refused, not merged (exit 2)."""
+    with open(EX1, encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "dup.quiver"
+    path.write_text(text + "vertex 1\n", encoding="utf-8")
+    assert main(["check", EX1]) == 0
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 2
+    line = len(text.splitlines()) + 1
+    assert f"parse error: {line}:1: duplicate vertex 1" in capsys.readouterr().err
+
+
+def _einv(*extra):
+    return ["einv", EX1, "--x", X, "--y", Y, "--X", "Vo", "--Y", "V-", *extra]
+
+
+def test_einv_prints_both_routes(capsys):
+    assert main(_einv()) == 0
+    assert capsys.readouterr().out == "E_formula: 2\nE_oracle: 2\n"
+
+
+def test_einv_route_mismatch(monkeypatch, capsys):
+    from sga import repmod
+    formula = repmod.E_formula
+    monkeypatch.setattr(repmod, "E_formula", lambda *a, **k: formula(*a, **k) + 1)
+    assert main(_einv()) == 4
+    assert "E MISMATCH" in capsys.readouterr().err
+
+
 def test_selftest_dual_route_mismatch(monkeypatch, capsys):
     direct = sga.cli.enumerate_adm_direct
 

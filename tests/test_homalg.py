@@ -1,0 +1,63 @@
+"""The word-free oracle layer: ``sga.homalg`` reads no words, and its
+directly written simples equal the modules the word route builds."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sga.homalg
+from sga.admissible import classify
+from sga.homalg import hom_dim_oracle, simple, zero
+from sga.quiver import tilde_vertices
+from sga.randquiver import random_skewed_gentle_quiver
+from sga.repmod import build_module, module_k, module_V
+from sga.words import tinvl, trivl
+
+SOURCE = Path(sga.homalg.__file__).read_text(encoding="utf-8")
+
+
+def test_imports_no_word_module():
+    inner = set()
+    for node in ast.walk(ast.parse(SOURCE)):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "sga" and not (node.module or "").startswith("sga.")
+            if node.level:
+                inner.update([node.module] if node.module else
+                             [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "sga" for a in node.names)
+    assert inner == {"gf", "errors", "quiver"}
+    assert "AdmWord" not in SOURCE and "AxModule" not in SOURCE
+
+
+def _word_simple(q, v, rho, p):
+    """S(v, rho) through a word: the trivial string at the slot, with the
+    module of its type."""
+    if rho == "o":
+        return build_module(q, classify(q, (tinvl(v, -1), trivl(v, 1))), module_k(p))
+    sign = 1 if rho == "+" else -1
+    return build_module(q, classify(q, (tinvl(v, 1), trivl(v, -1))), module_V(sign, p))
+
+
+@pytest.fixture(scope="module")
+def quivers(request):
+    ex1 = request.getfixturevalue("ex1")
+    return [ex1] + [random_skewed_gentle_quiver(s) for s in (7, 9, 11, 42)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_simple_equals_word_built(quivers, p):
+    for q in quivers:
+        for v, rho in tilde_vertices(q):
+            S, ref = simple(q, v, rho, p), _word_simple(q, v, rho, p)
+            assert S == ref and S.key == ref.key, (v, rho, p)
+            assert S.dim_vector() == ref.dim_vector() == \
+                {k: int(k == (v, rho)) for k in tilde_vertices(q)}
+            assert hom_dim_oracle(S, S) == 1
+
+
+def test_zero(ex1):
+    Z = zero(ex1, 5)
+    assert Z.total_dim() == 0
+    assert hom_dim_oracle(Z, simple(ex1, "2", "+", 5)) == 0

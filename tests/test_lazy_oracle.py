@@ -1,4 +1,4 @@
-"""The GF(p) oracle (``sga.gf``, ``sga.repmod``) loads only when something
+"""The GF(p) oracle (``sga.gf``, ``sga.homalg``, ``sga.repmod``) loads only when something
 uses it: importing the package or the command line and running a
 word-level command leave it unloaded, while the package still offers every
 oracle name. The oracle is pure Python: no command loads numpy. The
@@ -16,7 +16,7 @@ import sga
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 EX1 = os.path.join(ROOT, "tests", "data", "ex1.quiver")
-ORACLE = ("sga.gf", "sga.repmod")
+ORACLE = ("sga.gf", "sga.homalg", "sga.repmod")
 WATCHED = ("dataclasses", "inspect", "numpy") + ORACLE
 X, Y = "1(1,-)- g b e b- 1(3,+)", "1(2,-)- a 1(1,-)"
 
@@ -67,7 +67,7 @@ PUBLIC = [
     "enumerate_adm", "enumerate_bands", "enumerate_components",
     "enumerate_strings_at", "errors", "format_word", "g_comb", "g_oracle",
     "gabriel_presentation", "gf", "hat_quiver", "hom_basis_oracle",
-    "hom_basis_structured", "hom_dim_formula", "hom_dim_oracle", "homgraph",
+    "hom_basis_structured", "hom_dim_formula", "hom_dim_oracle", "homalg", "homgraph",
     "indecomposables_Ax", "invariants", "is_admissible", "is_tau_generic",
     "iso_witness", "kiss_census", "kiss_transport", "kiss_types", "lex_compare",
     "quiver", "real_long_bijection", "repmod", "simplified_check", "successor",
@@ -86,5 +86,7 @@ def test_public_names():
     assert star["build_module"] is sga.repmod.build_module
     assert sga.build_module is sga.repmod.build_module
     assert sga.AxModule is sga.repmod.AxModule
+    assert sga.Rep is sga.homalg.Rep
+    assert sga.iso_witness is sga.homalg.iso_witness
     with pytest.raises(AttributeError, match="no_such_name"):
         sga.no_such_name

@@ -14,9 +14,9 @@ from sga import gf
 from sga.admissible import enumerate_adm
 from sga.errors import SgaError
 from sga.homgraph import build_HQ, classify_components
+from sga.homalg import hom_dim_oracle
 from sga.repmod import (AxModule, build_module, hom_dim_formula,
-                        hom_dim_oracle, indecomposables_Ax, module_k,
-                        module_Vband, module_W)
+                        indecomposables_Ax, module_k, module_Vband, module_W)
 
 P = 5
 

@@ -13,9 +13,10 @@ from sga.invariants import c_set, kiss_census, tags_for
 from sga.parsing import parse_quiver, print_quiver
 from sga.quiver import auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
-from sga.repmod import (AxModule, E_oracle, build_module, g_oracle, hom_dim_oracle,
-                        hom_rows, indecomposables_Ax, module_V, module_Vband,
-                        module_W, Rep, tau_module)
+from sga.homalg import Rep, hom_dim_oracle, hom_rows
+from sga.repmod import (AxModule, E_oracle, build_module, g_oracle,
+                        indecomposables_Ax, module_V, module_Vband, module_W,
+                        tau_module)
 
 P = 7
 

@@ -13,8 +13,9 @@ from sga.homgraph import build_HQ, classify_components, real_long_bijection
 from sga.invariants import c_set, diag_b, e_comb, kiss_census, tags_for
 from sga.quiver import auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
+from sga.homalg import hom_dim_oracle
 from sga.repmod import (E_formula, E_oracle, build_module, hom_dim_formula,
-                        hom_dim_oracle, indecomposables_Ax, tau_module)
+                        indecomposables_Ax, tau_module)
 
 # seed 9: both punctured ends of each (p,p) word at the same vertex
 # seed 42: ends at different vertices, plus a band through two special loops
@@ -101,7 +102,8 @@ def test_generic_E_matches_over_GF7(ppq, ppwords):
 
 def test_pp_inverse_needs_iota_twist(ppq, ppwords):
     """M(x, X) is isomorphic to M(x^-1, X with S and T swapped)."""
-    from sga.repmod import iota_twist, iso_witness, module_W
+    from sga.homalg import iso_witness
+    from sga.repmod import iota_twist, module_W
     pps = [x for x in ppwords if x.wtype == "pp"]
     assert pps
     for x in pps:

@@ -10,7 +10,8 @@ from sga.cli import main
 from sga.homgraph import build_HQ, classify_components, generalized_diagonal
 from sga.quiver import Arrow, PolarizedQuiver, auto_fringe, validate
 from sga.randquiver import random_skewed_gentle_quiver
-from sga.repmod import build_module, iso_witness, module_Vband
+from sga.homalg import iso_witness
+from sga.repmod import build_module, module_Vband
 from sga.words import (AtMaximum, invl, ordl, ray_compare, rotations, spel,
                        tinvl, trivl, winv)
 

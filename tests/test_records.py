@@ -19,7 +19,8 @@ from sga.homgraph import (ComponentReport, FullComponent, HArrow, HEdge, HLoop,
 from sga.invariants import ComponentLabel, KissCensus, enumerate_components, kiss_census
 from sga.quiver import (Arrow, Fringing, GabrielPresentation, TildeArrow,
                         ValidationReport, auto_fringe, gabriel_presentation, validate)
-from sga.repmod import AxModule, Rep, build_module, module_V
+from sga.homalg import Rep
+from sga.repmod import AxModule, build_module, module_V
 from sga.words import Letter, Ray
 
 TUPLE_BACKED = (Arrow, ValidationReport, TildeArrow, GabrielPresentation, Fringing,

@@ -4,11 +4,10 @@ import pytest
 from sga import gf
 from sga.admissible import classify, enumerate_adm
 from sga.errors import SgaError
-from sga.repmod import (E_oracle, build_module, g_oracle, hom_basis_oracle,
-                        hom_basis_structured, hom_dim_formula, hom_dim_oracle,
-                        indecomposables_Ax, iso_witness, module_k, module_V,
-                        module_Vband, module_Vt, module_W, s_tilde,
-                        simple_module, tau_module)
+from sga.homalg import hom_basis_oracle, hom_dim_oracle, iso_witness, simple
+from sga.repmod import (E_oracle, build_module, g_oracle, hom_basis_structured,
+                        hom_dim_formula, indecomposables_Ax, module_k, module_V,
+                        module_Vband, module_Vt, module_W, s_tilde, tau_module)
 from sga.words import invl, ordl, tinvl, trivl
 
 
@@ -169,7 +168,7 @@ def test_build_module_examples(ex1):
     M = build_module(ex1, y, module_V(1, p))
     dv = M.dim_vector()
     assert dv == {("1", "o"): 1, ("2", "-"): 0, ("2", "+"): 1, ("3", "o"): 0}
-    s2 = simple_module(ex1, "2", "+", p)
+    s2 = simple(ex1, "2", "+", p)
     assert s2.total_dim() == 1
     x = classify(ex1, (tinvl("1", -1), ordl("g"), ordl("b"), ordl("e"), invl("b"),
                        trivl("3", 1)))
@@ -191,10 +190,10 @@ def test_band_module_dims(loop_quiver):
 def test_hom_simple_identities(ex1):
     p = 5
     for v, rho in [("1", "o"), ("2", "+"), ("2", "-"), ("3", "o")]:
-        S = simple_module(ex1, v, rho, p)
+        S = simple(ex1, v, rho, p)
         assert hom_dim_oracle(S, S) == 1
-    a = simple_module(ex1, "2", "+", p)
-    b = simple_module(ex1, "2", "-", p)
+    a = simple(ex1, "2", "+", p)
+    b = simple(ex1, "2", "-", p)
     assert hom_dim_oracle(a, b) == 0
 
 
@@ -249,8 +248,8 @@ def test_iso_witness_inverse_word(ex1):
         N = build_module(ex1, x.inverse(), module_k(p))
         assert iso_witness(M, N) is not None
         count += 1
-    a = simple_module(ex1, "2", "+", p)
-    b = simple_module(ex1, "2", "-", p)
+    a = simple(ex1, "2", "+", p)
+    b = simple(ex1, "2", "-", p)
     assert iso_witness(a, b) is None
 
 

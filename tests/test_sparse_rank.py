@@ -1,6 +1,6 @@
 """The GF(p) kernel and the Hom systems against dense references.
 
-``gf`` eliminates sparse rows in Python integers, and ``repmod.hom_rows``
+``gf`` eliminates sparse rows in Python integers, and ``homalg.hom_rows``
 and ``repmod._block_rows`` build equation rows by index arithmetic. Each is
 checked against an independent dense route in numpy: ``rref`` below for
 ``rank``, ``nullspace`` and ``inv``, the matrix product for ``mul``, and
@@ -18,8 +18,9 @@ from sga.admissible import enumerate_adm
 from sga.parsing import parse_quiver
 from sga.randquiver import random_skewed_gentle_quiver
 from sga.errors import SgaError
-from sga.repmod import (_block_rows, build_module, hom_dim_oracle, hom_rows,
-                        hom_system, indecomposables_Ax, module_Vband)
+from sga.homalg import hom_dim_oracle, hom_rows
+from sga.repmod import (_block_rows, build_module, hom_system, indecomposables_Ax,
+                        module_Vband)
 
 DATA = Path(__file__).parent / "data"
 
