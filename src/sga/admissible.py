@@ -365,9 +365,11 @@ def bar_length(x: AdmWord) -> int:
             "pp": 2 * l, "b": l + 1}[x.wtype]
 
 
+@per_quiver
 def enumerate_adm(q: PolarizedQuiver, max_len: int) -> AdmSets:
     """Admissible words whose completion has length <= max_len, built from
-    base strings and standard-form bands."""
+    base strings and standard-form bands; memoised in q's store
+    ``enumerate_adm``."""
     strings: set[AdmWord] = set()
     ws, truncated = enumerate_strings(q, max_len)
     for w in ws:

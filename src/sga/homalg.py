@@ -125,24 +125,33 @@ def zero(q: PolarizedQuiver, p: int) -> Rep:
     return Rep(q, p, {v: 0 for v in q.vertices}, {a.name: () for a in q.arrows})
 
 
-def hom_rows(M: Rep, N: Rep) -> tuple[list[dict[int, int]], dict[str, tuple[int, int]]]:
-    """Linear system for intertwiners f with f_t M(a) = N(a) f_s, as sparse
-    rows (column -> value mod p), and the (start, size) of each block f_v
-    among the unknowns, the stacked row-major entries of the blocks.
+def direct_sum(M: Rep, N: Rep) -> Rep:
+    """M + N: at each vertex M's basis, then N's; each arrow acts by the
+    block-diagonal matrix of M(a) and N(a)."""
+    if M.q != N.q or M.p != N.p:
+        raise SgaError("direct sum of representations of different quivers or fields")
+    dims = {v: M.dims[v] + N.dims[v] for v in M.q.vertices}
+    mats = {a.name: M.mats[a.name] + tuple(tuple((c + M.dims[a.source], w) for c, w in row)
+                                           for row in N.mats[a.name])
+            for a in M.q.arrows}
+    return Rep(M.q, M.p, dims, mats)
 
-    Row (a, i, j) holds M(a)[k, j] at the column of f_t[i, k] and
-    -N(a)[i, k] at the column of f_s[k, j]; on a loop both land in one row.
-    """
-    q, p = M.q, M.p
+
+def _span(M: Rep, N: Rep) -> tuple[dict[str, tuple[int, int]], int]:
+    """The (start, size) of each block f_v among the unknowns, and their number."""
     cols = 0
     span: dict[str, tuple[int, int]] = {}
-    for v in q.vertices:
+    for v in M.q.vertices:
         size = N.dims[v] * M.dims[v]
         span[v] = (cols, size)
         cols += size
-    rows: list[dict[int, int]] = []
+    return span, cols
+
+
+def _equations(M: Rep, N: Rep, span: dict[str, tuple[int, int]]):
+    """The rows of ``hom_rows`` one at a time; a value is any residue."""
     m_tables, n_tables = M.arrow_tables, N.arrow_tables
-    for a in q.arrows:
+    for a in M.q.arrows:
         s, t = a.source, a.target
         ms, mt = M.dims[s], M.dims[t]
         if N.dims[t] * ms == 0:
@@ -155,25 +164,33 @@ def hom_rows(M: Rep, N: Rep) -> tuple[list[dict[int, int]], dict[str, tuple[int,
                 row = {ti + k: v for k, v in m_cols[j]}
                 for k, v in n_rows[i]:
                     c = s0 + k * ms + j
-                    w = (row.get(c, 0) + v) % p
-                    if w:
-                        row[c] = w
-                    else:
-                        del row[c]
-                rows.append(row)
-    return rows, span
+                    row[c] = row.get(c, 0) + v
+                yield row
+
+
+def hom_rows(M: Rep, N: Rep) -> tuple[list[dict[int, int]], dict[str, tuple[int, int]]]:
+    """Linear system for intertwiners f with f_t M(a) = N(a) f_s, as sparse
+    rows (column -> value, any residue mod p, as ``gf`` reads them), and the
+    (start, size) of each block f_v among the unknowns, the stacked
+    row-major entries of the blocks.
+
+    Row (a, i, j) holds M(a)[k, j] at the column of f_t[i, k] and
+    -N(a)[i, k] at the column of f_s[k, j]; on a loop both land in one row.
+    """
+    span, _ = _span(M, N)
+    return list(_equations(M, N, span)), span
 
 
 def hom_dim_oracle(M: Rep, N: Rep) -> int:
-    """dim Hom(M, N): the unknowns of ``hom_rows`` less its rank. Memoised
-    in the store ``hom_dim_oracle`` of M's quiver, keyed by the two modules
-    (equal by content)."""
+    """dim Hom(M, N): the unknowns of ``hom_rows`` less its rank, the rows
+    streamed into ``gf.rank``. Memoised in the store ``hom_dim_oracle`` of
+    M's quiver, keyed by the two modules (equal by content)."""
     key = (M, N)
     store = M.q.store("hom_dim_oracle")
     dim = store.get(key)
     if dim is None:
-        rows, span = hom_rows(M, N)
-        dim = store[key] = sum(size for _, size in span.values()) - gf.rank(rows, M.p)
+        span, cols = _span(M, N)
+        dim = store[key] = cols - gf.rank(_equations(M, N, span), M.p)
     return dim
 
 

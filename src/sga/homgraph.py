@@ -203,56 +203,62 @@ def build_HQ(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> HomGraph:
     and loops; colors record one-letter ray comparisons and the special
     double-connections."""
     hx, hy = build_H(q, x), build_H(q, y)
-    vertices = tuple((j, i) for j in hy.vertices for i in hx.vertices
-                     if hy.vlabel[j] == hx.vlabel[i])
+    colours = q.store("red_blue")
+    vertices: list[tuple[int, int]] = []
+    red, blue = {}, {}                  # (j, i) -> count
+    for j in hy.vertices:
+        ixs = hx.by_label.get(hy.vlabel[j])
+        if ixs is None:
+            continue
+        head_y = hy.head_id(q, j)
+        for i in ixs:
+            v = (j, i)
+            vertices.append(v)
+            head_x = hx.head_id(q, i)
+            if head_y == head_x:
+                continue
+            r, b = colours.get((head_y, head_x)) or red_blue(q, hy, j, hx, i)
+            if r:
+                red[v] = r
+            if b:
+                blue[v] = b
     vset = set(vertices)
     arrows: list[HArrow] = []
+    orange, purple, cyan, teal = set(), set(), set(), set()
     for ny in hy.edges:
-        for nx in hx.edges:
-            if ny.image != nx.image:
-                continue
+        exs = hx.edges_by_image.get(ny.image, ())
+        special = bool(exs) and q.by_name[ny.image].special
+        for nx in exs:
             s, t = (ny.src, nx.src), (ny.tgt, nx.tgt)
             if s in vset:
                 arrows.append(HArrow(PLUS, s, t, ("edge", ny.idx), ("edge", nx.idx)))
-            if q.by_name[ny.image].special:
+            if special:
                 s2, t2 = (ny.tgt, nx.src), (ny.src, nx.tgt)
                 if s2 in vset:
                     arrows.append(HArrow(CROSS, s2, t2,
                                          ("edge", ny.idx), ("edge", nx.idx)))
+                    cyan.add(s2)
+                    orange.add(t2)
     for ly in hy.loops:
-        for lx in hx.loops:
-            if ly.image == lx.image:
-                v = (ly.vertex, lx.vertex)
-                if v in vset:
-                    arrows.append(HArrow(PLUS, v, v, ("loop", ly.key), ("loop", lx.key)))
+        for lx in hx.loops_by_image.get(ly.image, ()):
+            v = (ly.vertex, lx.vertex)
+            if v in vset:
+                arrows.append(HArrow(PLUS, v, v, ("loop", ly.key), ("loop", lx.key)))
     for ny in hy.edges:
-        for lx in hx.loops:
-            if ny.image != lx.image:
-                continue
+        for lx in hx.loops_by_image.get(ny.image, ()):
             s, t = (ny.tgt, lx.vertex), (ny.src, lx.vertex)
             if s in vset:
                 arrows.append(HArrow(CIRC, s, t, ("edge", ny.idx), ("loop", lx.key)))
+                teal.add(s)
+                purple.add(t)
     for ly in hy.loops:
-        for nx in hx.edges:
-            if ly.image != nx.image:
-                continue
+        for nx in hx.edges_by_image.get(ly.image, ()):
             s, t = (ly.vertex, nx.src), (ly.vertex, nx.tgt)
             if s in vset:
                 arrows.append(HArrow(CIRC, s, t, ("loop", ly.key), ("edge", nx.idx)))
-
-    red: dict[tuple[int, int], int] = {}
-    blue: dict[tuple[int, int], int] = {}
-    for (j, i) in vertices:
-        r, b = red_blue(q, hy, j, hx, i)
-        if r:
-            red[(j, i)] = r
-        if b:
-            blue[(j, i)] = b
-    orange = {a.tgt for a in arrows if a.family == CROSS}
-    cyan = {a.src for a in arrows if a.family == CROSS}
-    purple = {a.tgt for a in arrows if a.family == CIRC}
-    teal = {a.src for a in arrows if a.family == CIRC}
-    return HomGraph(q, x, y, hx, hy, vertices, tuple(arrows),
+                teal.add(s)
+                purple.add(t)
+    return HomGraph(q, x, y, hx, hy, tuple(vertices), tuple(arrows),
                     red, blue, orange, purple, cyan, teal)
 
 
@@ -280,46 +286,6 @@ class FullComponent(NamedTuple):
     ctype: str
     endpoints: tuple[tuple[int, int], ...]
     long: bool
-
-
-def _components(vertices, arrows):
-    """Connected components by union-find, in least-vertex order: each with
-    its vertices ascending and its arrows in the order given."""
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
-    for a in arrows:
-        parent[find(a.src)] = find(a.tgt)
-    comps: dict = {}
-    for v in sorted(vertices):
-        comps.setdefault(find(v), ([], []))[0].append(v)
-    for a in arrows:
-        comps[find(a.src)][1].append(a)
-    return [(tuple(cv), tuple(ca)) for cv, ca in comps.values()]
-
-
-def _component_type(cv, ca) -> tuple[str, tuple]:
-    """The type of a component and its endpoints (valency <= 1, a loop
-    counting one end), from one pass over its arrows."""
-    valency = dict.fromkeys(cv, 0)
-    loops = 0
-    for a in ca:
-        valency[a.src] += 1
-        if a.is_loop:
-            loops += 1
-        else:
-            valency[a.tgt] += 1
-    if loops:
-        ctype = "Dp" if loops == 1 else "Dpt"
-    elif len(ca) > len(cv) - 1:
-        ctype = "At"
-    else:
-        ctype = "A"
-    return ctype, tuple(v for v in cv if valency[v] <= 1)
 
 
 class ComponentReport(NamedTuple):
@@ -352,34 +318,87 @@ def ray_long(q: PolarizedQuiver, hx: Winding, hy: Winding, v) -> bool:
 
 def classify_components(g: HomGraph) -> ComponentReport:
     """Flags per component, with the ray characterizations of real and long
-    re-derived at a sample vertex of each component."""
-    comps_plus = _components(g.vertices, [a for a in g.arrows if a.family == PLUS])
-    comps_po = _components(g.vertices, [a for a in g.arrows if a.family in (PLUS, CIRC)])
-    comps_full = _components(g.vertices, g.arrows)
-    po_of = {v: cv for cv, _ in comps_po for v in cv}
-    full_of = {v: fi for fi, (cv, _) in enumerate(comps_full) for v in cv}
-    not_h = g.red.keys() | g.orange
-    not_dual_h = g.blue.keys() | g.cyan
-    not_real, not_dual_real = not_h | g.purple, not_dual_h | g.teal
+    re-derived at the least vertex of each component.
 
-    q, hx, hy = g.q, g.hx, g.hy
+    One union-find over the positions of ``g.vertices`` (ascending) links
+    the plus arrows, then the circle arrows, then the cross arrows, with a
+    snapshot of the roots after each stage: the plus components, those of
+    the plus and circle arrows (where the h-line flags are read) and the
+    full ones.  A component has a flag unless its root is the root of a
+    vertex whose colour spoils it.
+    """
+    q, hx, hy, verts = g.q, g.hx, g.hy, g.vertices
+    at = {v: k for k, v in enumerate(verts)}
+    parent = list(range(len(verts)))
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    every: list[tuple[int, int, HArrow]] = []         # in build order
+    staged: dict[str, list] = {PLUS: [], CIRC: [], CROSS: []}
+    for a in g.arrows:
+        e = (at[a.src], at[a.tgt], a)
+        every.append(e)
+        staged[a.family].append(e)
+    roots: list[list[int]] = []
+    for family in (PLUS, CIRC, CROSS):
+        links = staged[family]
+        for s, t, _ in links:
+            parent[find(s)] = find(t)
+        roots.append([find(k) for k in range(len(parent))] if links or not roots
+                     else roots[-1])
+    plus_root, po_root, full_root = roots
+
+    def split(root, arrows):
+        """Per component of a snapshot, in least-vertex order: its root and
+        least position, vertices, arrows, type and endpoints (valency <= 1,
+        a loop counting one end)."""
+        ks, arcs, loops, valency = {}, {}, {}, [0] * len(root)
+        for k, r in enumerate(root):
+            if r in ks:
+                ks[r].append(k)
+            else:
+                ks[r], arcs[r], loops[r] = [k], [], 0
+        for s, t, a in arrows:
+            arcs[root[s]].append(a)
+            valency[s] += 1
+            if s == t:
+                loops[root[s]] += 1
+            else:
+                valency[t] += 1
+        return [(r, kr[0], tuple(verts[k] for k in kr), tuple(arcs[r]),
+                 ("Dp" if loops[r] == 1 else "Dpt") if loops[r] else
+                 "At" if len(arcs[r]) >= len(kr) else "A",
+                 tuple(verts[k] for k in kr if valency[k] <= 1))
+                for r, kr in ks.items()]
+
+    def spoilt(root, *colours) -> set[int]:
+        return {root[at[v]] for vs in colours for v in vs}
+
+    not_real = spoilt(plus_root, g.red, g.orange, g.purple)
+    not_dual_real = spoilt(plus_root, g.blue, g.cyan, g.teal)
+    not_h, not_dual_h = spoilt(po_root, g.red, g.orange), spoilt(po_root, g.blue, g.cyan)
+    not_long = spoilt(full_root, g.red)
+    plus = split(plus_root, staged[PLUS])
+    full = plus if full_root is plus_root else split(full_root, every)
+    full_index = {c[0]: fi for fi, c in enumerate(full)}
+
     plus_out = []
-    for cv, ca in comps_plus:
-        ctype, ends = _component_type(cv, ca)
-        is_real = not_real.isdisjoint(cv)
-        is_dual_real = not_dual_real.isdisjoint(cv)
+    for r, k, cv, ca, ctype, ends in plus:
+        is_real, is_dual_real = r not in not_real, r not in not_dual_real
         interior = not any(g.is_boundary(v) for v in ends)
         if ray_real(q, hx, hy, cv[0]) != is_real:
             raise TheoremViolation(f"real h-line characterization differs at {cv[0]}")
-        po = po_of[cv[0]]
+        po = po_root[k]
         plus_out.append(PlusComponent(cv, ca, ctype, ends, is_real, is_dual_real,
-                                      not_h.isdisjoint(po), not_dual_h.isdisjoint(po),
+                                      po not in not_h, po not in not_dual_h,
                                       is_real and interior, is_dual_real and interior,
-                                      full_of[cv[0]]))
+                                      full_index[full_root[k]]))
     full_out = []
-    for cv, ca in comps_full:
-        ctype, ends = _component_type(cv, ca)
-        is_long = g.red.keys().isdisjoint(cv)
+    for r, _, cv, ca, ctype, ends in full:
+        is_long = r not in not_long
         if ray_long(q, hx, hy, cv[0]) != is_long:
             raise TheoremViolation(f"long h-line characterization differs at {cv[0]}")
         full_out.append(FullComponent(cv, ca, ctype, ends, is_long))

@@ -283,12 +283,13 @@ def _assemble_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
 
 
 def hom_system(M: Rep, N: Rep) -> tuple[list[list[int]], dict[str, tuple[int, int]]]:
-    """The system of ``homalg.hom_rows`` as a dense matrix, one list per equation."""
+    """The system of ``homalg.hom_rows`` as a dense matrix, one list per
+    equation, with values reduced mod p."""
     rows, span = hom_rows(M, N)
     dense = [[0] * sum(size for _, size in span.values()) for _ in rows]
     for out, row in zip(dense, rows):
         for c, v in row.items():
-            out[c] = v
+            out[c] = v % M.p
     return dense, span
 
 

@@ -117,6 +117,27 @@ def test_dual_route_equality_ex1(ex1):
     assert set(s1.bands) == set(s2.bands) == set()
 
 
+def test_enumerate_adm_is_memoised_per_quiver(monkeypatch):
+    """A repeat returns the stored sets, one entry per max_len, equal to
+    those a fresh copy of the quiver enumerates; a quiver from
+    ``random_skewed_gentle_quiver`` arrives with its max-len 8 sets."""
+    from sga import admissible
+    from sga.parsing import parse_quiver, print_quiver
+    from sga.randquiver import random_skewed_gentle_quiver
+    q = random_skewed_gentle_quiver(11)
+    assert set(q.store("enumerate_adm")) == {(8,)}
+    scans = []
+    strings_of = admissible.enumerate_strings
+    monkeypatch.setattr(admissible, "enumerate_strings",
+                        lambda q, n: scans.append(n) or strings_of(q, n))
+    first = enumerate_adm(q, 8)
+    assert enumerate_adm(q, 8) is first and scans == []
+    assert enumerate_adm(q, 6) is enumerate_adm(q, 6) and scans == [6]
+    assert set(q.store("enumerate_adm")) == {(8,), (6,)}
+    fresh = parse_quiver(print_quiver(q))
+    assert enumerate_adm(fresh, 8) == first and scans == [6, 8]
+
+
 def test_prp_adm_roundtrip_ex1(ex1):
     ws, truncated = enumerate_strings(ex1, 10)
     assert not truncated

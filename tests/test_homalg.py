@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 import sga.homalg
-from sga.admissible import classify
-from sga.homalg import hom_dim_oracle, simple, zero
+from sga.admissible import classify, enumerate_adm
+from sga.errors import SgaError
+from sga.homalg import direct_sum, hom_dim_oracle, simple, verify_relations, zero
 from sga.quiver import tilde_vertices
 from sga.randquiver import random_skewed_gentle_quiver
-from sga.repmod import build_module, module_k, module_V
+from sga.repmod import build_module, indecomposables_Ax, module_k, module_V
 from sga.words import tinvl, trivl
 
 SOURCE = Path(sga.homalg.__file__).read_text(encoding="utf-8")
@@ -61,3 +62,28 @@ def test_zero(ex1):
     Z = zero(ex1, 5)
     assert Z.total_dim() == 0
     assert hom_dim_oracle(Z, simple(ex1, "2", "+", 5)) == 0
+
+
+@pytest.mark.parametrize("seed", [None, 9])
+def test_direct_sum_is_additive(ex1, seed):
+    """M + N satisfies the relations, its dimensions add, and Hom is
+    additive in either argument, on a fixed sample of the dim <= 2 modules
+    of ex1 and seed 9 over GF(5): the sums give systems of up to four times
+    the size."""
+    q = ex1 if seed is None else random_skewed_gentle_quiver(seed)
+    sets = enumerate_adm(q, 6)
+    reps = [build_module(q, x, X) for x in sets.strings + sets.bands
+            for X in indecomposables_Ax(x.wtype, 2, 5)]
+    reps = reps[::len(reps) // 10]
+    assert len(reps) >= 10 and max(M.total_dim() for M in reps) >= 4
+    for a, M in enumerate(reps):
+        assert direct_sum(M, zero(q, 5)) == M == direct_sum(zero(q, 5), M)
+        for N in reps[a:]:
+            S = direct_sum(M, N)
+            verify_relations(S)
+            assert S.dims == {v: M.dims[v] + N.dims[v] for v in q.vertices}
+            for L in reps:
+                assert hom_dim_oracle(S, L) == hom_dim_oracle(M, L) + hom_dim_oracle(N, L)
+                assert hom_dim_oracle(L, S) == hom_dim_oracle(L, M) + hom_dim_oracle(L, N)
+    with pytest.raises(SgaError, match="direct sum"):
+        direct_sum(simple(q, q.vertices[0], "o", 5), simple(q, q.vertices[0], "o", 7))

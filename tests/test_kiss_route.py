@@ -2,6 +2,11 @@
 against ``classify_components`` in both directions, its ray checks, and
 the census of both directions that ``kiss_census`` stores from one pass."""
 
+import ast
+import builtins
+import inspect
+import types
+
 import pytest
 
 from sga import homgraph, invariants
@@ -173,3 +178,61 @@ def test_incomparable_heads_raise_on_every_call(ex1, monkeypatch):
         with pytest.raises(WordError, match="incomparable ray heads"):
             build_HQ(qf, u, v)
     assert qf.store("red_blue") == {}
+
+
+def _helpers_called(tree: ast.Module, fn: str, helpers: set[str]) -> set[str]:
+    """The names in ``helpers`` that the top-level function ``fn`` calls, by
+    name (unless it binds the name itself) or as an attribute."""
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == fn)
+    bound = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+             and isinstance(n.ctx, ast.Store)}
+    bound |= {n.name for n in ast.walk(node) if isinstance(n, ast.FunctionDef)}
+    called = set()
+    for call in (n for n in ast.walk(node) if isinstance(n, ast.Call)):
+        if isinstance(call.func, ast.Name) and call.func.id not in bound:
+            called.add(call.func.id)
+        elif isinstance(call.func, ast.Attribute):
+            called.add(call.func.attr)
+    return called & helpers
+
+
+def _shared_helpers(source: str, module) -> set[str]:
+    """The helpers that both ``classify_components`` and ``kiss_sites`` call,
+    other than the ray checks, and the other route where one calls it:
+    helpers are the module's functions and classes (and their methods) and
+    what it imports, exceptions and builtins left out."""
+    tree = ast.parse(source)
+    helpers = {name for name, value in vars(module).items()
+               if callable(value) and not name.startswith("__")
+               and not (isinstance(value, type) and issubclass(value, BaseException))}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            helpers |= {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+    helpers -= set(dir(builtins)) | {"ray_real", "ray_long"}
+    by_hom_graph = _helpers_called(tree, "classify_components", helpers)
+    by_pairs = _helpers_called(tree, "kiss_sites", helpers)
+    return (by_hom_graph & by_pairs) | (by_hom_graph & {"kiss_sites", "kiss_types"}) \
+        | (by_pairs & {"classify_components", "build_HQ"})
+
+
+def test_kiss_routes_share_no_helper():
+    """The two kiss routes stay independent: apart from the ray checks,
+    ``classify_components`` and ``kiss_sites`` call no common helper, so
+    ``sga selftest``'s comparison of the two is not one route against
+    itself. A helper that both call is caught."""
+    source = inspect.getsource(homgraph)
+    assert _shared_helpers(source, homgraph) == set()
+    merged = source.replace("def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord)",
+                            "def kiss_sites(q, x, y):\n    _union_find(x)\n\n\n"
+                            "def _unused(q: PolarizedQuiver, x: AdmWord, y: AdmWord)")
+    merged = merged.replace('    q, hx, hy, verts = g.q, g.hx, g.hy, g.vertices\n',
+                            '    q, hx, hy, verts = g.q, g.hx, g.hy, g.vertices\n'
+                            '    _union_find(verts)\n', 1)
+    assert merged.count("_union_find(") == 2
+    module = types.SimpleNamespace(**vars(homgraph), _union_find=lambda v: v)
+    assert _shared_helpers(merged, module) == {"_union_find"}
+    routed = source.replace("    hx, hy = build_H(q, x), build_H(q, y)\n    m = max(",
+                            "    classify_components(build_HQ(q, x, y))\n"
+                            "    hx, hy = build_H(q, x), build_H(q, y)\n    m = max(")
+    assert routed != source
+    assert _shared_helpers(routed, homgraph) == {"classify_components", "build_HQ"}
