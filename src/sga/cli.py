@@ -77,6 +77,16 @@ def _adm_word(q, text: str):
     return classify(q, letters, band=band)
 
 
+def _module(text: str, x, p: int):
+    """The module literal over GF(p), refused (exit 3) unless it lives over
+    the algebra of x's word type; the routes read its matrices unchecked."""
+    from .repmod import algebra_of, module_matches
+    X = parse_module(text, p)
+    if not module_matches(x.wtype, X):
+        raise SgaError(f"module {X.label} does not live over {algebra_of(x.wtype)}")
+    return X
+
+
 def cmd_check(args) -> int:
     q = _load_quiver(args.quiver)
     rep = validate(q)
@@ -200,8 +210,7 @@ def cmd_hom(args) -> int:
     gf.check_prime(args.field)
     x = _adm_word(q, args.x)
     y = _adm_word(q, args.y)
-    X = parse_module(args.X, args.field)
-    Y = parse_module(args.Y, args.field)
+    X, Y = _module(args.X, x, args.field), _module(args.Y, y, args.field)
     out = {}
     if args.mode in ("formula", "both"):
         out["formula"] = hom_dim_formula(q, x, X, y, Y)
@@ -229,15 +238,16 @@ def cmd_einv(args) -> int:
     fr = _fringing(q, args.fringe)
     x = _adm_word(q, args.x)
     y = _adm_word(q, args.y)
-    if args.tag_x and args.tag_y:
+    if args.tag_x:
         s, t = parse_tag(args.tag_x), parse_tag(args.tag_y)
-        print(f"e_comb: {e_comb(q, fr, (x, s), (y, t))}")
-    if args.X and args.Y:
+    if args.X:
         from . import gf
-        from .repmod import E_formula, E_oracle
         gf.check_prime(args.field)
-        X = parse_module(args.X, args.field)
-        Y = parse_module(args.Y, args.field)
+        X, Y = _module(args.X, x, args.field), _module(args.Y, y, args.field)
+    if args.tag_x:
+        print(f"e_comb: {e_comb(q, fr, (x, s), (y, t))}")
+    if args.X:
+        from .repmod import E_formula, E_oracle
         formula, oracle = E_formula(q, fr, x, X, y, Y), E_oracle(q, x, X, y, Y)
         print(f"E_formula: {formula}\nE_oracle: {oracle}")
         if formula != oracle:
@@ -254,19 +264,20 @@ def cmd_gvec(args) -> int:
     x = _adm_word(q, args.x)
     order = tilde_vertices(q)
     results = {}
-    if args.tag:
-        s = parse_tag(args.tag)
-        g = g_comb(q, fr, x, s)
-        results["comb"] = [g[k] for k in order]
+    s = parse_tag(args.tag) if args.tag else None
     if args.module:
         from . import gf
-        from .repmod import g_oracle
         gf.check_prime(args.field)
-        X = parse_module(args.module, args.field)
+        X = _module(args.module, x, args.field)
         if args.tag and not any((X.dim, X.T, X.S) == (C.dim, C.T, C.S)
                                 for C in c_set(x, s, args.field)):
             raise SgaError(f"module {X.label} is not in the family of tag "
                            f"{args.tag} on {x}, so no identity relates them")
+    if args.tag:
+        g = g_comb(q, fr, x, s)
+        results["comb"] = [g[k] for k in order]
+    if args.module:
+        from .repmod import g_oracle
         g = g_oracle(q, x, X)
         results["oracle"] = [g[k] for k in order]
     for k in sorted(results):

@@ -9,12 +9,12 @@ from .quiver import Arrow, PolarizedQuiver, validate
 
 
 def random_skewed_gentle_quiver(seed: int, n_vertices: int = 4,
-                                want_band: bool = True,
                                 forbid_pp: bool = False,
                                 max_words: int = 70) -> PolarizedQuiver:
     """Search, seeded, for an admissible skewed-gentle quiver that carries at
-    least one band (so band modules show up in the sweeps) and not too many
-    short admissible words (so the sweeps stay fast).
+    least one band (so band modules show up in the sweeps), or else a doubly
+    punctured string, and not too many short admissible words (so the sweeps
+    stay fast).
 
     With forbid_pp, quivers with short doubly punctured strings are skipped:
     their generic-parameter curves have a single isomorphism class over
@@ -53,16 +53,13 @@ def random_skewed_gentle_quiver(seed: int, n_vertices: int = 4,
         rep = validate(q)
         if not rep.is_skewed_gentle:
             continue
-        try:
-            sets = enumerate_adm(q, 8)
-        except Exception:
-            continue
+        sets = enumerate_adm(q, 8)
         n_words = len(sets.strings) + len(sets.bands)
         if n_words > max_words or n_words < 10:
             continue
         has_pp = any(x.wtype == "pp" for x in sets.strings)
         if forbid_pp and has_pp:
             continue
-        if want_band and not sets.bands and not (has_pp and not forbid_pp):
+        if not sets.bands and not (has_pp and not forbid_pp):
             continue
         return q

@@ -23,11 +23,12 @@ from .words import ORD
 
 class AxModule(Frozen):
     """A module over the letter-type algebra of a word: k, k[T]/(T^2-1),
-    the dihedral algebra, or k[T,T^-1], given by generator matrices
-    (``gf`` matrices, ``dim`` x ``dim``).
+    the dihedral algebra, or k[T,T^-1], given by the matrices of its
+    generators (``gf`` matrices, ``dim`` x ``dim``; None where the
+    generator does not act).
 
-    Immutable, equal and hashed by content (``key``). The key and hash are
-    computed once per instance, the inverses of T and S on first use.
+    Immutable, equal and hashed by content (``key``, set with the hash in
+    ``__init__``). ``T_inv`` is computed on first use.
     """
     label: str
     dim: int
@@ -40,13 +41,9 @@ class AxModule(Frozen):
     # hence a pickle carries only the fields, as for AdmWord.
     def __init__(self, label: str, dim: int, p: int, T: Matrix | None = None,
                  S: Matrix | None = None) -> None:
-        self.__dict__.update(label=label, dim=dim, p=p, T=T, S=S)
-        self.__dict__["_hash"] = hash(self.key)
-
-    @cached_property
-    def key(self) -> tuple:
-        """Label, size, field and the matrices."""
-        return (self.label, self.dim, self.p, self.T, self.S)
+        key = (label, dim, p, T, S)
+        self.__dict__.update(label=label, dim=dim, p=p, T=T, S=S, key=key,
+                             _hash=hash(key))
 
     def __eq__(self, other):
         if not isinstance(other, AxModule):
@@ -64,35 +61,8 @@ class AxModule(Frozen):
                 f"T={self.T!r}, S={self.S!r})")
 
     @cached_property
-    def _T_inv(self) -> Matrix:
-        return gf.inv(self.act("T"), self.p)
-
-    @cached_property
-    def _S_inv(self) -> Matrix:
-        return gf.inv(self.act("S"), self.p)
-
-    def act(self, gen: str) -> Matrix | None:
-        """Matrix of a generator; None for the unit "1" (the identity)."""
-        if gen == "1":
-            return None
-        if gen == "T-":
-            return self._T_inv
-        if gen not in ("T", "S"):
-            raise SgaError(f"unknown generator {gen}")
-        m = self.T if gen == "T" else self.S
-        if m is None:
-            raise SgaError(f"generator {gen} does not act on {self.label}")
-        return m
-
-    def act_inv(self, gen: str) -> Matrix | None:
-        """Inverse of ``act(gen)``; None for the unit."""
-        if gen == "T-":
-            return self.act("T")
-        if gen == "T":
-            return self._T_inv
-        if gen == "S":
-            return self._S_inv
-        return self.act(gen)
+    def T_inv(self) -> Matrix:
+        return gf.inv(self.T, self.p)
 
 
 def module_k(p: int) -> AxModule:
@@ -167,18 +137,11 @@ def indecomposables_Ax(word_type: str, max_dim: int, p: int) -> list[AxModule]:
 def chi_twist(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> AxModule:
     """Twist by the sign automorphism; on bands through an odd number of
     special letters the parameter changes sign, otherwise nothing moves."""
-    if x.wtype == "uu":
+    if x.wtype == "uu" or (x.wtype == "b" and
+                           sum(1 for l in x.letters if q.by_name[l.name].special) % 2 == 0):
         return X
-    p = X.p
-    if x.wtype in ("up", "pu"):
-        return AxModule(X.label + "^chi", X.dim, p, T=gf.neg(X.T, p))
-    if x.wtype == "pp":
-        return AxModule(X.label + "^chi", X.dim, p, T=gf.neg(X.T, p),
-                        S=gf.neg(X.S, p))
-    odd = sum(1 for l in x.letters if q.by_name[l.name].special) % 2
-    if odd:
-        return AxModule(X.label + "^chi", X.dim, p, T=gf.neg(X.T, p))
-    return X
+    S = None if X.S is None else gf.neg(X.S, X.p)
+    return AxModule(X.label + "^chi", X.dim, X.p, T=gf.neg(X.T, X.p), S=S)
 
 
 def translate_twist(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> AxModule:
@@ -192,7 +155,7 @@ def iota_twist(x: AdmWord, X: AxModule) -> AxModule:
     if x.wtype == "pp":
         return AxModule(X.label + "^iota", X.dim, X.p, T=X.S, S=X.T)
     if x.wtype == "b":
-        return AxModule(X.label + "^iota", X.dim, X.p, T=gf.inv(X.T, X.p))
+        return AxModule(X.label + "^iota", X.dim, X.p, T=X.T_inv)
     return X
 
 
@@ -202,32 +165,36 @@ def algebra_of(word_type: str) -> str:
 
 
 def module_matches(word_type: str, X: AxModule) -> bool:
+    """Whether X lives over ``algebra_of(word_type)``: the routes read its T
+    and S (None where there is no such generator) unchecked."""
+    def involution(m):
+        return m is not None and _is_identity(gf.mul(m, m, X.p))
     if word_type == "uu":
         return X.T is None and X.S is None
-    if word_type in ("up", "pu"):
-        return X.T is not None and X.S is None and \
-            _is_identity(gf.mul(X.T, X.T, X.p))
-    if word_type == "pp":
-        return X.T is not None and X.S is not None
-    return X.T is not None and X.S is None and gf.is_invertible(X.T, X.p)
+    if word_type == "b":
+        return X.T is not None and X.S is None and gf.is_invertible(X.T, X.p)
+    return involution(X.T) and (involution(X.S) if word_type == "pp" else X.S is None)
 
 
 # -- the push-forward ---------------------------------------------------------
 
-def unit_of(x: AdmWord, part: tuple[str, int | None]) -> str:
-    """Generator acting along an H-degree of freedom.
+def unit_of(x: AdmWord, X: AxModule, part: tuple[str, int | None]) \
+        -> tuple[Matrix | None, Matrix | None]:
+    """The action of X along an H-degree of freedom of x and its inverse;
+    None is the identity.
 
-    Loops carry S (left end of a doubly punctured string) or T; the closing
-    edge of a band carries T or its inverse depending on the first letter.
+    Loops carry S (left end of a doubly punctured string) or T, both
+    involutions; the closing edge of a band carries T or its inverse
+    depending on the first letter. X must live over x's algebra
+    (``module_matches``).
     """
     kind, idx = part
     if kind == "loop":
-        if x.wtype == "pp" and idx == 0:
-            return "S"
-        return "T"
+        u = X.S if x.wtype == "pp" and idx == 0 else X.T
+        return u, u
     if x.wtype == "b" and idx == 0:
-        return "T" if x.letters[0].kind == ORD else "T-"
-    return "1"
+        return (X.T, X.T_inv) if x.letters[0].kind == ORD else (X.T_inv, X.T)
+    return None, None
 
 
 @per_quiver
@@ -269,13 +236,13 @@ def _assemble_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
     dims = {a: len(h.by_label.get(a, ())) * n for a in q.vertices}
     rows = {arr.name: [{} for _ in range(dims[arr.target])] for arr in q.arrows}
     for e in h.edges:
-        gen = unit_of(x, ("edge", e.idx))
-        _add_block(rows[e.image], offset[e.tgt], offset[e.src], X.act(gen), n)
+        u, u_inv = unit_of(x, X, ("edge", e.idx))
+        _add_block(rows[e.image], offset[e.tgt], offset[e.src], u, n)
         if q.by_name[e.image].special:
             # the inverse partner arrow of the doubled quiver
-            _add_block(rows[e.image], offset[e.src], offset[e.tgt], X.act_inv(gen), n)
+            _add_block(rows[e.image], offset[e.src], offset[e.tgt], u_inv, n)
     for l in h.loops:
-        u = X.act(unit_of(x, ("loop", l.key)))
+        u, _ = unit_of(x, X, ("loop", l.key))
         _add_block(rows[l.image], offset[l.vertex], offset[l.vertex], u, n)
     rep = Rep(q, p, dims, {name: gf.matrix(r, p) for name, r in rows.items()})
     verify_relations(rep)
@@ -307,10 +274,9 @@ def _transfer(x: AdmWord, y: AdmWord, X: AxModule, Y: AxModule, arrow,
         inv_y, inv_x = arrow.family == CROSS, True
     else:                           # y-edge against an x-loop
         inv_y, inv_x = True, False
-    gy, gx = unit_of(y, arrow.ypart), unit_of(x, arrow.xpart)
-    P = Y.act_inv(gy) if inv_y != inverse else Y.act(gy)
-    Q = X.act_inv(gx) if inv_x != inverse else X.act(gx)
-    return P, Q
+    # unit_of gives (action, inverse): index 1 picks the inverse
+    uy, ux = unit_of(y, Y, arrow.ypart), unit_of(x, X, arrow.xpart)
+    return uy[inv_y != inverse], ux[inv_x != inverse]
 
 
 def _mul(a: Matrix | None, b: Matrix | None, p: int) -> Matrix | None:
@@ -427,16 +393,11 @@ def hom_basis_structured(q: PolarizedQuiver, x: AdmWord, X: AxModule,
 
 # -- AR translation, E-invariant, g-vector ----------------------------------------
 
-def hom_dim_alg(X: AxModule, Y: AxModule, gens: tuple[str, ...], p: int,
-                ux: tuple[str, ...] | None = None,
-                uy: tuple[str, ...] | None = None) -> int:
-    """dim of {f : f X(u) = Y(w) f} for the paired generator actions."""
-    ux = ux or gens
-    uy = uy or gens
-    rows = [row for gx, gy in zip(ux, uy)
-            for row in _block_rows(((1, None, X.act(gx)), (-1, Y.act(gy), None)),
-                                   Y.dim, X.dim)]
-    return Y.dim * X.dim - gf.rank(rows, p)
+def hom_dim_alg(X: AxModule, Y: AxModule, pairs) -> int:
+    """dim of {f : X -> Y | f A = B f} for the matrix pairs (A, B)."""
+    rows = [row for A, B in pairs
+            for row in _block_rows(((1, None, A), (-1, B, None)), Y.dim, X.dim)]
+    return Y.dim * X.dim - gf.rank(rows, X.p)
 
 
 def E_formula(q: PolarizedQuiver, fr, x: AdmWord, X: AxModule,
@@ -446,19 +407,20 @@ def E_formula(q: PolarizedQuiver, fr, x: AdmWord, X: AxModule,
     twisted Hom terms on a shared band class."""
     from .invariants import kiss_census
     census = census or kiss_census(q, fr, x, y)
-    p = X.p
     tot = census.a_count * X.dim * Y.dim
     Ychi = translate_twist(q, y, Y)
     for (j, i) in census.p_set:
-        tot += hom_dim_alg(X, Ychi, ("T",), p,
-                           ux=(unit_of(x, ("loop", i)),),
-                           uy=(unit_of(y, ("loop", j)),))
+        tot += hom_dim_alg(X, Ychi, [(unit_of(x, X, ("loop", i))[0],
+                                      unit_of(y, Ychi, ("loop", j))[0])])
     if census.diag:
         Xp = X if census.diag == 1 else iota_twist(x, X)
         Yp = Y if census.diag == 1 else iota_twist(y, Y)
         Xchi = translate_twist(q, x, X)
-        gens = ("S", "T") if x.wtype == "pp" else ("T",)
-        tot += hom_dim_alg(Xp, Ychi, gens, p) + hom_dim_alg(Yp, Xchi, gens, p)
+
+        def gens(M):
+            return (M.S, M.T) if x.wtype == "pp" else (M.T,)
+        tot += hom_dim_alg(Xp, Ychi, zip(gens(Xp), gens(Ychi))) + \
+            hom_dim_alg(Yp, Xchi, zip(gens(Yp), gens(Xchi)))
     return tot
 
 

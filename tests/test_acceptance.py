@@ -327,7 +327,7 @@ def _pp_system(X, Y, p):
     import numpy as _np
     rows = []
     for gen in ("S", "T"):
-        a, b = _dense(Y.act(gen), Y.dim), _dense(X.act(gen), X.dim)
+        a, b = _dense(getattr(Y, gen), Y.dim), _dense(getattr(X, gen), X.dim)
         rows.append(_np.kron(_np.eye(Y.dim, dtype=_np.int64), b.T)
                     - _np.kron(a, _np.eye(X.dim, dtype=_np.int64)))
     return _sparse(_np.concatenate(rows, axis=0), p)

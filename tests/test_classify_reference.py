@@ -9,7 +9,8 @@ from sga.admissible import enumerate_adm
 from sga.errors import TheoremViolation
 from sga.homgraph import (CIRC, CROSS, PLUS, ComponentReport, FullComponent,
                           HArrow, HomGraph, PlusComponent, build_H, build_HQ,
-                          classify_components, ray_long, ray_real, red_blue)
+                          classify_components, kiss_sites, ray_long, ray_real,
+                          red_blue)
 from sga.randquiver import random_skewed_gentle_quiver
 
 
@@ -199,5 +200,38 @@ def test_one_ray_check_per_component(ex1, monkeypatch, seed, max_len):
             rep = classify_components(build_HQ(q, x, y))
             assert calls == [("real", c.vertices[0]) for c in rep.plus] + \
                 [("long", c.vertices[0]) for c in rep.full], (str(x), str(y))
+            checked += len(calls)
+    assert checked > len(words) ** 2
+
+
+@pytest.mark.parametrize("seed, max_len", [(None, 7), (42, 5)])
+def test_kiss_sites_makes_the_ray_checks_of_classify_components(ex1, monkeypatch,
+                                                                seed, max_len):
+    """``kiss_sites(q, x, y)`` checks ``ray_real`` and ``ray_long`` exactly
+    where ``classify_components`` does on (x, y) and, for x != y, on (y, x):
+    the same checks at the same least vertices, none skipped or repeated."""
+    q = _quiver(ex1, seed)
+    words = _words(q, max_len)
+    calls = []
+
+    def counted(name, check):
+        def wrapper(q, hx, hy, v):
+            calls.append((name, hx.word, hy.word, v))
+            return check(q, hx, hy, v)
+        return wrapper
+
+    monkeypatch.setattr(homgraph, "ray_real", counted("real", ray_real))
+    monkeypatch.setattr(homgraph, "ray_long", counted("long", ray_long))
+    checked = 0
+    for k, x in enumerate(words):
+        for y in words[k:]:
+            calls.clear()
+            classify_components(build_HQ(q, x, y))
+            if x != y:
+                classify_components(build_HQ(q, y, x))
+            expected = sorted(calls, key=repr)
+            calls.clear()
+            kiss_sites(q, x, y)
+            assert sorted(calls, key=repr) == expected, (str(x), str(y))
             checked += len(calls)
     assert checked > len(words) ** 2

@@ -185,6 +185,38 @@ def test_module_refusals(seeded, seed, args, code, capsys):
     assert "Traceback" not in err and "MISMATCH" not in err
 
 
+UU = "1(1,-)- g 1(3,-)"                     # ex1 words of type (u,u) and (u,p)
+UP = "1(2,+)- 1(2,-)"
+
+
+def _wrong_kind(cmd, word, module, *extra):
+    if cmd == "gvec":
+        args = ["gvec", EX1, "--x", word, "--module", module]
+    elif cmd == "einv":
+        args = ["einv", EX1, "--x", word, "--X", module, "--y", word, "--Y", module]
+    else:
+        args = ["hom", EX1, "--x", word, "--X", module, "--y", word, "--Y", module,
+                "--mode", cmd.split("-")[1]]
+    return pytest.param(args + list(extra), id="-".join([cmd, module, *extra]))
+
+
+@pytest.mark.parametrize("argv", [
+    _wrong_kind(cmd, word, module) for cmd in
+    ("hom-formula", "hom-oracle", "hom-both", "einv", "gvec")
+    for word, module in ((UU, "W(2,+)"), (UP, "V(1,2)"), (UP, "Vo"))
+] + [
+    _wrong_kind("einv", UU, "V+", "--tag-x", "++", "--tag-y", "++"),
+    _wrong_kind("gvec", UP, "W(1,-)", "--tag", "++"),
+])
+def test_module_of_the_wrong_kind_is_refused(argv, capsys):
+    """Every route reads a module's matrices unchecked, so each command that
+    takes a module literal refuses one that does not live over the word's
+    algebra before any route runs: exit 3 and nothing on stdout."""
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "does not live over" in err
+
+
 @pytest.mark.parametrize("make", ["module_Vband", "module_W", "module_Vt"])
 def test_module_constructors_refuse_size_zero(make):
     from sga import repmod

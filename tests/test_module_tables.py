@@ -1,8 +1,8 @@
 """What the two Hom routes keep with the objects they read.
 
 A ``Rep`` carries the nonzeros of its arrow matrices for the intertwiner
-system, and an ``AxModule`` its inverse generators for the h-line transfer;
-both are built once per object. ``AxModule`` compares and hashes by content.
+system, and an ``AxModule`` the inverse of T for the h-line transfer; both
+are built once per object. ``AxModule`` compares and hashes by content.
 """
 
 import sys
@@ -12,19 +12,24 @@ import pytest
 
 from sga import gf
 from sga.admissible import enumerate_adm
-from sga.errors import SgaError
-from sga.homgraph import build_HQ, classify_components
-from sga.homalg import hom_dim_oracle
+from sga.homgraph import build_H, build_HQ, classify_components
+from sga.homalg import _is_identity, hom_dim_oracle
+from sga.randquiver import random_skewed_gentle_quiver
 from sga.repmod import (AxModule, build_module, hom_dim_formula,
-                        indecomposables_Ax, module_k, module_Vband, module_W)
+                        indecomposables_Ax, module_k, module_matches,
+                        module_Vband, module_W, unit_of)
+from sga.words import ORD
 
 P = 5
 
 
-def _ex1_modules(q):
+def _words(q):
     sets = enumerate_adm(q, 6)
-    words = list(sets.strings) + list(sets.bands)
-    return [(x, X) for x in words for X in indecomposables_Ax(x.wtype, 2, P)]
+    return list(sets.strings) + list(sets.bands)
+
+
+def _modules(q):
+    return [(x, X) for x in _words(q) for X in indecomposables_Ax(x.wtype, 2, P)]
 
 
 @pytest.mark.parametrize("make, other", [
@@ -40,15 +45,49 @@ def test_axmodule_equality_and_hash_by_content(make, other):
     assert a != "V(2,3)"
 
 
-def test_unit_is_none_and_a_missing_generator_raises():
-    k, band = module_k(P), module_Vband(2, 3, P)
-    assert k.act("1") is None and k.act_inv("1") is None
-    with pytest.raises(SgaError):
-        k.act("T")
-    with pytest.raises(SgaError):
-        k.act_inv("T")
-    assert gf.mul(band.act("T"), band.act_inv("T"), P) == (((0, 1),), ((1, 1),))
-    assert band.act("T-") is band.act_inv("T")
+def test_T_inv_inverts_T_once():
+    band = module_Vband(2, 3, P)
+    assert gf.mul(band.T, band.T_inv, P) == (((0, 1),), ((1, 1),))
+    assert band.T_inv is band.T_inv
+    assert band.key == ("V(2,3)", 2, P, band.T, None)
+
+
+@pytest.mark.parametrize("seed", [None, 9, 42])
+def test_unit_pairs_multiply_to_the_identity(ex1, seed):
+    """``unit_of`` gives an action and its inverse on every H-degree of
+    freedom, with None (the identity) off the loops and closing edges.
+    Seed 9 has a band, seed 42 doubly punctured strings (S on a loop)."""
+    q = ex1 if seed is None else random_skewed_gentle_quiver(seed)
+    seen = set()
+    for x in _words(q):
+        h = build_H(q, x)
+        parts = [("edge", e.idx) for e in h.edges] + [("loop", l.key) for l in h.loops]
+        for X in indecomposables_Ax(x.wtype, 3, P):
+            for part in parts:
+                u, u_inv = unit_of(x, X, part)
+                if part[0] == "loop":
+                    assert u is u_inv and u in (X.S, X.T)
+                    seen.add("S" if u is X.S else "T")
+                elif x.wtype == "b" and part[1] == 0:
+                    T_first = x.letters[0].kind == ORD
+                    assert (u, u_inv) == ((X.T, X.T_inv) if T_first else (X.T_inv, X.T))
+                    seen.add("closing")
+                else:
+                    assert (u, u_inv) == (None, None)
+                    continue
+                assert _is_identity(gf.mul(u, u_inv, P))
+    assert seen >= {None: {"T"}, 9: {"T", "closing"}, 42: {"S", "T"}}[seed]
+
+
+def test_module_matches_is_exact_for_pp():
+    """The loops of a doubly punctured string act by S and T as involutions,
+    so a dihedral module whose S or T squares to anything else is refused."""
+    one, two = (((0, 1),),), (((0, 2),),)     # the 1 x 1 matrices 1 and 2
+    assert module_matches("pp", module_W(2, 1, P))
+    assert module_matches("pp", AxModule("W", 1, P, T=one, S=one))
+    assert not module_matches("pp", AxModule("S2", 1, P, T=one, S=two))
+    assert not module_matches("pp", AxModule("T2", 1, P, T=two, S=one))
+    assert not module_matches("pp", module_Vband(1, 2, P))
 
 
 def test_axmodule_key_sees_label_and_dtype():
@@ -59,7 +98,7 @@ def test_axmodule_key_sees_label_and_dtype():
 
 
 def test_build_module_keys_by_content(ex1):
-    x, X = next((x, X) for x, X in _ex1_modules(ex1) if X.T is not None)
+    x, X = next((x, X) for x, X in _modules(ex1) if X.T is not None)
     M = build_module(ex1, x, X)
     twin = AxModule(X.label, X.dim, P, T=tuple(tuple(list(row)) for row in X.T), S=X.S)
     assert build_module(ex1, x, twin) is M
@@ -67,7 +106,7 @@ def test_build_module_keys_by_content(ex1):
 
 
 def test_arrow_tables_are_the_nonzeros_of_mats(ex1):
-    modules = _ex1_modules(ex1)
+    modules = _modules(ex1)
     assert len(modules) == 30
     for x, X in modules:
         M = build_module(ex1, x, X)
@@ -88,15 +127,21 @@ def test_arrow_tables_are_the_nonzeros_of_mats(ex1):
 
 
 def test_formula_route_builds_no_identity_and_inverts_once(ex1, monkeypatch):
-    """Over the ex1 Hom sweep the h-line transfer multiplies by no identity
-    matrix, and each generator of each module is inverted at most once."""
-    modules = _ex1_modules(ex1)
-    graphs = {(x, y): (g, classify_components(g))
-              for x, _ in modules for y, _ in modules
-              for g in [build_HQ(ex1, x, y)]}
+    """Over the Hom sweeps of ex1 and seed 9 the h-line transfer multiplies
+    by no identity matrix, and each module's T is inverted at most once.
+    ex1 has no band at max-len 6; seed 9's band inverts T on its closing
+    edge, so the sweep sees at least one inversion."""
+    sweeps = []
+    for q in (ex1, random_skewed_gentle_quiver(9)):
+        modules = _modules(q)
+        graphs = {(x, y): (g, classify_components(g))
+                  for x, _ in modules for y, _ in modules
+                  for g in [build_HQ(q, x, y)]}
+        sweeps.append((q, modules, graphs))
     # matrices the route may meet: generators, their inverses and products;
     # an identity factor that is none of these was built by the route
-    known = {id(m): m for _, X in modules for m in (X.T, X.S) if m is not None}
+    known = {id(m): m for _, modules, _ in sweeps for _, X in modules
+             for m in (X.T, X.S) if m is not None}
     built_identities, inverted = Counter(), Counter()
     mul, inv = gf.mul, gf.inv
 
@@ -116,13 +161,14 @@ def test_formula_route_builds_no_identity_and_inverts_once(ex1, monkeypatch):
 
     monkeypatch.setattr(gf, "mul", counted_mul)
     monkeypatch.setattr(gf, "inv", counted_inv)
-    for _ in range(2):
-        for x, X in modules:
-            for y, Y in modules:
-                g, report = graphs[(x, y)]
-                assert hom_dim_formula(ex1, x, X, y, Y, g=g, report=report) == \
-                    hom_dim_oracle(build_module(ex1, x, X), build_module(ex1, y, Y))
+    for q, modules, graphs in sweeps:
+        for _ in range(2):
+            for x, X in modules:
+                for y, Y in modules:
+                    g, report = graphs[(x, y)]
+                    assert hom_dim_formula(q, x, X, y, Y, g=g, report=report) == \
+                        hom_dim_oracle(build_module(q, x, X), build_module(q, y, Y))
     assert "_mul" not in built_identities
-    generators = sum((X.T is not None) + (X.S is not None) for _, X in modules)
+    band_Ts = {id(X.T) for _, modules, _ in sweeps for x, X in modules if x.wtype == "b"}
     assert inverted and max(inverted.values()) == 1
-    assert sum(inverted.values()) <= generators
+    assert set(inverted) <= band_Ts

@@ -81,7 +81,7 @@ def test_W_and_Vt_relations():
 def hom_pp_basis(X, Y, p):
     rows = []
     for gen in ("S", "T"):
-        a, b = dense(Y.act(gen), Y.dim), dense(X.act(gen), X.dim)
+        a, b = dense(getattr(Y, gen), Y.dim), dense(getattr(X, gen), X.dim)
         rows.append(np.kron(np.eye(Y.dim, dtype=np.int64), b.T)
                     - np.kron(a, np.eye(X.dim, dtype=np.int64)))
     return gf.nullspace(sparse(np.concatenate(rows, axis=0), p), Y.dim * X.dim, p)
