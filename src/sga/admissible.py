@@ -305,40 +305,53 @@ def _inv_keep_mark(l: Letter) -> Letter:
     return l if l.kind == PUNCT else inverse_letter(l)
 
 
-def _ray_from(letters: Word, offset: int, periodic: bool, i: int,
-              forward: bool, delta: int = 0) -> Ray:
-    n = len(letters)
-    if periodic:
-        if forward:
-            start = (offset + i) % n
-            per = letters[start:] + letters[:start]
+class Reading(NamedTuple):
+    """A word unfolded once for its rays (see :func:`_unfold`), over the
+    quiver the rays are read over; per delta, the letters forwards and
+    inverted backwards, each punctured mark oriented by delta."""
+    over: PolarizedQuiver
+    letters: Word
+    offset: int
+    periodic: bool
+    sides: dict[int, tuple[Word, Word]]
+
+    def ray(self, i: int, rho: int, delta: int = 0) -> Ray:
+        """The ray read at i towards rho, as the one ray of its content in
+        the store ``rays`` of the quiver it is read over, so that equal
+        readings at different positions are the same object."""
+        letters, n, s = self.letters, len(self.letters), self.offset + i
+        here = letters[s % n] if self.periodic else letters[s]
+        forward = rho == (-1 if here.kind == PUNCT else letter_target(self.over, here)[1])
+        fwd, back = self.sides[delta]
+        if self.periodic:
+            side, k = (fwd, s % n) if forward else (back, -s % n)
+            ray = Ray((), side[k:] + side[:k])
         else:
-            per = [_inv_keep_mark(letters[(offset + i - 1 - j) % n]) for j in range(n)]
-        return Ray((), tuple(_subst(l, delta) for l in per))
-    idx = offset + i
-    if forward:
-        pre = letters[idx:]
+            ray = Ray(fwd[s:] if forward else back[n - s:])
+        return self.over.store("rays").setdefault(ray, ray)
+
+
+@per_quiver
+def reading(q: PolarizedQuiver, x: AdmWord, hat: bool) -> Reading:
+    """The hat reading of x (punctured ends marked, deltas -1 and +1) or its
+    doublebar reading (the completion, delta 0), memoised in q's store
+    ``reading``; each is made when a ray of it is first read."""
+    if hat:
+        over, (letters, offset, periodic) = hat_of(q), _unfold(
+            x, lambda l: l, lambda l: Letter(PUNCT, q.special_loop_at(l.vertex).name))
     else:
-        pre = [_inv_keep_mark(letters[j]) for j in range(idx - 1, -1, -1)]
-    return Ray(tuple(_subst(l, delta) for l in pre))
-
-
-def _read(over: PolarizedQuiver, letters: Word, offset: int, periodic: bool,
-          i: int, rho: int, delta: int = 0) -> Ray:
-    """The ray read at i towards rho, as the one ray of its content in the
-    store ``rays`` of the quiver it is read over, so that equal readings at
-    different positions are the same object."""
-    here = letters[(offset + i) % len(letters)] if periodic else letters[offset + i]
-    t1 = -1 if here.kind == PUNCT else letter_target(over, here)[1]
-    r = _ray_from(letters, offset, periodic, i, forward=(t1 == rho), delta=delta)
-    return over.store("rays").setdefault(r, r)
+        f = partial(f_letter, q)
+        over, (letters, offset, periodic) = q, _unfold(x, f, f)
+    back = tuple(map(_inv_keep_mark, reversed(letters)))
+    sides = {d: (tuple(_subst(l, d) for l in letters), tuple(_subst(l, d) for l in back))
+             for d in ((-1, 1) if hat else (0,))}
+    return Reading(over, letters, offset, periodic, sides)
 
 
 @per_quiver
 def doublebar_ray(q: PolarizedQuiver, x: AdmWord, i: int, rho: int) -> Ray:
     """The ray at i towards rho of the completion, read over q."""
-    f = partial(f_letter, q)
-    return _read(q, *_unfold(x, f, f), i, rho)
+    return reading(q, x, False).ray(i, rho)
 
 
 @per_quiver
@@ -346,9 +359,7 @@ def hat_ray(q: PolarizedQuiver, x: AdmWord, i: int, rho: int, delta: int) -> Ray
     """The ray read over the hat quiver; punctured positions hold a
     placeholder whose orientation is chosen per ray (so that the plus
     reading is always below the minus reading)."""
-    def mark(l: Letter) -> Letter:
-        return Letter(PUNCT, q.special_loop_at(l.vertex).name)
-    return _read(hat_of(q), *_unfold(x, lambda l: l, mark), i, rho, delta)
+    return reading(q, x, True).ray(i, rho, delta)
 
 
 # -- enumeration ---------------------------------------------------------------

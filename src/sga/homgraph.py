@@ -73,7 +73,7 @@ class Winding(NamedTuple):
         """The hat ray at v towards rho with punctured letters oriented by
         delta, read on first use; the ray checks stop at their first
         failure, so each hat ray is read only when compared."""
-        key = 4 * v + rho + 1 + (delta + 1) // 2   # a small int, not a tuple
+        key = 4 * v + _hat_slot(rho, delta)   # a small int, not a tuple
         ray = self.hats.get(key)
         if ray is None:
             ray = self.hats[key] = hat_ray(q, self.word, v, rho, delta)
@@ -88,6 +88,10 @@ class Winding(NamedTuple):
             pair = tuple(r.first() for r in self.doublebar(q, v))
             hid = self.head_ids[v] = ids.setdefault(pair, len(ids))
         return hid
+
+
+def _hat_slot(rho: int, delta: int) -> int:
+    return rho + 1 + (delta + 1) // 2
 
 
 def _group(items, key) -> dict:
@@ -294,26 +298,33 @@ class ComponentReport(NamedTuple):
     real_to_long: dict[int, int]
 
 
+# (key offset in Winding.hats, rho, delta) of the four hat comparisons, in order
+_HAT_CHECKS = tuple((_hat_slot(rho, delta), rho, delta)
+                    for delta in (-1, 1) for rho in (-1, 1))
+
+
 def ray_real(q: PolarizedQuiver, hx: Winding, hy: Winding, v) -> bool:
     """The hat-ray characterization of a real h-line through v = (j, i) of
-    the product quiver of (x, y), read from their windings hx and hy."""
+    the product quiver of (x, y), read from their windings hx and hy: the
+    rays they keep straight from their dicts, the others on first use."""
     j, i = v
-    h = hat_of(q)
-    for delta in (-1, 1):
-        for rho in (-1, 1):
-            if ray_compare(h, hy.hat(q, j, rho, delta),
-                           hx.hat(q, i, rho, delta))[0] not in ("<", "="):
-                return False
+    h = q.store("hat_quiver").get(()) or hat_of(q)
+    y_hats, x_hats = hy.hats, hx.hats
+    for k, rho, delta in _HAT_CHECKS:
+        ry = y_hats.get(4 * j + k) or hy.hat(q, j, rho, delta)
+        rx = x_hats.get(4 * i + k) or hx.hat(q, i, rho, delta)
+        if ray_compare(h, ry, rx)[0] not in ("<", "="):
+            return False
     return True
 
 
 def ray_long(q: PolarizedQuiver, hx: Winding, hy: Winding, v) -> bool:
     """The doublebar-ray characterization of a long h-line through v."""
     j, i = v
-    for ry, rx in zip(hy.doublebar(q, j), hx.doublebar(q, i)):
-        if ray_compare(q, ry, rx)[0] not in ("<", "="):
-            return False
-    return True
+    ry = hy.doublebars.get(j) or hy.doublebar(q, j)
+    rx = hx.doublebars.get(i) or hx.doublebar(q, i)
+    return (ray_compare(q, ry[0], rx[0])[0] in ("<", "=")
+            and ray_compare(q, ry[1], rx[1])[0] in ("<", "="))
 
 
 def classify_components(g: HomGraph) -> ComponentReport:

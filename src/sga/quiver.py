@@ -68,6 +68,9 @@ class PolarizedQuiver:
         self._key = (self.vertices, tuple(sorted(self.arrows, key=lambda a: a.name)))
         self._hash = hash(self._key)
         self._cache: defaultdict[str, dict] = defaultdict(dict)
+        # store(name): the memo table ``name`` of this quiver, made on first
+        # use; a bound C method, so the hand-written lookups call no Python
+        self.store = self._cache.__getitem__
         self.by_name: dict[str, Arrow] = {a.name: a for a in self.arrows}
         # the quiver is immutable, so its views are computed once
         self.special_arrows: tuple[Arrow, ...] = tuple(a for a in self.arrows if a.special)
@@ -108,10 +111,6 @@ class PolarizedQuiver:
     def trivial_slot_ok(self, slot: Slot) -> bool:
         """Slots carrying a trivial letter: everything except special start slots."""
         return slot in self._trivial_slots
-
-    def store(self, name: str) -> dict:
-        """The memo table ``name`` of this quiver, made on first use."""
-        return self._cache[name]
 
     def __eq__(self, other):
         return self is other or (isinstance(other, PolarizedQuiver)

@@ -62,6 +62,8 @@ class AxModule(Frozen):
 
     @cached_property
     def T_inv(self) -> Matrix:
+        if self.T is None:
+            raise SgaError(f"module {self.label} has no T to invert")
         return gf.inv(self.T, self.p)
 
 

@@ -276,15 +276,24 @@ class Ray(Frozen):
         return self[0]
 
 
-@per_quiver
 def ray_compare(q: PolarizedQuiver, v: Ray, w: Ray) -> tuple[str, int | None]:
     """Lexicographic comparison of eventually periodic rays.
 
     The order of each ordered pair is kept in q's store ``ray_compare``, as
-    the letter order depends on q; the readings hand out interned rays, so
-    the lookup mostly compares by identity.
+    the letter order depends on q. It is keyed by the two kept hashes and
+    holds the pair with its order; the readings hand out interned rays, so
+    a hit compares by identity and calls no Python function. Other rays
+    with the same two hashes are scanned and take the entry over.
     """
-    return _ray_scan(q, v, w)
+    store = q.store("ray_compare")
+    key = (v._hash, w._hash)
+    kept = store.get(key)
+    if kept is not None and (kept[0] is v and kept[1] is w
+                             or kept[0] == v and kept[1] == w):
+        return kept[2]
+    rel = _ray_scan(q, v, w)
+    store[key] = (v, w, rel)
+    return rel
 
 
 def _ray_scan(q: PolarizedQuiver, v: Ray, w: Ray) -> tuple[str, int | None]:

@@ -73,6 +73,36 @@ def test_order_is_per_quiver():
     assert ray_compare(quiver(-1), v, w) == ("incomparable", None)
 
 
+def test_order_store_keeps_pairs_by_content(monkeypatch):
+    """The store ``ray_compare`` is keyed by the kept hashes: rays forced to
+    one hash still compare by content, in both orders and again; a
+    content-equal copy that is not interned gets the kept order without a
+    scan; and each quiver keeps its own order."""
+    v = Ray((ordl("a"), invl("a"), trivl("1", 1)))
+    w = Ray((invl("b"), ordl("b"), trivl("2", 1)))
+    object.__setattr__(w, "_hash", v._hash)
+    q, q_neg = (PolarizedQuiver(["1", "2", "3"], [Arrow("a", "1", 1, "2", 1),
+                                                  Arrow("b", "2", sign, "3", 1)])
+                for sign in (1, -1))
+    for _ in range(2):
+        assert ray_compare(q, v, w) == _ray_scan(q, v, w) == ("<", 0)
+        assert ray_compare(q, w, v) == _ray_scan(q, w, v) == (">", 0)
+        assert ray_compare(q, v, v) == ("=", None)
+        assert ray_compare(q, w, w) == ("=", None)
+    u, t = Ray(v.pre, (ordl("a"),)), Ray(w.pre)
+    assert ray_compare(q, u, t) == ("<", 0)
+    assert ray_compare(q_neg, u, t) == ("incomparable", None)
+
+    def no_scan(*args):
+        raise AssertionError("scanned a kept pair")
+
+    monkeypatch.setattr(words, "_ray_scan", no_scan)
+    copy_u, copy_t = Ray(u.pre, u.per), Ray(t.pre, t.per)
+    assert copy_u is not u and copy_t is not t
+    assert ray_compare(q, copy_u, t) == ray_compare(q, u, copy_t) == ("<", 0)
+    assert ray_compare(q_neg, copy_u, copy_t) == ("incomparable", None)
+
+
 def test_ray_hash_kept_fields_unchanged(monkeypatch):
     assert list(Ray.__annotations__) == ["pre", "per"]
     r = Ray((ordl("a"), spel("e")), (ordl("a"), spel("e")))

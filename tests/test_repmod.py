@@ -47,6 +47,13 @@ def test_gf_basics():
         gf.check_prime(2)
 
 
+def test_T_inv_without_T_names_the_module():
+    with pytest.raises(SgaError, match="module Vo has no T"):
+        module_k(5).T_inv
+    V = module_Vband(2, 3, 5)
+    assert gf.mul(V.T, V.T_inv, 5) == eye(2)
+
+
 def test_s_tilde_small():
     assert s_tilde(2, 1, 5) == sparse([[1, 0], [-2, -1]], 5)
     for p in (5, 7):
