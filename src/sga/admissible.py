@@ -50,28 +50,14 @@ class AdmWord(Frozen):
     letters: Word
     wtype: str  # 'uu' | 'up' | 'pu' | 'pp' | 'b'
 
-    # Words key the ray and translate stores of each quiver, so the hash is
-    # computed once.  It depends on the interpreter's hash seed, hence a
-    # pickle carries only the fields and the copy recomputes it.
     def __init__(self, letters: Word, wtype: str) -> None:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "wtype", wtype)
         object.__setattr__(self, "_hash", hash((letters, wtype)))
 
-    def __eq__(self, other):
-        if other.__class__ is not AdmWord:
-            return NotImplemented
-        return self is other or (self._hash == other._hash and self.wtype == other.wtype
-                                  and self.letters == other.letters)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return AdmWord, (self.letters, self.wtype)
-
-    def __repr__(self) -> str:
-        return f"AdmWord(letters={self.letters!r}, wtype={self.wtype!r})"
+    @property
+    def key(self) -> tuple[Word, str]:
+        return self.letters, self.wtype
 
     def __str__(self) -> str:
         return format_word(self.letters)

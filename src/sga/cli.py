@@ -78,12 +78,11 @@ def _adm_word(q, text: str):
 
 
 def _module(text: str, x, p: int):
-    """The module literal over GF(p), refused (exit 3) unless it lives over
-    the algebra of x's word type; the routes read its matrices unchecked."""
-    from .repmod import algebra_of, module_matches
+    """The module literal over GF(p), refused (exit 3) before any route runs
+    unless it lives over the algebra of x's word type."""
+    from .repmod import check_module
     X = parse_module(text, p)
-    if not module_matches(x.wtype, X):
-        raise SgaError(f"module {X.label} does not live over {algebra_of(x.wtype)}")
+    check_module(x, X)
     return X
 
 

@@ -21,10 +21,8 @@ class Rep(Frozen):
     each vertex and a ``gf`` matrix, ``dims[target]`` x ``dims[source]``,
     for each arrow.
 
-    Immutable, equal and hashed by content (``key``). The key, hash and
-    arrow tables are derived from the matrices on first use and kept; a
-    copy or pickle carries only q, p, dims and mats, so a copy modified
-    before its first use derives its own.
+    Immutable, equal and hashed by content (``key``); the key, hash and
+    arrow tables are derived from the matrices on first use and kept.
     """
     q: PolarizedQuiver
     p: int
@@ -44,20 +42,6 @@ class Rep(Frozen):
     @cached_property
     def _hash(self) -> int:
         return hash(self.key)
-
-    def __eq__(self, other):
-        if not isinstance(other, Rep):
-            return NotImplemented
-        return self is other or self.key == other.key
-
-    def __hash__(self):
-        return self._hash
-
-    def __getstate__(self):
-        return {"q": self.q, "p": self.p, "dims": self.dims, "mats": self.mats}
-
-    def __repr__(self) -> str:
-        return f"Rep(q={self.q!r}, p={self.p!r}, dims={self.dims!r}, mats={self.mats!r})"
 
     def total_dim(self) -> int:
         return sum(self.dims.values())

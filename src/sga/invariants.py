@@ -264,7 +264,7 @@ def dim_vector_comb(q: PolarizedQuiver, x: AdmWord, s: Tag) -> dict:
 def c_set(x: AdmWord, s: Tag, p: int) -> list:
     """The family of simple type-algebra modules selected by a tag; a single
     module for sign tags, a parameter curve for the star tags."""
-    from . import gf, repmod
+    from . import repmod
     check_tag(x, s)
     if x.wtype == "b":
         return [repmod.module_Vband(1, t, p) for t in range(1, p)]
@@ -277,8 +277,7 @@ def c_set(x: AdmWord, s: Tag, p: int) -> list:
         return [repmod.module_V(s1, p)]
     if x.wtype == "pu":
         return [repmod.module_V(s0, p)]
-    return [repmod.AxModule(f"W1({s0},{s1})", 1, p,
-                            T=gf.matrix([{0: s1}], p), S=gf.matrix([{0: s0}], p))]
+    return [repmod.module_W(1, s0 * s1, p, chi=s1 < 0)]
 
 
 class ComponentLabel(NamedTuple):

@@ -129,8 +129,12 @@ class PolarizedQuiver:
 
 class Frozen:
     """Base of the hand-written records (``Ray``, ``AdmWord``, ``AxModule``,
-    ``Rep``): ``__init__`` sets their fields past ``__setattr__``, and
-    assigning or deleting an attribute later raises AttributeError."""
+    ``Rep``): their fields are the class annotations, in order, which
+    ``__init__`` takes and sets past ``__setattr__``; assigning or deleting
+    an attribute later raises AttributeError. A record equals a record of
+    its class with an equal ``key`` and is hashed by its kept ``_hash``,
+    which depends on the hash seed: a pickle or copy carries the fields
+    only, and the copy derives the rest anew."""
     __slots__ = ()
 
     def __setattr__(self, name, value):
@@ -138,6 +142,21 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.key == other.key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__annotations__)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__annotations__)
+        return f"{self.__class__.__name__}({body})"
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import gf
-from .admissible import AdmWord, tau_adm
+from .admissible import TYPES, AdmWord, tau_adm
 from .errors import IsProjective, SgaError
 from .gf import Matrix
 from .homalg import (Rep, _block, _is_identity, _verify_basis, hom_dim_oracle,
@@ -28,7 +28,7 @@ class AxModule(Frozen):
     generator does not act).
 
     Immutable, equal and hashed by content (``key``, set with the hash in
-    ``__init__``). ``T_inv`` is computed on first use.
+    ``__init__``). ``T_inv`` and ``word_types`` are computed on first use.
     """
     label: str
     dim: int
@@ -36,35 +36,22 @@ class AxModule(Frozen):
     T: Matrix | None
     S: Matrix | None
 
-    # Modules key the module and translate stores of each quiver, so the
-    # hash is computed once.  It depends on the interpreter's hash seed,
-    # hence a pickle carries only the fields, as for AdmWord.
     def __init__(self, label: str, dim: int, p: int, T: Matrix | None = None,
                  S: Matrix | None = None) -> None:
         key = (label, dim, p, T, S)
         self.__dict__.update(label=label, dim=dim, p=p, T=T, S=S, key=key,
                              _hash=hash(key))
 
-    def __eq__(self, other):
-        if not isinstance(other, AxModule):
-            return NotImplemented
-        return self is other or self.key == other.key
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return AxModule, (self.label, self.dim, self.p, self.T, self.S)
-
-    def __repr__(self) -> str:
-        return (f"AxModule(label={self.label!r}, dim={self.dim!r}, p={self.p!r}, "
-                f"T={self.T!r}, S={self.S!r})")
-
     @cached_property
     def T_inv(self) -> Matrix:
         if self.T is None:
             raise SgaError(f"module {self.label} has no T to invert")
         return gf.inv(self.T, self.p)
+
+    @cached_property
+    def word_types(self) -> frozenset[str]:
+        """The word types over whose algebra the module lives (``module_matches``)."""
+        return frozenset(t for t in TYPES if module_matches(t, self))
 
 
 def module_k(p: int) -> AxModule:
@@ -167,8 +154,8 @@ def algebra_of(word_type: str) -> str:
 
 
 def module_matches(word_type: str, X: AxModule) -> bool:
-    """Whether X lives over ``algebra_of(word_type)``: the routes read its T
-    and S (None where there is no such generator) unchecked."""
+    """Whether X lives over ``algebra_of(word_type)``; ``check_module``
+    reads the verdicts kept in ``X.word_types``."""
     def involution(m):
         return m is not None and _is_identity(gf.mul(m, m, X.p))
     if word_type == "uu":
@@ -176,6 +163,12 @@ def module_matches(word_type: str, X: AxModule) -> bool:
     if word_type == "b":
         return X.T is not None and X.S is None and gf.is_invertible(X.T, X.p)
     return involution(X.T) and (involution(X.S) if word_type == "pp" else X.S is None)
+
+
+def check_module(x: AdmWord, X: AxModule) -> None:
+    """Raise SgaError unless X lives over the algebra of x's word type."""
+    if x.wtype not in X.word_types:
+        raise SgaError(f"module {X.label} does not live over {algebra_of(x.wtype)}")
 
 
 # -- the push-forward ---------------------------------------------------------
@@ -188,7 +181,7 @@ def unit_of(x: AdmWord, X: AxModule, part: tuple[str, int | None]) \
     Loops carry S (left end of a doubly punctured string) or T, both
     involutions; the closing edge of a band carries T or its inverse
     depending on the first letter. X must live over x's algebra
-    (``module_matches``).
+    (``check_module``).
     """
     kind, idx = part
     if kind == "loop":
@@ -203,15 +196,14 @@ def unit_of(x: AdmWord, X: AxModule, part: tuple[str, int | None]) \
 def build_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
     """The representation attached to (x, X): one copy of X per blueprint
     vertex, arrow matrices assembled blockwise from the unit actions.
+    Raises SgaError unless X lives over x's algebra (``check_module``).
 
-    Memoised in q's store ``build_module``, keyed by the word and the
-    module (equal by label, size, field and matrices), and interned in q's
-    store ``reps``: keys whose modules have equal content, such as a word
-    and its reverse, share one ``Rep``. It is shared by every later call:
-    its fields cannot be reassigned and its matrices are tuples, but its
-    ``dims`` and ``mats`` dicts are plain dicts that callers must not
-    modify (copy the ``Rep`` first, e.g. with ``copy.deepcopy``; the copy
-    drops the derived key, hash and arrow tables).
+    Memoised in q's store ``build_module``, keyed by (x, X), and interned
+    in q's store ``reps``: equal representations, such as those of a word
+    and of its reverse, share one ``Rep``, and every later call gets it.
+    Its fields cannot be reassigned and its matrices are tuples, but its
+    ``dims`` and ``mats`` are plain dicts: modify a copy (``copy.deepcopy``)
+    instead, which derives its own key, hash and arrow tables.
     """
     rep = _assemble_module(q, x, X)
     return q.store("reps").setdefault(rep, rep)
@@ -230,8 +222,7 @@ def _add_block(rows: list[dict], r: int, c: int, block: Matrix | None,
 
 
 def _assemble_module(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> Rep:
-    if not module_matches(x.wtype, X):
-        raise SgaError(f"module {X.label} does not live over {algebra_of(x.wtype)}")
+    check_module(x, X)
     p, n = X.p, X.dim
     h = build_H(q, x)
     offset = {v: k * n for vs in h.by_label.values() for k, v in enumerate(vs)}
@@ -352,6 +343,8 @@ def hom_dim_formula(q: PolarizedQuiver, x: AdmWord, X: AxModule,
                     g: HomGraph | None = None, report=None) -> int:
     """Sum over real h-lines of the dimension of the block space constrained
     by the loop/cycle units: the structured count the oracle must match."""
+    check_module(x, X)
+    check_module(y, Y)
     g = g or build_HQ(q, x, y)
     report = report or classify_components(g)
     total = 0
@@ -370,10 +363,10 @@ def hom_basis_structured(q: PolarizedQuiver, x: AdmWord, X: AxModule,
     The collected vectors are checked to be independent intertwiners
     spanning the brute-force solution space.
     """
+    M, N = build_module(q, x, X), build_module(q, y, Y)
     g = build_HQ(q, x, y)
     report = classify_components(g)
     p = X.p
-    M, N = build_module(q, x, X), build_module(q, y, Y)
     hx, hy = g.hx, g.hy
     out = []
     for comp in report.full:
@@ -403,12 +396,14 @@ def hom_dim_alg(X: AxModule, Y: AxModule, pairs) -> int:
 
 
 def E_formula(q: PolarizedQuiver, fr, x: AdmWord, X: AxModule,
-              y: AdmWord, Y: AxModule, census=None) -> int:
+              y: AdmWord, Y: AxModule) -> int:
     """The kiss-census expression for the E-invariant: a full-Hom block per
     type-A kiss, a matched-eigenvalue count per punctured pair, and the
     twisted Hom terms on a shared band class."""
     from .invariants import kiss_census
-    census = census or kiss_census(q, fr, x, y)
+    check_module(x, X)
+    check_module(y, Y)
+    census = kiss_census(q, fr, x, y)
     tot = census.a_count * X.dim * Y.dim
     Ychi = translate_twist(q, y, Y)
     for (j, i) in census.p_set:

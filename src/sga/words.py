@@ -239,28 +239,14 @@ class Ray(Frozen):
     pre: Word
     per: Word
 
-    # Rays key the per-quiver ray and ray_compare stores, so the hash is
-    # computed once.  It depends on the interpreter's hash seed, hence a
-    # pickle carries only the fields, as for AdmWord.
     def __init__(self, pre: Word, per: Word = ()) -> None:
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "per", per)
         object.__setattr__(self, "_hash", hash((pre, per)))
 
-    def __eq__(self, other):
-        if other.__class__ is not Ray:
-            return NotImplemented
-        return self is other or (self._hash == other._hash and self.pre == other.pre
-                                  and self.per == other.per)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Ray, (self.pre, self.per)
-
-    def __repr__(self) -> str:
-        return f"Ray(pre={self.pre!r}, per={self.per!r})"
+    @property
+    def key(self) -> tuple[Word, Word]:
+        return self.pre, self.per
 
     def __getitem__(self, i: int) -> Letter:
         if i < len(self.pre):

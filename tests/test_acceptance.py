@@ -13,8 +13,7 @@ from sga.admissible import (a_of_w, classify, completion, enumerate_adm,
                             enumerate_adm_direct, is_admissible, tau_adm,
                             tau_adm_via_successors)
 from sga.homgraph import (build_HQ, classify_components, real_long_bijection)
-from sga.invariants import (c_set, e_comb, is_tau_generic, kiss_census,
-                            simplified_check, tags_for)
+from sga.invariants import c_set, e_comb, is_tau_generic, simplified_check, tags_for
 from sga.quiver import as_fringing, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
 from sga.homalg import hom_dim_oracle
@@ -246,16 +245,11 @@ def test_c7_e_invariant(sweeps):
     for name, data in sweeps.items():
         q, words, mods = data["q"], data["words"], data["mods"]
         reps, taus, fr = data["reps"], data["taus"], data["fringe"]
-        census_cache = {}
         for x in words:
             for y in words:
-                if (x.letters, y.letters) not in census_cache:
-                    census_cache[(x.letters, y.letters)] = \
-                        kiss_census(q, fr, x, y)
-                census = census_cache[(x.letters, y.letters)]
                 for X in mods[x]:
                     for Y in mods[y]:
-                        rhs = E_formula(q, fr, x, X, y, Y, census=census)
+                        rhs = E_formula(q, fr, x, X, y, Y)
                         lhs = 0
                         tn = taus[(y, Y.label)]
                         if tn is not None:

@@ -209,9 +209,9 @@ def _wrong_kind(cmd, word, module, *extra):
     _wrong_kind("gvec", UP, "W(1,-)", "--tag", "++"),
 ])
 def test_module_of_the_wrong_kind_is_refused(argv, capsys):
-    """Every route reads a module's matrices unchecked, so each command that
-    takes a module literal refuses one that does not live over the word's
-    algebra before any route runs: exit 3 and nothing on stdout."""
+    """Each command that takes a module literal refuses one that does not
+    live over the word's algebra before any route runs: exit 3 and nothing
+    on stdout."""
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and "does not live over" in err

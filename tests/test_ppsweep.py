@@ -10,7 +10,7 @@ import pytest
 
 from sga.admissible import enumerate_adm
 from sga.homgraph import build_HQ, classify_components, real_long_bijection
-from sga.invariants import c_set, diag_b, e_comb, kiss_census, tags_for
+from sga.invariants import c_set, diag_b, e_comb, tags_for
 from sga.quiver import auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
 from sga.homalg import hom_dim_oracle
@@ -68,10 +68,9 @@ def test_E_formula_with_dihedral_modules(ppq, ppwords):
             taus[(x, X.label)] = None if t is None else build_module(ppq, *t)
     for x in ppwords:
         for y in ppwords:
-            census = kiss_census(ppq, fr, x, y)
             for X in mods[x]:
                 for Y in mods[y]:
-                    rhs = E_formula(ppq, fr, x, X, y, Y, census=census)
+                    rhs = E_formula(ppq, fr, x, X, y, Y)
                     lhs = 0
                     if taus[(y, Y.label)] is not None:
                         lhs += hom_dim_oracle(reps[(x, X.label)],
