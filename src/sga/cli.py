@@ -51,6 +51,16 @@ def _max_len(text: str) -> int:
     return n
 
 
+class _Tag(argparse.Action):
+    """A parsed tag option; argparse passes the value of ``--tag=--`` as []."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            setattr(namespace, self.dest, parse_tag("--" if values == [] else values))
+        except ParseError as exc:
+            raise argparse.ArgumentError(self, str(exc)) from None
+
+
 def _note_truncation(truncated: bool) -> None:
     """Tell stderr that --max-len cut off longer words."""
     if truncated:
@@ -79,8 +89,10 @@ def _adm_word(q, text: str):
 
 def _module(text: str, x, p: int):
     """The module literal over GF(p), refused (exit 3) before any route runs
-    unless it lives over the algebra of x's word type."""
+    unless p is an odd prime and it lives over the algebra of x's word type."""
+    from .gf import check_prime
     from .repmod import check_module
+    check_prime(p)
     X = parse_module(text, p)
     check_module(x, X)
     return X
@@ -202,11 +214,9 @@ def cmd_hquiver(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    from . import gf
     from .repmod import build_module, hom_dim_formula, hom_dim_oracle
     q = _load_quiver(args.quiver)
     _require_admissible(q, False)
-    gf.check_prime(args.field)
     x = _adm_word(q, args.x)
     y = _adm_word(q, args.y)
     X, Y = _module(args.X, x, args.field), _module(args.Y, y, args.field)
@@ -237,14 +247,10 @@ def cmd_einv(args) -> int:
     fr = _fringing(q, args.fringe)
     x = _adm_word(q, args.x)
     y = _adm_word(q, args.y)
-    if args.tag_x:
-        s, t = parse_tag(args.tag_x), parse_tag(args.tag_y)
     if args.X:
-        from . import gf
-        gf.check_prime(args.field)
         X, Y = _module(args.X, x, args.field), _module(args.Y, y, args.field)
     if args.tag_x:
-        print(f"e_comb: {e_comb(q, fr, (x, s), (y, t))}")
+        print(f"e_comb: {e_comb(q, fr, (x, args.tag_x), (y, args.tag_y))}")
     if args.X:
         from .repmod import E_formula, E_oracle
         formula, oracle = E_formula(q, fr, x, X, y, Y), E_oracle(q, x, X, y, Y)
@@ -263,17 +269,14 @@ def cmd_gvec(args) -> int:
     x = _adm_word(q, args.x)
     order = tilde_vertices(q)
     results = {}
-    s = parse_tag(args.tag) if args.tag else None
     if args.module:
-        from . import gf
-        gf.check_prime(args.field)
         X = _module(args.module, x, args.field)
         if args.tag and not any((X.dim, X.T, X.S) == (C.dim, C.T, C.S)
-                                for C in c_set(x, s, args.field)):
+                                for C in c_set(x, args.tag, args.field)):
             raise SgaError(f"module {X.label} is not in the family of tag "
                            f"{args.tag} on {x}, so no identity relates them")
     if args.tag:
-        g = g_comb(q, fr, x, s)
+        g = g_comb(q, fr, x, args.tag)
         results["comb"] = [g[k] for k in order]
     if args.module:
         from .repmod import g_oracle
@@ -410,15 +413,15 @@ def main(argv=None) -> int:
     p = add("einv", cmd_einv)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--tag-x")
-    p.add_argument("--tag-y")
+    p.add_argument("--tag-x", action=_Tag)
+    p.add_argument("--tag-y", action=_Tag)
     p.add_argument("--X")
     p.add_argument("--Y")
     p.add_argument("--fringe", default="auto")
     p.add_argument("--field", type=int, default=5)
     p = add("gvec", cmd_gvec)
     p.add_argument("--x", required=True)
-    p.add_argument("--tag")
+    p.add_argument("--tag", action=_Tag)
     p.add_argument("--module")
     p.add_argument("--fringe", default="auto")
     p.add_argument("--field", type=int, default=5)

@@ -15,7 +15,7 @@ from .admissible import AdmWord, enumerate_adm, tau_adm
 from .errors import SgaError, TheoremViolation
 from .homgraph import build_H, kiss_sites
 from .quiver import Fringing, PolarizedQuiver, tilde_vertices
-from .words import band_canonical, winv
+from .words import band_canonical, rotations, winv
 
 Tag = str  # "++" | "+-" | "-+" | "--" (the signs at loops 0 and 1) | "*" | "**"
 
@@ -68,7 +68,6 @@ def band_class_eq(a: AdmWord, b: AdmWord) -> bool:
     if a.wtype == "pp" and b.wtype == "pp":
         return a.letters == b.letters
     if a.wtype == "b" and b.wtype == "b":
-        from .words import rotations
         return b.letters in set(rotations(a.letters))
     return False
 
@@ -261,23 +260,57 @@ def dim_vector_comb(q: PolarizedQuiver, x: AdmWord, s: Tag) -> dict:
     return out
 
 
+class Family(NamedTuple):
+    """The modules over the type algebra of a word that a tag selects: one
+    for a sign tag, the curve ``V(1,t)`` for ``*`` and ``Vt(1,t)`` for
+    ``**``. ``c_set`` and ``repmod.indecomposables_Ax`` read it."""
+    word: AdmWord
+    tag: Tag
+
+    @property
+    def params(self) -> int:
+        return int("*" in self.tag)
+
+    def values(self, p: int) -> list:
+        """Every parameter over GF(p), in order; ``[None]`` for a sign tag."""
+        from .gf import check_prime
+        check_prime(p)
+        check_tag(self.word, self.tag)
+        if self.tag == "*":
+            return list(range(1, p))
+        return list(range(2, p - 1)) if self.tag == "**" else [None]
+
+    def points(self, p: int) -> list:
+        """One parameter per isomorphism class (Vt(1,t) is isomorphic to Vt(1,1/t))."""
+        return [t for t in self.values(p) if self.tag != "**" or t <= pow(t, -1, p)]
+
+    def lengths(self, max_dim: int) -> range:
+        """The quasi-lengths m of the members of dimension at most max_dim;
+        only 1 where the algebra is semisimple ((u,u), (u,p), (p,u))."""
+        top = 1 if self.word.wtype in ("uu", "up", "pu") else max_dim // wt(self.tag)
+        return range(1, top + 1)
+
+    def module(self, t, p: int, m: int = 1):
+        """The member with parameter t at quasi-length m in ``lengths``."""
+        from . import repmod
+        if self.tag == "*":
+            return repmod.module_Vband(m, t, p)
+        if self.tag == "**":
+            return repmod.module_Vt(m, t, p)
+        s0, s1 = (1 if c == "+" else -1 for c in self.tag)
+        if self.word.wtype == "pp":
+            return repmod.module_W(m, s0 * s1, p, chi=s1 < 0)
+        if m != 1:
+            raise SgaError(f"no module of quasi-length {m} over a {self.word.wtype} word")
+        if self.word.wtype == "uu":
+            return repmod.module_k(p)
+        return repmod.module_V(s1 if self.word.wtype == "up" else s0, p)
+
+
 def c_set(x: AdmWord, s: Tag, p: int) -> list:
-    """The family of simple type-algebra modules selected by a tag; a single
-    module for sign tags, a parameter curve for the star tags."""
-    from . import repmod
-    check_tag(x, s)
-    if x.wtype == "b":
-        return [repmod.module_Vband(1, t, p) for t in range(1, p)]
-    if s == "**":
-        return [repmod.module_Vt(1, t, p) for t in range(2, p - 1)]
-    s0, s1 = (1 if c == "+" else -1 for c in s)
-    if x.wtype == "uu":
-        return [repmod.module_k(p)]
-    if x.wtype == "up":
-        return [repmod.module_V(s1, p)]
-    if x.wtype == "pu":
-        return [repmod.module_V(s0, p)]
-    return [repmod.module_W(1, s0 * s1, p, chi=s1 < 0)]
+    """The modules of ``Family(x, s)``, one per parameter in ``values`` order."""
+    f = Family(x, s)
+    return [f.module(t, p) for t in f.values(p)]
 
 
 class ComponentLabel(NamedTuple):

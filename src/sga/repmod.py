@@ -17,6 +17,7 @@ from .gf import Matrix
 from .homalg import (Rep, _block, _is_identity, _verify_basis, hom_dim_oracle,
                      hom_rows, simple, verify_relations, zero)
 from .homgraph import CROSS, PLUS, HomGraph, build_H, build_HQ, classify_components
+from .invariants import Family, kiss_census, tags_for, wt
 from .quiver import Frozen, PolarizedQuiver, per_quiver, tilde_vertices
 from .words import ORD
 
@@ -103,24 +104,14 @@ def module_Vt(m: int, s: int, p: int) -> AxModule:
 
 
 def indecomposables_Ax(word_type: str, max_dim: int, p: int) -> list[AxModule]:
-    """Complete list of indecomposables of the type algebra up to max_dim."""
-    gf.check_prime(p)
-    if word_type == "uu":
-        return [module_k(p)]
-    if word_type in ("up", "pu"):
-        return [module_V(1, p), module_V(-1, p)]
-    if word_type == "b":
-        return [module_Vband(m, t, p)
-                for m in range(1, max_dim + 1) for t in range(1, p)]
-    out: list[AxModule] = []
-    for m in range(1, max_dim + 1):
-        for sign in (1, -1):
-            out.append(module_W(m, sign, p))
-            out.append(module_W(m, sign, p, chi=True))
-    for m in range(1, max_dim // 2 + 1):
-        for s in range(2, p - 1):
-            out.append(module_Vt(m, s, p))
-    return out
+    """Complete list of indecomposables of the type algebra up to max_dim:
+    the members of the tag families (``invariants.Family``) of a word of
+    this type, by quasi-length, the ``**`` family last."""
+    x = AdmWord((), word_type)
+    fams = [Family(x, s) for s in ("++", "--", "-+", "+-", "*", "**") if s in tags_for(x)]
+    values = [f.values(p) for f in fams]
+    walk = sorted((wt(f.tag), m, i) for i, f in enumerate(fams) for m in f.lengths(max_dim))
+    return [fams[i].module(t, p, m) for _, m, i in walk for t in values[i]]
 
 
 def chi_twist(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> AxModule:
@@ -400,7 +391,6 @@ def E_formula(q: PolarizedQuiver, fr, x: AdmWord, X: AxModule,
     """The kiss-census expression for the E-invariant: a full-Hom block per
     type-A kiss, a matched-eigenvalue count per punctured pair, and the
     twisted Hom terms on a shared band class."""
-    from .invariants import kiss_census
     check_module(x, X)
     check_module(y, Y)
     census = kiss_census(q, fr, x, y)

@@ -72,3 +72,28 @@ def test_tracer_sees_oracle_calls_made_from_cli():
     assert calls["repmod.hom_dim_formula"] == 1
     assert calls["gf.rank"] >= 1    # hom_dim_oracle ranks its system
     assert probe["uncovered"] == []
+
+
+def test_generic_e_counts_follow_from_c_set():
+    """generic-e pins 1770 items and 2965 oracle calls, one per distinct
+    (x, X, y, Y) over its pairs of tagged words; both follow from the tag
+    families ``c_set`` returns, so a change there shows here first."""
+    from sga.admissible import enumerate_adm
+    from sga.invariants import c_set, tags_for
+    from sga.randquiver import random_skewed_gentle_quiver
+    q = random_skewed_gentle_quiver(42)
+    sets = enumerate_adm(q, 8)
+    words = list(sets.strings) + list(sets.bands)
+    strings = [x for x in words if x.wtype not in ("uu", "b")]
+    bands = [x for x in words if x.wtype == "b"]
+    fill = [x for x in words if x.wtype == "uu"][:10]
+    tagged = [(x, s) for x in strings + bands + fill for s in tags_for(x)]
+    families = {(x, s): c_set(x, s, 7) for (x, s) in tagged}
+    items = [(i, j) for i in range(len(tagged)) for j in range(i, len(tagged))]
+    keys = set()
+    for i, j in items:
+        (x, s), (y, t) = tagged[i], tagged[j]
+        keys.update((x.letters, X.label, y.letters, Y.label)
+                    for X in families[(x, s)] for Y in families[(y, t)])
+    assert len(items) == 1770
+    assert len(keys) == 2965

@@ -222,3 +222,30 @@ def test_module_constructors_refuse_size_zero(make):
     from sga import repmod
     with pytest.raises(SgaError, match="at least 1"):
         getattr(repmod, make)(0, 2, 7)
+
+
+UP42 = "1(v1,+)- 1(v1,-)"                   # a (u,p) word of the seed-42 quiver
+
+
+def test_tag_minus_minus_on_the_command_line(seeded, capsys):
+    """argparse drops the value of ``--tag=--``; the tag options read it as
+    the tag ``--`` instead of no tag."""
+    argv = ["gvec", seeded[42], "--x", PP42, "--tag=--", "--field", "7"]
+    assert main(argv + ["--module", "Wchi(1,+)"]) == 0
+    assert capsys.readouterr().out == "comb: (0,-1,0,0,1,0)\noracle: (0,-1,0,0,1,0)\n"
+    assert main(argv + ["--module", "W(1,+)"]) == 3
+    assert "not in the family of tag --" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "comb: (0,-1,0,0,1,0)\n"
+    assert main(["einv", seeded[42], "--x", PP42, "--y", PP42,
+                 "--tag-x=--", "--tag-y=++"]) == 0
+    assert capsys.readouterr().out.startswith("e_comb: ")
+
+
+def test_family_check_compares_modules_by_content(seeded, capsys):
+    """``V(1,1)`` over GF(7) has the matrices of ``V+``, the member of tag
+    ``++`` on a (u,p) word, so gvec compares them although the labels differ."""
+    assert main(["gvec", seeded[42], "--x", UP42, "--tag", "++",
+                 "--module", "V(1,1)", "--field", "7"]) == 0
+    comb, oracle = capsys.readouterr().out.splitlines()
+    assert comb.startswith("comb: ") and oracle == "oracle: " + comb[len("comb: "):]

@@ -213,3 +213,109 @@ def test_kiss_census_repeated_with_rebuilt_quiver():
     rebuilt = PolarizedQuiver(q.vertices, q.arrows)
     assert rebuilt == q and rebuilt is not q
     assert _census_lines(rebuilt, 16) == first
+
+
+# -- the module catalogue: Family, read by c_set and indecomposables_Ax ---------------
+
+def _parent_c_set(x, s, p):
+    """``c_set`` as it was before ``Family``, kept as the reference."""
+    from sga import repmod
+    invariants.check_tag(x, s)
+    if x.wtype == "b":
+        return [repmod.module_Vband(1, t, p) for t in range(1, p)]
+    if s == "**":
+        return [repmod.module_Vt(1, t, p) for t in range(2, p - 1)]
+    s0, s1 = (1 if c == "+" else -1 for c in s)
+    if x.wtype == "uu":
+        return [repmod.module_k(p)]
+    if x.wtype == "up":
+        return [repmod.module_V(s1, p)]
+    if x.wtype == "pu":
+        return [repmod.module_V(s0, p)]
+    return [repmod.module_W(1, s0 * s1, p, chi=s1 < 0)]
+
+
+def _parent_indecomposables_Ax(word_type, max_dim, p):
+    """``indecomposables_Ax`` as it was before ``Family``, kept as the reference."""
+    from sga import gf, repmod
+    gf.check_prime(p)
+    if word_type == "uu":
+        return [repmod.module_k(p)]
+    if word_type in ("up", "pu"):
+        return [repmod.module_V(1, p), repmod.module_V(-1, p)]
+    if word_type == "b":
+        return [repmod.module_Vband(m, t, p)
+                for m in range(1, max_dim + 1) for t in range(1, p)]
+    out = []
+    for m in range(1, max_dim + 1):
+        for sign in (1, -1):
+            out.append(repmod.module_W(m, sign, p))
+            out.append(repmod.module_W(m, sign, p, chi=True))
+    for m in range(1, max_dim // 2 + 1):
+        for s in range(2, p - 1):
+            out.append(repmod.module_Vt(m, s, p))
+    return out
+
+
+def test_catalogue_matches_the_parent_on_every_type_and_tag():
+    from sga.repmod import indecomposables_Ax
+    for wtype in ("uu", "up", "pu", "pp", "b"):
+        x = AdmWord((), wtype)
+        for p in (3, 5, 7):
+            for s in tags_for(x):
+                assert invariants.c_set(x, s, p) == _parent_c_set(x, s, p), (wtype, s, p)
+            for max_dim in (1, 2, 3):
+                assert indecomposables_Ax(wtype, max_dim, p) == \
+                    _parent_indecomposables_Ax(wtype, max_dim, p), (wtype, max_dim, p)
+
+
+def test_catalogue_matches_the_parent_on_every_tagged_word(ex1):
+    from sga.repmod import indecomposables_Ax
+    quivers = [ex1] + [random_skewed_gentle_quiver(seed) for seed in (9, 11, 42)]
+    checked = 0
+    for q in quivers:
+        sets = enumerate_adm(q, 6)
+        for x in list(sets.strings) + list(sets.bands):
+            for p in (3, 5, 7):
+                for s in tags_for(x):
+                    assert invariants.c_set(x, s, p) == _parent_c_set(x, s, p)
+                    checked += 1
+                assert indecomposables_Ax(x.wtype, 2, p) == \
+                    _parent_indecomposables_Ax(x.wtype, 2, p)
+    assert checked > 300
+
+
+def test_family_params_and_points():
+    for wtype in ("uu", "up", "pu", "pp", "b"):
+        x = AdmWord((), wtype)
+        for s in tags_for(x):
+            fam = invariants.Family(x, s)
+            assert fam.params == (1 if s in ("*", "**") else 0), s
+            assert len(fam.values(7)) == len(invariants.c_set(x, s, 7))
+            if fam.params == 0:
+                assert fam.values(7) == fam.points(7) == [None]
+    pp = invariants.Family(AdmWord((), "pp"), "**")
+    # Vt(1,t) is isomorphic to Vt(1,1/t): over GF(5) the curve is one class (2 = 1/3)
+    assert pp.points(5) == [2]
+    assert pp.points(7) == [2, 3]
+    assert pp.points(3) == []
+    assert pp.values(7) == [2, 3, 4, 5]
+    band = invariants.Family(AdmWord((), "b"), "*")
+    assert band.points(5) == band.values(5) == [1, 2, 3, 4]
+    assert pp.module(3, 7).label == "Vt(1,3)" and pp.module(3, 7, m=2).dim == 4
+    assert band.module(2, 5, m=3).label == "V(3,2)"
+    # the algebras of (u,u), (u,p) and (p,u) words are semisimple
+    up = invariants.Family(AdmWord((), "up"), "+-")
+    assert up.lengths(3) == range(1, 2) and up.module(None, 5).label == "V-"
+    with pytest.raises(SgaError, match="quasi-length 2"):
+        up.module(None, 5, m=2)
+
+
+def test_c_set_refuses_a_field_that_is_not_prime():
+    band = AdmWord((), "b")
+    for p in (4, 9):
+        with pytest.raises(SgaError, match="odd prime"):
+            invariants.c_set(band, "*", p)
+    assert invariants.c_set(AdmWord((), "pp"), "**", 3) == []
+    with pytest.raises(SgaError, match="illegal"):
+        invariants.c_set(AdmWord((), "uu"), "--", 5)

@@ -90,3 +90,31 @@ def test_public_names():
     assert sga.iso_witness is sga.homalg.iso_witness
     with pytest.raises(AttributeError, match="no_such_name"):
         sga.no_such_name
+
+
+_FAMILY_PROBE = """
+import json, sys
+from sga.invariants import Family, enumerate_components
+from sga.parsing import parse_quiver
+from sga.quiver import auto_fringe
+from sga.randquiver import random_skewed_gentle_quiver
+labels = []
+for q in (parse_quiver(open(%r, encoding="utf-8").read()),
+          random_skewed_gentle_quiver(42)):
+    labels += enumerate_components(q, auto_fringe(q), 6)[0]
+params = [Family(l.word, l.tag).params for l in labels]
+print(json.dumps({"params": params, "tags": [l.tag for l in labels],
+                  "loaded": sorted(m for m in %r if m in sys.modules)}))
+""" % (EX1, ORACLE)
+
+
+def test_family_params_leave_the_oracle_unloaded():
+    """A label's parameter count is read from its ``Family`` without
+    building a module, so it loads no oracle module."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    res = json.loads(subprocess.run(
+        [sys.executable, "-c", _FAMILY_PROBE], env=env, cwd=ROOT, capture_output=True,
+        text=True, check=True).stdout)
+    assert res["loaded"] == []
+    assert res["params"] == [int("*" in s) for s in res["tags"]]
+    assert 1 in res["params"] and 0 in res["params"]

@@ -135,3 +135,31 @@ def test_gf5_star_star_collapse_is_exactly_plus_two(ppq, ppwords):
                 assert best == ec + 2, (str(x), str(y))
             else:
                 assert best == ec, (str(x), s, str(y), t)
+
+
+def test_star_star_points_are_isomorphism_classes():
+    """``Family.points`` keeps one of t and 1/t on a ``**`` curve: over GF(7)
+    ``Vt(1,t)`` and ``Vt(1,1/t)`` give the same oracle E-invariant both ways
+    against every member of every tag family on the seed-42 (p,p) words, and
+    the same g-vector."""
+    from sga.invariants import Family
+    from sga.repmod import g_oracle, module_Vt
+    p = 7
+    q = random_skewed_gentle_quiver(42)
+    pps = [x for x in enumerate_adm(q, 8).strings if x.wtype == "pp"]
+    assert pps
+    members = [Y for y in pps for s in tags_for(y) for Y in c_set(y, s, p)]
+    checked = 0
+    for x in pps:
+        fam = Family(x, "**")
+        assert fam.points(p) == [2, 3]
+        for t in fam.points(p):
+            X, Xi = module_Vt(1, t, p), module_Vt(1, pow(t, -1, p), p)
+            assert g_oracle(q, x, X) == g_oracle(q, x, Xi)
+            for y in pps:
+                for s in tags_for(y):
+                    for Y in c_set(y, s, p):
+                        assert E_oracle(q, x, X, y, Y) == E_oracle(q, x, Xi, y, Y)
+                        assert E_oracle(q, y, Y, x, X) == E_oracle(q, y, Y, x, Xi)
+                        checked += 1
+    assert checked == 2 * len(pps) * len(members)
