@@ -125,12 +125,12 @@ def a_of_w(q: PolarizedQuiver, w: Word) -> AdmWord:
         out.append(trivl(b, -1))
         return classify(q, tuple(out))
     if is_primitive_band(q, w):
-        if not is_symmetric_band(q, w):
+        if not is_symmetric_band(w):
             out = [w[k] if w[k].kind != SPE else
                    _orient(_band_cmp(q, w, k), w[k].name)
                    for k in range(len(w))]
             return classify(q, tuple(out), band=True)
-        if w not in standard_form_rotations(q, w):
+        if w not in standard_form_rotations(w):
             raise WordError("symmetric band must be in standard form")
         n = len(w) // 2
         a, b = q.by_name[w[0].name].source, q.by_name[w[n].name].source
@@ -163,7 +163,7 @@ def is_admissible(q: PolarizedQuiver, x: Word, band: bool = False) -> tuple[bool
         fx = f_word(q, x)
         if not is_primitive_band(q, fx):
             return False, "image band not primitive"
-        if is_symmetric_band(q, fx):
+        if is_symmetric_band(fx):
             return False, "image band symmetric"
         return True, ""
     if not is_string(h, x):
@@ -225,7 +225,7 @@ def a_image_of_completion(q: PolarizedQuiver, x: AdmWord) -> AdmWord:
     if x.wtype == "pu":
         return a_of_w(q, bar).inverse()
     if x.wtype == "pp":
-        for r in standard_form_rotations(q, bar):
+        for r in standard_form_rotations(bar):
             a = a_of_w(q, r)
             if a.letters == x.letters:
                 return a

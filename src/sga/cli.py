@@ -67,13 +67,25 @@ def _note_truncation(truncated: bool) -> None:
         print("# truncated at max-len", file=sys.stderr)
 
 
-def _require_admissible(q, allow: bool):
-    rep = validate(q)
-    if not rep.is_skewed_gentle and not allow:
+def _quiver(args, allow: bool = False):
+    """The command's quiver file, refused (exit 3) unless it is
+    skewed-gentle or ``allow`` is set."""
+    q = _load_quiver(args.quiver)
+    if not validate(q).is_skewed_gentle and not allow:
         raise SgaError(
             "quiver is not skewed-gentle/admissible (use --allow-nonadmissible "
             "for word-level commands)")
-    return rep
+    return q
+
+
+def _agree(what: str, routes: dict) -> None:
+    """Print each route's value, by route name; exit 4 with every route and
+    value named unless they all agree."""
+    for k in sorted(routes):
+        print(f"{k}: {routes[k]}")
+    if len(set(routes.values())) > 1:
+        raise TheoremViolation(f"{what} MISMATCH: " + ", ".join(
+            f"{k} {routes[k]}" for k in sorted(routes)))
 
 
 def _fringing(q, spec_text: str):
@@ -116,8 +128,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_strings(args) -> int:
-    q = _load_quiver(args.quiver)
-    _require_admissible(q, False)
+    q = _quiver(args)
     slot = _slot(args.at)
     words, truncated = enumerate_strings_at(q, slot, args.max_len)
     for w in words:
@@ -148,8 +159,7 @@ def _checked_adm(q, max_len: int):
 
 
 def cmd_adm(args) -> int:
-    q = _load_quiver(args.quiver)
-    _require_admissible(q, args.allow_nonadmissible)
+    q = _quiver(args, args.allow_nonadmissible)
     if args.word:
         x, band = parse_word(q, args.word)
         ok, why = is_admissible(q, x, band=band)
@@ -167,14 +177,14 @@ def cmd_adm(args) -> int:
 
 
 def cmd_tau(args) -> int:
-    q = _load_quiver(args.quiver)
-    _require_admissible(q, False)
+    q = _quiver(args)
     if args.adm:
         x = _adm_word(q, args.adm)
         t1 = tau_adm(q, x)
         t2 = tau_adm_via_successors(q, x)
         if t1 != t2:
-            raise TheoremViolation("TAU ROUTE MISMATCH")
+            raise TheoremViolation(f"TAU ROUTE MISMATCH: tau_adm {t1}, "
+                                   f"tau_adm_via_successors {t2}")
         print(f"{t1.wtype}: {t1}")
         return 0
     letters, band = parse_word(q, args.word)
@@ -186,8 +196,7 @@ def cmd_tau(args) -> int:
 
 
 def cmd_hquiver(args) -> int:
-    q = _load_quiver(args.quiver)
-    _require_admissible(q, args.allow_nonadmissible)
+    q = _quiver(args, args.allow_nonadmissible)
     x = _adm_word(q, args.x)
     if args.y:
         y = _adm_word(q, args.y)
@@ -215,20 +224,16 @@ def cmd_hquiver(args) -> int:
 
 def cmd_hom(args) -> int:
     from .repmod import build_module, hom_dim_formula, hom_dim_oracle
-    q = _load_quiver(args.quiver)
-    _require_admissible(q, False)
+    q = _quiver(args)
     x = _adm_word(q, args.x)
     y = _adm_word(q, args.y)
     X, Y = _module(args.X, x, args.field), _module(args.Y, y, args.field)
-    out = {}
+    routes = {}
     if args.mode in ("formula", "both"):
-        out["formula"] = hom_dim_formula(q, x, X, y, Y)
+        routes["formula"] = hom_dim_formula(q, x, X, y, Y)
     if args.mode in ("oracle", "both"):
-        out["oracle"] = hom_dim_oracle(build_module(q, x, X), build_module(q, y, Y))
-    for k in sorted(out):
-        print(f"{k}: {out[k]}")
-    if args.mode == "both" and out["formula"] != out["oracle"]:
-        raise TheoremViolation("HOM MISMATCH")
+        routes["oracle"] = hom_dim_oracle(build_module(q, x, X), build_module(q, y, Y))
+    _agree("HOM", routes)
     return 0
 
 
@@ -242,8 +247,7 @@ def cmd_einv(args) -> int:
     _require_pair(args.X, args.Y, "--X", "--Y")
     if not (args.tag_x or args.X):
         raise ParseError("einv needs --tag-x/--tag-y or --X/--Y")
-    q = _load_quiver(args.quiver)
-    _require_admissible(q, False)
+    q = _quiver(args)
     fr = _fringing(q, args.fringe)
     x = _adm_word(q, args.x)
     y = _adm_word(q, args.y)
@@ -253,45 +257,36 @@ def cmd_einv(args) -> int:
         print(f"e_comb: {e_comb(q, fr, (x, args.tag_x), (y, args.tag_y))}")
     if args.X:
         from .repmod import E_formula, E_oracle
-        formula, oracle = E_formula(q, fr, x, X, y, Y), E_oracle(q, x, X, y, Y)
-        print(f"E_formula: {formula}\nE_oracle: {oracle}")
-        if formula != oracle:
-            raise TheoremViolation(f"E MISMATCH: E_formula {formula}, E_oracle {oracle}")
+        _agree("E", {"E_formula": E_formula(q, fr, x, X, y, Y),
+                     "E_oracle": E_oracle(q, x, X, y, Y)})
     return 0
 
 
 def cmd_gvec(args) -> int:
     if not (args.tag or args.module):
         raise ParseError("gvec needs --tag or --module")
-    q = _load_quiver(args.quiver)
-    _require_admissible(q, False)
+    q = _quiver(args)
     fr = _fringing(q, args.fringe)
     x = _adm_word(q, args.x)
-    order = tilde_vertices(q)
-    results = {}
     if args.module:
         X = _module(args.module, x, args.field)
         if args.tag and not any((X.dim, X.T, X.S) == (C.dim, C.T, C.S)
                                 for C in c_set(x, args.tag, args.field)):
             raise SgaError(f"module {X.label} is not in the family of tag "
                            f"{args.tag} on {x}, so no identity relates them")
+    routes = {}
     if args.tag:
-        g = g_comb(q, fr, x, args.tag)
-        results["comb"] = [g[k] for k in order]
+        routes["comb"] = g_comb(q, fr, x, args.tag)
     if args.module:
         from .repmod import g_oracle
-        g = g_oracle(q, x, X)
-        results["oracle"] = [g[k] for k in order]
-    for k in sorted(results):
-        print(f"{k}: (" + ",".join(str(v) for v in results[k]) + ")")
-    if len(results) == 2 and results["comb"] != results["oracle"]:
-        raise TheoremViolation("GVEC MISMATCH")
+        routes["oracle"] = g_oracle(q, x, X)
+    _agree("GVEC", {k: "(" + ",".join(str(g[v]) for v in tilde_vertices(q)) + ")"
+                    for k, g in routes.items()})
     return 0
 
 
 def cmd_fringe(args) -> int:
-    q = _load_quiver(args.quiver)
-    _require_admissible(q, False)
+    q = _quiver(args)
     if args.check:
         ext = _load_quiver(args.check)
         ok = check_fringing(q, ext)
@@ -303,8 +298,7 @@ def cmd_fringe(args) -> int:
 
 
 def cmd_components(args) -> int:
-    q = _load_quiver(args.quiver)
-    _require_admissible(q, False)
+    q = _quiver(args)
     fr = _fringing(q, args.fringe)
     labels, matrix, truncated = enumerate_components(q, fr, args.max_len)
     order = tilde_vertices(q)
@@ -326,8 +320,7 @@ def cmd_selftest(args) -> int:
     from . import gf
     from .repmod import (build_module, hom_dim_formula, hom_dim_oracle,
                          indecomposables_Ax)
-    q = _load_quiver(args.quiver)
-    _require_admissible(q, False)
+    q = _quiver(args)
     gf.check_prime(args.field)
     fr = auto_fringe(q)
     sets = _checked_adm(q, args.max_len)

@@ -88,11 +88,9 @@ def verify_relations(rep: Rep) -> None:
         m = rep.mats[e.name]
         if not _is_identity(gf.mul(m, m, p)):
             raise SgaError(f"special loop {e.name} does not square to identity")
-    for a in q.ordinary_arrows:
-        for b in q.ordinary_arrows:
-            if a.s_slot == b.t_slot:
-                if any(gf.mul(rep.mats[a.name], rep.mats[b.name], p)):
-                    raise SgaError(f"relation {a.name}{b.name} violated")
+    for a, b in q.zero_relations:
+        if any(gf.mul(rep.mats[a.name], rep.mats[b.name], p)):
+            raise SgaError(f"relation {a.name}{b.name} violated")
 
 
 def simple(q: PolarizedQuiver, v: str, rho: str, p: int) -> Rep:

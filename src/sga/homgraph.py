@@ -36,13 +36,14 @@ class HLoop(NamedTuple):
 
 
 class Winding(NamedTuple):
-    """The blueprint quiver of one word and what the product quiver reads of
-    it: vertices by label (ascending), edges and loops by image, the boundary
-    vertices (valency <= 1, a loop counting one end) and, per vertex, the
-    doublebar and hat rays and the interned id of the doublebar first
-    letters, each read on first use.  Built once per word by :func:`build_H`
-    and shared by every caller, so it is frozen; callers must not modify its
-    dicts."""
+    """The blueprint quiver of one word over the quiver q it was built in,
+    and what the product quiver reads of it: vertices by label (ascending),
+    edges and loops by image, the boundary vertices (valency <= 1, a loop
+    counting one end) and, per vertex, the doublebar and hat rays and the
+    interned id of the doublebar first letters, each read over q on first
+    use.  Built once per word by :func:`build_H` and shared by every
+    caller, so it is frozen; callers must not modify its dicts."""
+    q: PolarizedQuiver
     word: AdmWord
     shape: str                                 # 'A' | 'Dp' | 'At' | 'Dpt'
     vertices: tuple[int, ...]
@@ -60,38 +61,33 @@ class Winding(NamedTuple):
     def is_boundary(self, v: int) -> bool:
         return v in self.boundary
 
-    def doublebar(self, q: PolarizedQuiver, v: int) -> tuple[Ray, Ray]:
-        """The doublebar rays at v towards rho = -1, +1, read over q (the
-        quiver the winding was built in) on first use."""
+    def doublebar(self, v: int) -> tuple[Ray, Ray]:
+        """The doublebar rays at v towards rho = -1, +1, read on first use."""
         rays = self.doublebars.get(v)
         if rays is None:
-            rays = self.doublebars[v] = (doublebar_ray(q, self.word, v, -1),
-                                         doublebar_ray(q, self.word, v, 1))
+            rays = self.doublebars[v] = (doublebar_ray(self.q, self.word, v, -1),
+                                         doublebar_ray(self.q, self.word, v, 1))
         return rays
 
-    def hat(self, q: PolarizedQuiver, v: int, rho: int, delta: int) -> Ray:
+    def hat(self, v: int, rho: int, delta: int) -> Ray:
         """The hat ray at v towards rho with punctured letters oriented by
         delta, read on first use; the ray checks stop at their first
         failure, so each hat ray is read only when compared."""
-        key = 4 * v + _hat_slot(rho, delta)   # a small int, not a tuple
+        key = 4 * v + rho + 1 + (delta + 1) // 2   # a small int, not a tuple
         ray = self.hats.get(key)
         if ray is None:
-            ray = self.hats[key] = hat_ray(q, self.word, v, rho, delta)
+            ray = self.hats[key] = hat_ray(self.q, self.word, v, rho, delta)
         return ray
 
-    def head_id(self, q: PolarizedQuiver, v: int) -> int:
+    def head_id(self, v: int) -> int:
         """The id of the pair of first letters of the doublebar rays at v,
         interned in q's store ``head_ids``: equal pairs get equal ids."""
         hid = self.head_ids.get(v)
         if hid is None:
-            ids = q.store("head_ids")
-            pair = tuple(r.first() for r in self.doublebar(q, v))
+            ids = self.q.store("head_ids")
+            pair = tuple(r.first() for r in self.doublebar(v))
             hid = self.head_ids[v] = ids.setdefault(pair, len(ids))
         return hid
-
-
-def _hat_slot(rho: int, delta: int) -> int:
-    return rho + 1 + (delta + 1) // 2
 
 
 def _group(items, key) -> dict:
@@ -130,7 +126,7 @@ def build_H(q: PolarizedQuiver, x: AdmWord) -> Winding:
                   HEdge(i, i, j, w[i].name) for i, j in chain)
     ends = [v for e in edges for v in {e.src, e.tgt}] + [l.vertex for l in loops]
     return Winding(
-        x, shape, vertices, vlabel, edges, tuple(loops),
+        q, x, shape, vertices, vlabel, edges, tuple(loops),
         _group(vertices, vlabel.get),
         _group(edges, lambda e: e.image), _group(loops, lambda l: l.image),
         frozenset(v for v in vertices if ends.count(v) <= 1), {}, {}, {})
@@ -138,21 +134,21 @@ def build_H(q: PolarizedQuiver, x: AdmWord) -> Winding:
 
 # -- the decorated product quiver ---------------------------------------------
 
-def red_blue(q: PolarizedQuiver, hy: Winding, j: int, hx: Winding, i: int
-             ) -> tuple[int, int]:
+def red_blue(hy: Winding, j: int, hx: Winding, i: int) -> tuple[int, int]:
     """(r, b) at the vertex (j, i) of a product quiver: how many of the two
     doublebar first letters of y at j lie above, and how many below, those
-    of x at i; (0, 0) when the two pairs are equal.  Memoised in q's store
-    ``red_blue``, keyed by the two head ids; incomparable heads are never
-    stored, so they raise on every call."""
-    key = (hy.head_id(q, j), hx.head_id(q, i))
+    of x at i; (0, 0) when the two pairs are equal.  Memoised in the store
+    ``red_blue`` of the windings' quiver, keyed by the two head ids;
+    incomparable heads are never stored, so they raise on every call."""
+    key = (hy.head_id(j), hx.head_id(i))
     if key[0] == key[1]:
         return (0, 0)
+    q = hx.q
     store = q.store("red_blue")
     rb = store.get(key)
     if rb is None:
         r = b = 0
-        for ry, rx in zip(hy.doublebar(q, j), hx.doublebar(q, i)):
+        for ry, rx in zip(hy.doublebar(j), hx.doublebar(i)):
             fy, fx = ry.first(), rx.first()
             if fy == fx:
                 continue
@@ -207,21 +203,19 @@ def build_HQ(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> HomGraph:
     and loops; colors record one-letter ray comparisons and the special
     double-connections."""
     hx, hy = build_H(q, x), build_H(q, y)
-    colours = q.store("red_blue")
     vertices: list[tuple[int, int]] = []
     red, blue = {}, {}                  # (j, i) -> count
     for j in hy.vertices:
         ixs = hx.by_label.get(hy.vlabel[j])
         if ixs is None:
             continue
-        head_y = hy.head_id(q, j)
+        head_y = hy.head_id(j)
         for i in ixs:
             v = (j, i)
             vertices.append(v)
-            head_x = hx.head_id(q, i)
-            if head_y == head_x:
+            if head_y == hx.head_id(i):     # equal heads colour nothing
                 continue
-            r, b = colours.get((head_y, head_x)) or red_blue(q, hy, j, hx, i)
+            r, b = red_blue(hy, j, hx, i)
             if r:
                 red[v] = r
             if b:
@@ -298,33 +292,29 @@ class ComponentReport(NamedTuple):
     real_to_long: dict[int, int]
 
 
-# (key offset in Winding.hats, rho, delta) of the four hat comparisons, in order
-_HAT_CHECKS = tuple((_hat_slot(rho, delta), rho, delta)
-                    for delta in (-1, 1) for rho in (-1, 1))
+# (rho, delta) of the four hat comparisons, in order
+_HAT_CHECKS = tuple((rho, delta) for delta in (-1, 1) for rho in (-1, 1))
 
 
-def ray_real(q: PolarizedQuiver, hx: Winding, hy: Winding, v) -> bool:
+def ray_real(hx: Winding, hy: Winding, v) -> bool:
     """The hat-ray characterization of a real h-line through v = (j, i) of
-    the product quiver of (x, y), read from their windings hx and hy: the
-    rays they keep straight from their dicts, the others on first use."""
+    the product quiver of (x, y), read from their windings hx and hy and
+    compared over the companion quiver; it stops at the first failure."""
     j, i = v
-    h = q.store("hat_quiver").get(()) or hat_of(q)
-    y_hats, x_hats = hy.hats, hx.hats
-    for k, rho, delta in _HAT_CHECKS:
-        ry = y_hats.get(4 * j + k) or hy.hat(q, j, rho, delta)
-        rx = x_hats.get(4 * i + k) or hx.hat(q, i, rho, delta)
-        if ray_compare(h, ry, rx)[0] not in ("<", "="):
+    h = hat_of(hx.q)
+    for rho, delta in _HAT_CHECKS:
+        rel = ray_compare(h, hy.hat(j, rho, delta), hx.hat(i, rho, delta))[0]
+        if rel not in ("<", "="):
             return False
     return True
 
 
-def ray_long(q: PolarizedQuiver, hx: Winding, hy: Winding, v) -> bool:
+def ray_long(hx: Winding, hy: Winding, v) -> bool:
     """The doublebar-ray characterization of a long h-line through v."""
     j, i = v
-    ry = hy.doublebars.get(j) or hy.doublebar(q, j)
-    rx = hx.doublebars.get(i) or hx.doublebar(q, i)
-    return (ray_compare(q, ry[0], rx[0])[0] in ("<", "=")
-            and ray_compare(q, ry[1], rx[1])[0] in ("<", "="))
+    ry, rx = hy.doublebar(j), hx.doublebar(i)
+    return (ray_compare(hx.q, ry[0], rx[0])[0] in ("<", "=")
+            and ray_compare(hx.q, ry[1], rx[1])[0] in ("<", "="))
 
 
 def classify_components(g: HomGraph) -> ComponentReport:
@@ -338,7 +328,7 @@ def classify_components(g: HomGraph) -> ComponentReport:
     full ones.  A component has a flag unless its root is the root of a
     vertex whose colour spoils it.
     """
-    q, hx, hy, verts = g.q, g.hx, g.hy, g.vertices
+    hx, hy, verts = g.hx, g.hy, g.vertices
     at = {v: k for k, v in enumerate(verts)}
     parent = list(range(len(verts)))
 
@@ -400,7 +390,7 @@ def classify_components(g: HomGraph) -> ComponentReport:
     for r, k, cv, ca, ctype, ends in plus:
         is_real, is_dual_real = r not in not_real, r not in not_dual_real
         interior = not any(g.is_boundary(v) for v in ends)
-        if ray_real(q, hx, hy, cv[0]) != is_real:
+        if ray_real(hx, hy, cv[0]) != is_real:
             raise TheoremViolation(f"real h-line characterization differs at {cv[0]}")
         po = po_root[k]
         plus_out.append(PlusComponent(cv, ca, ctype, ends, is_real, is_dual_real,
@@ -410,7 +400,7 @@ def classify_components(g: HomGraph) -> ComponentReport:
     full_out = []
     for r, _, cv, ca, ctype, ends in full:
         is_long = r not in not_long
-        if ray_long(q, hx, hy, cv[0]) != is_long:
+        if ray_long(hx, hy, cv[0]) != is_long:
             raise TheoremViolation(f"long h-line characterization differs at {cv[0]}")
         full_out.append(FullComponent(cv, ca, ctype, ends, is_long))
 
@@ -422,7 +412,7 @@ def generalized_diagonal(g: HomGraph, comp: PlusComponent) -> bool:
     """Some vertex of the component pairs equal doublebar rays on both sides."""
     q = g.q
     return any(all(ray_compare(q, ry, rx)[0] == "="
-                   for ry, rx in zip(g.hy.doublebar(q, j), g.hx.doublebar(q, i)))
+                   for ry, rx in zip(g.hy.doublebar(j), g.hx.doublebar(i)))
                for (j, i) in comp.vertices)
 
 
@@ -519,27 +509,24 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites
     hx, hy = build_H(q, x), build_H(q, y)
     m = max(hx.vertices, default=0) + 1   # (j, i) is the integer j*m + i
     n = max(hy.vertices, default=0) + 1   # and (i, j) is i*n + j
-    colours = q.store("red_blue")
     parent: dict[int, int] = {}
     red, blue = [], []
     for lab, js in hy.by_label.items():
         ixs = hx.by_label.get(lab)
         if ixs is None:
             continue
-        heads_x = [hx.head_id(q, i) for i in ixs]
+        heads_x = [hx.head_id(i) for i in ixs]
         for j in js:
-            head_y = hy.head_id(q, j)
+            head_y = hy.head_id(j)
             for i, head_x in zip(ixs, heads_x):
                 v = j * m + i
                 parent[v] = v
-                if head_y == head_x:
+                if head_y == head_x:     # equal heads colour nothing
                     continue
-                rb = colours.get((head_y, head_x))
-                if rb is None:
-                    rb = red_blue(q, hy, j, hx, i)
-                if rb[0]:
+                r, b = red_blue(hy, j, hx, i)
+                if r:
                     red.append(v)
-                if rb[1]:
+                if b:
                     blue.append(v)
     verts = sorted(parent)
 
@@ -629,9 +616,9 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites
     kisses, dual_kisses = [], []
     for r, vt in order:
         real, dual = r not in red_side, r not in blue_side
-        if ray_real(q, hx, hy, vt) != real:
+        if ray_real(hx, hy, vt) != real:
             raise TheoremViolation(f"real h-line characterization differs at {vt}")
-        if both and ray_real(q, hy, hx, dual_at[r]) != dual:
+        if both and ray_real(hy, hx, dual_at[r]) != dual:
             raise TheoremViolation(
                 f"real h-line characterization differs at {dual_at[r]}")
         if r in at_boundary:
@@ -650,9 +637,9 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites
     red_full = {root[v] for v in red}
     blue_full = {root[v] for v in blue}
     for r, vt in order:
-        if ray_long(q, hx, hy, vt) != (r not in red_full):
+        if ray_long(hx, hy, vt) != (r not in red_full):
             raise TheoremViolation(f"long h-line characterization differs at {vt}")
-        if both and ray_long(q, hy, hx, dual_at[r]) != (r not in blue_full):
+        if both and ray_long(hy, hx, dual_at[r]) != (r not in blue_full):
             raise TheoremViolation(
                 f"long h-line characterization differs at {dual_at[r]}")
     return tuple(kisses), tuple(sorted(dual_kisses, key=lambda k: k[1]))

@@ -112,6 +112,13 @@ class PolarizedQuiver:
         """Slots carrying a trivial letter: everything except special start slots."""
         return slot in self._trivial_slots
 
+    @functools.cached_property
+    def zero_relations(self) -> tuple[tuple[Arrow, Arrow], ...]:
+        """The ordinary pairs (a, b) with ab = 0: a starts at the slot where
+        b ends."""
+        return tuple((a, b) for a in self.ordinary_arrows for b in self.ordinary_arrows
+                     if a.s_slot == b.t_slot)
+
     def __eq__(self, other):
         return self is other or (isinstance(other, PolarizedQuiver)
                                  and self._key == other._key)
@@ -305,9 +312,9 @@ def gabriel_presentation(q: PolarizedQuiver) -> GabrielPresentation:
     """Quiver-with-relations presentation of the algebra of ``q``.
 
     Each special vertex splits in two; every ordinary arrow gets one copy
-    per admissible sign pair, and every signed-composable ordinary pair
-    alpha, beta (s(alpha) = t(beta) including signs) contributes relations
-    summing over the middle vertex signs.
+    per admissible sign pair, and every pair alpha, beta of
+    ``q.zero_relations`` (s(alpha) = t(beta) including signs) contributes
+    relations summing over the middle vertex signs.
     """
     require_skewed_gentle(q)
     arrows: list[TildeArrow] = []
@@ -318,15 +325,12 @@ def gabriel_presentation(q: PolarizedQuiver) -> GabrielPresentation:
                                          (a.source, sigma), (a.target, tau)))
     index = {(t.base, t.tau, t.sigma): t for t in arrows}
     relations: list[tuple[tuple[TildeArrow, TildeArrow], ...]] = []
-    for a in q.ordinary_arrows:
-        for b in q.ordinary_arrows:
-            if a.s_slot != b.t_slot:
-                continue
-            for tau in vertex_signs(q, a.target):
-                for rho in vertex_signs(q, b.source):
-                    rel = tuple((index[(a.name, tau, sig)], index[(b.name, sig, rho)])
-                                for sig in vertex_signs(q, b.target))
-                    relations.append(rel)
+    for a, b in q.zero_relations:
+        for tau in vertex_signs(q, a.target):
+            for rho in vertex_signs(q, b.source):
+                rel = tuple((index[(a.name, tau, sig)], index[(b.name, sig, rho)])
+                            for sig in vertex_signs(q, b.target))
+                relations.append(rel)
     return GabrielPresentation(tilde_vertices(q), tuple(arrows), tuple(relations))
 
 

@@ -154,11 +154,11 @@ def band_canonical(w: Word) -> Word:
     return min(list(rotations(w)) + list(rotations(winv(w))))
 
 
-def is_symmetric_band(q: PolarizedQuiver, w: Word) -> bool:
+def is_symmetric_band(w: Word) -> bool:
     return winv(w) in set(rotations(w))
 
 
-def standard_form_rotations(q: PolarizedQuiver, w: Word) -> list[Word]:
+def standard_form_rotations(w: Word) -> list[Word]:
     """All rotations of the form eps* v zeta* v^-1 (symmetric bands only)."""
     out = []
     n = len(w)
@@ -258,6 +258,11 @@ class Ray(Frozen):
     def length(self) -> int | None:
         return None if self.per else len(self.pre)
 
+    def prefix(self, n: int) -> Word:
+        """The first n letters, or all of them when the ray is shorter."""
+        laps = -((len(self.pre) - n) // len(self.per)) if self.per else 0
+        return (self.pre + self.per * laps)[:n]
+
     def first(self) -> Letter:
         return self[0]
 
@@ -283,29 +288,16 @@ def ray_compare(q: PolarizedQuiver, v: Ray, w: Ray) -> tuple[str, int | None]:
 
 
 def _ray_scan(q: PolarizedQuiver, v: Ray, w: Ray) -> tuple[str, int | None]:
-    """The letter-by-letter comparison behind :func:`ray_compare`.
+    """The comparison behind :func:`ray_compare`: :func:`lex_compare` of
+    bounded prefixes, a finite ray whole (it is shorter than the bound).
 
     Two rays agreeing beyond both preperiods plus a common period multiple
-    agree forever, which bounds the scan.
+    agree forever, which bounds the prefixes.
     """
     pv, pw = len(v.per), len(w.per)
     lcm = pv * pw // gcd(pv, pw) if pv and pw else max(pv, pw, 1)
     bound = len(v.pre) + len(w.pre) + 2 * lcm + 2
-    lv, lw = v.length(), w.length()
-    for i in range(bound):
-        av = v[i] if lv is None or i < lv else None
-        aw = w[i] if lw is None or i < lw else None
-        if av is None and aw is None:
-            return ("=", None)
-        if av is None or aw is None:
-            return ("incomparable", None)
-        if av == aw:
-            continue
-        c = compare_letters(q, av, aw)
-        if c is None:
-            return ("incomparable", None)
-        return ("<" if c < 0 else ">", i)
-    return ("=", None)
+    return lex_compare(q, v.prefix(bound), w.prefix(bound))
 
 
 # -- greedy extremal words ----------------------------------------------------
@@ -441,8 +433,8 @@ def standard_band_words(q: PolarizedQuiver, max_len: int) -> list[Word]:
     ones, plus the eps* v zeta* v^-1 rotations of the symmetric ones."""
     out: list[Word] = []
     for w in enumerate_bands(q, max_len):
-        if is_symmetric_band(q, w):
-            out.extend(standard_form_rotations(q, w))
+        if is_symmetric_band(w):
+            out.extend(standard_form_rotations(w))
         else:
             out.extend(rotations(w))
             out.extend(rotations(winv(w)))

@@ -50,8 +50,8 @@ def test_symmetric_band_standard_form(loop_quiver):
     w = (ordl("a"), spel("e"), invl("a"), spel("e"))
     from sga.words import is_primitive_band, is_symmetric_band, standard_form_rotations
     assert is_primitive_band(loop_quiver, w)
-    assert is_symmetric_band(loop_quiver, w)
-    std = standard_form_rotations(loop_quiver, w)
+    assert is_symmetric_band(w)
+    std = standard_form_rotations(w)
     assert std and all(r[0].kind == "spe" for r in std)
     x = a_of_w(loop_quiver, std[0])
     assert x.wtype == "pp"
@@ -63,7 +63,7 @@ def test_a_of_w_asymmetric_band(loop_quiver):
     w = (ordl("a"), spel("e"), ordl("a"), spel("e"), invl("a"), spel("e"))
     from sga.words import is_primitive_band, is_symmetric_band
     assert is_primitive_band(loop_quiver, w)
-    assert not is_symmetric_band(loop_quiver, w)
+    assert not is_symmetric_band(w)
     x = a_of_w(loop_quiver, w)
     assert x.wtype == "b"
     ok, why = is_admissible(loop_quiver, x.letters, band=True)

@@ -56,7 +56,7 @@ def reference_build_HQ(q, x, y):
                 arrows.append(HArrow(CIRC, s, t, ("loop", ly.key), ("edge", nx.idx)))
     red, blue = {}, {}
     for (j, i) in vertices:
-        r, b = red_blue(q, hy, j, hx, i)
+        r, b = red_blue(hy, j, hx, i)
         if r:
             red[(j, i)] = r
         if b:
@@ -118,14 +118,14 @@ def reference_classify(g):
     not_dual_h = g.blue.keys() | g.cyan
     not_real, not_dual_real = not_h | g.purple, not_dual_h | g.teal
 
-    q, hx, hy = g.q, g.hx, g.hy
+    hx, hy = g.hx, g.hy
     plus_out = []
     for cv, ca in comps_plus:
         ctype, ends = _component_type(cv, ca)
         is_real = not_real.isdisjoint(cv)
         is_dual_real = not_dual_real.isdisjoint(cv)
         interior = not any(g.is_boundary(v) for v in ends)
-        if ray_real(q, hx, hy, cv[0]) != is_real:
+        if ray_real(hx, hy, cv[0]) != is_real:
             raise TheoremViolation(f"real h-line characterization differs at {cv[0]}")
         po = po_of[cv[0]]
         plus_out.append(PlusComponent(cv, ca, ctype, ends, is_real, is_dual_real,
@@ -136,7 +136,7 @@ def reference_classify(g):
     for cv, ca in comps_full:
         ctype, ends = _component_type(cv, ca)
         is_long = g.red.keys().isdisjoint(cv)
-        if ray_long(q, hx, hy, cv[0]) != is_long:
+        if ray_long(hx, hy, cv[0]) != is_long:
             raise TheoremViolation(f"long h-line characterization differs at {cv[0]}")
         full_out.append(FullComponent(cv, ca, ctype, ends, is_long))
 
@@ -186,9 +186,9 @@ def test_one_ray_check_per_component(ex1, monkeypatch, seed, max_len):
     calls = []
 
     def counted(name, check):
-        def wrapper(q, hx, hy, v):
+        def wrapper(hx, hy, v):
             calls.append((name, v))
-            return check(q, hx, hy, v)
+            return check(hx, hy, v)
         return wrapper
 
     monkeypatch.setattr(homgraph, "ray_real", counted("real", ray_real))
@@ -215,9 +215,9 @@ def test_kiss_sites_makes_the_ray_checks_of_classify_components(ex1, monkeypatch
     calls = []
 
     def counted(name, check):
-        def wrapper(q, hx, hy, v):
+        def wrapper(hx, hy, v):
             calls.append((name, hx.word, hy.word, v))
-            return check(q, hx, hy, v)
+            return check(hx, hy, v)
         return wrapper
 
     monkeypatch.setattr(homgraph, "ray_real", counted("real", ray_real))

@@ -94,6 +94,29 @@ def test_einv_route_mismatch(monkeypatch, capsys):
     assert "E MISMATCH" in capsys.readouterr().err
 
 
+def test_hom_route_mismatch(monkeypatch, capsys):
+    """A route that disagrees makes ``hom`` exit 4, naming both routes and
+    their values; stdout still shows both."""
+    from sga import repmod
+    formula = repmod.hom_dim_formula
+    monkeypatch.setattr(repmod, "hom_dim_formula", lambda *a: formula(*a) + 1)
+    assert main(_hom()) == 4
+    out, err = capsys.readouterr()
+    f, o = (int(line.split(": ")[1]) for line in out.splitlines())
+    assert out.startswith("formula: ") and f == o + 1
+    assert f"theorem violation: HOM MISMATCH: formula {f}, oracle {o}" in err
+
+
+def test_tau_route_mismatch(monkeypatch, capsys):
+    """Two translates that differ make ``tau --adm`` exit 4, naming both."""
+    x = sga.cli._adm_word(sga.cli._load_quiver(EX1), X)
+    monkeypatch.setattr(sga.cli, "tau_adm_via_successors", lambda q, w: x)
+    assert main(["tau", EX1, "--adm", X]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f", tau_adm_via_successors {x}" in err and "TAU ROUTE MISMATCH: tau_adm " in err
+
+
 def test_selftest_dual_route_mismatch(monkeypatch, capsys):
     direct = sga.cli.enumerate_adm_direct
 
@@ -249,3 +272,17 @@ def test_family_check_compares_modules_by_content(seeded, capsys):
                  "--module", "V(1,1)", "--field", "7"]) == 0
     comb, oracle = capsys.readouterr().out.splitlines()
     assert comb.startswith("comb: ") and oracle == "oracle: " + comb[len("comb: "):]
+
+
+def test_gvec_route_mismatch(seeded, monkeypatch, capsys):
+    """A route that disagrees makes ``gvec`` exit 4, naming both routes and
+    their vectors."""
+    comb = sga.cli.g_comb
+    monkeypatch.setattr(sga.cli, "g_comb",
+                        lambda *a: {k: v + 1 for k, v in comb(*a).items()})
+    assert main(["gvec", seeded[42], "--x", PP42, "--tag=--", "--field", "7",
+                 "--module", "Wchi(1,+)"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "comb: (1,0,1,1,2,1)\noracle: (0,-1,0,0,1,0)\n"
+    assert ("theorem violation: GVEC MISMATCH: comb (1,0,1,1,2,1), "
+            "oracle (0,-1,0,0,1,0)") in err

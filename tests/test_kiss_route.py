@@ -83,9 +83,9 @@ def test_reverse_ray_checks_are_live(ex1, monkeypatch, on_hat, message):
     def rays(u):
         h = build_H(qf, u)
         if on_hat:
-            return {h.hat(qf, i, rho, delta) for i in h.vertices
+            return {h.hat(i, rho, delta) for i in h.vertices
                     for rho in (-1, 1) for delta in (-1, 1)}
-        return {r for i in h.vertices for r in h.doublebar(qf, i)}
+        return {r for i in h.vertices for r in h.doublebar(i)}
 
     # (v, u) compares a ray of u with one of v, (u, v) one of v with one of u
     only = {}
@@ -225,8 +225,8 @@ def test_kiss_routes_share_no_helper():
     merged = source.replace("def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord)",
                             "def kiss_sites(q, x, y):\n    _union_find(x)\n\n\n"
                             "def _unused(q: PolarizedQuiver, x: AdmWord, y: AdmWord)")
-    merged = merged.replace('    q, hx, hy, verts = g.q, g.hx, g.hy, g.vertices\n',
-                            '    q, hx, hy, verts = g.q, g.hx, g.hy, g.vertices\n'
+    merged = merged.replace('    hx, hy, verts = g.hx, g.hy, g.vertices\n',
+                            '    hx, hy, verts = g.hx, g.hy, g.vertices\n'
                             '    _union_find(verts)\n', 1)
     assert merged.count("_union_find(") == 2
     module = types.SimpleNamespace(**vars(homgraph), _union_find=lambda v: v)

@@ -1,12 +1,15 @@
 """The interned rays and the memoised ray order: ``ray_compare`` against the
-unmemoised scan on every ray pair a census compares, the kept hash of
-``Ray``, one object per ray content, and no scan repeated by a census."""
+unmemoised scan on every ray pair a census compares and against a
+letter-by-letter reference scan on every pair of rays read, ``Ray.prefix``,
+the kept hash of ``Ray``, one object per ray content, and no scan repeated
+by a census."""
 
 import os
 import pickle
 import subprocess
 import sys
 from collections import defaultdict
+from math import gcd
 
 import pytest
 
@@ -16,10 +19,76 @@ from sga.invariants import kiss_census
 from sga.parsing import parse_quiver, print_quiver
 from sga.quiver import Arrow, PolarizedQuiver, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
-from sga.words import (Letter, Ray, _ray_scan, invl, ordl, ray_compare, spel,
-                       trivl)
+from sga.words import (Letter, Ray, _ray_scan, compare_letters, invl, ordl,
+                       ray_compare, spel, trivl)
 
 MIRROR = {"<": ">", ">": "<", "=": "=", "incomparable": "incomparable"}
+
+
+def reference_scan(q, v, w):
+    """The earlier letter-by-letter comparison of two rays, kept as the
+    reference: it reads each letter through ``Ray.__getitem__``, up to the
+    same bound."""
+    pv, pw = len(v.per), len(w.per)
+    lcm = pv * pw // gcd(pv, pw) if pv and pw else max(pv, pw, 1)
+    bound = len(v.pre) + len(w.pre) + 2 * lcm + 2
+    lv, lw = v.length(), w.length()
+    for i in range(bound):
+        av = v[i] if lv is None or i < lv else None
+        aw = w[i] if lw is None or i < lw else None
+        if av is None and aw is None:
+            return ("=", None)
+        if av is None or aw is None:
+            return ("incomparable", None)
+        if av == aw:
+            continue
+        c = compare_letters(q, av, aw)
+        if c is None:
+            return ("incomparable", None)
+        return ("<" if c < 0 else ">", i)
+    return ("=", None)
+
+
+@pytest.mark.parametrize("seed", [None, 9, 11, 42])
+def test_order_equals_reference_scan_on_all_ray_pairs(ex1, seed):
+    """Every ordered pair of doublebar rays (over q) and of hat rays (over
+    its companion quiver) of the max-len 6 words compares as the
+    letter-by-letter reference does, through the scan and the memo."""
+    q = ex1 if seed is None else random_skewed_gentle_quiver(seed, forbid_pp=seed == 11)
+    sets = enumerate_adm(q, 6)
+    bars, hats = set(), set()
+    for x in sets.strings + sets.bands:
+        for i in homgraph.build_H(q, x).vertices:
+            for rho in (-1, 1):
+                bars.add(doublebar_ray(q, x, i, rho))
+                hats.update(hat_ray(q, x, i, rho, delta) for delta in (-1, 1))
+    seen = set()
+    for over, rays in ((q, bars), (hat_of(q), hats)):
+        assert len(rays) > 20
+        for v in rays:
+            for w in rays:
+                rel = reference_scan(over, v, w)
+                assert _ray_scan(over, v, w) == ray_compare(over, v, w) == rel, (v, w)
+                seen.add(rel[0])
+    assert seen == {"<", "=", ">", "incomparable"}
+
+
+def test_ray_prefix():
+    a, b, e = ordl("a"), invl("b"), spel("e")
+    finite = Ray((a, b, trivl("1", 1)))
+    assert finite.prefix(5) == finite.pre and finite.prefix(2) == (a, b)
+    assert finite.prefix(0) == ()
+    mixed = Ray((a, b, a), (e, b))
+    assert mixed.prefix(2) == (a, b) and mixed.prefix(3) == mixed.pre
+    assert mixed.prefix(6) == (a, b, a, e, b, e)
+    assert mixed.prefix(7) == (a, b, a, e, b, e, b)
+    periodic = Ray((), (a, e, b))
+    assert periodic.prefix(7) == (a, e, b, a, e, b, a)
+    assert periodic.prefix(3) == (a, e, b) and periodic.prefix(0) == ()
+    for r in (finite, mixed, periodic):
+        for n in range(9):
+            k = n if r.length() is None else min(n, r.length())
+            assert r.prefix(n) == tuple(r[i] for i in range(k))
 
 
 def _census_pairs(q, max_len, monkeypatch):

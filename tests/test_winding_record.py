@@ -52,15 +52,15 @@ def test_winding_tables_match_the_blueprint(word_pairs):
         # the per-vertex rays, kept once read
         ids = q.store("head_ids")
         for v in h.vertices:
-            bars = h.doublebar(q, v)
+            bars = h.doublebar(v)
             assert bars == tuple(doublebar_ray(q, x, v, rho) for rho in (-1, 1))
-            assert h.doublebar(q, v) is bars and h.doublebars[v] is bars
+            assert h.doublebar(v) is bars and h.doublebars[v] is bars
             for rho in (-1, 1):
                 for delta in (-1, 1):
-                    ray = h.hat(q, v, rho, delta)
+                    ray = h.hat(v, rho, delta)
                     assert ray == hat_ray(q, x, v, rho, delta)
-                    assert h.hat(q, v, rho, delta) is ray
-            hid = h.head_id(q, v)
+                    assert h.hat(v, rho, delta) is ray
+            hid = h.head_id(v)
             assert ids[tuple(r.first() for r in bars)] == hid == h.head_ids[v]
         # one kept hat ray per vertex, rho and delta
         assert len(h.hats) == 4 * len(h.vertices)
@@ -86,7 +86,7 @@ def test_rays_are_read_on_first_use(ex1):
     h = build_H(q, x)
     assert h.doublebars == h.hats == h.head_ids == {}
     v = h.vertices[0]
-    h.head_id(q, v)
+    h.head_id(v)
     assert list(h.doublebars) == list(h.head_ids) == [v] and h.hats == {}
-    ray = h.hat(q, v, 1, -1)
+    ray = h.hat(v, 1, -1)
     assert list(h.hats.values()) == [ray]
