@@ -21,8 +21,9 @@ class Rep(Frozen):
     each vertex and a ``gf`` matrix, ``dims[target]`` x ``dims[source]``,
     for each arrow.
 
-    Immutable, equal and hashed by content (``key``); the key, hash and
-    arrow tables are derived from the matrices on first use and kept.
+    Immutable, equal and hashed by content (``key``); the key, hash, arrow
+    tables and reversal class are derived from the matrices on first use
+    and kept.
     """
     q: PolarizedQuiver
     p: int
@@ -55,6 +56,15 @@ class Rep(Frozen):
         return {a.name: (gf.transpose(self.mats[a.name], dims[a.source]),
                          gf.neg(self.mats[a.name], p))
                 for a in self.q.arrows}
+
+    @cached_property
+    def rep_class(self) -> Rep:
+        """The reversal class: whichever of this module and its ``reversal``
+        has the smaller arrow matrices in ``q.arrows`` order, interned by
+        content in the store ``rep_class`` of its quiver, so a module and
+        its reversal get one object. Found on first use, then kept."""
+        c = min(self, reversal(self), key=lambda r: [r.mats[a.name] for a in r.q.arrows])
+        return self.q.store("rep_class").setdefault(c, c)
 
     def dim_vector(self) -> dict[tuple[str, str], int]:
         """Dimension vector over the split vertices.
@@ -163,11 +173,25 @@ def hom_rows(M: Rep, N: Rep) -> tuple[list[dict[int, int]], dict[str, tuple[int,
     return list(_equations(M, N, span)), span
 
 
+def reversal(M: Rep) -> Rep:
+    """M conjugated by the basis reversal at every vertex: entry (i, j) of
+    M(a) moves to (dims[t] - 1 - i, dims[s] - 1 - j). An isomorphic module."""
+    mats = {}
+    for a in M.q.arrows:
+        last = M.dims[a.source] - 1
+        mats[a.name] = tuple(tuple((last - c, w) for c, w in reversed(row))
+                             for row in reversed(M.mats[a.name]))
+    return Rep(M.q, M.p, M.dims, mats)
+
+
 def hom_dim_oracle(M: Rep, N: Rep) -> int:
     """dim Hom(M, N): the unknowns of ``hom_rows`` less its rank, the rows
     streamed into ``gf.rank``. Memoised in the store ``hom_dim_oracle`` of
-    M's quiver, keyed by the two modules (equal by content)."""
-    key = (M, N)
+    M's quiver, keyed by the reversal classes of the two modules
+    (``Rep.rep_class``). A module and its reversal are conjugate by a
+    permutation at each vertex, hence isomorphic, so they have the same Hom
+    dimensions and the answer stored for the class is exact for both."""
+    key = (M.rep_class, N.rep_class)
     store = M.q.store("hom_dim_oracle")
     dim = store.get(key)
     if dim is None:

@@ -134,13 +134,14 @@ def build_H(q: PolarizedQuiver, x: AdmWord) -> Winding:
 
 # -- the decorated product quiver ---------------------------------------------
 
-def red_blue(hy: Winding, j: int, hx: Winding, i: int) -> tuple[int, int]:
+def red_blue(hy: Winding, j: int, hx: Winding, i: int,
+             key: tuple[int, int]) -> tuple[int, int]:
     """(r, b) at the vertex (j, i) of a product quiver: how many of the two
     doublebar first letters of y at j lie above, and how many below, those
-    of x at i; (0, 0) when the two pairs are equal.  Memoised in the store
-    ``red_blue`` of the windings' quiver, keyed by the two head ids;
-    incomparable heads are never stored, so they raise on every call."""
-    key = (hy.head_id(j), hx.head_id(i))
+    of x at i; (0, 0) when the two pairs are equal.  ``key`` is the pair
+    ``(hy.head_id(j), hx.head_id(i))``, which the caller already holds.
+    Memoised in the store ``red_blue`` of the windings' quiver, keyed by
+    it; incomparable heads are never stored, so they raise on every call."""
     if key[0] == key[1]:
         return (0, 0)
     q = hx.q
@@ -213,9 +214,10 @@ def build_HQ(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> HomGraph:
         for i in ixs:
             v = (j, i)
             vertices.append(v)
-            if head_y == hx.head_id(i):     # equal heads colour nothing
+            head_x = hx.head_id(i)
+            if head_y == head_x:            # equal heads colour nothing
                 continue
-            r, b = red_blue(hy, j, hx, i)
+            r, b = red_blue(hy, j, hx, i, (head_y, head_x))
             if r:
                 red[v] = r
             if b:
@@ -523,7 +525,7 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites
                 parent[v] = v
                 if head_y == head_x:     # equal heads colour nothing
                     continue
-                r, b = red_blue(hy, j, hx, i)
+                r, b = red_blue(hy, j, hx, i, (head_y, head_x))
                 if r:
                     red.append(v)
                 if b:

@@ -56,7 +56,7 @@ def reference_build_HQ(q, x, y):
                 arrows.append(HArrow(CIRC, s, t, ("loop", ly.key), ("edge", nx.idx)))
     red, blue = {}, {}
     for (j, i) in vertices:
-        r, b = red_blue(hy, j, hx, i)
+        r, b = red_blue(hy, j, hx, i, (hy.head_id(j), hx.head_id(i)))
         if r:
             red[(j, i)] = r
         if b:

@@ -13,7 +13,7 @@ from sga.invariants import c_set, kiss_census, tags_for
 from sga.parsing import parse_quiver, print_quiver
 from sga.quiver import auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
-from sga.homalg import Rep, hom_dim_oracle, hom_rows
+from sga.homalg import Rep, hom_dim_oracle, hom_rows, reversal
 from sga.repmod import (AxModule, E_oracle, build_module, g_oracle,
                         indecomposables_Ax, module_V, module_Vband, module_W,
                         tau_module)
@@ -60,13 +60,13 @@ def test_tau_module_keeps_translate_and_twist(ex1):
 
 def _seed42_sample(q):
     """Modules of dim <= 2 over GF(5) on the first doubly punctured word of
-    the seed-42 quiver, its reverse, the first band and the first `up`
-    string."""
+    the seed-42 quiver, the first band and the first `up` string, and on
+    the inverse of each."""
     sets = enumerate_adm(q, 8)
     x = next(x for x in sets.strings if x.wtype == "pp")
     up = next(x for x in sets.strings if x.wtype == "up")
-    return [(w, X) for w in (x, x.inverse(), sets.bands[0], up)
-            for X in indecomposables_Ax(w.wtype, 2, 5)]
+    return [(v, X) for w in (x, sets.bands[0], up) for v in (w, w.inverse())
+            for X in indecomposables_Ax(v.wtype, 2, 5)]
 
 
 def _direct_hom_dim(M, N):
@@ -88,6 +88,80 @@ def test_hom_dim_memo_equals_direct_rank(monkeypatch):
     monkeypatch.undo()
     cold_reps = [build_module(cold, x, X) for x, X in _seed42_sample(cold)]
     assert [[hom_dim_oracle(M, N) for N in cold_reps] for M in cold_reps] == direct
+
+
+def _reversing(n):
+    """The n x n permutation matrix of the basis reversal."""
+    return tuple(((n - 1 - i, 1),) for i in range(n))
+
+
+@pytest.mark.parametrize("seed", [None, 9, 11, 42])
+def test_class_is_the_module_or_its_reversal(ex1, seed):
+    """On every module of dim <= 2, the class is M itself or its reversal,
+    the one with the smaller arrow matrices; the basis reversal f is an
+    intertwiner, f_t M(a) = R(a) f_s; reversing twice gives M back; and M
+    and its reversal share one class object."""
+    q = ex1 if seed is None else random_skewed_gentle_quiver(seed, forbid_pp=seed == 11)
+    sets = enumerate_adm(q, 6)
+    reps = {build_module(q, w, X) for w in list(sets.strings) + list(sets.bands)
+            for X in indecomposables_Ax(w.wtype, 2, 5)}
+    seen = set()
+    for M in reps:
+        R = reversal(M)
+        f = {v: _reversing(n) for v, n in M.dims.items()}
+        for a in q.arrows:
+            assert gf.mul(f[a.target], M.mats[a.name], 5) == \
+                gf.mul(R.mats[a.name], f[a.source], 5)
+        assert reversal(R) == M and R.dims == M.dims
+        C = M.rep_class
+        assert R.rep_class is C
+        assert C in (M, R)
+        mats = [[N.mats[a.name] for a in q.arrows] for N in (M, R)]
+        assert [C.mats[a.name] for a in q.arrows] == min(mats)
+        seen.add(C == M)
+    assert seen == {True, False}
+
+
+def test_one_rank_per_class_pair(monkeypatch):
+    """On a cold quiver, the oracle ranks one system per pair of classes,
+    fewer than the pairs of modules, and every answer equals the direct
+    rank."""
+    q = random_skewed_gentle_quiver(42)
+    reps = [build_module(q, x, X) for x, X in _seed42_sample(q)]
+    direct = [[_direct_hom_dim(M, N) for N in reps] for M in reps]
+    rank, ranks = gf.rank, []
+    monkeypatch.setattr(gf, "rank", lambda rows, p: ranks.append(p) or rank(rows, p))
+    assert [[hom_dim_oracle(M, N) for N in reps] for M in reps] == direct
+    classes = {(M.rep_class, N.rep_class) for M in reps for N in reps}
+    assert len(ranks) == len(classes) < len(set(reps)) ** 2
+
+
+def test_classes_and_answers_stay_with_their_quiver():
+    """Two quivers parsed from one text, and a deep copy of one, each keep
+    their own classes and Hom answers: a class is a module over its own
+    quiver, equal but never identical to its twin's, and every answer
+    equals the direct rank whichever store was filled first and in which
+    order the classes were met."""
+    text = print_quiver(random_skewed_gentle_quiver(42))
+    q1, q2 = parse_quiver(text), parse_quiver(text)
+    reps1 = [build_module(q1, x, X) for x, X in _seed42_sample(q1)]
+    for M in reps1:
+        for N in reps1:
+            hom_dim_oracle(M, N)
+    q3 = copy.deepcopy(q1)
+    assert q3.store("rep_class") == {} and q3.store("hom_dim_oracle") == {}
+    reps2 = [build_module(q2, x, X) for x, X in _seed42_sample(q2)][::-1]
+    reps3 = [build_module(q3, x, X) for x, X in _seed42_sample(q3)][1::2]
+    for A in (reps2, reps3):
+        for B in (reps1, reps2, reps3):
+            for M in A:
+                for N in B:
+                    assert hom_dim_oracle(M, N) == _direct_hom_dim(M, N)
+    for q in (q1, q2, q3):
+        assert all(c.q is q for c in q.store("rep_class").values())
+    for M1 in reps1:
+        M2 = reps2[reps2.index(M1)]
+        assert M1.rep_class == M2.rep_class and M1.rep_class is not M2.rep_class
 
 
 def test_equal_content_shares_one_rep():
