@@ -9,14 +9,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .admissible import (classify, enumerate_adm, enumerate_adm_direct,
-                         is_admissible, tau_adm, tau_adm_via_successors)
-from .errors import ParseError, SgaError, TheoremViolation
+from .admissible import classify, is_admissible
+from .errors import ParseError, SgaError, TheoremViolation, route_mismatch
 from .homgraph import (build_H, build_HQ, classify_components, generalized_diagonal,
-                       kiss_sites, real_long_bijection, to_dot,
-                       winding_to_dot)
-from .invariants import (c_set, e_comb, enumerate_components, g_comb,
-                         is_tau_generic, simplified_check, tags_for)
+                       real_long_bijection, to_dot, winding_to_dot)
+from .invariants import c_set, e_comb, enumerate_components, g_comb
 from .parsing import parse_module, parse_quiver, parse_tag, parse_word, print_quiver
 from .quiver import as_fringing, auto_fringe, check_fringing, gabriel_presentation, \
     tilde_vertices, validate
@@ -83,9 +80,9 @@ def _agree(what: str, routes: dict) -> None:
     value named unless they all agree."""
     for k in sorted(routes):
         print(f"{k}: {routes[k]}")
-    if len(set(routes.values())) > 1:
-        raise TheoremViolation(f"{what} MISMATCH: " + ", ".join(
-            f"{k} {routes[k]}" for k in sorted(routes)))
+    why = route_mismatch(what, routes)
+    if why:
+        raise TheoremViolation(why)
 
 
 def _fringing(q, spec_text: str):
@@ -146,18 +143,6 @@ def cmd_bands(args) -> int:
     return 0
 
 
-def _checked_adm(q, max_len: int):
-    """``enumerate_adm``, checked against the independent route
-    ``enumerate_adm_direct`` (exit 4 when they differ)."""
-    sets = enumerate_adm(q, max_len)
-    direct = enumerate_adm_direct(q, max_len)
-    if set(sets.strings) != set(direct.strings) or \
-            set(sets.bands) != set(direct.bands):
-        raise TheoremViolation("DUAL-ROUTE MISMATCH: enumerate_adm and "
-                               "enumerate_adm_direct differ")
-    return sets
-
-
 def cmd_adm(args) -> int:
     q = _quiver(args, args.allow_nonadmissible)
     if args.word:
@@ -167,7 +152,8 @@ def cmd_adm(args) -> int:
         if ok and not band:
             print(f"type: {classify(q, x).wtype}")
         return 0
-    sets = _checked_adm(q, args.max_len)
+    from .checks import checked_adm
+    sets = checked_adm(q, args.max_len)
     for x in sets.strings:
         print(f"{x.wtype}: {x}")
     for x in sets.bands:
@@ -179,13 +165,9 @@ def cmd_adm(args) -> int:
 def cmd_tau(args) -> int:
     q = _quiver(args)
     if args.adm:
-        x = _adm_word(q, args.adm)
-        t1 = tau_adm(q, x)
-        t2 = tau_adm_via_successors(q, x)
-        if t1 != t2:
-            raise TheoremViolation(f"TAU ROUTE MISMATCH: tau_adm {t1}, "
-                                   f"tau_adm_via_successors {t2}")
-        print(f"{t1.wtype}: {t1}")
+        from .checks import checked_tau
+        t = checked_tau(q, _adm_word(q, args.adm))
+        print(f"{t.wtype}: {t}")
         return 0
     letters, band = parse_word(q, args.word)
     if band:
@@ -317,51 +299,16 @@ def cmd_components(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from . import gf
-    from .repmod import (build_module, hom_dim_formula, hom_dim_oracle,
-                         indecomposables_Ax)
+    from .checks import CHECKS, Budget, checked_adm, verify
+    from .gf import check_prime
     q = _quiver(args)
-    gf.check_prime(args.field)
-    fr = auto_fringe(q)
-    sets = _checked_adm(q, args.max_len)
+    check_prime(args.field)
+    sets = checked_adm(q, args.max_len)
     print(f"adm ok: {len(sets.strings)} strings, {len(sets.bands)} bands")
     _note_truncation(sets.truncated)
-    words = list(sets.strings) + list(sets.bands)
-    pairs = 0
-    for x in words:
-        for y in words:
-            g = build_HQ(q, x, y)
-            rep = classify_components(g)
-            real_long_bijection(g, rep)
-            pairs += 1
-    print(f"real/long bijection ok on {pairs} pairs")
-    qf = fr.extended
-    translates = [tau_adm(qf, x) for x in words]
-    for k, u in enumerate(translates):
-        for v in translates[k:]:
-            for (a, b), sites in zip(((u, v), (v, u)), kiss_sites(qf, u, v)):
-                rep = classify_components(build_HQ(qf, a, b))
-                if sites != tuple((c.ctype, c.vertices[0]) for c in rep.plus if c.kiss):
-                    raise TheoremViolation(f"KISS DUAL-ROUTE MISMATCH {a} {b}")
-    print(f"kiss dual route ok on {len(translates) ** 2} translate pairs")
-    checked = 0
-    for x in words:
-        for X in indecomposables_Ax(x.wtype, 1, args.field):
-            for y in words:
-                for Y in indecomposables_Ax(y.wtype, 1, args.field):
-                    lhs = hom_dim_formula(q, x, X, y, Y)
-                    rhs = hom_dim_oracle(build_module(q, x, X),
-                                         build_module(q, y, Y))
-                    if lhs != rhs:
-                        raise TheoremViolation(
-                            f"HOM MISMATCH {x} {X.label} {y} {Y.label}")
-                    checked += 1
-    print(f"hom theorem ok on {checked} quadruples")
-    for x in words:
-        for s in tags_for(x):
-            if is_tau_generic(q, fr, x, s) != simplified_check(q, fr, x, s):
-                raise TheoremViolation("TAU-GENERIC MISMATCH")
-    print("tau-generic simplification ok")
+    budget = Budget(args.max_len, args.field, 1)
+    for check in CHECKS:
+        print(check.summary(verify(check, q, budget)))
     return 0
 
 

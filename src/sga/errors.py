@@ -1,4 +1,4 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the text of a route mismatch."""
 
 
 class SgaError(Exception):
@@ -27,6 +27,14 @@ class IsProjective(SgaError):
 
 class TheoremViolation(SgaError):
     """A verified structural theorem failed on concrete data (test hook)."""
+
+
+def route_mismatch(what: str, routes: dict) -> str | None:
+    """None when every route gives the same value, else the text of the
+    ``TheoremViolation`` naming each route and its value, by route name."""
+    if len(set(routes.values())) > 1:
+        return f"{what} MISMATCH: " + ", ".join(f"{k} {routes[k]}" for k in sorted(routes))
+    return None
 
 
 class ParseError(SgaError):

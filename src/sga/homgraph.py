@@ -138,12 +138,11 @@ def red_blue(hy: Winding, j: int, hx: Winding, i: int,
              key: tuple[int, int]) -> tuple[int, int]:
     """(r, b) at the vertex (j, i) of a product quiver: how many of the two
     doublebar first letters of y at j lie above, and how many below, those
-    of x at i; (0, 0) when the two pairs are equal.  ``key`` is the pair
-    ``(hy.head_id(j), hx.head_id(i))``, which the caller already holds.
-    Memoised in the store ``red_blue`` of the windings' quiver, keyed by
-    it; incomparable heads are never stored, so they raise on every call."""
-    if key[0] == key[1]:
-        return (0, 0)
+    of x at i.  ``key`` is the pair ``(hy.head_id(j), hx.head_id(i))``,
+    which the caller already holds and has found unequal: equal heads
+    colour nothing, so the callers skip them.  Memoised in the store
+    ``red_blue`` of the windings' quiver, keyed by it; incomparable heads
+    are never stored, so they raise on every call."""
     q = hx.q
     store = q.store("red_blue")
     rb = store.get(key)
@@ -173,10 +172,6 @@ class HArrow(NamedTuple):
     tgt: tuple[int, int]
     ypart: tuple[str, int | None]   # ('edge', idx) | ('loop', key)
     xpart: tuple[str, int | None]
-
-    @property
-    def is_loop(self) -> bool:
-        return self.src == self.tgt
 
 
 class HomGraph(NamedTuple):

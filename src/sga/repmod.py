@@ -104,9 +104,12 @@ def module_Vt(m: int, s: int, p: int) -> AxModule:
 
 
 def indecomposables_Ax(word_type: str, max_dim: int, p: int) -> list[AxModule]:
-    """Complete list of indecomposables of the type algebra up to max_dim:
-    the members of the tag families (``invariants.Family``) of a word of
-    this type, by quasi-length, the ``**`` family last."""
+    """Indecomposables of the type algebra up to max_dim: the members of the
+    tag families (``invariants.Family``) of a word of this type, by
+    quasi-length, the ``**`` family last.  Over GF(p) the list holds only
+    the split members: it lacks the band modules whose T is the companion
+    block of an irreducible polynomial, and the dihedral modules whose ST
+    has an irreducible characteristic polynomial x² − λx + 1."""
     x = AdmWord((), word_type)
     fams = [Family(x, s) for s in ("++", "--", "-+", "+-", "*", "**") if s in tags_for(x)]
     values = [f.values(p) for f in fams]

@@ -337,14 +337,6 @@ def legal_string_slots(q: PolarizedQuiver) -> list[Slot]:
     return [(v, s) for v in q.vertices for s in (-1, 1) if q.trivial_slot_ok((v, s))]
 
 
-def max_min_word(q: PolarizedQuiver, slot: Slot) -> tuple[Word, Word]:
-    """(w_max, w_min) for the slot: the continuations after 1^-1_slot."""
-    if not q.trivial_slot_ok(slot):
-        raise WordError(f"slot {slot} carries no trivial letter")
-    inner = (slot[0], -slot[1])
-    return max_word_into(q, inner), min_word_into(q, inner)
-
-
 # -- string enumeration -------------------------------------------------------
 
 def enumerate_strings_at(q: PolarizedQuiver, slot: Slot, max_len: int,

@@ -16,7 +16,8 @@ from sga.randquiver import random_skewed_gentle_quiver
 
 def reference_build_HQ(q, x, y):
     """Vertices from all pairs of vertices filtered by label, colors from
-    ``red_blue`` at every vertex, and the color sets from the arrows."""
+    ``red_blue`` at every vertex with unequal heads, and the color sets
+    from the arrows."""
     hx, hy = build_H(q, x), build_H(q, y)
     vertices = tuple((j, i) for j in hy.vertices for i in hx.vertices
                      if hy.vlabel[j] == hx.vlabel[i])
@@ -56,7 +57,10 @@ def reference_build_HQ(q, x, y):
                 arrows.append(HArrow(CIRC, s, t, ("loop", ly.key), ("edge", nx.idx)))
     red, blue = {}, {}
     for (j, i) in vertices:
-        r, b = red_blue(hy, j, hx, i, (hy.head_id(j), hx.head_id(i)))
+        key = (hy.head_id(j), hx.head_id(i))
+        if key[0] == key[1]:
+            continue
+        r, b = red_blue(hy, j, hx, i, key)
         if r:
             red[(j, i)] = r
         if b:
@@ -93,7 +97,7 @@ def _component_type(cv, ca):
     loops = 0
     for a in ca:
         valency[a.src] += 1
-        if a.is_loop:
+        if a.src == a.tgt:
             loops += 1
         else:
             valency[a.tgt] += 1

@@ -6,8 +6,11 @@ import os
 
 import pytest
 
+import sga.checks
 import sga.cli
+import sga.repmod
 from sga import gf
+from sga.checks import CHECKS
 from sga.cli import main
 from sga.errors import SgaError
 
@@ -110,43 +113,60 @@ def test_hom_route_mismatch(monkeypatch, capsys):
 def test_tau_route_mismatch(monkeypatch, capsys):
     """Two translates that differ make ``tau --adm`` exit 4, naming both."""
     x = sga.cli._adm_word(sga.cli._load_quiver(EX1), X)
-    monkeypatch.setattr(sga.cli, "tau_adm_via_successors", lambda q, w: x)
+    monkeypatch.setattr(sga.checks, "tau_adm_via_successors", lambda q, w: x)
     assert main(["tau", EX1, "--adm", X]) == 4
     out, err = capsys.readouterr()
     assert out == ""
     assert f", tau_adm_via_successors {x}" in err and "TAU ROUTE MISMATCH: tau_adm " in err
 
 
-def test_selftest_dual_route_mismatch(monkeypatch, capsys):
-    direct = sga.cli.enumerate_adm_direct
+def _one_more_kiss(half):
+    """A change to ``kiss_sites`` that adds a kiss to one half of every pair
+    of distinct translates."""
+    def change(args, halves):
+        if args[1] == args[2]:
+            return halves
+        return tuple(h + (("A", (0, 0)),) if k == half else h for k, h in enumerate(halves))
+    return change
 
-    def drop_one(q, max_len):
-        sets = direct(q, max_len)
-        return sets.__class__(sets.strings[1:], sets.bands, sets.truncated)
 
-    monkeypatch.setattr(sga.cli, "enumerate_adm_direct", drop_one)
+W = "1(1,-)- a- e- 1(2,+)"                      # the first word of ex1 at max-len 4
+U, V = "1(f2,-)- f2 a- e- b- f3 1(f3,-)", "1(f2,-)- f2 g f4- 1(f4,-)"
+# per check: the second route as sga.checks binds it, a change to its
+# answer (given the arguments), and the message of the first case it breaks;
+# (U, V) is the first pair of distinct translates that the kiss check meets
+PERTURBED = {
+    "adm": ("enumerate_adm_direct", lambda a, s: s._replace(strings=s.strings[1:]),
+            "DUAL-ROUTE MISMATCH: enumerate_adm and enumerate_adm_direct differ"),
+    "real-long": ("classify_components", lambda a, r: r._replace(real_to_long={}),
+                  "long h-line without a real h-line"),
+    "kiss": ("kiss_sites", _one_more_kiss(0), f"KISS DUAL-ROUTE MISMATCH {U} {V}"),
+    "kiss-reverse": ("kiss_sites", _one_more_kiss(1), f"KISS DUAL-ROUTE MISMATCH {V} {U}"),
+    "hom": ("hom_dim_oracle", lambda a, d: d + 1, f"HOM MISMATCH {W} Vo {W} Vo"),
+    "tau-generic": ("simplified_check", lambda a, ok: not ok, "TAU-GENERIC MISMATCH"),
+    "a-image": ("a_image_of_completion", lambda a, x: x.inverse(),
+                f"A-IMAGE MISMATCH: a_image_of_completion 1(2,+)- e a 1(1,-), word {W}"),
+    "tau-inverse": ("tau_string_inverse", lambda a, w: a[1],
+                    "TAU INVERSE MISMATCH: string 1(1,-)- a- e* 1(2,+), "
+                    "tau_string_inverse of its translate 1(2,+)- e* b- 1(3,+)"),
+    "tau-routes": ("tau_adm_via_successors", lambda a, x: a[1],
+                   "TAU ROUTE MISMATCH: tau_adm 1(2,+)- e- b- 1(3,+), "
+                   f"tau_adm_via_successors {W}"),
+}
+
+
+@pytest.mark.parametrize("name", ["adm"] + [c.name for c in CHECKS] + ["kiss-reverse"])
+def test_selftest_negative_control(name, monkeypatch, capsys):
+    """Every check of ``sga selftest`` is live: a changed answer of its
+    second route makes the selftest exit 4 with the check's message, which
+    names the first case that differs (for the kiss check, the ordered pair
+    of either changed half)."""
+    target, change, message = PERTURBED[name]
+    owner = sga.repmod if target == "hom_dim_oracle" else sga.checks
+    route = getattr(owner, target)
+    monkeypatch.setattr(owner, target, lambda *a: change(a, route(*a)))
     assert main(["selftest", EX1, "--max-len", "4"]) == 4
-    assert "DUAL-ROUTE MISMATCH" in capsys.readouterr().err
-
-
-def test_selftest_kiss_dual_route_mismatch(monkeypatch, capsys):
-    """A kiss added to either half of ``kiss_sites`` fails the selftest,
-    which names the ordered pair of that half."""
-    route = sga.cli.kiss_sites
-    for half in (0, 1):
-        perturbed = []
-
-        def one_more(q, u, v):
-            halves = list(route(q, u, v))
-            if u != v:
-                perturbed.append((v, u) if half else (u, v))
-                halves[half] += (("A", (0, 0)),)
-            return tuple(halves)
-
-        monkeypatch.setattr(sga.cli, "kiss_sites", one_more)
-        assert main(["selftest", EX1, "--max-len", "4"]) == 4
-        a, b = perturbed[0]
-        assert f"KISS DUAL-ROUTE MISMATCH {a} {b}" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(f"theorem violation: {message}\n")
 
 
 @pytest.mark.parametrize("cmd", ["components", "adm", "selftest"])

@@ -100,7 +100,7 @@ def test_loopq_color_matrix(loop_quiver, loopq_words):
         v = (dj + 1, di)
         assert colors_of(g, v) == expected, f"colors at display {(dj, di)}"
     # loops of the product quiver sit at the (0,5) and (5,5) display cells
-    loop_vs = {a.src for a in g.arrows if a.is_loop}
+    loop_vs = {a.src for a in g.arrows if a.src == a.tgt}
     assert loop_vs == {(1, 5), (6, 5)}
 
 
@@ -141,7 +141,7 @@ def test_loopq_loops_on_real_or_dual(loop_quiver, loopq_words):
     g = build_HQ(loop_quiver, x, y)
     rep = classify_components(g)
     for idx, c in enumerate(rep.plus):
-        if any(a.is_loop for a in c.arrows):
+        if any(a.src == a.tgt for a in c.arrows):
             assert c.real or c.dual_real
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from sga import homgraph, invariants
 from sga.admissible import enumerate_adm, hat_of, tau_adm
+from sga.checks import KISS, Budget, verify
 from sga.errors import TheoremViolation, WordError
 from sga.homgraph import build_H, build_HQ, classify_components, kiss_sites, kiss_types
 from sga.invariants import kiss_census
@@ -31,19 +32,10 @@ def _translates(q, max_len):
 @pytest.mark.parametrize("seed, max_len, pairs", [
     (None, 8, 676), (9, 6, 1521), (11, 6, 961), (42, 6, 1444)])
 def test_kiss_sites_equal_classify_components(ex1, seed, max_len, pairs):
+    """Both halves of ``kiss_sites`` equal the kisses ``classify_components``
+    finds, on every ordered pair of fringed translates."""
     q = ex1 if seed is None else random_skewed_gentle_quiver(seed, forbid_pp=seed == 11)
-    qf, translates = _translates(q, max_len)
-    assert len(translates) ** 2 == pairs
-
-    def kisses(u, v):
-        rep = classify_components(build_HQ(qf, u, v))
-        return tuple((c.ctype, c.vertices[0]) for c in rep.plus if c.kiss)
-
-    for u in translates:
-        for v in translates:
-            want = kisses(u, v)
-            assert kiss_sites(qf, u, v) == (want, kisses(v, u)), (str(u), str(v))
-            assert kiss_types(qf, u, v) == tuple(t for t, _ in want)
+    assert verify(KISS, q, Budget(max_len)) ** 2 == pairs
 
 
 @pytest.mark.parametrize("on_hat, message", [

@@ -1,9 +1,11 @@
 """The GF(p) oracle (``sga.gf``, ``sga.homalg``, ``sga.repmod``) loads only when something
 uses it: importing the package or the command line and running a
 word-level command leave it unloaded, while the package still offers every
-oracle name. The oracle is pure Python: no command loads numpy. The
-records are tuples and plain classes, so no step loads ``dataclasses`` or
-the ``inspect`` module it imports."""
+oracle name. The checked identities (``sga.checks``) load only for the
+commands that check a second route, never for ``components``. The oracle
+is pure Python: no command loads numpy. The records are tuples and plain
+classes, so no step loads ``dataclasses`` or the ``inspect`` module it
+imports."""
 
 import json
 import os
@@ -17,7 +19,8 @@ import sga
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 EX1 = os.path.join(ROOT, "tests", "data", "ex1.quiver")
 ORACLE = ("sga.gf", "sga.homalg", "sga.repmod")
-WATCHED = ("dataclasses", "inspect", "numpy") + ORACLE
+CHECKS = ("sga.checks",)
+WATCHED = ("dataclasses", "inspect", "numpy") + CHECKS + ORACLE
 X, Y = "1(1,-)- g b e b- 1(3,+)", "1(2,-)- a 1(1,-)"
 
 _PROBE = """
@@ -37,6 +40,8 @@ print(json.dumps({"seen": seen, "rc": rc, "out": out.getvalue()}))
 """ % (WATCHED, [
     ("components", ["components", EX1, "--max-len", "6"]),
     ("einv tags", ["einv", EX1, "--x", X, "--y", Y, "--tag-x", "++", "--tag-y", "++"]),
+    ("adm", ["adm", EX1, "--max-len", "6"]),
+    ("tau adm", ["tau", EX1, "--adm", X]),
     ("hom", ["hom", EX1, "--x", X, "--X", "Vo", "--y", Y, "--Y", "V+"]),
     ("einv modules", ["einv", EX1, "--x", X, "--y", Y, "--X", "Vo", "--Y", "V+"]),
     ("gvec module", ["gvec", EX1, "--x", X, "--module", "Vo"]),
@@ -52,8 +57,10 @@ def test_word_commands_leave_the_oracle_unloaded():
     seen = res["seen"]
     for step in ("import sga", "import sga.cli", "components", "einv tags"):
         assert seen[step] == [], step
+    for step in ("adm", "tau adm"):
+        assert seen[step] == list(CHECKS), step
     for step in ("hom", "einv modules", "gvec module", "selftest"):
-        assert seen[step] == sorted(ORACLE), step
+        assert seen[step] == sorted(CHECKS + ORACLE), step
     assert set(res["rc"].values()) == {0}
     assert "formula: 1\noracle: 1\n" in res["out"]
     assert "oracle: (-1,1,1,0)\n" in res["out"]

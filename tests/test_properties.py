@@ -147,7 +147,7 @@ def test_unpunctured_pairs_no_loops_hline_is_real(ex1):
     for x in uu:
         for y in uu:
             g = build_HQ(ex1, x, y)
-            assert not any(a.is_loop for a in g.arrows)
+            assert not any(a.src == a.tgt for a in g.arrows)
             rep = classify_components(g)
             for c in rep.plus:
                 assert c.hline == c.real
