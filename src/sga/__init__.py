@@ -10,8 +10,7 @@ from .words import (Letter, Word, enumerate_bands, enumerate_strings_at,
 from .admissible import (AdmWord, a_of_w, classify, completion, enumerate_adm,
                          is_admissible, tau_adm)
 from .homgraph import (HomGraph, Winding, build_H, build_HQ,
-                       classify_components, kiss_transport, kiss_types,
-                       real_long_bijection, triples)
+                       classify_components, real_long_bijection)
 from .invariants import (e_comb, enumerate_components, g_comb, is_tau_generic,
                          kiss_census, simplified_check, tags_for)
 

@@ -9,15 +9,17 @@ with their own quivers and budgets.  Only ``HOM`` loads the GF(p) oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Iterable, NamedTuple
 
 from .admissible import (AdmSets, AdmWord, a_image_of_completion, enumerate_adm,
                          enumerate_adm_direct, is_projective_adm, tau_adm,
                          tau_adm_via_successors)
 from .errors import TheoremViolation, route_mismatch
-from .homgraph import build_HQ, classify_components, kiss_sites, real_long_bijection
+from .homgraph import (HomGraph, PlusComponent, build_HQ, classify_components,
+                       kiss_sites, real_long_bijection)
 from .invariants import is_tau_generic, simplified_check, tags_for
-from .quiver import PolarizedQuiver, auto_fringe
+from .quiver import Fringing, PolarizedQuiver, auto_fringe
 from .words import (enumerate_strings, format_word, projective_strings, tau_string,
                     tau_string_inverse)
 
@@ -81,9 +83,30 @@ def _pairs(q: PolarizedQuiver, budget: Budget):
     return ((q, x, y) for x in words for y in words)
 
 
-def _real_long(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> None:
+def _not_h_triple(g: HomGraph, comp: PlusComponent) -> str | None:
+    """The property a real h-line fails at an endpoint (j, i): (q), every
+    edge of H(x) into i is the x part of a component arrow into (j, i), or
+    (s), every edge of H(y) out of j is the y part of one out of (j, i)."""
+    for j, i in comp.endpoints:
+        into = {a.xpart for a in comp.arrows if a.tgt == (j, i)}
+        if any(e.tgt == i and ("edge", e.idx) not in into for e in g.hx.edges):
+            return "real h-line fails property (q)"
+    for j, i in comp.endpoints:
+        out = {a.ypart for a in comp.arrows if a.src == (j, i)}
+        if any(e.src == j and ("edge", e.idx) not in out for e in g.hy.edges):
+            return "real h-line fails property (s)"
+    return None
+
+
+def _real_long(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> str | None:
+    """The real/long bijection, and every real h-line an h-triple."""
     g = build_HQ(q, x, y)
-    real_long_bijection(g, classify_components(g))   # raises its own violation
+    rep = classify_components(g)
+    real_long_bijection(g, rep)   # raises its own violation
+    for comp in rep.plus:
+        if comp.real and (why := _not_h_triple(g, comp)):
+            return why
+    return None
 
 
 def _translates(q: PolarizedQuiver, budget: Budget):
@@ -163,13 +186,34 @@ def _tau_inverse(q: PolarizedQuiver, w) -> str | None:
         "string": format_word(w), "tau_string_inverse of its translate": format_word(v)})
 
 
+def _fringed_pairs(q: PolarizedQuiver, budget: Budget):
+    fr = auto_fringe(q)
+    return ((q, fr, x, y) for _, x, y in _pairs(q, budget))
+
+
+def _kiss_transport(q: PolarizedQuiver, fr: Fringing, x: AdmWord,
+                    y: AdmWord) -> str | None:
+    """The kisses between the translates of x and y in the fringed quiver,
+    counted by type, are the real h-lines from x towards the translate of y
+    in q; there are none when y is projective."""
+    qf = fr.extended
+    kisses = Counter(t for t, _ in kiss_sites(qf, tau_adm(qf, x), tau_adm(qf, y))[0])
+    if is_projective_adm(q, y):
+        return "kisses against a projective translate" if kisses else None
+    rep = classify_components(build_HQ(q, x, tau_adm(q, y)))
+    reals = Counter(c.ctype for c in rep.plus if c.real)
+    if reals != kisses:
+        return f"kiss transport mismatch: {kisses} vs h-triples {reals}"
+    return None
+
+
 def _non_projective(q: PolarizedQuiver, budget: Budget):
     return ((q, x) for x in enumerate_adm(q, budget.max_len).strings
             if not is_projective_adm(q, x))
 
 
 REAL_LONG = Check("real-long", _pairs, _real_long,
-                  lambda n: f"real/long bijection ok on {n} pairs")
+                  lambda n: f"real/long bijection and h-triples ok on {n} pairs")
 KISS = Check("kiss", _translates, _kisses,
              lambda n: f"kiss dual route ok on {n * n} translate pairs")
 HOM = Check("hom", _quadruples, _hom, lambda n: f"hom theorem ok on {n} quadruples")
@@ -181,4 +225,7 @@ TAU_INVERSE = Check("tau-inverse", _base_strings, _tau_inverse,
                     lambda n: f"tau inverse ok on {n} non-projective base strings")
 TAU_ROUTES = Check("tau-routes", _non_projective, _tau_routes,
                    lambda n: f"tau routes ok on {n} non-projective strings")
-CHECKS = (REAL_LONG, KISS, HOM, TAU_GENERIC, A_IMAGE, TAU_INVERSE, TAU_ROUTES)
+KISS_TRANSPORT = Check("kiss-transport", _fringed_pairs, _kiss_transport,
+                       lambda n: f"kiss transport ok on {n} pairs")
+CHECKS = (REAL_LONG, KISS, HOM, TAU_GENERIC, A_IMAGE, TAU_INVERSE, TAU_ROUTES,
+          KISS_TRANSPORT)

@@ -44,9 +44,6 @@ class Rep(Frozen):
     def _hash(self) -> int:
         return hash(self.key)
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     @cached_property
     def arrow_tables(self) -> dict[str, tuple[Matrix, Matrix]]:
         """Per arrow a, the nonzeros of M(a) as the intertwiner system reads

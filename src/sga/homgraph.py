@@ -12,13 +12,11 @@ kisses among them.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
-from .admissible import (AdmWord, doublebar_ray, hat_of, hat_ray,
-                         is_projective_adm, tau_adm)
+from .admissible import AdmWord, doublebar_ray, hat_of, hat_ray
 from .errors import TheoremViolation, WordError
-from .quiver import Fringing, PolarizedQuiver, per_quiver
+from .quiver import PolarizedQuiver, per_quiver
 from .words import INV, ORD, Ray, compare_letters, ray_compare
 
 
@@ -432,54 +430,7 @@ def real_long_bijection(g: HomGraph, report: ComponentReport):
     return pairs
 
 
-# -- triples --------------------------------------------------------------------
-
-def _check_property_q(g: HomGraph, comp: PlusComponent) -> bool:
-    """Every ordinary arrow of H(x) ending at the image of a component
-    endpoint must be hit by a component arrow ending there (top condition)."""
-    for v in comp.endpoints:
-        _, i = v
-        covered = {a.xpart for a in comp.arrows if a.tgt == v}
-        for e in g.hx.edges:
-            if e.tgt == i and ("edge", e.idx) not in covered:
-                return False
-    return True
-
-
-def _check_property_s(g: HomGraph, comp: PlusComponent) -> bool:
-    """Dually on the second word: arrows starting at the image must lift
-    (socle condition)."""
-    for v in comp.endpoints:
-        j, _ = v
-        covered = {a.ypart for a in comp.arrows if a.src == v}
-        for e in g.hy.edges:
-            if e.src == j and ("edge", e.idx) not in covered:
-                return False
-    return True
-
-
-def triples(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> list[PlusComponent]:
-    """H-triples, realized as the real h-lines (a vertex (j, i) projects to
-    j in y and to i in x).
-
-    Properties (q) and (s) are checked explicitly on every endpoint; their
-    failure would contradict the triple/real-h-line correspondence.
-    """
-    g = build_HQ(q, x, y)
-    report = classify_components(g)
-    out = []
-    for comp in report.plus:
-        if not comp.real:
-            continue
-        if not _check_property_q(g, comp):
-            raise TheoremViolation("real h-line fails property (q)")
-        if not _check_property_s(g, comp):
-            raise TheoremViolation("real h-line fails property (s)")
-        out.append(comp)
-    return out
-
-
-# -- kisses and fringing -----------------------------------------------------------
+# -- kisses ---------------------------------------------------------------------
 
 Sites = tuple[tuple[str, tuple[int, int]], ...]
 
@@ -640,33 +591,6 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites
             raise TheoremViolation(
                 f"long h-line characterization differs at {dual_at[r]}")
     return tuple(kisses), tuple(sorted(dual_kisses, key=lambda k: k[1]))
-
-
-def kiss_types(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[str, ...]:
-    """The ctype of each kiss of ``build_HQ(q, x, y)``, in least-vertex
-    order: the first half of :func:`kiss_sites`."""
-    return tuple(t for t, _ in kiss_sites(q, x, y)[0])
-
-
-def kiss_transport(q: PolarizedQuiver, fr: Fringing, x: AdmWord,
-                   y: AdmWord) -> dict[str, int]:
-    """Count kisses between the fringed translates, by type.
-
-    When y is not projective the counts must agree with the real h-lines
-    towards the plain translate of y; a mismatch is a theorem violation.
-    """
-    qf = fr.extended
-    counts = Counter(kiss_types(qf, tau_adm(qf, x), tau_adm(qf, y)))
-    if is_projective_adm(q, y):
-        if counts:
-            raise TheoremViolation("kisses against a projective translate")
-        return counts
-    rep2 = classify_components(build_HQ(q, x, tau_adm(q, y)))
-    by_type2 = Counter(c.ctype for c in rep2.plus if c.real)
-    if by_type2 != counts:
-        raise TheoremViolation(
-            f"kiss transport mismatch: {counts} vs h-triples {by_type2}")
-    return counts
 
 
 # -- DOT export -----------------------------------------------------------------

@@ -255,9 +255,6 @@ class Ray(Frozen):
             raise IndexError(i)
         return self.per[(i - len(self.pre)) % len(self.per)]
 
-    def length(self) -> int | None:
-        return None if self.per else len(self.pre)
-
     def prefix(self, n: int) -> Word:
         """The first n letters, or all of them when the ray is shorter."""
         laps = -((len(self.pre) - n) // len(self.per)) if self.per else 0

@@ -1,6 +1,8 @@
 import pytest
 
+from sga.admissible import classify
 from sga.quiver import Arrow, PolarizedQuiver
+from sga.words import invl, ordl, tinvl, trivl
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +47,15 @@ def loop_quiver():
             Arrow("e", "1", -1, "1", -1, special=True),
         ],
     )
+
+
+@pytest.fixture(scope="session")
+def loopq_words(loop_quiver):
+    """Two strings of the loop quiver: the worked pair whose product quiver
+    has the pinned colour matrix."""
+    q = loop_quiver
+    x = classify(q, (tinvl("1", 1), ordl("e"), ordl("a"), ordl("e"), invl("a"),
+                     trivl("1", -1)))
+    y = classify(q, (tinvl("1", -1), ordl("a"), ordl("e"), ordl("a"), ordl("e"),
+                     invl("a"), trivl("1", -1)))
+    return x, y

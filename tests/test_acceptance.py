@@ -1,4 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
+Criterion 8, the dihedral identities, is tested in ``test_repmod.py``
+(``test_s_tilde_small`` and ``test_restriction_induction_decomposition``).
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report.  The sweeps share session-scoped caches, so the file is intended to
@@ -9,8 +11,8 @@ import time
 
 import pytest
 
-from sga.admissible import (a_of_w, classify, completion, enumerate_adm,
-                            is_admissible, tau_adm, tau_adm_via_successors)
+from sga.admissible import (a_of_w, classify, completion, is_admissible, tau_adm,
+                            tau_adm_via_successors)
 from sga.checks import HOM, TAU_GENERIC, Budget, checked_adm, verify
 from sga.homgraph import build_HQ, classify_components
 from sga.invariants import c_set, e_comb, is_tau_generic, simplified_check, tags_for
@@ -23,6 +25,8 @@ from sga.invariants import g_comb
 from sga.words import (enumerate_strings, enumerate_strings_at, format_word,
                        invl, ordl, projective_strings, standard_band_words,
                        string_labels, tau_string, tinvl, trivl)
+
+from kit import adm_words, colors_of
 
 SEED = 11
 ORDER4 = [("1", "o"), ("2", "-"), ("2", "+"), ("3", "o")]
@@ -48,8 +52,7 @@ def sweeps(ex1, rquiver):
     """Shared per-quiver sweep data at GF(5): words, modules, reps, taus."""
     out = {}
     for name, q in (("ex1", ex1), ("rand", rquiver)):
-        sets = enumerate_adm(q, 8)
-        words = list(sets.strings) + list(sets.bands)
+        words = adm_words(q, 8)
         mods = {x: indecomposables_Ax(x.wtype, 2, 5) for x in words}
         reps = {}
         taus = {}
@@ -92,14 +95,9 @@ def test_c1_string_census(ex1):
 
 # ---------------------------------------------------------------- criterion 2
 
-def test_c2_decorated_quiver(loop_quiver):
+def test_c2_decorated_quiver(loop_quiver, loopq_words):
     t0 = time.time()
-    q = loop_quiver
-    x = classify(q, (tinvl("1", 1), ordl("e"), ordl("a"), ordl("e"), invl("a"),
-                     trivl("1", -1)))
-    y = classify(q, (tinvl("1", -1), ordl("a"), ordl("e"), ordl("a"), ordl("e"),
-                     invl("a"), trivl("1", -1)))
-    g = build_HQ(q, x, y)
+    g = build_HQ(loop_quiver, *loopq_words)
     rep = classify_components(g)
     comp_of = {}
     for idx, c in enumerate(rep.plus):
@@ -113,17 +111,6 @@ def test_c2_decorated_quiver(loop_quiver):
     c = rep.plus[comp_of[(2, 4)]]               # display (1,4)
     ok = ok and c.real and c.ctype == "Dp"
 
-    def colors_of(v):
-        out = set()
-        if g.red.get(v):
-            out.add("red")
-        if g.blue.get(v):
-            out.add("blue")
-        for name in ("orange", "purple", "cyan", "teal"):
-            if v in getattr(g, name):
-                out.add(name)
-        return out
-
     spots = {   # golden spot checks of the color matrix (10+ cells)
         (1, 1): {"purple", "blue"}, (1, 4): {"teal", "blue"},
         (2, 1): {"red"}, (2, 2): {"cyan", "red"}, (2, 4): {"cyan"},
@@ -132,7 +119,7 @@ def test_c2_decorated_quiver(loop_quiver):
         (6, 4): {"teal", "blue"}, (1, 5): set(), (4, 3): set(),
     }
     for v, want in spots.items():
-        ok = ok and colors_of(v) == want
+        ok = ok and colors_of(g, v) == want
     report("2 (decorated quiver)", ok, f"{time.time() - t0:.2f}s")
 
 
@@ -264,105 +251,6 @@ def test_c7_e_invariant(sweeps):
     report("7b (e_comb = generic E, GF(5) and GF(7))", comb_bad == 0,
            f"{comb_checked} tagged pairs, {time.time() - t1:.1f}s")
     assert time.time() - t0 < 600
-
-
-# ---------------------------------------------------------------- criterion 8
-
-def _dense(m, ncols):
-    import numpy as _np
-    out = _np.zeros((len(m), ncols), dtype=_np.int64)
-    for i, row in enumerate(m):
-        for c, v in row:
-            out[i, c] = v
-    return out
-
-
-def _sparse(a, p):
-    import numpy as _np
-    from sga import gf
-    return gf.matrix([dict(enumerate(row)) for row in _np.asarray(a).tolist()], p)
-
-
-def _ind_module(m, s, p):
-    import numpy as _np
-    from sga import gf
-    from sga.repmod import AxModule
-    j = gf.jordan_block(m, s, p)
-    S = _np.zeros((2 * m, 2 * m), dtype=_np.int64)
-    S[:m, m:] = _dense(j, m)
-    S[m:, :m] = _dense(gf.inv(j, p), m)
-    T = _np.zeros((2 * m, 2 * m), dtype=_np.int64)
-    T[:m, m:] = _np.eye(m, dtype=_np.int64)
-    T[m:, :m] = _np.eye(m, dtype=_np.int64)
-    return AxModule(f"ind({m},{s})", 2 * m, p, T=_sparse(T, p), S=_sparse(S, p))
-
-
-def _pp_system(X, Y, p):
-    """f X(g) = Y(g) f for g = S, T, on the row-major entries of f."""
-    import numpy as _np
-    rows = []
-    for gen in ("S", "T"):
-        a, b = _dense(getattr(Y, gen), Y.dim), _dense(getattr(X, gen), X.dim)
-        rows.append(_np.kron(_np.eye(Y.dim, dtype=_np.int64), b.T)
-                    - _np.kron(a, _np.eye(X.dim, dtype=_np.int64)))
-    return _sparse(_np.concatenate(rows, axis=0), p)
-
-
-def _hom_pp(X, Y, p):
-    from sga import gf
-    return Y.dim * X.dim - gf.rank(_pp_system(X, Y, p), p)
-
-
-def _dihedral_sum(A, B, p):
-    import numpy as _np
-    from sga.repmod import AxModule
-    n = A.dim + B.dim
-    S, T = _np.zeros((n, n), dtype=_np.int64), _np.zeros((n, n), dtype=_np.int64)
-    S[:A.dim, :A.dim], S[A.dim:, A.dim:] = _dense(A.S, A.dim), _dense(B.S, B.dim)
-    T[:A.dim, :A.dim], T[A.dim:, A.dim:] = _dense(A.T, A.dim), _dense(B.T, B.dim)
-    return AxModule("sum", n, p, T=_sparse(T, p), S=_sparse(S, p))
-
-
-def _dihedral_iso(A, B, p, tries=300):
-    import random
-    from sga import gf
-    if A.dim != B.dim:
-        return False
-    n = B.dim * A.dim
-    basis = _dense(gf.nullspace(_pp_system(A, B, p), n, p), n)
-    rng = random.Random(1)
-    for _ in range(tries):
-        f = sum(rng.randrange(p) * row for row in basis) % p
-        f = f.reshape(B.dim, A.dim)
-        if gf.is_invertible(_sparse(f, p), p):
-            return True
-    return False
-
-
-def test_c8_dihedral_identities():
-    t0 = time.time()
-    from sga import gf
-    from sga.repmod import module_W, s_tilde
-    ok = True
-    for p in (5, 7):
-        for m in range(1, 7):
-            for sign in (1, -1):
-                st = s_tilde(m, sign, p)
-                ok = ok and gf.mul(st, st, p) == tuple(((i, 1),) for i in range(m))
-                j = gf.jordan_block(m, sign, p)
-                ok = ok and gf.mul(st, j, p) == gf.mul(gf.inv(j, p), st, p)
-        for m in range(1, 5):
-            for s in (1, p - 1):
-                X = _ind_module(m, s, p)
-                ok = ok and _hom_pp(X, X, p) == 2 * m
-                sign = 1 if s == 1 else -1
-                target = _dihedral_sum(module_W(m, sign, p),
-                                       module_W(m, sign, p, chi=True), p)
-                ok = ok and _dihedral_iso(X, target, p)
-            for s in (2, 3):
-                X = _ind_module(m, s, p)
-                ok = ok and _hom_pp(X, X, p) == m
-    report("8 (dihedral identities)", ok, f"{time.time() - t0:.1f}s")
 
 
 # ---------------------------------------------------------------- criterion 9

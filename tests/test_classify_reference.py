@@ -5,13 +5,14 @@ reference, and the count of ray checks ``classify_components`` makes."""
 import pytest
 
 from sga import homgraph
-from sga.admissible import enumerate_adm
 from sga.errors import TheoremViolation
 from sga.homgraph import (CIRC, CROSS, PLUS, ComponentReport, FullComponent,
                           HArrow, HomGraph, PlusComponent, build_H, build_HQ,
                           classify_components, kiss_sites, ray_long, ray_real,
                           red_blue)
 from sga.randquiver import random_skewed_gentle_quiver
+
+from kit import adm_words
 
 
 def reference_build_HQ(q, x, y):
@@ -152,11 +153,6 @@ def _quiver(ex1, seed):
     return ex1 if seed is None else random_skewed_gentle_quiver(seed)
 
 
-def _words(q, max_len):
-    sets = enumerate_adm(q, max_len)
-    return list(sets.strings) + list(sets.bands)
-
-
 def test_one_pass_equals_reference(ex1):
     """Every field of the product quiver and the whole component report are
     those of the reference, on every ordered pair of words of ex1 and of
@@ -165,7 +161,7 @@ def test_one_pass_equals_reference(ex1):
     ctypes, families = set(), set()
     for seed in (None, 9, 42):
         q = _quiver(ex1, seed)
-        words = _words(q, 6)
+        words = adm_words(q, 6)
         for x in words:
             for y in words:
                 g, want = build_HQ(q, x, y), reference_build_HQ(q, x, y)
@@ -186,7 +182,7 @@ def test_one_ray_check_per_component(ex1, monkeypatch, seed, max_len):
     of each plus component and ``ray_long`` once at that of each full
     component, in that order: no check is skipped or repeated."""
     q = _quiver(ex1, seed)
-    words = _words(q, max_len)
+    words = adm_words(q, max_len)
     calls = []
 
     def counted(name, check):
@@ -215,7 +211,7 @@ def test_kiss_sites_makes_the_ray_checks_of_classify_components(ex1, monkeypatch
     where ``classify_components`` does on (x, y) and, for x != y, on (y, x):
     the same checks at the same least vertices, none skipped or repeated."""
     q = _quiver(ex1, seed)
-    words = _words(q, max_len)
+    words = adm_words(q, max_len)
     calls = []
 
     def counted(name, check):

@@ -130,6 +130,13 @@ def _one_more_kiss(half):
     return change
 
 
+def _real_arrows(change):
+    """A change to ``classify_components`` that changes the arrows of every
+    real plus component."""
+    return lambda args, rep: rep._replace(
+        plus=[c._replace(arrows=change(c.arrows)) if c.real else c for c in rep.plus])
+
+
 W = "1(1,-)- a- e- 1(2,+)"                      # the first word of ex1 at max-len 4
 U, V = "1(f2,-)- f2 a- e- b- f3 1(f3,-)", "1(f2,-)- f2 g f4- 1(f4,-)"
 # per check: the second route as sga.checks binds it, a change to its
@@ -152,10 +159,18 @@ PERTURBED = {
     "tau-routes": ("tau_adm_via_successors", lambda a, x: a[1],
                    "TAU ROUTE MISMATCH: tau_adm 1(2,+)- e- b- 1(3,+), "
                    f"tau_adm_via_successors {W}"),
+    "h-triples": ("classify_components", _real_arrows(lambda arrows: ()),
+                  "real h-line fails property (q)"),
+    "h-triples-s": ("classify_components", _real_arrows(
+        lambda arrows: tuple(a._replace(ypart=None) for a in arrows)),
+        "real h-line fails property (s)"),
+    "kiss-transport": ("is_projective_adm", lambda a, proj: True,
+                       "kisses against a projective translate"),
 }
 
 
-@pytest.mark.parametrize("name", ["adm"] + [c.name for c in CHECKS] + ["kiss-reverse"])
+@pytest.mark.parametrize("name", ["adm"] + [c.name for c in CHECKS] +
+                         ["kiss-reverse", "h-triples", "h-triples-s"])
 def test_selftest_negative_control(name, monkeypatch, capsys):
     """Every check of ``sga selftest`` is live: a changed answer of its
     second route makes the selftest exit 4 with the check's message, which

@@ -5,22 +5,14 @@ import pytest
 from sga.admissible import (classify, enumerate_adm, is_projective_adm, tau_adm,
                             tau_adm_via_successors)
 from sga.errors import IsProjective
+from sga.checks import KISS_TRANSPORT, REAL_LONG, Budget, verify
 from sga.homgraph import (build_H, build_HQ, classify_components,
-                          kiss_transport, real_long_bijection, to_dot,
-                          triples)
+                          real_long_bijection, to_dot)
 from sga.quiver import PolarizedQuiver, as_fringing, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
 from sga.words import invl, ordl, tinvl, trivl
 
-
-@pytest.fixture(scope="module")
-def loopq_words(loop_quiver):
-    q = loop_quiver
-    x = classify(q, (tinvl("1", 1), ordl("e"), ordl("a"), ordl("e"), invl("a"),
-                     trivl("1", -1)))
-    y = classify(q, (tinvl("1", -1), ordl("a"), ordl("e"), ordl("a"), ordl("e"),
-                     invl("a"), trivl("1", -1)))
-    return x, y
+from kit import adm_words, colors_of
 
 
 def test_build_H_translate_chain(ex1_hand_fringing):
@@ -78,18 +70,6 @@ LOOPQ_COLORS = {
     (5, 1): {"purple", "blue"}, (5, 2): {"teal"}, (5, 3): {"purple", "blue"},
     (5, 4): {"teal", "blue"}, (5, 5): set(),
 }
-
-
-def colors_of(g, v):
-    out = set()
-    if g.red.get(v):
-        out.add("red")
-    if g.blue.get(v):
-        out.add("blue")
-    for name in ("orange", "purple", "cyan", "teal"):
-        if v in getattr(g, name):
-            out.add(name)
-    return out
 
 
 def test_loopq_color_matrix(loop_quiver, loopq_words):
@@ -191,12 +171,19 @@ def test_band_real_hlines_are_kisses(loop_quiver, loopq_words):
             assert c.kiss
 
 
+def real_hlines(q, x, y):
+    """The real h-lines of (x, y): the h-triples, as the real-long check
+    proves."""
+    assert REAL_LONG.run(q, x, y) is None
+    return [c for c in classify_components(build_HQ(q, x, y)).plus if c.real]
+
+
 def test_triples_simple_example(ex1):
     # triples against the simple at an ordinary vertex: sources of H(x) over it
     x = classify(ex1, (tinvl("1", -1), ordl("g"), ordl("b"), ordl("e"), invl("b"),
                        trivl("3", 1)))
     s3 = classify(ex1, (tinvl("3", 1), trivl("3", -1)))
-    ts = triples(ex1, x, s3)
+    ts = real_hlines(ex1, x, s3)
     h = build_H(ex1, x)
     sources = [v for v in h.vertices if h.vlabel[v] == "3"
                and not any(e.tgt == v for e in h.edges)
@@ -214,7 +201,7 @@ def test_triples_special_simple(ex1):
         (tinvl("2", 1), trivl("2", -1)),                  # lone loop vertex
     ]:
         x = classify(ex1, letters)
-        ts = triples(ex1, x, s2)
+        ts = real_hlines(ex1, x, s2)
         dts = [t for t in ts if t.ctype == "Dp"]
         assert len(dts) <= 2
         h = build_H(ex1, x)
@@ -229,23 +216,21 @@ def test_triples_count_nonzero(ex1):
     x = classify(ex1, (tinvl("1", -1), ordl("g"), ordl("b"), ordl("e"), invl("b"),
                        trivl("3", 1)))
     s2 = classify(ex1, (tinvl("2", 1), trivl("2", -1)))
-    ts = triples(ex1, x, s2)
+    ts = real_hlines(ex1, x, s2)
     assert len(ts) == 1 and ts[0].ctype == "A"
 
 
 def test_kiss_transport_ex1(ex1, ex1_hand_fringing):
+    """Kiss transport holds with the hand fringing on ten strings, and with
+    the automatic one on every pair at max-len 8: in both, the kisses by
+    type are the real h-lines towards the plain translate, none when y is
+    projective."""
     fr = as_fringing(ex1, ex1_hand_fringing)
-    fra = auto_fringe(ex1)
-    sets = enumerate_adm(ex1, 8)
-    words = list(sets.strings)[:10]
-    from sga.admissible import is_projective_adm
+    words = list(enumerate_adm(ex1, 8).strings)[:10]
     for x in words:
         for y in words:
-            c1 = kiss_transport(ex1, fr, x, y)
-            c2 = kiss_transport(ex1, fra, x, y)
-            assert c1 == c2, (str(x), str(y))
-            if is_projective_adm(ex1, y):
-                assert sum(c1.values()) == 0
+            assert KISS_TRANSPORT.run(ex1, fr, x, y) is None, (str(x), str(y))
+    assert verify(KISS_TRANSPORT, ex1, Budget(8)) == 676
 
 
 def test_to_dot_stable(loop_quiver, loopq_words):
@@ -262,8 +247,7 @@ def test_tau_adm_memoised_on_base_and_fringed_quiver(ex1, seed):
     q = PolarizedQuiver(ex1.vertices, ex1.arrows) if seed is None else \
         random_skewed_gentle_quiver(seed, forbid_pp=True)
     fr = auto_fringe(q)
-    sets = enumerate_adm(q, 8)
-    words = sets.strings + sets.bands
+    words = adm_words(q, 8)
     projective = {x for x in words if is_projective_adm(q, x)}
     assert projective and not any(is_projective_adm(fr.extended, x) for x in words)
     for over in (q, fr.extended):

@@ -7,8 +7,8 @@ from sga import invariants
 from sga.errors import SgaError, TheoremViolation
 from sga.invariants import (TAG_ORDER, canonical_tagged, d2, d3, diag_b,
                             dim_vector_comb, e_comb, enumerate_components,
-                            g_comb, is_tau_generic, kiss_census, p_set,
-                            simplified_check, tag_chi, tag_iota, tags_for, wt)
+                            g_comb, kiss_census, p_set, tag_chi, tag_iota,
+                            tags_for, wt)
 from sga.parsing import parse_tag
 from sga.quiver import PolarizedQuiver, as_fringing, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
@@ -156,15 +156,6 @@ def test_e_comb_equivalence_invariant(ex1, frp):
                     a = e_comb(ex1, frp, (x, s), (y, t))
                     b = e_comb(ex1, frp, (x.inverse(), tag_iota(s)), (y, t))
                     assert a == b, (str(x), str(y), s, t)
-
-
-def test_tau_generic_equivalence(ex1, frp, fra):
-    sets = enumerate_adm(ex1, 8)
-    for x in sets.strings:
-        for s in tags_for(x):
-            for fr in (frp, fra):
-                assert is_tau_generic(ex1, fr, x, s) == \
-                    simplified_check(ex1, fr, x, s), (str(x), s)
 
 
 def test_enumerate_components_ex1(ex1, fra):

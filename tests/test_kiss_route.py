@@ -1,6 +1,6 @@
-"""The kiss route without the product quiver: ``kiss_sites``/``kiss_types``
-against ``classify_components`` in both directions, its ray checks, and
-the census of both directions that ``kiss_census`` stores from one pass."""
+"""The kiss route without the product quiver: ``kiss_sites`` against
+``classify_components`` in both directions, its ray checks, and the census
+of both directions that ``kiss_census`` stores from one pass."""
 
 import ast
 import builtins
@@ -10,23 +10,20 @@ import types
 import pytest
 
 from sga import homgraph, invariants
-from sga.admissible import enumerate_adm, hat_of, tau_adm
+from sga.admissible import hat_of, tau_adm
 from sga.checks import KISS, Budget, verify
 from sga.errors import TheoremViolation, WordError
-from sga.homgraph import build_H, build_HQ, classify_components, kiss_sites, kiss_types
+from sga.homgraph import build_H, build_HQ, classify_components, kiss_sites
 from sga.invariants import kiss_census
 from sga.quiver import PolarizedQuiver, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
 
-
-def _words(q, max_len):
-    sets = enumerate_adm(q, max_len)
-    return list(sets.strings) + list(sets.bands)
+from kit import adm_words
 
 
 def _translates(q, max_len):
     fr = auto_fringe(q)
-    return fr.extended, [tau_adm(fr.extended, x) for x in _words(q, max_len)]
+    return fr.extended, [tau_adm(fr.extended, x) for x in adm_words(q, max_len)]
 
 
 @pytest.mark.parametrize("seed, max_len, pairs", [
@@ -56,7 +53,7 @@ def test_ray_checks_are_live(ex1, monkeypatch, on_hat, message):
 
     monkeypatch.setattr(homgraph, "ray_compare", contradict)
     with pytest.raises(TheoremViolation, match=message):
-        kiss_types(qf, u, v)
+        kiss_sites(qf, u, v)
     with pytest.raises(TheoremViolation, match=message):
         classify_components(build_HQ(qf, u, v))
 
@@ -102,8 +99,6 @@ def test_reverse_ray_checks_are_live(ex1, monkeypatch, on_hat, message):
     with pytest.raises(TheoremViolation, match=message):
         classify_components(build_HQ(qf, v, u))
     with pytest.raises(TheoremViolation, match=message):
-        kiss_types(qf, u, v)
-    with pytest.raises(TheoremViolation, match=message):
         kiss_sites(qf, u, v)
 
 
@@ -113,7 +108,7 @@ def test_census_classifies_each_translate_pair_once(ex1, monkeypatch):
     pair is classified once, the reverse census asks for no punctured
     pairs, and a repeat classifies none."""
     fr = auto_fringe(ex1)
-    words = _words(ex1, 8)
+    words = adm_words(ex1, 8)
     calls, punctured = [], []
     route, pairs_of = invariants.kiss_sites, invariants.p_set
 
@@ -145,7 +140,7 @@ def test_reverse_census_equals_direct_census(ex1, seed, max_len):
     first fringing derived as a reverse is computed directly, and the
     other way round: both stores hold the same censuses."""
     q = ex1 if seed is None else random_skewed_gentle_quiver(seed)
-    words = _words(q, max_len)
+    words = adm_words(q, max_len)
     fr, rf = auto_fringe(q), auto_fringe(q)
     for x in words:
         for y in words:
@@ -203,7 +198,7 @@ def _shared_helpers(source: str, module) -> set[str]:
     helpers -= set(dir(builtins)) | {"ray_real", "ray_long"}
     by_hom_graph = _helpers_called(tree, "classify_components", helpers)
     by_pairs = _helpers_called(tree, "kiss_sites", helpers)
-    return (by_hom_graph & by_pairs) | (by_hom_graph & {"kiss_sites", "kiss_types"}) \
+    return (by_hom_graph & by_pairs) | (by_hom_graph & {"kiss_sites"}) \
         | (by_pairs & {"classify_components", "build_HQ"})
 
 

@@ -11,7 +11,6 @@ from collections import Counter
 import pytest
 
 from sga import gf
-from sga.admissible import enumerate_adm
 from sga.homgraph import build_H, build_HQ, classify_components
 from sga.homalg import _is_identity, hom_dim_oracle
 from sga.randquiver import random_skewed_gentle_quiver
@@ -20,16 +19,13 @@ from sga.repmod import (AxModule, build_module, hom_dim_formula,
                         module_Vband, module_W, unit_of)
 from sga.words import ORD
 
+from kit import adm_words
+
 P = 5
 
 
-def _words(q):
-    sets = enumerate_adm(q, 6)
-    return list(sets.strings) + list(sets.bands)
-
-
 def _modules(q):
-    return [(x, X) for x in _words(q) for X in indecomposables_Ax(x.wtype, 2, P)]
+    return [(x, X) for x in adm_words(q, 6) for X in indecomposables_Ax(x.wtype, 2, P)]
 
 
 @pytest.mark.parametrize("make, other", [
@@ -59,7 +55,7 @@ def test_unit_pairs_multiply_to_the_identity(ex1, seed):
     Seed 9 has a band, seed 42 doubly punctured strings (S on a loop)."""
     q = ex1 if seed is None else random_skewed_gentle_quiver(seed)
     seen = set()
-    for x in _words(q):
+    for x in adm_words(q, 6):
         h = build_H(q, x)
         parts = [("edge", e.idx) for e in h.edges] + [("loop", l.key) for l in h.loops]
         for X in indecomposables_Ax(x.wtype, 3, P):

@@ -22,6 +22,8 @@ from sga.homalg import hom_dim_oracle, hom_rows
 from sga.repmod import (_block_rows, build_module, hom_system, indecomposables_Ax,
                         module_Vband)
 
+from kit import adm_words, dense, dict_rows, sparse
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -47,15 +49,6 @@ def rref(a, p):
         pivots.append(c)
         r += 1
     return m, pivots
-
-
-def dense(m, ncols):
-    """A gf matrix (or any sparse rows) as a dense int64 array."""
-    out = np.zeros((len(m), ncols), dtype=np.int64)
-    for i, row in enumerate(m):
-        for c, v in dict(row).items():
-            out[i, c] = v
-    return out
 
 
 def kron_system(M, N):
@@ -85,14 +78,6 @@ def kron_system(M, N):
     if not blocks:
         return np.zeros((0, cols), dtype=np.int64), span
     return np.concatenate(blocks, axis=0), span
-
-
-def sparse(a):
-    return [{c: int(v) for c, v in enumerate(row) if v} for row in a]
-
-
-def canonical(a, p):
-    return gf.matrix(sparse(a), p)
 
 
 def random_matrices():
@@ -125,8 +110,8 @@ def test_rank_sparse_and_dense_equal_rref():
     assert len(cases) >= 200
     for a, p in cases:
         want = len(rref(a, p)[1])
-        assert gf.rank(canonical(a, p), p) == want, (a, p)
-        assert gf.rank(sparse(a), p) == want, (a, p)
+        assert gf.rank(sparse(a, p), p) == want, (a, p)
+        assert gf.rank(dict_rows(a), p) == want, (a, p)
 
 
 def test_nullspace_inv_mul_equal_dense():
@@ -144,11 +129,11 @@ def test_nullspace_inv_mul_equal_dense():
             want[k, c] = 1
             for i, pc in enumerate(pivots):
                 want[k, pc] = -red[i, c] % p
-        got = gf.nullspace(canonical(a, p), cols, p)
-        assert got == canonical(want, p), (a, p)
+        got = gf.nullspace(sparse(a, p), cols, p)
+        assert got == sparse(want, p), (a, p)
         assert not (dense(got, cols) @ a.T % p).any()
         b = rng.integers(0, p, size=(cols, int(rng.integers(0, 5))))
-        assert dense(gf.mul(canonical(a, p), canonical(b, p), p), b.shape[1]).tolist() \
+        assert dense(gf.mul(sparse(a, p), sparse(b, p), p), b.shape[1]).tolist() \
             == ((a @ b) % p).tolist(), (a, b, p)
         seen["big"] += p == 1048573 and bool(a.any())
         if rows != cols:
@@ -156,13 +141,13 @@ def test_nullspace_inv_mul_equal_dense():
         red, pivots = rref(np.concatenate([a, np.eye(rows, dtype=np.int64)], axis=1), p)
         if pivots[:rows] == list(range(rows)):
             seen["invertible"] += 1
-            assert gf.inv(canonical(a, p), p) == canonical(red[:, rows:], p), (a, p)
-            assert gf.is_invertible(canonical(a, p), p)
+            assert gf.inv(sparse(a, p), p) == sparse(red[:, rows:], p), (a, p)
+            assert gf.is_invertible(sparse(a, p), p)
         else:
             seen["singular"] += 1
-            assert not gf.is_invertible(canonical(a, p), p)
+            assert not gf.is_invertible(sparse(a, p), p)
             with pytest.raises(SgaError):
-                gf.inv(canonical(a, p), p)
+                gf.inv(sparse(a, p), p)
     assert min(seen.values()) >= 3, seen
 
 
@@ -183,9 +168,9 @@ def test_block_rows_match_numpy_kron():
                         P = np.eye(m, dtype=np.int64)
                     if none_q:
                         Q = np.eye(n, dtype=np.int64)
-                    terms = ((1, None if none_p else canonical(P, p),
-                              None if none_q else canonical(Q, p)),
-                             (-1, canonical(P2, p), canonical(Q2, p)))
+                    terms = ((1, None if none_p else sparse(P, p),
+                              None if none_q else sparse(Q, p)),
+                             (-1, sparse(P2, p), sparse(Q2, p)))
                     got = dense(_block_rows(terms, m, n), m * n) % p
                     want = (np.kron(P, Q.T) - np.kron(P2, Q2.T)) % p
                     assert got.tolist() == want.tolist(), (p, m, n, none_p, none_q)
@@ -210,7 +195,7 @@ def test_rank_of_unreduced_sparse_rows():
             r, c = rng.integers(1, 9, size=2)
             reduced = rng.integers(0, p, size=(r, c)) * (rng.random((r, c)) < 0.5)
             raw = reduced + rng.integers(-3, 4, size=(r, c)) * p
-            rows = [{j: int(v) for j, v in enumerate(row) if v} for row in raw]
+            rows = dict_rows(raw)
             seen |= {"negative" if v < 0 else "multiple" if v % p == 0
                      else "at least p" if v >= p else "reduced"
                      for row in rows for v in row.values()}
@@ -224,9 +209,7 @@ def test_hom_system_equals_kron_builder_on_ex1():
     p = 5
     q = parse_quiver((DATA / "ex1.quiver").read_text())
     assert any(a.source == a.target for a in q.arrows)
-    sets = enumerate_adm(q, 6)
-    words = list(sets.strings) + list(sets.bands)
-    reps = [build_module(q, x, X) for x in words
+    reps = [build_module(q, x, X) for x in adm_words(q, 6)
             for X in indecomposables_Ax(x.wtype, 2, p)]
     checked = 0
     for M in reps:
