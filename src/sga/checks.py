@@ -186,24 +186,34 @@ def _tau_inverse(q: PolarizedQuiver, w) -> str | None:
         "string": format_word(w), "tau_string_inverse of its translate": format_word(v)})
 
 
-def _fringed_pairs(q: PolarizedQuiver, budget: Budget):
+def _fringed_words(q: PolarizedQuiver, budget: Budget):
+    """A word with those from it on: one case per word, one ``kiss_sites``
+    pass per unordered pair, both halves checked."""
     fr = auto_fringe(q)
-    return ((q, fr, x, y) for _, x, y in _pairs(q, budget))
+    words = _words(q, budget)
+    return ((q, fr, x, words[k:]) for k, x in enumerate(words))
 
 
 def _kiss_transport(q: PolarizedQuiver, fr: Fringing, x: AdmWord,
-                    y: AdmWord) -> str | None:
-    """The kisses between the translates of x and y in the fringed quiver,
-    counted by type, are the real h-lines from x towards the translate of y
-    in q; there are none when y is projective."""
+                    later: list[AdmWord]) -> str | None:
+    """For each y of ``later``: the kisses between the translates of x and y
+    in the fringed quiver, counted by type, are the real h-lines from x
+    towards the translate of y in q, and none when y is projective; the
+    second half of the same ``kiss_sites`` pass checks (y, x) likewise."""
     qf = fr.extended
-    kisses = Counter(t for t, _ in kiss_sites(qf, tau_adm(qf, x), tau_adm(qf, y))[0])
-    if is_projective_adm(q, y):
-        return "kisses against a projective translate" if kisses else None
-    rep = classify_components(build_HQ(q, x, tau_adm(q, y)))
-    reals = Counter(c.ctype for c in rep.plus if c.real)
-    if reals != kisses:
-        return f"kiss transport mismatch: {kisses} vs h-triples {reals}"
+    tx = tau_adm(qf, x)
+    for y in later:
+        pairs = ((x, y), (y, x)) if x != y else ((x, x),)   # (x, x) is its own transpose
+        for (a, b), sites in zip(pairs, kiss_sites(qf, tx, tau_adm(qf, y))):
+            kisses = Counter(t for t, _ in sites)
+            if is_projective_adm(q, b):
+                if kisses:
+                    return f"kisses against a projective translate {a} {b}"
+                continue
+            rep = classify_components(build_HQ(q, a, tau_adm(q, b)))
+            reals = Counter(c.ctype for c in rep.plus if c.real)
+            if reals != kisses:
+                return f"kiss transport mismatch: {kisses} vs h-triples {reals}"
     return None
 
 
@@ -225,7 +235,7 @@ TAU_INVERSE = Check("tau-inverse", _base_strings, _tau_inverse,
                     lambda n: f"tau inverse ok on {n} non-projective base strings")
 TAU_ROUTES = Check("tau-routes", _non_projective, _tau_routes,
                    lambda n: f"tau routes ok on {n} non-projective strings")
-KISS_TRANSPORT = Check("kiss-transport", _fringed_pairs, _kiss_transport,
-                       lambda n: f"kiss transport ok on {n} pairs")
+KISS_TRANSPORT = Check("kiss-transport", _fringed_words, _kiss_transport,
+                       lambda n: f"kiss transport ok on {n * n} pairs")
 CHECKS = (REAL_LONG, KISS, HOM, TAU_GENERIC, A_IMAGE, TAU_INVERSE, TAU_ROUTES,
           KISS_TRANSPORT)

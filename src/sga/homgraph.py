@@ -56,9 +56,6 @@ class Winding(NamedTuple):
     hats: dict[int, Ray]                       # filled by hat()
     head_ids: dict[int, int]                   # filled by head_id()
 
-    def is_boundary(self, v: int) -> bool:
-        return v in self.boundary
-
     def doublebar(self, v: int) -> tuple[Ray, Ray]:
         """The doublebar rays at v towards rho = -1, +1, read on first use."""
         rays = self.doublebars.get(v)
@@ -187,10 +184,6 @@ class HomGraph(NamedTuple):
     cyan: set[tuple[int, int]]
     teal: set[tuple[int, int]]
 
-    def is_boundary(self, v: tuple[int, int]) -> bool:
-        j, i = v
-        return self.hy.is_boundary(j) or self.hx.is_boundary(i)
-
 
 def build_HQ(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> HomGraph:
     """Vertices are label-matching pairs; arrows pair up equal-image edges
@@ -312,94 +305,109 @@ def ray_long(hx: Winding, hy: Winding, v) -> bool:
             and ray_compare(hx.q, ry[1], rx[1])[0] in ("<", "="))
 
 
+def _split(verts, root, arrows, n: int) -> list[tuple]:
+    """Per component of a snapshot ``root`` of the n vertices, in
+    least-vertex order: its root and least position, vertices, arrows, type
+    and endpoints (valency <= 1, a loop counting one end)."""
+    ks, arcs, loops, valency = {}, {}, {}, [0] * n
+    for k, r in enumerate(root):
+        if r in ks:
+            ks[r].append(k)
+        else:
+            ks[r], arcs[r], loops[r] = [k], [], 0
+    for s, t, a in arrows:
+        arcs[root[s]].append(a)
+        valency[s] += 1
+        if s == t:
+            loops[root[s]] += 1
+        else:
+            valency[t] += 1
+    return [(r, kr[0], tuple([verts[k] for k in kr]), tuple(arcs[r]),
+             ("Dp" if loops[r] == 1 else "Dpt") if loops[r] else
+             "At" if len(arcs[r]) >= len(kr) else "A",
+             tuple([verts[k] for k in kr if valency[k] <= 1]))
+            for r, kr in ks.items()]
+
+
 def classify_components(g: HomGraph) -> ComponentReport:
     """Flags per component, with the ray characterizations of real and long
     re-derived at the least vertex of each component.
 
     One union-find over the positions of ``g.vertices`` (ascending) links
     the plus arrows, then the circle arrows, then the cross arrows, with a
-    snapshot of the roots after each stage: the plus components, those of
-    the plus and circle arrows (where the h-line flags are read) and the
-    full ones.  A component has a flag unless its root is the root of a
-    vertex whose colour spoils it.
+    snapshot of the roots after each stage that links (else the last one):
+    the plus components, those of the plus and circle arrows (where the
+    h-line flags are read) and the full ones.  A component has a flag unless
+    its root is the root of a vertex whose colour spoils it.
     """
     hx, hy, verts = g.hx, g.hy, g.vertices
+    n = len(verts)
     at = {v: k for k, v in enumerate(verts)}
-    parent = list(range(len(verts)))
+    parent = list(range(n))
 
     def find(k: int) -> int:
         while parent[k] != k:
             parent[k] = k = parent[parent[k]]
         return k
 
-    every: list[tuple[int, int, HArrow]] = []         # in build order
-    staged: dict[str, list] = {PLUS: [], CIRC: [], CROSS: []}
+    every, plus, circ, cross = [], [], [], []          # every in build order
     for a in g.arrows:
         e = (at[a.src], at[a.tgt], a)
         every.append(e)
-        staged[a.family].append(e)
+        (plus if a.family == PLUS else circ if a.family == CIRC else cross).append(e)
     roots: list[list[int]] = []
-    for family in (PLUS, CIRC, CROSS):
-        links = staged[family]
+    for links in (plus, circ, cross):
         for s, t, _ in links:
             parent[find(s)] = find(t)
-        roots.append([find(k) for k in range(len(parent))] if links or not roots
-                     else roots[-1])
+        roots.append([find(k) for k in range(n)] if links or not roots else roots[-1])
     plus_root, po_root, full_root = roots
 
-    def split(root, arrows):
-        """Per component of a snapshot, in least-vertex order: its root and
-        least position, vertices, arrows, type and endpoints (valency <= 1,
-        a loop counting one end)."""
-        ks, arcs, loops, valency = {}, {}, {}, [0] * len(root)
-        for k, r in enumerate(root):
-            if r in ks:
-                ks[r].append(k)
-            else:
-                ks[r], arcs[r], loops[r] = [k], [], 0
-        for s, t, a in arrows:
-            arcs[root[s]].append(a)
-            valency[s] += 1
-            if s == t:
-                loops[root[s]] += 1
-            else:
-                valency[t] += 1
-        return [(r, kr[0], tuple(verts[k] for k in kr), tuple(arcs[r]),
-                 ("Dp" if loops[r] == 1 else "Dpt") if loops[r] else
-                 "At" if len(arcs[r]) >= len(kr) else "A",
-                 tuple(verts[k] for k in kr if valency[k] <= 1))
-                for r, kr in ks.items()]
+    # red spoils real, h-line and long; orange real and h-line; purple real;
+    # blue, cyan and teal likewise on the dual side
+    not_real, not_dual_real, not_h, not_dual_h, not_long = set(), set(), set(), set(), set()
+    for v in g.red:
+        k = at[v]
+        not_real.add(plus_root[k])
+        not_h.add(po_root[k])
+        not_long.add(full_root[k])
+    for v in g.orange:
+        k = at[v]
+        not_real.add(plus_root[k])
+        not_h.add(po_root[k])
+    for v in g.purple:
+        not_real.add(plus_root[at[v]])
+    for colour in (g.blue, g.cyan):
+        for v in colour:
+            k = at[v]
+            not_dual_real.add(plus_root[k])
+            not_dual_h.add(po_root[k])
+    for v in g.teal:
+        not_dual_real.add(plus_root[at[v]])
 
-    def spoilt(root, *colours) -> set[int]:
-        return {root[at[v]] for vs in colours for v in vs}
-
-    not_real = spoilt(plus_root, g.red, g.orange, g.purple)
-    not_dual_real = spoilt(plus_root, g.blue, g.cyan, g.teal)
-    not_h, not_dual_h = spoilt(po_root, g.red, g.orange), spoilt(po_root, g.blue, g.cyan)
-    not_long = spoilt(full_root, g.red)
-    plus = split(plus_root, staged[PLUS])
-    full = plus if full_root is plus_root else split(full_root, every)
+    plus = _split(verts, plus_root, plus, n)
+    full = plus if full_root is plus_root else _split(verts, full_root, every, n)
     full_index = {c[0]: fi for fi, c in enumerate(full)}
-
-    plus_out = []
+    bx, by = hx.boundary, hy.boundary
+    plus_out, real_to_long = [], {}
     for r, k, cv, ca, ctype, ends in plus:
         is_real, is_dual_real = r not in not_real, r not in not_dual_real
-        interior = not any(g.is_boundary(v) for v in ends)
         if ray_real(hx, hy, cv[0]) != is_real:
             raise TheoremViolation(f"real h-line characterization differs at {cv[0]}")
+        interior = not any([j in by or i in bx for j, i in ends])
+        fi = full_index[full_root[k]]
+        if is_real:
+            real_to_long[len(plus_out)] = fi
         po = po_root[k]
         plus_out.append(PlusComponent(cv, ca, ctype, ends, is_real, is_dual_real,
                                       po not in not_h, po not in not_dual_h,
                                       is_real and interior, is_dual_real and interior,
-                                      full_index[full_root[k]]))
+                                      fi))
     full_out = []
     for r, _, cv, ca, ctype, ends in full:
         is_long = r not in not_long
         if ray_long(hx, hy, cv[0]) != is_long:
             raise TheoremViolation(f"long h-line characterization differs at {cv[0]}")
         full_out.append(FullComponent(cv, ca, ctype, ends, is_long))
-
-    real_to_long = {pi: c.full_component for pi, c in enumerate(plus_out) if c.real}
     return ComponentReport(plus_out, full_out, real_to_long)
 
 

@@ -336,7 +336,9 @@ def hom_dim_formula(q: PolarizedQuiver, x: AdmWord, X: AxModule,
                     y: AdmWord, Y: AxModule,
                     g: HomGraph | None = None, report=None) -> int:
     """Sum over real h-lines of the dimension of the block space constrained
-    by the loop/cycle units: the structured count the oracle must match."""
+    by the loop/cycle units: the structured count the oracle must match.  A
+    string h-line (ctype ``A``) is a tree, which constrains nothing, so it
+    counts the whole block space without a walk."""
     check_module(x, X)
     check_module(y, Y)
     g = g or build_HQ(q, x, y)
@@ -344,6 +346,9 @@ def hom_dim_formula(q: PolarizedQuiver, x: AdmWord, X: AxModule,
     total = 0
     for comp in report.plus:
         if not comp.real:
+            continue
+        if comp.ctype == "A":
+            total += Y.dim * X.dim
             continue
         cons, _ = _component_base_space(x, y, X, Y, comp, X.p)
         total += Y.dim * X.dim - (gf.rank(cons, X.p) if cons else 0)

@@ -129,7 +129,7 @@ def reference_classify(g):
         ctype, ends = _component_type(cv, ca)
         is_real = not_real.isdisjoint(cv)
         is_dual_real = not_dual_real.isdisjoint(cv)
-        interior = not any(g.is_boundary(v) for v in ends)
+        interior = not any(j in hy.boundary or i in hx.boundary for j, i in ends)
         if ray_real(hx, hy, cv[0]) != is_real:
             raise TheoremViolation(f"real h-line characterization differs at {cv[0]}")
         po = po_of[cv[0]]
@@ -156,10 +156,10 @@ def _quiver(ex1, seed):
 def test_one_pass_equals_reference(ex1):
     """Every field of the product quiver and the whole component report are
     those of the reference, on every ordered pair of words of ex1 and of
-    seeds 9 and 42 at max-len 6; the sample reaches every component type
+    seeds 7, 9 and 42 at max-len 6; the sample reaches every component type
     and every arrow family."""
     ctypes, families = set(), set()
-    for seed in (None, 9, 42):
+    for seed in (None, 7, 9, 42):
         q = _quiver(ex1, seed)
         words = adm_words(q, 6)
         for x in words:

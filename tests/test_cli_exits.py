@@ -165,7 +165,7 @@ PERTURBED = {
         lambda arrows: tuple(a._replace(ypart=None) for a in arrows)),
         "real h-line fails property (s)"),
     "kiss-transport": ("is_projective_adm", lambda a, proj: True,
-                       "kisses against a projective translate"),
+                       f"kisses against a projective translate 1(1,-)- g 1(3,-) {W}"),
 }
 
 

@@ -156,9 +156,8 @@ def test_kiss_transport_with_bands():
     band = sets.bands[0]
     words = [band] + [x for x in sets.strings if x.wtype != "uu"][:4] + \
         [x for x in sets.strings if x.wtype == "uu"][:4]
-    for x in words:
-        for y in words:
-            assert KISS_TRANSPORT.run(q, fr, x, y) is None, (str(x), str(y))
+    for k, x in enumerate(words):
+        assert KISS_TRANSPORT.run(q, fr, x, words[k:]) is None, str(x)
 
 
 def _negate_special_loops(M):

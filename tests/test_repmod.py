@@ -5,12 +5,16 @@ from sga import gf
 from sga.admissible import classify, enumerate_adm
 from sga.errors import SgaError
 from sga.homalg import hom_basis_oracle, hom_dim_oracle, iso_witness, simple
-from sga.repmod import (E_oracle, build_module, g_oracle, hom_basis_structured,
-                        indecomposables_Ax, module_k, module_V, module_Vband,
-                        module_Vt, module_W, s_tilde, tau_module)
+from sga.homgraph import build_HQ, classify_components
+from sga.randquiver import random_skewed_gentle_quiver
+from sga.repmod import (E_oracle, _component_base_space, build_module, g_oracle,
+                        hom_basis_structured, hom_dim_formula, indecomposables_Ax,
+                        module_k, module_V, module_Vband, module_Vt, module_W,
+                        s_tilde, tau_module)
 from sga.words import invl, ordl, tinvl, trivl
 
-from kit import dense, dihedral_direct_sum, dihedral_iso, hom_pp, ind_module, sparse
+from kit import (adm_words, dense, dihedral_direct_sum, dihedral_iso, hom_pp,
+                 ind_module, sparse)
 
 
 def eye(n):
@@ -151,6 +155,38 @@ def test_structured_basis_spans(ex1):
         for (w, W) in [(x, module_k(p)), (y, module_V(1, p))]:
             basis = hom_basis_structured(ex1, u, U, w, W)  # verify=True inside
             assert isinstance(basis, list)
+
+
+def test_string_hlines_count_without_a_walk(ex1):
+    """A real h-line of ctype A is a tree: the walk of
+    ``_component_base_space`` yields no constraint row, so it contributes
+    the whole block space, as ``hom_dim_formula`` counts it without the
+    walk.  The formula equals the walked sum on every pair of ex1 and of
+    seeds 9 and 42 at max-len 6 with modules of dim <= 2; some other real
+    ctype does constrain, so a shortcut taken for it too is caught."""
+    p, strings, constrained = 5, 0, 0
+    for q in (ex1, random_skewed_gentle_quiver(9), random_skewed_gentle_quiver(42)):
+        words = adm_words(q, 6)
+        mods = {x.wtype: indecomposables_Ax(x.wtype, 2, p) for x in words}
+        for x in words:
+            for y in words:
+                g = build_HQ(q, x, y)
+                rep = classify_components(g)
+                real = [c for c in rep.plus if c.real]
+                for X in mods[x.wtype]:
+                    for Y in mods[y.wtype]:
+                        walked = 0
+                        for c in real:
+                            cons, _ = _component_base_space(x, y, X, Y, c, p)
+                            rank = gf.rank(cons, p) if cons else 0
+                            if c.ctype == "A":
+                                assert cons == [], (str(x), str(y))
+                                strings += 1
+                            constrained += rank > 0
+                            walked += Y.dim * X.dim - rank
+                        assert hom_dim_formula(q, x, X, y, Y, g=g, report=rep) == walked, \
+                            (str(x), X.label, str(y), Y.label)
+    assert strings and constrained
 
 
 def test_endomorphism_contains_identity(ex1):
