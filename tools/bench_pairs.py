@@ -1,6 +1,6 @@
 """Alternating before/after runs of the benchmark, summarised as BENCH_<n>.json.
 
-    python3 tools/bench_pairs.py --parent HEAD --number 43 \\
+    python3 tools/bench_pairs.py --parent 7f63084 --number 43 \\
         --pairs hom-sweep=12 --pairs kiss-census=6 --first-seed 4300 \\
         --claim hom-sweep:item_p50_ms --trace-seed 7
 
@@ -12,7 +12,8 @@ and every run is started with ``PYTHONDONTWRITEBYTECODE=1`` and without
 ``PYTHONPATH``, so each side imports only its own ``src/``.
 
 Pair k of a workload runs ``perfbench/run.py --seed first_seed + k`` on both
-sides, the parent first when k is even and the change first when it is odd.
+sides for BENCHMARK.json's ``run_seconds``, the parent first when k is even
+and the change first when it is odd.
 For each end-to-end metric the output records both sides' medians, the
 parent's interquartile spread, the pairs the change wins (by the direction
 BENCHMARK.json gives) and the raw runs; ``--trace-seed`` adds one traced run
@@ -62,7 +63,7 @@ def make_trees(parent: str, workdir: Path) -> dict[str, Path]:
     return trees
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """The result line of one ``perfbench/run.py`` run in tree."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
@@ -88,19 +89,18 @@ def summary(parent: list[float], change: list[float], lower_better: bool) -> dic
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", default="HEAD", help="git revision of the parent side")
+    ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
     ap.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N")
     ap.add_argument("--first-seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=15)
     ap.add_argument("--trace-seed", type=int, help="one traced run per side and workload")
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the metric the change claims")
-    ap.add_argument("--property", default="", help="what the gain needs, in words")
     ap.add_argument("--workdir", type=Path, help="where the two trees go (default: a temp dir)")
     args = ap.parse_args(argv)
 
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in contract["end_to_end"]}
+    seconds = contract["run_seconds"]
     pairs = {w: int(n) for w, n in (p.split("=") for p in args.pairs)}
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     trees = make_trees(args.parent, workdir)
@@ -113,7 +113,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
                 runs[side].append(run(trees[side], workload, args.first_seed + k,
-                                      args.seconds, 0))
+                                      seconds, 0))
                 print(workload, k, side, json.dumps(runs[side][-1]["metrics"]), flush=True)
         every = runs["parent"] + runs["change"]
         out = {"correct": all(r["correct"] for r in every),
@@ -151,8 +151,8 @@ def main(argv=None) -> int:
         else "; some runs are not correct, see problems.")
 
     result = {
-        "command": f"python3 perfbench/run.py --workload W --seed N --seconds "
-                   f"{args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds} "
+                   "--trace 0",
         "parent": parent_sha,
         "change": "the src/ of the commit that adds this file",
         "order": "even pair index runs the parent first, odd the change first; each side "
@@ -164,7 +164,6 @@ def main(argv=None) -> int:
         "machine": f"{os.cpu_count()} vCPUs, Python {sys.version.split()[0]}; perfbench "
                    "times are CPU seconds scaled to its reference speed",
         "claim": claim,
-        "property": args.property,
         "workloads": workloads,
     }
     if args.trace_seed is not None:
@@ -172,7 +171,7 @@ def main(argv=None) -> int:
                                "once per side"}
         differ = set()
         for workload in pairs:
-            sides = {s: run(trees[s], workload, args.trace_seed, args.seconds, 1)["metrics"]
+            sides = {s: run(trees[s], workload, args.trace_seed, seconds, 1)["metrics"]
                      for s in ("parent", "change")}
             for name in sorted(set(sides["parent"]) | set(sides["change"])):
                 if name.endswith(COUNTERS):
