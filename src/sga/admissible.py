@@ -83,10 +83,6 @@ def classify(q: PolarizedQuiver, x: Word, band: bool = False) -> AdmWord:
 
 # -- the orientation construction -------------------------------------------
 
-def _orient(bigger: bool, eps: str) -> Letter:
-    return ordl(eps) if bigger else invl(eps)
-
-
 def _string_cmp(q: PolarizedQuiver, w: Word, k: int) -> bool:
     """True when (w_[k-1])^-1 > w^[k+1] in the base order."""
     rel, _ = lex_compare(q, winv(w[:k]), w[k + 1:])
@@ -104,6 +100,13 @@ def _band_cmp(q: PolarizedQuiver, w: Word, k: int) -> bool:
     return rel == ">"
 
 
+def _oriented(q: PolarizedQuiver, w: Word, ks, bigger) -> Word:
+    """The letters w[k], k in ks, with each special one made ordinary where
+    ``bigger(q, w, k)`` holds and inverse elsewhere."""
+    return tuple([w[k] if w[k].kind != SPE else
+                  (ordl if bigger(q, w, k) else invl)(w[k].name) for k in ks])
+
+
 def a_of_w(q: PolarizedQuiver, w: Word) -> AdmWord:
     """Orient the special letters of a string or standard-form band.
 
@@ -111,35 +114,20 @@ def a_of_w(q: PolarizedQuiver, w: Word) -> AdmWord:
     standard form fold to doubly punctured strings; other letters are kept.
     """
     if is_string(q, w):
-        sym = w == winv(w)
-        if not sym:
-            out = [w[k] if w[k].kind != SPE else
-                   _orient(_string_cmp(q, w, k), w[k].name)
-                   for k in range(len(w))]
-            return classify(q, tuple(out))
+        if w != winv(w):
+            return classify(q, _oriented(q, w, range(len(w)), _string_cmp))
         m = (len(w) - 1) // 2
         b = q.by_name[w[m].name].source
-        out = [w[k] if w[k].kind != SPE else
-               _orient(_string_cmp(q, w, k), w[k].name)
-               for k in range(m)]
-        out.append(trivl(b, -1))
-        return classify(q, tuple(out))
+        return classify(q, (*_oriented(q, w, range(m), _string_cmp), trivl(b, -1)))
     if is_primitive_band(q, w):
         if not is_symmetric_band(w):
-            out = [w[k] if w[k].kind != SPE else
-                   _orient(_band_cmp(q, w, k), w[k].name)
-                   for k in range(len(w))]
-            return classify(q, tuple(out), band=True)
+            return classify(q, _oriented(q, w, range(len(w)), _band_cmp), band=True)
         if w not in standard_form_rotations(w):
             raise WordError("symmetric band must be in standard form")
         n = len(w) // 2
         a, b = q.by_name[w[0].name].source, q.by_name[w[n].name].source
-        out = [tinvl(a, -1)]
-        for k in range(1, n):
-            out.append(w[k] if w[k].kind != SPE else
-                       _orient(_band_cmp(q, w, k), w[k].name))
-        out.append(trivl(b, -1))
-        return classify(q, tuple(out))
+        return classify(q, (tinvl(a, -1), *_oriented(q, w, range(1, n), _band_cmp),
+                            trivl(b, -1)))
     raise WordError("expected a string or a primitive band")
 
 

@@ -17,8 +17,8 @@ from .invariants import c_set, e_comb, enumerate_components, g_comb
 from .parsing import parse_module, parse_quiver, parse_tag, parse_word, print_quiver
 from .quiver import as_fringing, auto_fringe, check_fringing, gabriel_presentation, \
     tilde_vertices, validate
-from .words import (enumerate_bands, enumerate_strings_at, format_word,
-                    string_labels, tau_string)
+from .words import (enumerate_bands, enumerate_strings_at, format_word, is_band,
+                    is_string, string_labels, tau_string)
 
 
 def _load_quiver(path: str):
@@ -170,10 +170,10 @@ def cmd_tau(args) -> int:
         print(f"{t.wtype}: {t}")
         return 0
     letters, band = parse_word(q, args.word)
-    if band:
-        print("band: " + format_word(tau_string(q, letters)))
-    else:
-        print(format_word(tau_string(q, letters)))
+    if not (is_band if band else is_string)(q, letters):
+        raise SgaError(f"not a {'band' if band else 'string'} of the quiver: "
+                       f"{format_word(letters)}")
+    print(("band: " if band else "") + format_word(tau_string(q, letters)))
     return 0
 
 

@@ -6,8 +6,8 @@ frozen :class:`Winding`, the one per-word record that the product quiver,
 the kiss route, the module builder and the g-vector read; it is memoised
 in the quiver's store ``build_H`` and shared by every caller.  Pairs of
 words produce a product quiver with three arrow families and six color
-labels; its connected components classify homomorphism contributions,
-kisses among them.
+labels, four of them the ends of its cross and circle arrows; its connected
+components classify homomorphism contributions, kisses among them.
 """
 
 from __future__ import annotations
@@ -170,25 +170,20 @@ class HArrow(NamedTuple):
 
 
 class HomGraph(NamedTuple):
-    q: PolarizedQuiver
-    x: AdmWord
-    y: AdmWord
+    """The product quiver of (x, y), over the windings hx and hy.  Of its six
+    colours it stores red and blue; orange and cyan are the targets and
+    sources of its cross arrows, purple and teal those of its circle arrows."""
     hx: Winding
     hy: Winding
     vertices: tuple[tuple[int, int], ...]
     arrows: tuple[HArrow, ...]
     red: dict[tuple[int, int], int]
     blue: dict[tuple[int, int], int]
-    orange: set[tuple[int, int]]
-    purple: set[tuple[int, int]]
-    cyan: set[tuple[int, int]]
-    teal: set[tuple[int, int]]
 
 
 def build_HQ(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> HomGraph:
     """Vertices are label-matching pairs; arrows pair up equal-image edges
-    and loops; colors record one-letter ray comparisons and the special
-    double-connections."""
+    and loops; red and blue record one-letter ray comparisons."""
     hx, hy = build_H(q, x), build_H(q, y)
     vertices: list[tuple[int, int]] = []
     red, blue = {}, {}                  # (j, i) -> count
@@ -210,7 +205,6 @@ def build_HQ(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> HomGraph:
                 blue[v] = b
     vset = set(vertices)
     arrows: list[HArrow] = []
-    orange, purple, cyan, teal = set(), set(), set(), set()
     for ny in hy.edges:
         exs = hx.edges_by_image.get(ny.image, ())
         special = bool(exs) and q.by_name[ny.image].special
@@ -223,8 +217,6 @@ def build_HQ(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> HomGraph:
                 if s2 in vset:
                     arrows.append(HArrow(CROSS, s2, t2,
                                          ("edge", ny.idx), ("edge", nx.idx)))
-                    cyan.add(s2)
-                    orange.add(t2)
     for ly in hy.loops:
         for lx in hx.loops_by_image.get(ly.image, ()):
             v = (ly.vertex, lx.vertex)
@@ -235,17 +227,12 @@ def build_HQ(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> HomGraph:
             s, t = (ny.tgt, lx.vertex), (ny.src, lx.vertex)
             if s in vset:
                 arrows.append(HArrow(CIRC, s, t, ("edge", ny.idx), ("loop", lx.key)))
-                teal.add(s)
-                purple.add(t)
     for ly in hy.loops:
         for nx in hx.edges_by_image.get(ly.image, ()):
             s, t = (ly.vertex, nx.src), (ly.vertex, nx.tgt)
             if s in vset:
                 arrows.append(HArrow(CIRC, s, t, ("loop", ly.key), ("edge", nx.idx)))
-                teal.add(s)
-                purple.add(t)
-    return HomGraph(q, x, y, hx, hy, tuple(vertices), tuple(arrows),
-                    red, blue, orange, purple, cyan, teal)
+    return HomGraph(hx, hy, tuple(vertices), tuple(arrows), red, blue)
 
 
 # -- components and classification ---------------------------------------------
@@ -277,7 +264,6 @@ class FullComponent(NamedTuple):
 class ComponentReport(NamedTuple):
     plus: list[PlusComponent]
     full: list[FullComponent]
-    real_to_long: dict[int, int]
 
 
 # (rho, delta) of the four hat comparisons, in order
@@ -362,58 +348,55 @@ def classify_components(g: HomGraph) -> ComponentReport:
         roots.append([find(k) for k in range(n)] if links or not roots else roots[-1])
     plus_root, po_root, full_root = roots
 
-    # red spoils real, h-line and long; orange real and h-line; purple real;
-    # blue, cyan and teal likewise on the dual side
+    # red spoils real, h-line and long, blue dual real and dual h-line; a
+    # cross arrow (s, t) spoils real and h-line at t (orange) and their duals
+    # at s (cyan); a circle arrow real at t (purple) and dual real at s (teal)
     not_real, not_dual_real, not_h, not_dual_h, not_long = set(), set(), set(), set(), set()
     for v in g.red:
         k = at[v]
         not_real.add(plus_root[k])
         not_h.add(po_root[k])
         not_long.add(full_root[k])
-    for v in g.orange:
+    for v in g.blue:
         k = at[v]
-        not_real.add(plus_root[k])
-        not_h.add(po_root[k])
-    for v in g.purple:
-        not_real.add(plus_root[at[v]])
-    for colour in (g.blue, g.cyan):
-        for v in colour:
-            k = at[v]
-            not_dual_real.add(plus_root[k])
-            not_dual_h.add(po_root[k])
-    for v in g.teal:
-        not_dual_real.add(plus_root[at[v]])
+        not_dual_real.add(plus_root[k])
+        not_dual_h.add(po_root[k])
+    for s, t, _ in cross:
+        not_real.add(plus_root[t])
+        not_h.add(po_root[t])
+        not_dual_real.add(plus_root[s])
+        not_dual_h.add(po_root[s])
+    for s, t, _ in circ:
+        not_real.add(plus_root[t])
+        not_dual_real.add(plus_root[s])
 
     plus = _split(verts, plus_root, plus, n)
     full = plus if full_root is plus_root else _split(verts, full_root, every, n)
     full_index = {c[0]: fi for fi, c in enumerate(full)}
     bx, by = hx.boundary, hy.boundary
-    plus_out, real_to_long = [], {}
+    plus_out = []
     for r, k, cv, ca, ctype, ends in plus:
         is_real, is_dual_real = r not in not_real, r not in not_dual_real
         if ray_real(hx, hy, cv[0]) != is_real:
             raise TheoremViolation(f"real h-line characterization differs at {cv[0]}")
         interior = not any([j in by or i in bx for j, i in ends])
-        fi = full_index[full_root[k]]
-        if is_real:
-            real_to_long[len(plus_out)] = fi
         po = po_root[k]
         plus_out.append(PlusComponent(cv, ca, ctype, ends, is_real, is_dual_real,
                                       po not in not_h, po not in not_dual_h,
                                       is_real and interior, is_dual_real and interior,
-                                      fi))
+                                      full_index[full_root[k]]))
     full_out = []
     for r, _, cv, ca, ctype, ends in full:
         is_long = r not in not_long
         if ray_long(hx, hy, cv[0]) != is_long:
             raise TheoremViolation(f"long h-line characterization differs at {cv[0]}")
         full_out.append(FullComponent(cv, ca, ctype, ends, is_long))
-    return ComponentReport(plus_out, full_out, real_to_long)
+    return ComponentReport(plus_out, full_out)
 
 
 def generalized_diagonal(g: HomGraph, comp: PlusComponent) -> bool:
     """Some vertex of the component pairs equal doublebar rays on both sides."""
-    q = g.q
+    q = g.hx.q
     return any(all(ray_compare(q, ry, rx)[0] == "="
                    for ry, rx in zip(g.hy.doublebar(j), g.hx.doublebar(i)))
                for (j, i) in comp.vertices)
@@ -425,12 +408,15 @@ def real_long_bijection(g: HomGraph, report: ComponentReport):
     theorem failed."""
     longs = [fi for fi, c in enumerate(report.full) if c.long]
     pairs = {}
-    for pi, fi in report.real_to_long.items():
+    for pi, c in enumerate(report.plus):
+        if not c.real:
+            continue
+        fi = c.full_component
         if fi in pairs.values():
             raise TheoremViolation("two real h-lines inside one long h-line")
         if not report.full[fi].long:
             raise TheoremViolation("real h-line inside a non-long component")
-        if report.plus[pi].ctype != report.full[fi].ctype:
+        if c.ctype != report.full[fi].ctype:
             raise TheoremViolation("real/long h-line types differ")
         pairs[pi] = fi
     if sorted(pairs.values()) != sorted(longs):
@@ -607,15 +593,15 @@ _STYLE = {PLUS: "solid", CROSS: "dashed", CIRC: "dotted"}
 
 
 def to_dot(g: HomGraph) -> str:
+    ends = {name: set() for name in ("orange", "purple", "cyan", "teal")}
+    for a in g.arrows:
+        if a.family != PLUS:
+            ends["orange" if a.family == CROSS else "purple"].add(a.tgt)
+            ends["cyan" if a.family == CROSS else "teal"].add(a.src)
     lines = ["digraph HQ {"]
     for v in sorted(g.vertices):
-        colors = []
-        colors.extend(["red"] * g.red.get(v, 0))
-        colors.extend(["blue"] * g.blue.get(v, 0))
-        for name, s in (("orange", g.orange), ("purple", g.purple),
-                        ("cyan", g.cyan), ("teal", g.teal)):
-            if v in s:
-                colors.append(name)
+        colors = ["red"] * g.red.get(v, 0) + ["blue"] * g.blue.get(v, 0)
+        colors.extend(name for name, s in ends.items() if v in s)
         label = f"({v[0]},{v[1]})"
         attr = f' [label="{label}"'
         if colors:

@@ -339,8 +339,6 @@ def gabriel_presentation(q: PolarizedQuiver) -> GabrielPresentation:
 class Fringing(NamedTuple):
     base: PolarizedQuiver
     extended: PolarizedQuiver
-    fringe_vertices: tuple[str, ...]
-    fringe_arrows: tuple[str, ...]
 
 
 def auto_fringe(q: PolarizedQuiver) -> Fringing:
@@ -352,8 +350,6 @@ def auto_fringe(q: PolarizedQuiver) -> Fringing:
     require_skewed_gentle(q)
     vertices = list(q.vertices)
     arrows = list(q.arrows)
-    fringe_vertices: list[str] = []
-    fringe_arrows: list[str] = []
     counter = 1
     for v in q.vertices:
         for io in ("in", "out"):
@@ -368,17 +364,14 @@ def auto_fringe(q: PolarizedQuiver) -> Fringing:
                     f = f"f{counter}"
                 counter += 1
                 vertices.append(f)
-                fringe_vertices.append(f)
-                fringe_arrows.append(f)
                 if io == "in":
                     arrows.append(Arrow(f, f, 1, v, sign, False))
                 else:
                     arrows.append(Arrow(f, v, sign, f, 1, False))
     ext = PolarizedQuiver(vertices, arrows)
-    fr = Fringing(q, ext, tuple(fringe_vertices), tuple(fringe_arrows))
     if not check_fringing(q, ext):
         raise QuiverError("auto fringing failed its own invariants")
-    return fr
+    return Fringing(q, ext)
 
 
 def check_fringing(base: PolarizedQuiver, extended: PolarizedQuiver) -> bool:
@@ -417,6 +410,4 @@ def check_fringing(base: PolarizedQuiver, extended: PolarizedQuiver) -> bool:
 def as_fringing(base: PolarizedQuiver, extended: PolarizedQuiver) -> Fringing:
     if not check_fringing(base, extended):
         raise QuiverError("extended quiver is not a fringing of the base")
-    fv = tuple(sorted(set(extended.vertices) - set(base.vertices)))
-    fa = tuple(sorted(a.name for a in extended.arrows if a.name not in base.by_name))
-    return Fringing(base, extended, fv, fa)
+    return Fringing(base, extended)

@@ -8,6 +8,7 @@ import numpy as np
 
 from sga import gf
 from sga.admissible import enumerate_adm
+from sga.homgraph import CIRC, CROSS, PLUS
 from sga.repmod import AxModule
 
 
@@ -18,9 +19,11 @@ def adm_words(q, max_len):
 
 
 def colors_of(g, v):
-    """The colours of vertex v of the product quiver g."""
+    """The colours of vertex v of the product quiver g; a cross arrow's
+    source is cyan and target orange, a circle arrow's teal and purple."""
+    ends = {PLUS: (), CROSS: ("cyan", "orange"), CIRC: ("teal", "purple")}
     return {name for name in ("red", "blue") if getattr(g, name).get(v)} | \
-        {name for name in ("orange", "purple", "cyan", "teal") if v in getattr(g, name)}
+        {name for a in g.arrows for name, u in zip(ends[a.family], (a.src, a.tgt)) if u == v}
 
 
 def dense(m, ncols):

@@ -16,9 +16,8 @@ from kit import adm_words
 
 
 def reference_build_HQ(q, x, y):
-    """Vertices from all pairs of vertices filtered by label, colors from
-    ``red_blue`` at every vertex with unequal heads, and the color sets
-    from the arrows."""
+    """Vertices from all pairs of vertices filtered by label, and colors from
+    ``red_blue`` at every vertex with unequal heads."""
     hx, hy = build_H(q, x), build_H(q, y)
     vertices = tuple((j, i) for j in hy.vertices for i in hx.vertices
                      if hy.vlabel[j] == hx.vlabel[i])
@@ -66,12 +65,7 @@ def reference_build_HQ(q, x, y):
             red[(j, i)] = r
         if b:
             blue[(j, i)] = b
-    orange = {a.tgt for a in arrows if a.family == CROSS}
-    cyan = {a.src for a in arrows if a.family == CROSS}
-    purple = {a.tgt for a in arrows if a.family == CIRC}
-    teal = {a.src for a in arrows if a.family == CIRC}
-    return HomGraph(q, x, y, hx, hy, vertices, tuple(arrows),
-                    red, blue, orange, purple, cyan, teal)
+    return HomGraph(hx, hy, vertices, tuple(arrows), red, blue)
 
 
 def _components(vertices, arrows):
@@ -113,15 +107,18 @@ def _component_type(cv, ca):
 
 def reference_classify(g):
     """Three union-finds (plus, plus and circle, all arrows) and the flags
-    from vertex sets."""
+    from vertex sets, the four arrow colours read off the arrows."""
     comps_plus = _components(g.vertices, [a for a in g.arrows if a.family == PLUS])
     comps_po = _components(g.vertices, [a for a in g.arrows if a.family in (PLUS, CIRC)])
     comps_full = _components(g.vertices, g.arrows)
     po_of = {v: cv for cv, _ in comps_po for v in cv}
     full_of = {v: fi for fi, (cv, _) in enumerate(comps_full) for v in cv}
-    not_h = g.red.keys() | g.orange
-    not_dual_h = g.blue.keys() | g.cyan
-    not_real, not_dual_real = not_h | g.purple, not_dual_h | g.teal
+    orange = {a.tgt for a in g.arrows if a.family == CROSS}
+    cyan = {a.src for a in g.arrows if a.family == CROSS}
+    purple = {a.tgt for a in g.arrows if a.family == CIRC}
+    teal = {a.src for a in g.arrows if a.family == CIRC}
+    not_h, not_dual_h = g.red.keys() | orange, g.blue.keys() | cyan
+    not_real, not_dual_real = not_h | purple, not_dual_h | teal
 
     hx, hy = g.hx, g.hy
     plus_out = []
@@ -144,9 +141,7 @@ def reference_classify(g):
         if ray_long(hx, hy, cv[0]) != is_long:
             raise TheoremViolation(f"long h-line characterization differs at {cv[0]}")
         full_out.append(FullComponent(cv, ca, ctype, ends, is_long))
-
-    real_to_long = {pi: c.full_component for pi, c in enumerate(plus_out) if c.real}
-    return ComponentReport(plus_out, full_out, real_to_long)
+    return ComponentReport(plus_out, full_out)
 
 
 def _quiver(ex1, seed):

@@ -18,6 +18,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 EX1 = os.path.join(DATA, "ex1.quiver")
 X = "1(1,-)- g b e b- 1(3,+)"   # a uu word
 Y = "1(2,-)- a 1(1,-)"
+S = "1(1,-)- a- e* a 1(1,-)"    # a string, not a band
 
 
 def _hom(*extra):
@@ -50,6 +51,8 @@ def _hom(*extra):
     (["adm", EX1, "--max-len", "0", "--word", X], 2),
     (["strings", EX1, "--at", "1,-", "--max-len", "0"], 2),
     (["bands", EX1, "--max-len", "-2"], 2),
+    (["tau", EX1, "--word", "band: " + S], 3),
+    (["tau", EX1, "--word", "1(1,-)- a- e* 1(2,+) 1(2,+)"], 3),
 ])
 def test_cli_exit_codes(argv, code, capsys):
     try:
@@ -58,6 +61,11 @@ def test_cli_exit_codes(argv, code, capsys):
         rc = exc.code
     assert rc == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_tau_word_refuses_a_band_that_is_a_string(capsys):
+    assert main(["tau", EX1, "--word", "band: " + S]) == 3
+    assert capsys.readouterr().err == f"error: not a band of the quiver: {S}\n"
 
 
 def test_field_cap():
@@ -145,7 +153,8 @@ U, V = "1(f2,-)- f2 a- e- b- f3 1(f3,-)", "1(f2,-)- f2 g f4- 1(f4,-)"
 PERTURBED = {
     "adm": ("enumerate_adm_direct", lambda a, s: s._replace(strings=s.strings[1:]),
             "DUAL-ROUTE MISMATCH: enumerate_adm and enumerate_adm_direct differ"),
-    "real-long": ("classify_components", lambda a, r: r._replace(real_to_long={}),
+    "real-long": ("classify_components", lambda a, r: r._replace(
+        plus=[c._replace(real=False) for c in r.plus]),
                   "long h-line without a real h-line"),
     "kiss": ("kiss_sites", _one_more_kiss(0), f"KISS DUAL-ROUTE MISMATCH {U} {V}"),
     "kiss-reverse": ("kiss_sites", _one_more_kiss(1), f"KISS DUAL-ROUTE MISMATCH {V} {U}"),

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from sga.admissible import enumerate_adm, tau_adm
-from sga.homgraph import CIRC, PLUS, build_HQ, classify_components
+from sga.homgraph import CIRC, CROSS, PLUS, build_HQ, classify_components
 from sga.quiver import auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
 
@@ -63,15 +63,17 @@ def _check(g):
     _check_family(g, rep.plus, plus)
     _check_family(g, rep.full, list(g.arrows))
     po_of = _flood(g.vertices, [a for a in g.arrows if a.family in (PLUS, CIRC)])
+    orange, cyan, purple, teal = ({getattr(a, end) for a in g.arrows if a.family == f}
+                                  for f in (CROSS, CIRC) for end in ("tgt", "src"))
     for c in rep.plus:
         vs = set(c.vertices)
         assert vs <= set(rep.full[c.full_component].vertices)
         po = po_of[c.vertices[0]]
         assert vs <= po
-        assert c.hline == po.isdisjoint(g.red.keys() | g.orange)
-        assert c.dual_hline == po.isdisjoint(g.blue.keys() | g.cyan)
-        assert c.real == vs.isdisjoint(g.red.keys() | g.orange | g.purple)
-        assert c.dual_real == vs.isdisjoint(g.blue.keys() | g.cyan | g.teal)
+        assert c.hline == po.isdisjoint(g.red.keys() | orange)
+        assert c.dual_hline == po.isdisjoint(g.blue.keys() | cyan)
+        assert c.real == vs.isdisjoint(g.red.keys() | orange | purple)
+        assert c.dual_real == vs.isdisjoint(g.blue.keys() | cyan | teal)
     for c in rep.full:
         assert c.long == set(c.vertices).isdisjoint(g.red)
 

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -6,7 +7,7 @@ from sga.admissible import (classify, enumerate_adm, is_projective_adm, tau_adm,
                             tau_adm_via_successors)
 from sga.errors import IsProjective
 from sga.checks import KISS_TRANSPORT, REAL_LONG, Budget, verify
-from sga.homgraph import (build_H, build_HQ, classify_components,
+from sga.homgraph import (PLUS, build_H, build_HQ, classify_components,
                           real_long_bijection, to_dot)
 from sga.quiver import PolarizedQuiver, as_fringing, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
@@ -112,8 +113,9 @@ def test_loopq_val_and_red(loop_quiver, loopq_words):
         if g.red.get(v):
             assert val[v] <= 1
         # orange and purple never together; at most one structural color
-        assert not (v in g.orange and v in g.purple)
-        assert sum(v in s for s in (g.orange, g.purple, g.cyan, g.teal)) <= 1
+        marks = colors_of(g, v) - {"red", "blue"}
+        assert not {"orange", "purple"} <= marks
+        assert len(marks) <= 1
 
 
 def test_loopq_loops_on_real_or_dual(loop_quiver, loopq_words):
@@ -238,6 +240,24 @@ def test_to_dot_stable(loop_quiver, loopq_words):
     g = build_HQ(loop_quiver, x, y)
     d1, d2 = to_dot(g), to_dot(g)
     assert d1 == d2 and d1.startswith("digraph")
+
+
+DOT_DIGEST = "580bff6836ec1d535a0c207b6d134707d09bb1f915649728be73c3c6050bb1fd"
+
+
+def test_to_dot_all_pairs_digest(ex1):
+    """Byte-exact pin of ``to_dot``, colours included, on every ordered pair
+    of the words of ex1 and seed 9 at max-len 6 and of their fringed translates."""
+    graphs = []
+    for q in (ex1, random_skewed_gentle_quiver(9)):
+        words = adm_words(q, 6)
+        qf = auto_fringe(q).extended
+        for over, ws in ((q, words), (qf, [tau_adm(qf, x) for x in words])):
+            graphs += [build_HQ(over, x, y) for x in ws for y in ws]
+    assert (len(graphs), sum(any(a.family != PLUS for a in g.arrows) for g in graphs)) \
+        == (4194, 2418)
+    text = "".join(to_dot(g) for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == DOT_DIGEST
 
 
 @pytest.mark.parametrize("seed", [None, 11])

@@ -10,7 +10,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "sga"
 
 UNCALLED = {
-    "hom_system": "the benchmark's hom-sweep workload calls it",
+    "hom_system": "perfbench's tracer wraps it and BENCHMARK.json declares its counters "
+                  "(ROADMAP item 5 deletes it)",
     "direct_sum": "public oracle API (ROADMAP items 1 and 2)",
     "Rep.dim_vector": "public oracle API (ROADMAP items 13 and 16)",
     "Family.params": "public catalogue API (ROADMAP items 7 and 16)",

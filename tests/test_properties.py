@@ -4,7 +4,7 @@ from sga import gf
 from sga.admissible import classify, doublebar_ray, enumerate_adm, hat_of, hat_ray
 from sga.checks import KISS_TRANSPORT
 from sga.cli import main
-from sga.homgraph import build_HQ, classify_components, generalized_diagonal
+from sga.homgraph import PLUS, build_HQ, classify_components, generalized_diagonal
 from sga.quiver import Arrow, PolarizedQuiver, auto_fringe, validate
 from sga.randquiver import random_skewed_gentle_quiver
 from sga.homalg import iso_witness
@@ -92,7 +92,7 @@ def test_gentle_case_hline_notions_coincide(ex1):
     for x in words:
         for y in words[:6]:
             g = build_HQ(h, x, y)
-            assert not g.orange and not g.purple and not g.cyan and not g.teal
+            assert all(a.family == PLUS for a in g.arrows)
             rep = classify_components(g)
             reals = sum(1 for c in rep.plus if c.real)
             hlines = sum(1 for c in rep.plus if c.hline)

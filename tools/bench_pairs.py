@@ -101,7 +101,19 @@ def main(argv=None) -> int:
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in contract["end_to_end"]}
     seconds = contract["run_seconds"]
-    pairs = {w: int(n) for w, n in (p.split("=") for p in args.pairs)}
+    pairs = {}
+    for p in args.pairs:
+        w, _, n = p.partition("=")
+        if w not in {x["name"] for x in contract["workloads"]}:
+            ap.error(f"--pairs {p}: {w!r} is not a workload of BENCHMARK.json")
+        if not n.isdigit() or int(n) < 2:
+            ap.error(f"--pairs {p}: N must be a whole number of at least 2 for the quartiles")
+        pairs[w] = int(n)
+    if args.claim:
+        workload, _, name = args.claim.partition(":")
+        if workload not in pairs or name not in metrics:
+            ap.error(f"--claim {args.claim}: needs a workload of --pairs and an "
+                     f"end-to-end metric ({', '.join(metrics)})")
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     trees = make_trees(args.parent, workdir)
     parent_sha = git("rev-parse", "--short", args.parent).decode().strip()
