@@ -17,8 +17,9 @@ from .admissible import (AdmSets, AdmWord, a_image_of_completion, enumerate_adm,
                          tau_adm_via_successors)
 from .errors import TheoremViolation, route_mismatch
 from .homgraph import (HomGraph, PlusComponent, build_HQ, classify_components,
-                       kiss_sites, real_long_bijection)
+                       real_long_bijection)
 from .invariants import is_tau_generic, simplified_check, tags_for
+from .kisses import kiss_sites
 from .quiver import Fringing, PolarizedQuiver, auto_fringe
 from .words import (enumerate_strings, format_word, projective_strings, tau_string,
                     tau_string_inverse)

@@ -91,9 +91,14 @@ def _fringing(q, spec_text: str):
     return as_fringing(q, _load_quiver(spec_text))
 
 
-def _adm_word(q, text: str):
+def _adm_word(q, text: str, allow: bool = False):
+    """The word of ``text``; exit 3 unless it is admissible or ``allow`` is set."""
     letters, band = parse_word(q, text)
-    return classify(q, letters, band=band)
+    x = classify(q, letters, band=band)
+    ok, why = (True, "") if allow else is_admissible(q, letters, band=band)
+    if not ok:
+        raise SgaError(f"not an admissible word ({why}): {x}")
+    return x
 
 
 def _module(text: str, x, p: int):
@@ -179,9 +184,9 @@ def cmd_tau(args) -> int:
 
 def cmd_hquiver(args) -> int:
     q = _quiver(args, args.allow_nonadmissible)
-    x = _adm_word(q, args.x)
+    x = _adm_word(q, args.x, args.allow_nonadmissible)
     if args.y:
-        y = _adm_word(q, args.y)
+        y = _adm_word(q, args.y, args.allow_nonadmissible)
         g = build_HQ(q, x, y)
         if args.dot:
             print(to_dot(g))

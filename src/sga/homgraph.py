@@ -7,7 +7,8 @@ the kiss route, the module builder and the g-vector read; it is memoised
 in the quiver's store ``build_H`` and shared by every caller.  Pairs of
 words produce a product quiver with three arrow families and six color
 labels, four of them the ends of its cross and circle arrows; its connected
-components classify homomorphism contributions, kisses among them.
+components classify homomorphism contributions, kisses among them, which
+:mod:`sga.kisses` finds again from the windings alone.
 """
 
 from __future__ import annotations
@@ -422,169 +423,6 @@ def real_long_bijection(g: HomGraph, report: ComponentReport):
     if sorted(pairs.values()) != sorted(longs):
         raise TheoremViolation("long h-line without a real h-line")
     return pairs
-
-
-# -- kisses ---------------------------------------------------------------------
-
-Sites = tuple[tuple[str, tuple[int, int]], ...]
-
-
-def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites]:
-    """The kisses of ``build_HQ(q, x, y)`` and of ``build_HQ(q, y, x)``: for
-    each, the ctype and least vertex of every kiss, in least-vertex order.
-    One pass over the label-matching pairs (j, i) of (x, y) gives both
-    halves, without building either product quiver.
-
-    A union-find over the pairs, linked by the equal-image edge pairs and
-    loop pairs, gives the plus components; adding the cross and circle links
-    gives the full ones.  The product quiver of (y, x) is the transpose of
-    that of (x, y): the same components, red and blue swapped, and the
-    targets of cross and circle links (orange, purple) swapped with their
-    sources (cyan, teal).  So a plus component away from the boundary is a
-    kiss of (x, y) when it has no red, orange or purple vertex, and one of
-    (y, x), at its least vertex (i, j) in the transposed order, when it has
-    no blue, cyan or teal vertex.  As in :func:`classify_components`, the
-    ray characterization of real is checked at the least vertex of every
-    plus component and that of long at the least vertex of every full
-    component, in both directions.
-    """
-    hx, hy = build_H(q, x), build_H(q, y)
-    m = max(hx.vertices, default=0) + 1   # (j, i) is the integer j*m + i
-    n = max(hy.vertices, default=0) + 1   # and (i, j) is i*n + j
-    parent: dict[int, int] = {}
-    red, blue = [], []
-    for lab, js in hy.by_label.items():
-        ixs = hx.by_label.get(lab)
-        if ixs is None:
-            continue
-        heads_x = [hx.head_id(i) for i in ixs]
-        for j in js:
-            head_y = hy.head_id(j)
-            for i, head_x in zip(ixs, heads_x):
-                v = j * m + i
-                parent[v] = v
-                if head_y == head_x:     # equal heads colour nothing
-                    continue
-                r, b = red_blue(hy, j, hx, i, (head_y, head_x))
-                if r:
-                    red.append(v)
-                if b:
-                    blue.append(v)
-    verts = sorted(parent)
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
-    plus, loops, cross, circ = [], [], [], []
-    for image, eys in hy.edges_by_image.items():
-        exs = hx.edges_by_image.get(image, ())
-        special = bool(exs) and q.by_name[image].special
-        for ny in eys:
-            for nx in exs:
-                s = ny.src * m + nx.src
-                if s in parent:
-                    plus.append((s, ny.tgt * m + nx.tgt))
-                if special:
-                    s = ny.tgt * m + nx.src
-                    if s in parent:
-                        cross.append((s, ny.src * m + nx.tgt))
-    for image, lys in hy.loops_by_image.items():
-        for ly in lys:
-            for lx in hx.loops_by_image.get(image, ()):
-                v = ly.vertex * m + lx.vertex
-                if v in parent:
-                    loops.append(v)
-            for nx in hx.edges_by_image.get(image, ()):
-                s = ly.vertex * m + nx.src
-                if s in parent:
-                    circ.append((s, ly.vertex * m + nx.tgt))
-    for image, lxs in hx.loops_by_image.items():
-        for ny in hy.edges_by_image.get(image, ()):
-            for lx in lxs:
-                s = ny.tgt * m + lx.vertex
-                if s in parent:
-                    circ.append((s, ny.src * m + lx.vertex))
-
-    deg = dict.fromkeys(verts, 0)
-    links = []
-    for s, t in plus:
-        if s == t:
-            loops.append(s)
-        else:
-            links.append((s, t))
-            deg[s] += 1
-            deg[t] += 1
-            parent[find(s)] = find(t)
-    for v in loops:
-        deg[v] += 1
-
-    def components() -> tuple[dict, list, dict, dict]:
-        """The root of each vertex; each root with its least vertex, in
-        least-vertex order; its least vertex in the transposed order; and
-        its number of vertices."""
-        root, order, least_t, size = {}, [], {}, {}
-        for v in verts:
-            r = root[v] = find(v)
-            j = v // m
-            i = v - j * m
-            t = i * n + j
-            if r not in size:
-                order.append((r, (j, i)))
-                least_t[r], size[r] = t, 1
-            else:
-                size[r] += 1
-                if t < least_t[r]:
-                    least_t[r] = t
-        return root, order, {r: divmod(t, n) for r, t in least_t.items()}, size
-
-    root, order, dual_at, size = components()
-    cycles = {r: 1 - k for r, k in size.items()}   # arrows - (vertices - 1)
-    for s, _ in links:
-        cycles[root[s]] += 1
-    nloops = dict.fromkeys(size, 0)
-    for v in loops:
-        nloops[root[v]] += 1
-    red_side = {root[v] for v in red}
-    red_side.update(root[t] for _, t in cross + circ)
-    blue_side = {root[v] for v in blue}
-    blue_side.update(root[s] for s, _ in cross + circ)
-    at_boundary = {root[v] for v in verts if deg[v] <= 1 and
-                   (v // m in hy.boundary or v % m in hx.boundary)}
-
-    # the product quiver of (x, x) is its own transpose: one half suffices
-    both = x != y
-    kisses, dual_kisses = [], []
-    for r, vt in order:
-        real, dual = r not in red_side, r not in blue_side
-        if ray_real(hx, hy, vt) != real:
-            raise TheoremViolation(f"real h-line characterization differs at {vt}")
-        if both and ray_real(hy, hx, dual_at[r]) != dual:
-            raise TheoremViolation(
-                f"real h-line characterization differs at {dual_at[r]}")
-        if r in at_boundary:
-            continue
-        k = nloops[r]
-        ctype = "Dp" if k == 1 else "Dpt" if k else "At" if cycles[r] > 0 else "A"
-        if real:
-            kisses.append((ctype, vt))
-        if dual:
-            dual_kisses.append((ctype, dual_at[r]))
-
-    if cross or circ:
-        for s, t in cross + circ:
-            parent[find(s)] = find(t)
-        root, order, dual_at, _ = components()
-    red_full = {root[v] for v in red}
-    blue_full = {root[v] for v in blue}
-    for r, vt in order:
-        if ray_long(hx, hy, vt) != (r not in red_full):
-            raise TheoremViolation(f"long h-line characterization differs at {vt}")
-        if both and ray_long(hy, hx, dual_at[r]) != (r not in blue_full):
-            raise TheoremViolation(
-                f"long h-line characterization differs at {dual_at[r]}")
-    return tuple(kisses), tuple(sorted(dual_kisses, key=lambda k: k[1]))
 
 
 # -- DOT export -----------------------------------------------------------------

@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 from .admissible import AdmWord, enumerate_adm, tau_adm
 from .errors import SgaError, TheoremViolation
-from .homgraph import build_H, kiss_sites
+from .homgraph import build_H
+from .kisses import kiss_sites
 from .quiver import Fringing, PolarizedQuiver, tilde_vertices
 from .words import band_canonical, rotations, winv
 

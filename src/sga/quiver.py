@@ -337,7 +337,7 @@ def gabriel_presentation(q: PolarizedQuiver) -> GabrielPresentation:
 # -- Fringing ---------------------------------------------------------------
 
 class Fringing(NamedTuple):
-    base: PolarizedQuiver
+    """An extended quiver that has passed :func:`check_fringing`."""
     extended: PolarizedQuiver
 
 
@@ -371,7 +371,7 @@ def auto_fringe(q: PolarizedQuiver) -> Fringing:
     ext = PolarizedQuiver(vertices, arrows)
     if not check_fringing(q, ext):
         raise QuiverError("auto fringing failed its own invariants")
-    return Fringing(q, ext)
+    return Fringing(ext)
 
 
 def check_fringing(base: PolarizedQuiver, extended: PolarizedQuiver) -> bool:
@@ -410,4 +410,4 @@ def check_fringing(base: PolarizedQuiver, extended: PolarizedQuiver) -> bool:
 def as_fringing(base: PolarizedQuiver, extended: PolarizedQuiver) -> Fringing:
     if not check_fringing(base, extended):
         raise QuiverError("extended quiver is not a fringing of the base")
-    return Fringing(base, extended)
+    return Fringing(extended)

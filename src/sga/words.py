@@ -432,7 +432,7 @@ def standard_band_words(q: PolarizedQuiver, max_len: int) -> list[Word]:
 
 # -- projective / injective strings and the successor -------------------------
 
-def simple_string(q: PolarizedQuiver, v: str, rho: int = 1) -> Word:
+def simple_string(q: PolarizedQuiver, v: str, rho: int) -> Word:
     """1^-1_{v,rho} 1_{v,-rho}; at a special vertex only rho = +1 is legal."""
     if not q.trivial_slot_ok((v, rho)) or not q.trivial_slot_ok((v, -rho)):
         raise WordError(f"no simple string at ({v},{rho})")

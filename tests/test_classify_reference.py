@@ -8,8 +8,8 @@ from sga import homgraph
 from sga.errors import TheoremViolation
 from sga.homgraph import (CIRC, CROSS, PLUS, ComponentReport, FullComponent,
                           HArrow, HomGraph, PlusComponent, build_H, build_HQ,
-                          classify_components, kiss_sites, ray_long, ray_real,
-                          red_blue)
+                          classify_components, ray_long, ray_real, red_blue)
+from sga.kisses import kiss_sites
 from sga.randquiver import random_skewed_gentle_quiver
 
 from kit import adm_words

@@ -19,6 +19,7 @@ EX1 = os.path.join(DATA, "ex1.quiver")
 X = "1(1,-)- g b e b- 1(3,+)"   # a uu word
 Y = "1(2,-)- a 1(1,-)"
 S = "1(1,-)- a- e* a 1(1,-)"    # a string, not a band
+N = "1(1,-)- g b e- b- 1(3,+)"  # a string, not an admissible word
 
 
 def _hom(*extra):
@@ -53,6 +54,11 @@ def _hom(*extra):
     (["bands", EX1, "--max-len", "-2"], 2),
     (["tau", EX1, "--word", "band: " + S], 3),
     (["tau", EX1, "--word", "1(1,-)- a- e* 1(2,+) 1(2,+)"], 3),
+    (["hom", EX1, "--x", N, "--X", "Vo", "--y", Y, "--Y", "V+"], 3),
+    (["einv", EX1, "--x", N, "--y", Y, "--tag-x", "++", "--tag-y", "++"], 3),
+    (["gvec", EX1, "--x", N, "--tag", "++"], 3),
+    (["tau", EX1, "--adm", N], 3),
+    (["hquiver", EX1, "--x", N], 3),
 ])
 def test_cli_exit_codes(argv, code, capsys):
     try:
@@ -66,6 +72,15 @@ def test_cli_exit_codes(argv, code, capsys):
 def test_tau_word_refuses_a_band_that_is_a_string(capsys):
     assert main(["tau", EX1, "--word", "band: " + S]) == 3
     assert capsys.readouterr().err == f"error: not a band of the quiver: {S}\n"
+
+
+def test_commands_refuse_a_word_that_is_not_admissible(capsys):
+    """A word that ``sga adm --word`` calls not admissible is refused as
+    input (3) with the reason ``adm`` gives, not reported as a failed
+    theorem (4) by ``tau --adm``'s two routes."""
+    assert main(["tau", EX1, "--adm", N]) == 3
+    assert capsys.readouterr().err == ("error: not an admissible word (letter 3 "
+                                       f"oriented against the order): {N}\n")
 
 
 def test_field_cap():

@@ -1,20 +1,20 @@
 """The kiss route without the product quiver: ``kiss_sites`` against
-``classify_components`` in both directions, its ray checks, and the census
-of both directions that ``kiss_census`` stores from one pass."""
+``classify_components`` in both directions, its ray checks, the census of
+both directions that ``kiss_census`` stores from one pass, and the import
+rule that keeps the two routes apart."""
 
 import ast
-import builtins
 import inspect
-import types
 
 import pytest
 
-from sga import homgraph, invariants
+from sga import homgraph, invariants, kisses
 from sga.admissible import hat_of, tau_adm
 from sga.checks import KISS, Budget, verify
 from sga.errors import TheoremViolation, WordError
-from sga.homgraph import build_H, build_HQ, classify_components, kiss_sites
+from sga.homgraph import build_H, build_HQ, classify_components
 from sga.invariants import kiss_census
+from sga.kisses import kiss_sites
 from sga.quiver import PolarizedQuiver, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
 
@@ -167,59 +167,29 @@ def test_incomparable_heads_raise_on_every_call(ex1, monkeypatch):
     assert qf.store("red_blue") == {}
 
 
-def _helpers_called(tree: ast.Module, fn: str, helpers: set[str]) -> set[str]:
-    """The names in ``helpers`` that the top-level function ``fn`` calls, by
-    name (unless it binds the name itself) or as an attribute."""
-    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == fn)
-    bound = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
-             and isinstance(n.ctx, ast.Store)}
-    bound |= {n.name for n in ast.walk(node) if isinstance(n, ast.FunctionDef)}
-    called = set()
-    for call in (n for n in ast.walk(node) if isinstance(n, ast.Call)):
-        if isinstance(call.func, ast.Name) and call.func.id not in bound:
-            called.add(call.func.id)
-        elif isinstance(call.func, ast.Attribute):
-            called.add(call.func.attr)
-    return called & helpers
+def _imports_and_reads(source: str) -> tuple[set[str], set[str]]:
+    """The modules a source imports (a relative one by its name in the
+    package) and the names it reads off ``homgraph``."""
+    imports, reads = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imports.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            imports.update(a.name for a in node.names)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "homgraph":
+            reads.add(node.attr)
+    return imports, reads
 
 
-def _shared_helpers(source: str, module) -> set[str]:
-    """The helpers that both ``classify_components`` and ``kiss_sites`` call,
-    other than the ray checks, and the other route where one calls it:
-    helpers are the module's functions and classes (and their methods) and
-    what it imports, exceptions and builtins left out."""
-    tree = ast.parse(source)
-    helpers = {name for name, value in vars(module).items()
-               if callable(value) and not name.startswith("__")
-               and not (isinstance(value, type) and issubclass(value, BaseException))}
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            helpers |= {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
-    helpers -= set(dir(builtins)) | {"ray_real", "ray_long"}
-    by_hom_graph = _helpers_called(tree, "classify_components", helpers)
-    by_pairs = _helpers_called(tree, "kiss_sites", helpers)
-    return (by_hom_graph & by_pairs) | (by_hom_graph & {"kiss_sites"}) \
-        | (by_pairs & {"classify_components", "build_HQ"})
-
-
-def test_kiss_routes_share_no_helper():
-    """The two kiss routes stay independent: apart from the ray checks,
-    ``classify_components`` and ``kiss_sites`` call no common helper, so
-    ``sga selftest``'s comparison of the two is not one route against
-    itself. A helper that both call is caught."""
-    source = inspect.getsource(homgraph)
-    assert _shared_helpers(source, homgraph) == set()
-    merged = source.replace("def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord)",
-                            "def kiss_sites(q, x, y):\n    _union_find(x)\n\n\n"
-                            "def _unused(q: PolarizedQuiver, x: AdmWord, y: AdmWord)")
-    merged = merged.replace('    hx, hy, verts = g.hx, g.hy, g.vertices\n',
-                            '    hx, hy, verts = g.hx, g.hy, g.vertices\n'
-                            '    _union_find(verts)\n', 1)
-    assert merged.count("_union_find(") == 2
-    module = types.SimpleNamespace(**vars(homgraph), _union_find=lambda v: v)
-    assert _shared_helpers(merged, module) == {"_union_find"}
-    routed = source.replace("    hx, hy = build_H(q, x), build_H(q, y)\n    m = max(",
-                            "    classify_components(build_HQ(q, x, y))\n"
-                            "    hx, hy = build_H(q, x), build_H(q, y)\n    m = max(")
-    assert routed != source
-    assert _shared_helpers(routed, homgraph) == {"classify_components", "build_HQ"}
+def test_kiss_routes_share_only_the_base():
+    """``kisses`` reads of ``homgraph`` only what both kiss routes share,
+    and ``homgraph`` imports nothing of it, so ``sga selftest`` compares two
+    routes, not one; a call of the first route from the second is caught."""
+    source = inspect.getsource(kisses)
+    rule = ({"__future__", "homgraph", "admissible", "errors", "quiver"},
+            {"build_H", "red_blue", "ray_real", "ray_long"})
+    assert _imports_and_reads(source) == rule
+    assert not _imports_and_reads(inspect.getsource(homgraph))[0] & {"kisses", "sga.kisses"}
+    line = "    hx, hy = homgraph.build_H(q, x), homgraph.build_H(q, y)\n"
+    routed = source.replace(line, "    homgraph.classify_components(g)\n" + line)
+    assert _imports_and_reads(routed)[1] == rule[1] | {"classify_components"}

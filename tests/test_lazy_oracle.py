@@ -76,7 +76,7 @@ PUBLIC = [
     "gabriel_presentation", "gf", "hat_quiver", "hom_basis_oracle",
     "hom_basis_structured", "hom_dim_formula", "hom_dim_oracle", "homalg", "homgraph",
     "indecomposables_Ax", "invariants", "is_admissible", "is_tau_generic",
-    "iso_witness", "kiss_census", "lex_compare", "quiver", "real_long_bijection",
+    "iso_witness", "kiss_census", "kisses", "lex_compare", "quiver", "real_long_bijection",
     "repmod", "simplified_check", "successor", "tags_for", "tau_adm", "tau_module",
     "tau_string", "validate", "words",
 ]

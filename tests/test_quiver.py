@@ -201,3 +201,14 @@ def test_readme_lists_every_store():
     listed = readme.split("The stores:", 1)[1].split("\n\n", 1)[0]
     assert set(re.findall(r"`(\w+)`[:,]", listed)) == in_src
     assert "build_H" in in_src and "word_table" not in in_src
+
+
+def test_readme_layout_names_every_module():
+    """README's "Library layout" names every module of ``src/sga`` as
+    ``sga.<name>`` in backticks."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    modules = {p.stem for p in (root / "src" / "sga").glob("*.py")} - {"__init__"}
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"`sga\.(\w+)`", layout)) >= modules
+    assert "kisses" in modules
