@@ -24,8 +24,20 @@ _ORACLE = {**dict.fromkeys(("Rep", "hom_basis_oracle", "hom_dim_oracle",
                             "hom_basis_structured", "hom_dim_formula",
                             "indecomposables_Ax", "tau_module"), "repmod")}
 
-__all__ = [n for n in dir() if not n.startswith("_")] + \
-    list(_ORACLE_MODULES) + list(_ORACLE)
+__all__ = [
+    "AdmWord", "Arrow", "AxModule", "E_oracle", "Fringing", "GabrielPresentation",
+    "HomGraph", "Letter", "PolarizedQuiver", "Rep", "Winding", "Word", "a_of_w",
+    "admissible", "auto_fringe", "build_H", "build_HQ", "build_module",
+    "check_fringing", "classify", "classify_components", "completion", "e_comb",
+    "enumerate_adm", "enumerate_bands", "enumerate_components",
+    "enumerate_strings_at", "errors", "format_word", "g_comb", "g_oracle",
+    "gabriel_presentation", "gf", "hat_quiver", "hom_basis_oracle",
+    "hom_basis_structured", "hom_dim_formula", "hom_dim_oracle", "homalg", "homgraph",
+    "indecomposables_Ax", "invariants", "is_admissible", "is_tau_generic",
+    "iso_witness", "kiss_census", "kisses", "lex_compare", "quiver", "real_long_bijection",
+    "repmod", "simplified_check", "successor", "tags_for", "tau_adm", "tau_module",
+    "tau_string", "validate", "words",
+]
 __version__ = "0.1.0"
 
 

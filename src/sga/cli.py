@@ -65,13 +65,14 @@ def _note_truncation(truncated: bool) -> None:
 
 
 def _quiver(args, allow: bool = False):
-    """The command's quiver file, refused (exit 3) unless it is
-    skewed-gentle or ``allow`` is set."""
+    """The quiver file; exit 3 unless polarized, and skewed-gentle or ``allow``."""
     q = _load_quiver(args.quiver)
-    if not validate(q).is_skewed_gentle and not allow:
-        raise SgaError(
-            "quiver is not skewed-gentle/admissible (use --allow-nonadmissible "
-            "for word-level commands)")
+    rep = validate(q)
+    if not rep.is_polarized:
+        raise SgaError(f"quiver is not polarized: {'; '.join(rep.diagnostics)}")
+    if not rep.is_skewed_gentle and not allow:
+        raise SgaError("quiver is not skewed-gentle/admissible (use "
+                       "--allow-nonadmissible for word-level commands)")
     return q
 
 
@@ -142,7 +143,7 @@ def cmd_strings(args) -> int:
 
 
 def cmd_bands(args) -> int:
-    q = _load_quiver(args.quiver)
+    q = _quiver(args, allow=True)
     for w in enumerate_bands(q, args.max_len):
         print("band: " + format_word(w))
     return 0

@@ -153,7 +153,7 @@ def red_blue(hy: Winding, j: int, hx: Winding, i: int,
                 raise WordError(f"incomparable ray heads at {(j, i)}")
             if c > 0:
                 r += 1
-            elif c < 0:
+            else:
                 b += 1
         rb = store[key] = (r, b)
     return rb

@@ -95,18 +95,8 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites
                 if s in parent:
                     circ.append((s, ny.src * m + lx.vertex))
 
-    deg = dict.fromkeys(verts, 0)
-    links = []
-    for s, t in plus:
-        if s == t:
-            loops.append(s)
-        else:
-            links.append((s, t))
-            deg[s] += 1
-            deg[t] += 1
-            parent[find(s)] = find(t)
-    for v in loops:
-        deg[v] += 1
+    for s, t in plus:   # s != t: a bounded quiver has no band of length 1
+        parent[find(s)] = find(t)
 
     def components() -> tuple[dict, list, dict, dict]:
         """The root of each vertex; each root with its least vertex, in
@@ -129,7 +119,7 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites
 
     root, order, dual_at, size = components()
     cycles = {r: 1 - k for r, k in size.items()}   # arrows - (vertices - 1)
-    for s, _ in links:
+    for s, _ in plus:
         cycles[root[s]] += 1
     nloops = dict.fromkeys(size, 0)
     for v in loops:
@@ -138,8 +128,9 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites
     red_side.update(root[t] for _, t in cross + circ)
     blue_side = {root[v] for v in blue}
     blue_side.update(root[s] for s, _ in cross + circ)
-    at_boundary = {root[v] for v in verts if deg[v] <= 1 and
-                   (v // m in hy.boundary or v % m in hx.boundary)}
+    # a boundary vertex of either winding carries one edge or loop, so at
+    # most one plus link or loop of the product meets it: an end of its component
+    at_boundary = {root[v] for v in verts if v // m in hy.boundary or v % m in hx.boundary}
 
     # the product quiver of (x, x) is its own transpose: one half suffices
     both = x != y

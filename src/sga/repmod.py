@@ -135,11 +135,10 @@ def translate_twist(q: PolarizedQuiver, x: AdmWord, X: AxModule) -> AxModule:
 
 
 def iota_twist(x: AdmWord, X: AxModule) -> AxModule:
+    """X twisted; ``E_formula`` calls it at diag = -1, on (p,p) words and bands."""
     if x.wtype == "pp":
         return AxModule(X.label + "^iota", X.dim, X.p, T=X.S, S=X.T)
-    if x.wtype == "b":
-        return AxModule(X.label + "^iota", X.dim, X.p, T=X.T_inv)
-    return X
+    return AxModule(X.label + "^iota", X.dim, X.p, T=X.T_inv)
 
 
 def algebra_of(word_type: str) -> str:

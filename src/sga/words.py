@@ -175,7 +175,7 @@ def standard_form_rotations(w: Word) -> list[Word]:
 
 # -- letter order and lexicographic comparison ------------------------------
 
-_KIND_RANK = {ORD: 0, TRIV: 1, TINV: 1, INV: 2}
+_KIND_RANK = {ORD: 0, TRIV: 1, INV: 2}
 
 
 def letters_at(q: PolarizedQuiver, slot: Slot) -> list[Letter]:
@@ -199,16 +199,12 @@ def letters_at(q: PolarizedQuiver, slot: Slot) -> list[Letter]:
 
 
 def compare_letters(q: PolarizedQuiver, a: Letter, b: Letter) -> int | None:
-    """-1 / 0 / +1 when comparable, None otherwise (different target slots)."""
-    if a == b:
-        return 0
-    ta, tb = letter_target(q, a), letter_target(q, b)
-    if ta is None or tb is None or ta != tb:
+    """-1 / +1 for distinct letters of one target slot, which differ in kind
+    on a polarized quiver; None for different slots.  Callers skip a == b."""
+    ta = letter_target(q, a)
+    if ta is None or ta != letter_target(q, b):
         return None
-    ra, rb = _KIND_RANK.get(a.kind), _KIND_RANK.get(b.kind)
-    if a.kind == SPE or b.kind == SPE:
-        return None  # a special letter is alone in its slot
-    return -1 if ra < rb else (1 if ra > rb else 0)
+    return -1 if _KIND_RANK[a.kind] < _KIND_RANK[b.kind] else 1
 
 
 def lex_compare(q: PolarizedQuiver, v: Word, w: Word) -> tuple[str, int | None]:

@@ -4,12 +4,14 @@ import sys
 
 import pytest
 
-from sga.admissible import (AdmWord, a_of_w, bar_length, classify, completion,
-                            doublebar_ray, enumerate_adm, hat_of, hat_ray,
-                            is_admissible, is_projective_adm, tau_adm)
+from sga.admissible import (AdmWord, a_image_of_completion, a_of_w, bar_length,
+                            classify, completion, doublebar_ray, enumerate_adm,
+                            hat_of, hat_ray, is_admissible, is_projective_adm,
+                            tau_adm)
 from sga.checks import A_IMAGE, TAU_ROUTES, Budget, checked_adm, verify
 from sga.errors import IsProjective, WordError
 from sga.quiver import validate
+from sga.randquiver import random_skewed_gentle_quiver
 from sga.words import (enumerate_strings, invl, letters_at, ordl, ray_compare,
                        rotations, spel, tau_string, tinvl, trivl, winv)
 
@@ -211,6 +213,27 @@ def test_bar_length(ex1):
     for x in sets.strings:
         assert bar_length(x) <= 9
         assert bar_length(x) == len(completion(ex1, x))
+
+
+def test_bar_length_on_every_word_type():
+    """Seed 42 has words of all five types; ex1 has no (p,p) word or band."""
+    q = random_skewed_gentle_quiver(42)
+    sets = enumerate_adm(q, 8)
+    words = sets.strings + sets.bands
+    assert {x.wtype for x in words} == {"uu", "up", "pu", "pp", "b"}
+    for x in words:
+        assert bar_length(x) == len(completion(q, x)), str(x)
+
+
+def test_a_image_of_completion_on_pp_words():
+    """A (p,p) word is the A-image of one standard-form rotation of its
+    completion."""
+    for seed in (9, 42):
+        q = random_skewed_gentle_quiver(seed)
+        pp = [x for x in enumerate_adm(q, 8).strings if x.wtype == "pp"]
+        assert pp
+        for x in pp:
+            assert a_image_of_completion(q, x) == x
 
 
 def test_adm_word_hash_kept_fields_unchanged(ex1):

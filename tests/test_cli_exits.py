@@ -16,6 +16,7 @@ from sga.errors import SgaError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 EX1 = os.path.join(DATA, "ex1.quiver")
+UNP = os.path.join(DATA, "unpolarized.quiver")   # two arrows end at 2:+
 X = "1(1,-)- g b e b- 1(3,+)"   # a uu word
 Y = "1(2,-)- a 1(1,-)"
 S = "1(1,-)- a- e* a 1(1,-)"    # a string, not a band
@@ -59,6 +60,10 @@ def _hom(*extra):
     (["gvec", EX1, "--x", N, "--tag", "++"], 3),
     (["tau", EX1, "--adm", N], 3),
     (["hquiver", EX1, "--x", N], 3),
+    (["adm", UNP, "--allow-nonadmissible"], 3),
+    (["hquiver", UNP, "--allow-nonadmissible", "--x", "1(1,-)- a 1(2,+)"], 3),
+    (["bands", UNP], 3),
+    (["adm", EX1, "--max-len", "1"], 0),
 ])
 def test_cli_exit_codes(argv, code, capsys):
     try:
@@ -81,6 +86,14 @@ def test_commands_refuse_a_word_that_is_not_admissible(capsys):
     assert main(["tau", EX1, "--adm", N]) == 3
     assert capsys.readouterr().err == ("error: not an admissible word (letter 3 "
                                        f"oriented against the order): {N}\n")
+
+
+def test_unpolarized_quiver_refused(capsys):
+    """Two arrows into one slot: refused before any route runs, even under
+    --allow-nonadmissible, naming the collision."""
+    assert main(["adm", UNP, "--allow-nonadmissible"]) == 3
+    assert capsys.readouterr().err == \
+        "error: quiver is not polarized: arrows a and b both end at ('2', 1)\n"
 
 
 def test_field_cap():

@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 import sga.homalg
+from sga import gf
 from sga.admissible import classify, enumerate_adm
 from sga.errors import SgaError
-from sga.homalg import direct_sum, hom_dim_oracle, simple, verify_relations, zero
+from sga.homalg import (direct_sum, hom_dim_oracle, iso_witness, simple,
+                        verify_relations, zero)
 from sga.quiver import tilde_vertices
 from sga.randquiver import random_skewed_gentle_quiver
 from sga.repmod import build_module, indecomposables_Ax, module_k, module_V
@@ -87,3 +89,18 @@ def test_direct_sum_is_additive(ex1, seed):
                 assert hom_dim_oracle(L, S) == hom_dim_oracle(L, M) + hom_dim_oracle(L, N)
     with pytest.raises(SgaError, match="direct sum"):
         direct_sum(simple(q, q.vertices[0], "o", 5), simple(q, q.vertices[0], "o", 7))
+
+
+def test_iso_witness_of_a_direct_sum(ex1):
+    """End(S + S) has a basis of matrix units, none invertible: the witness
+    of S + S = S + S is a random combination of the basis.  S(2,+) + S(2,+)
+    and S(2,+) + S(2,-) have equal dimensions and Hom of dim 2, yet no
+    isomorphism."""
+    plus, minus = simple(ex1, "2", "+", 5), simple(ex1, "2", "-", 5)
+    M = direct_sum(plus, plus)
+    f = iso_witness(M, M)
+    assert f is not None and all(gf.is_invertible(f[v], 5) for v in ex1.vertices)
+    for a in ex1.arrows:
+        assert gf.mul(f[a.target], M.mats[a.name], 5) == gf.mul(M.mats[a.name], f[a.source], 5)
+    N = direct_sum(plus, minus)
+    assert hom_dim_oracle(M, N) == 2 and iso_witness(M, N) is None

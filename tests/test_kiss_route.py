@@ -5,6 +5,7 @@ rule that keeps the two routes apart."""
 
 import ast
 import inspect
+import os
 
 import pytest
 
@@ -15,6 +16,7 @@ from sga.errors import TheoremViolation, WordError
 from sga.homgraph import build_H, build_HQ, classify_components
 from sga.invariants import kiss_census
 from sga.kisses import kiss_sites
+from sga.parsing import parse_quiver
 from sga.quiver import PolarizedQuiver, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
 
@@ -33,6 +35,22 @@ def test_kiss_sites_equal_classify_components(ex1, seed, max_len, pairs):
     finds, on every ordered pair of fringed translates."""
     q = ex1 if seed is None else random_skewed_gentle_quiver(seed, forbid_pp=seed == 11)
     assert verify(KISS, q, Budget(max_len)) ** 2 == pairs
+
+
+@pytest.mark.parametrize("name", ["ex1", "l4", "l6"])
+def test_kiss_sites_equal_classify_components_on_the_quiver(name):
+    """The same on every ordered pair of the max-len 6 words of the quiver
+    itself, not of a fringing: there an end of one winding meets inner
+    vertices of the other, so both sides of the boundary test count."""
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.quiver")
+    with open(path, encoding="utf-8") as fh:
+        q = parse_quiver(fh.read())
+    words = adm_words(q, 6)
+    for x in words:
+        for y in words:
+            rep = classify_components(build_HQ(q, x, y))
+            assert kiss_sites(q, x, y)[0] == \
+                tuple((c.ctype, c.vertices[0]) for c in rep.plus if c.kiss), (str(x), str(y))
 
 
 @pytest.mark.parametrize("on_hat, message", [

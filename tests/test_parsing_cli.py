@@ -24,7 +24,7 @@ def test_parse_quiver_roundtrip(ex1):
 def test_parse_quiver_errors():
     with pytest.raises(ParseError):
         parse_quiver("vertex 1\narrow a 1:+ -> 2:+\n")  # unknown vertex
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^3:1: duplicate special at vertex 1$"):
         parse_quiver("vertex 1\nspecial e 1\nspecial f 1\n")
     with pytest.raises(ParseError):
         parse_quiver("flurb 1\n")

@@ -8,7 +8,9 @@ pinned demonstration of the GF(5) collapse itself.
 
 import pytest
 
+from sga import repmod
 from sga.admissible import enumerate_adm
+from sga.checks import TAU_GENERIC, Budget, verify
 from sga.homgraph import build_HQ, classify_components, real_long_bijection
 from sga.invariants import c_set, diag_b, e_comb, tags_for
 from sga.quiver import auto_fringe
@@ -163,3 +165,31 @@ def test_star_star_points_are_isomorphism_classes():
                         assert E_oracle(q, y, Y, x, X) == E_oracle(q, y, Y, x, Xi)
                         checked += 1
     assert checked == 2 * len(pps) * len(members)
+
+
+def test_E_formula_pairs_a_word_with_its_inverse(ppq, monkeypatch):
+    """diag = -1: each (p,p) word and band of max-len 8 against its inverse,
+    on every pair of modules of dim <= 2 over GF(7); E_formula's twisted
+    Hom terms run through ``iota_twist`` on both word types."""
+    p = 7
+    fr = auto_fringe(ppq)
+    sets = enumerate_adm(ppq, 8)
+    twisted = set()
+    iota_twist = repmod.iota_twist
+    monkeypatch.setattr(repmod, "iota_twist",
+                        lambda x, X: twisted.add(x.wtype) or iota_twist(x, X))
+    for x in [x for x in sets.strings if x.wtype == "pp"] + list(sets.bands):
+        y = x.inverse()
+        assert diag_b(x, y) == -1, str(x)
+        for X in indecomposables_Ax(x.wtype, 2, p):
+            for Y in indecomposables_Ax(y.wtype, 2, p):
+                assert E_formula(ppq, fr, x, X, y, Y) == E_oracle(ppq, x, X, y, Y), \
+                    (str(x), X.label, Y.label)
+    assert twisted == {"pp", "b"}
+
+
+def test_tau_generic_simplification_on_pp_words(ppq):
+    """The simplified check agrees with ``is_tau_generic`` on every tagged
+    word, (p,p) words among them; on seed 9 their punctured ends meet at one
+    vertex, where only the tags ``--`` and ``++`` pass."""
+    assert verify(TAU_GENERIC, ppq, Budget(8)) > 0

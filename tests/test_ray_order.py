@@ -17,10 +17,10 @@ from sga import homgraph, words
 from sga.admissible import doublebar_ray, enumerate_adm, hat_of, hat_ray
 from sga.invariants import kiss_census
 from sga.parsing import parse_quiver, print_quiver
-from sga.quiver import Arrow, PolarizedQuiver, auto_fringe
+from sga.quiver import Arrow, PolarizedQuiver, auto_fringe, hat_quiver
 from sga.randquiver import random_skewed_gentle_quiver
-from sga.words import (Letter, Ray, _ray_scan, compare_letters, invl, ordl,
-                       ray_compare, spel, trivl)
+from sga.words import (Letter, Ray, _ray_scan, compare_letters, invl, letter_target,
+                       letter_valid, letters_at, ordl, ray_compare, spel, trivl)
 
 MIRROR = {"<": ">", ">": "<", "=": "=", "incomparable": "incomparable"}
 
@@ -52,6 +52,49 @@ def reference_scan(q, v, w):
             return ("incomparable", None)
         return ("<" if c < 0 else ">", i)
     return ("=", None)
+
+
+def valid_letters(q):
+    """Every letter of q with a target slot: a direct and an inverse letter
+    per ordinary arrow, a special letter per special loop, and a trivial
+    letter per slot that takes one."""
+    out = []
+    for a in q.arrows:
+        out += [spel(a.name)] if a.special else [ordl(a.name), invl(a.name)]
+    return out + [trivl(v, sign) for v in q.vertices for sign in (1, -1)
+                  if q.trivial_slot_ok((v, sign))]
+
+
+@pytest.mark.parametrize("name", ["ex1", 9, 11, 42, "l4", "l6"])
+def test_letter_order_is_total_on_each_slot(ex1, name):
+    """Two distinct letters with one target slot compare as -1 or +1, never
+    0, antisymmetrically and as ``letters_at`` lists them, on the quiver,
+    its auto-fringing and their hat quivers."""
+    if name in ("l4", "l6"):
+        path = os.path.join(os.path.dirname(__file__), "data", f"{name}.quiver")
+        with open(path, encoding="utf-8") as fh:
+            base = parse_quiver(fh.read())
+    else:
+        base = ex1 if name == "ex1" else random_skewed_gentle_quiver(name)
+    quivers = [base, auto_fringe(base).extended]
+    pairs = 0
+    for q in quivers + [hat_quiver(q) for q in quivers]:
+        by_slot = defaultdict(list)
+        for l in valid_letters(q):
+            assert letter_valid(q, l), l
+            by_slot[letter_target(q, l)].append(l)
+        for slot, ls in by_slot.items():
+            order = letters_at(q, slot)
+            assert sorted(order) == sorted(ls), slot
+            for a in ls:
+                for b in ls:
+                    if a == b:
+                        continue
+                    c = compare_letters(q, a, b)
+                    assert c == (-1 if order.index(a) < order.index(b) else 1), (a, b)
+                    assert compare_letters(q, b, a) == -c
+                    pairs += 1
+    assert pairs > 0
 
 
 @pytest.mark.parametrize("seed", [None, 9, 11, 42])

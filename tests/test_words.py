@@ -3,15 +3,15 @@ import random
 import pytest
 
 from sga.checks import TAU_INVERSE, Budget, verify
-from sga.errors import AtMaximum, IsProjective
+from sga.errors import AtMaximum, IsProjective, WordError
 from sga.quiver import Arrow, PolarizedQuiver, validate
 from sga.words import (Ray, enumerate_bands, enumerate_strings,
                        enumerate_strings_at, injective_strings, invl, is_band,
                        is_string, is_word, letters_at, lex_compare,
                        max_word_into, min_word_into, ordl, predecessor,
                        projective_injective_strings, projective_strings,
-                       ray_compare, spel, string_labels, successor, tau_string,
-                       tinvl, trivl, winv)
+                       ray_compare, simple_string, spel, string_labels,
+                       successor, tau_string, tinvl, trivl, winv)
 
 
 def W(*letters):
@@ -33,6 +33,15 @@ def ex1_st1minus():
         W(t, ordl("g"), ordl("b"), spel("e"), trivl("2", 1)),
         W(t, ordl("g"), ordl("b"), spel("e"), ordl("a"), trivl("1", -1)),
     ]
+
+
+def test_simple_string_refused_at_a_special_vertex(ex1):
+    """The minus slot of a special vertex takes no trivial letter, so there
+    is no simple string there in either orientation."""
+    assert simple_string(ex1, "1", 1) == (tinvl("1", 1), trivl("1", -1))
+    for rho in (1, -1):
+        with pytest.raises(WordError, match=rf"no simple string at \(2,{rho}\)"):
+            simple_string(ex1, "2", rho)
 
 
 def test_validate_ex1(ex1):
