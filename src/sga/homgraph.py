@@ -13,12 +13,13 @@ components classify homomorphism contributions, kisses among them, which
 
 from __future__ import annotations
 
+from operator import le
 from typing import NamedTuple
 
 from .admissible import AdmWord, doublebar_ray, hat_of, hat_ray
 from .errors import TheoremViolation, WordError
 from .quiver import PolarizedQuiver, per_quiver
-from .words import INV, ORD, Ray, compare_letters, ray_compare
+from .words import INV, ORD, Ray, compare_letters, ray_compare, ray_label
 
 
 class HEdge(NamedTuple):
@@ -38,10 +39,11 @@ class Winding(NamedTuple):
     """The blueprint quiver of one word over the quiver q it was built in,
     and what the product quiver reads of it: vertices by label (ascending),
     edges and loops by image, the boundary vertices (valency <= 1, a loop
-    counting one end) and, per vertex, the doublebar and hat rays and the
-    interned id of the doublebar first letters, each read over q on first
-    use.  Built once per word by :func:`build_H` and shared by every
-    caller, so it is frozen; callers must not modify its dicts."""
+    counting one end) and, per vertex, the doublebar and hat rays, the
+    interned id of the doublebar first letters and the labels of the rays,
+    each read over q on first use.  Built once per word by :func:`build_H`
+    and shared by every caller, so it is frozen; callers must not modify
+    its dicts."""
     q: PolarizedQuiver
     word: AdmWord
     shape: str                                 # 'A' | 'Dp' | 'At' | 'Dpt'
@@ -56,6 +58,8 @@ class Winding(NamedTuple):
     doublebars: dict[int, tuple[Ray, Ray]]     # filled by doublebar()
     hats: dict[int, Ray]                       # filled by hat()
     head_ids: dict[int, int]                   # filled by head_id()
+    hat_labels: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]  # by ray_labels()
+    bar_labels: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]  # by ray_labels()
 
     def doublebar(self, v: int) -> tuple[Ray, Ray]:
         """The doublebar rays at v towards rho = -1, +1, read on first use."""
@@ -84,6 +88,26 @@ class Winding(NamedTuple):
             pair = tuple(r.first() for r in self.doublebar(v))
             hid = self.head_ids[v] = ids.setdefault(pair, len(ids))
         return hid
+
+    def ray_labels(self, v: int, hat: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The chain ids and the labels (:func:`words.ray_label`) of the four
+        hat rays at v, in the order of the checks of :func:`ray_real`, over
+        the companion quiver, kept in ``hat_labels``; or of the two
+        doublebar rays at v over q, kept in ``bar_labels``.  Read on first
+        use, all rays of the vertex at once; the ray checks look the kept
+        labels up themselves and call this on a miss."""
+        kept = self.hat_labels if hat else self.bar_labels
+        labels = kept.get(v)
+        if labels is None:
+            if hat:
+                over = hat_of(self.q)
+                rays = [self.hat(v, rho, delta) for rho, delta in _HAT_CHECKS]
+            else:
+                over, rays = self.q, self.doublebar(v)
+            known = over.store("ray_labels")   # most rays have one: no call then
+            labels = kept[v] = tuple(zip(*[known.get(r) or ray_label(over, r)
+                                           for r in rays]))
+        return labels
 
 
 def _group(items, key) -> dict:
@@ -125,7 +149,7 @@ def build_H(q: PolarizedQuiver, x: AdmWord) -> Winding:
         q, x, shape, vertices, vlabel, edges, tuple(loops),
         _group(vertices, vlabel.get),
         _group(edges, lambda e: e.image), _group(loops, lambda l: l.image),
-        frozenset(v for v in vertices if ends.count(v) <= 1), {}, {}, {})
+        frozenset(v for v in vertices if ends.count(v) <= 1), {}, {}, {}, {}, {})
 
 
 # -- the decorated product quiver ---------------------------------------------
@@ -273,23 +297,34 @@ _HAT_CHECKS = tuple((rho, delta) for delta in (-1, 1) for rho in (-1, 1))
 
 def ray_real(hx: Winding, hy: Winding, v) -> bool:
     """The hat-ray characterization of a real h-line through v = (j, i) of
-    the product quiver of (x, y), read from their windings hx and hy and
-    compared over the companion quiver; it stops at the first failure."""
+    the product quiver of (x, y), read from their windings hx and hy (over
+    one quiver) and compared over the companion quiver: by label where the
+    two vertices' rays lie in the same chains."""
     j, i = v
-    h = hat_of(hx.q)
-    for rho, delta in _HAT_CHECKS:
-        rel = ray_compare(h, hy.hat(j, rho, delta), hx.hat(i, rho, delta))[0]
-        if rel not in ("<", "="):
-            return False
-    return True
+    cy, ly = hy.hat_labels.get(j) or hy.ray_labels(j, True)
+    cx, lx = hx.hat_labels.get(i) or hx.ray_labels(i, True)
+    if cy == cx:
+        return all(map(le, ly, lx))
+    return _below(hat_of(hx.q), [hy.hat(j, *c) for c in _HAT_CHECKS],
+                  [hx.hat(i, *c) for c in _HAT_CHECKS], cy, ly, cx, lx)
 
 
 def ray_long(hx: Winding, hy: Winding, v) -> bool:
     """The doublebar-ray characterization of a long h-line through v."""
     j, i = v
-    ry, rx = hy.doublebar(j), hx.doublebar(i)
-    return (ray_compare(hx.q, ry[0], rx[0])[0] in ("<", "=")
-            and ray_compare(hx.q, ry[1], rx[1])[0] in ("<", "="))
+    cy, ly = hy.bar_labels.get(j) or hy.ray_labels(j, False)
+    cx, lx = hx.bar_labels.get(i) or hx.ray_labels(i, False)
+    if cy == cx:
+        return all(map(le, ly, lx))
+    return _below(hx.q, hy.doublebar(j), hx.doublebar(i), cy, ly, cx, lx)
+
+
+def _below(q: PolarizedQuiver, ys, xs, cy, ly, cx, lx) -> bool:
+    """Each ray of ys is '<' or '=' its partner in xs over q, given the
+    chain ids and labels of both: by label for a pair in one chain, else by
+    :func:`ray_compare`; stops at the first failure."""
+    return all(a <= b if c == d else ray_compare(q, ry, rx)[0] in ("<", "=")
+               for ry, rx, c, a, d, b in zip(ys, xs, cy, ly, cx, lx))
 
 
 def _split(verts, root, arrows, n: int) -> list[tuple]:

@@ -293,6 +293,76 @@ def _ray_scan(q: PolarizedQuiver, v: Ray, w: Ray) -> tuple[str, int | None]:
     return lex_compare(q, v.prefix(bound), w.prefix(bound))
 
 
+# -- stable labels of the rays in ray_compare order -----------------------------
+
+LABEL_GAP = 1 << 32   # between the labels of a chain's ends and a new end ray
+
+
+def ray_label(q: PolarizedQuiver, r: Ray) -> tuple[int, int]:
+    """The chain id and label of r over q, kept in q's store ``ray_labels``
+    and never changed once handed out.
+
+    For two rays of one chain, ``ray_compare(q, v, w)`` is '<', '=' or '>'
+    exactly as the label of v is <, == or > that of w; rays of different
+    chains compare only through :func:`ray_compare`.  The chains of q are
+    kept in its store ``ray_chains`` by the target slot of their rays' first
+    letters, the start slot: rays with different start slots are
+    incomparable.  A ray joins the first chain of its start slot that takes
+    it (:func:`_chain_insert`), else starts a chain of its own.
+    """
+    labels = q.store("ray_labels")
+    got = labels.get(r)
+    if got is None:
+        chains = q.store("ray_chains").setdefault(letter_target(q, r.first()), [])
+        for chain in chains:
+            label = _chain_insert(q, chain, r)
+            if label is not None:
+                break
+        else:
+            # the number of rays labelled before it: distinct for every chain
+            chain, label = (len(labels), [r], [0]), 0
+            chains.append(chain)
+        got = labels[r] = (chain[0], label)
+    return got
+
+
+def _chain_insert(q: PolarizedQuiver, chain: tuple[int, list, list], r: Ray) -> int | None:
+    """Insert r into the chain ``(id, rays, labels)``, rays ascending and
+    pairwise comparable, and return its label; None, leaving the chain as
+    it was, when r meets '=' or 'incomparable' or finds no free integer
+    between its neighbours' labels.
+
+    The binary search compares r with both of its new neighbours last: the
+    one below set ``lo`` and the one above set ``hi``.  r is then comparable
+    with every ray of the chain, because the first differences of words
+    that share a prefix are letters of one target slot, and the letter
+    order is total on a slot.
+    """
+    _, rays, labels = chain
+    lo, hi = 0, len(rays)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        rel = ray_compare(q, r, rays[mid])[0]
+        if rel == "<":
+            hi = mid
+        elif rel == ">":
+            lo = mid + 1
+        else:
+            return None
+    if lo == len(rays):
+        label = labels[-1] + LABEL_GAP
+    elif lo == 0:
+        label = labels[0] - LABEL_GAP
+    else:
+        below, above = labels[lo - 1], labels[lo]
+        if above - below < 2:
+            return None
+        label = (below + above) // 2
+    rays.insert(lo, r)
+    labels.insert(lo, label)
+    return label
+
+
 # -- greedy extremal words ----------------------------------------------------
 
 def max_word_into(q: PolarizedQuiver, slot: Slot) -> Word:
@@ -466,13 +536,18 @@ def _fmt_key(parts) -> str:
 
 
 def string_labels(q: PolarizedQuiver, w: Word) -> list[str]:
-    """All p/q/s labels carried by the string w (several may apply)."""
+    """The p, q and s labels carried by the string w, in that order.
+
+    At most one p label applies: projective strings of different vertices
+    are different modules, and the two of an ordinary vertex are inverse
+    words, which differ in their first letters' target slots.  The same
+    holds for q."""
     proj, inj = projective_injective_strings(q)
     labels = []
-    for key, s in sorted(proj.items(), key=lambda kv: repr(kv[0])):
+    for key, s in proj.items():
         if s == w:
             labels.append("p(" + _fmt_key(key[1:]) + ")")
-    for key, s in sorted(inj.items(), key=lambda kv: repr(kv[0])):
+    for key, s in inj.items():
         if s == w:
             labels.append("q(" + _fmt_key(key[1:]) + ")")
     for v in q.vertices:

@@ -10,7 +10,7 @@ import os
 import pytest
 
 from sga import homgraph, invariants, kisses
-from sga.admissible import hat_of, tau_adm
+from sga.admissible import tau_adm
 from sga.checks import KISS, Budget, verify
 from sga.errors import TheoremViolation, WordError
 from sga.homgraph import build_H, build_HQ, classify_components
@@ -53,23 +53,47 @@ def test_kiss_sites_equal_classify_components_on_the_quiver(name):
                 tuple((c.ctype, c.vertices[0]) for c in rep.plus if c.kiss), (str(x), str(y))
 
 
+def _rays_at(h, v, hat):
+    """The rays whose labels ``Winding.ray_labels(v, hat)`` reads, in order."""
+    return [h.hat(v, *c) for c in homgraph._HAT_CHECKS] if hat else h.doublebar(v)
+
+
+def _forget_labels(qf, *words):
+    """Empty the label caches of the words' windings, so that the ray checks
+    read the labels through ``Winding.ray_labels`` again."""
+    for w in words:
+        h = build_H(qf, w)
+        h.hat_labels.clear()
+        h.bar_labels.clear()
+
+
+def _keep(h, v, hat, labels):
+    """Keep labels where ``Winding.ray_labels`` keeps them, and return them."""
+    (h.hat_labels if hat else h.bar_labels)[v] = labels
+    return labels
+
+
 @pytest.mark.parametrize("on_hat, message", [
     (True, "real h-line characterization differs"),
     (False, "long h-line characterization differs")])
 def test_ray_checks_are_live(ex1, monkeypatch, on_hat, message):
-    """A ray comparison that contradicts the colours makes both routes
-    raise: over the hat quiver it breaks ``ray_real``, over the fringed
-    quiver ``ray_long``."""
+    """Ray labels that contradict the colours make both routes raise: the
+    order of the hat rays reversed breaks ``ray_real``, that of the
+    doublebar rays ``ray_long``."""
     qf, translates = _translates(ex1, 6)
     u = v = translates[0]
     rep = classify_components(build_HQ(qf, u, v))
     assert any(c.real for c in rep.plus) and any(c.long for c in rep.full)
-    hat, compare = hat_of(qf), homgraph.ray_compare
+    read = homgraph.Winding.ray_labels
 
-    def contradict(q, a, b):
-        return (">", 0) if (q is hat) == on_hat else compare(q, a, b)
+    def contradict(self, w, hat):
+        chains, labels = read(self, w, hat)
+        if hat == on_hat:
+            labels = tuple(-l for l in labels)
+        return _keep(self, w, hat, (chains, labels))
 
-    monkeypatch.setattr(homgraph, "ray_compare", contradict)
+    monkeypatch.setattr(homgraph.Winding, "ray_labels", contradict)
+    _forget_labels(qf, u)
     with pytest.raises(TheoremViolation, match=message):
         kiss_sites(qf, u, v)
     with pytest.raises(TheoremViolation, match=message):
@@ -80,42 +104,47 @@ def test_ray_checks_are_live(ex1, monkeypatch, on_hat, message):
     (True, "real h-line characterization differs"),
     (False, "long h-line characterization differs")])
 def test_reverse_ray_checks_are_live(ex1, monkeypatch, on_hat, message):
-    """For u != v, a ray comparison that contradicts the colours of the
-    (v, u) product quiver alone makes the pair pass of (u, v) raise, as it
-    makes ``classify_components`` of (v, u) raise, while that of (u, v)
-    passes: the pass checks the second half too."""
+    """For u != v, ray labels that contradict the colours of the (v, u)
+    product quiver alone make the pair pass of (u, v) raise, as they make
+    ``classify_components`` of (v, u) raise, while that of (u, v) passes:
+    the pass checks the second half too.  The labels of the rays of u that
+    v lacks are raised above every label of their chains, so (v, u), which
+    asks whether a ray of u lies at or below one of v, finds them above."""
     qf, translates = _translates(ex1, 6)
-    hat, compare = hat_of(qf), homgraph.ray_compare
+    read = homgraph.Winding.ray_labels
 
     def rays(u):
         h = build_H(qf, u)
-        if on_hat:
-            return {h.hat(i, rho, delta) for i in h.vertices
-                    for rho in (-1, 1) for delta in (-1, 1)}
-        return {r for i in h.vertices for r in h.doublebar(i)}
+        return {r for i in h.vertices for r in _rays_at(h, i, on_hat)}
 
-    # (v, u) compares a ray of u with one of v, (u, v) one of v with one of u
     only = {}
 
-    def contradict(q, a, b):
-        if (q is hat) == on_hat and a in only["u"] and b in only["v"]:
-            return (">", 0)
-        return compare(q, a, b)
+    def contradict(self, w, hat):
+        chains, labels = read(self, w, hat)
+        if hat == on_hat and self.word == only["u"]:
+            labels = tuple(l + (1 << 80) if r in only["rays"] else l
+                           for r, l in zip(_rays_at(self, w, hat), labels))
+        return _keep(self, w, hat, (chains, labels))
 
-    def contradicted(u, v):
-        only["u"], only["v"] = rays(u) - rays(v), rays(v) - rays(u)
+    def raises(x, y):
+        _forget_labels(qf, x, y)
         try:
-            classify_components(build_HQ(qf, v, u))
+            classify_components(build_HQ(qf, x, y))
         except TheoremViolation:
             return True
         return False
 
-    monkeypatch.setattr(homgraph, "ray_compare", contradict)
+    def contradicted(u, v):
+        only["u"], only["rays"] = u, rays(u) - rays(v)
+        return raises(v, u) and not raises(u, v)
+
+    monkeypatch.setattr(homgraph.Winding, "ray_labels", contradict)
     u, v = next((u, v) for u in translates for v in translates
                 if u != v and contradicted(u, v))
     classify_components(build_HQ(qf, u, v))
     with pytest.raises(TheoremViolation, match=message):
         classify_components(build_HQ(qf, v, u))
+    _forget_labels(qf, u, v)
     with pytest.raises(TheoremViolation, match=message):
         kiss_sites(qf, u, v)
 

@@ -1,8 +1,10 @@
+import os
 import random
 
 import pytest
 
 from sga.checks import TAU_INVERSE, Budget, verify
+from sga.cli import main
 from sga.errors import AtMaximum, IsProjective, WordError
 from sga.quiver import Arrow, PolarizedQuiver, validate
 from sga.words import (Ray, enumerate_bands, enumerate_strings,
@@ -175,6 +177,43 @@ def test_string_labels(ex1):
     assert "s(1)" in string_labels(ex1, rows[4])
     assert "p(2)" in string_labels(ex1, rows[6])
     assert "p(1,+1)" in string_labels(ex1, rows[9]) or "p(1,1)" in string_labels(ex1, rows[9])
+
+
+# ``sga strings`` on ex1 at every slot with a trivial letter: each string
+# with its p, q and s labels, both simple strings of a vertex included
+STRINGS_GOLDEN = """\
+1(1,+)- 1(1,-)   [s(1)]
+1(1,-)- a- e* b- g- 1(1,-)   [p(1,-1) q(1,+1)]
+1(1,-)- a- e* b- 1(3,+)   [q(3,-1)]
+1(1,-)- a- e* 1(2,+)
+1(1,-)- a- e* a 1(1,-)   [q(2)]
+1(1,-)- 1(1,+)   [s(1)]
+1(1,-)- g 1(3,-)   [p(3,+1)]
+1(1,-)- g b e* b- g- 1(1,-)   [p(2)]
+1(1,-)- g b e* b- 1(3,+)
+1(1,-)- g b e* 1(2,+)
+1(1,-)- g b e* a 1(1,-)   [p(1,+1) q(1,-1)]
+1(2,+)- e* b- g- 1(1,-)
+1(2,+)- e* b- 1(3,+)
+1(2,+)- e* 1(2,+)
+1(2,+)- e* a 1(1,-)
+1(3,+)- 1(3,-)   [s(3)]
+1(3,+)- b e* b- g- 1(1,-)
+1(3,+)- b e* b- 1(3,+)
+1(3,+)- b e* 1(2,+)
+1(3,+)- b e* a 1(1,-)   [q(3,+1)]
+1(3,-)- g- 1(1,-)   [p(3,-1)]
+1(3,-)- 1(3,+)   [s(3)]
+"""
+
+
+def test_strings_labels_golden(capsys):
+    path = os.path.join(os.path.dirname(__file__), "data", "ex1.quiver")
+    out = []
+    for slot in ("1,+", "1,-", "2,+", "3,+", "3,-"):
+        assert main(["strings", path, "--at", slot, "--max-len", "8"]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == STRINGS_GOLDEN
 
 
 def test_successor_walks_the_display(ex1):

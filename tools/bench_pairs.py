@@ -18,25 +18,38 @@ For each end-to-end metric the output records both sides' medians, the
 parent's interquartile spread, the pairs the change wins (by the direction
 BENCHMARK.json gives) and the raw runs; ``--trace-seed`` adds one traced run
 per side and workload, and the per-layer counters that differ.
+
+``--paired SHUFFLES`` adds a ``paired`` block (see :func:`paired`): both
+sides timed item by item in this one process, on kiss-census, hom-sweep
+and generic-e, with a self-check of the change against itself; with
+``--paired`` alone, no perfbench run is made. The blocks a run does not
+write are kept from an existing BENCH_<n>.json.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
+import pkgutil
+import random
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # traced metrics that do not depend on the machine's speed
 COUNTERS = (".calls", ".entries", ".hit_ratio", ".distinct_ratio", ".cells",
             "hq_vertices", "hq_arrows")
+# the workloads that run in process; components-cli runs in child processes
+PAIRED = ("kiss-census", "hom-sweep", "generic-e")
+BOOTSTRAP = 1000
 
 
 def git(*args: str) -> bytes:
@@ -87,16 +100,139 @@ def summary(parent: list[float], change: list[float], lower_better: bool) -> dic
             "change_runs": [round(v, 5) for v in change]}
 
 
+def load_sga(src: Path) -> dict:
+    """Import the ``sga`` package of src and all its modules afresh, as one
+    set of ``sys.modules`` entries; loading the same src twice gives two
+    independent sets."""
+    drop_sga()
+    sys.path.insert(0, str(src))
+    try:
+        sga = importlib.import_module("sga")
+        for info in pkgutil.iter_modules(sga.__path__):
+            importlib.import_module(f"sga.{info.name}")
+    finally:
+        sys.path.remove(str(src))
+    mods = {n: m for n, m in sys.modules.items() if n == "sga" or n.startswith("sga.")}
+    drop_sga()
+    return mods
+
+
+def drop_sga() -> None:
+    for name in [n for n in sys.modules if n == "sga" or n.startswith("sga.")]:
+        del sys.modules[name]
+
+
+def use(mods: dict) -> None:
+    """Make ``import sga...`` resolve to this set of modules."""
+    drop_sga()
+    sys.modules.update(mods)
+
+
+def quantile(xs: list[float], f: float) -> float:
+    return xs[min(len(xs) - 1, int(f * len(xs)))]
+
+
+def paired_shuffle(perfbench: Path, name: str, sides: dict, seed: int) -> dict:
+    """One shuffled pass of a perfbench workload per side, item by item: the
+    sides alternate which goes first on each item, and each item is timed
+    with ``thread_time`` with its side's modules in ``sys.modules``."""
+    if str(perfbench) not in sys.path:
+        sys.path.insert(0, str(perfbench))
+    workloads = importlib.import_module("workloads")
+    runs, problems = {}, []
+    for side, mods in sides.items():
+        use(mods)
+        wl = workloads.WORKLOADS[name]()
+        wl.setup(wl.default_seed)
+        wl.prepare()
+        runs[side] = (wl, wl.items())
+    order = list(range(len(runs["parent"][1])))
+    random.Random(seed).shuffle(order)
+    times = {side: [0.0] * len(order) for side in sides}
+    first = list(sides)
+    for k, n in enumerate(order):
+        for side in (first if k % 2 == 0 else first[::-1]):
+            use(sides[side])
+            wl, items = runs[side]
+            error = sides[side]["sga.errors"].SgaError
+            t0 = time.thread_time()
+            try:
+                problem = wl.run(items[n])
+            except error as exc:
+                problem = f"{type(exc).__name__}: {exc}"
+            times[side][n] = time.thread_time() - t0
+            if problem:
+                problems.append(f"{side}: {problem}")
+    for side in sides:
+        use(sides[side])
+        problems += [f"{side}: {p}" for p in runs[side][0].check()]
+    drop_sga()
+    ratios = sorted(c / p for p, c in zip(times["parent"], times["change"]) if p > 0)
+    rng = random.Random(seed)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(BOOTSTRAP))
+    return {"seed": seed, "items": len(order),
+            "median_ratio": round(statistics.median(ratios), 4),
+            "ci95": [round(quantile(medians, 0.025), 4), round(quantile(medians, 0.975), 4)],
+            "total_ratio": round(sum(times["change"]) / sum(times["parent"]), 4),
+            "parent_p50_ms": round(1000 * statistics.median(times["parent"]), 4),
+            "change_p50_ms": round(1000 * statistics.median(times["change"]), 4),
+            "problems": problems[:10]}
+
+
+def paired(trees: dict[str, Path], shuffles: int, first_seed: int) -> dict:
+    """Paired in-process timing, which cancels the drift of the machine's
+    speed between runs that the alternating perfbench pairs suffer.
+
+    The parent's and the change's ``src/`` are loaded as two sets of
+    ``sga`` modules in this process, and each perfbench ``Workload`` runs
+    once per side, its set-up and every item with that side's modules
+    swapped into ``sys.modules``, so ``perfbench/workloads.py`` is used as
+    it is. Items are shuffled (seeded, one pass per shuffle, fresh
+    set-ups), the side that goes first alternates per item, and the ratio
+    change / parent of each item's ``thread_time`` gives the median ratio
+    with a bootstrap 95 % interval (resampled items), beside the total
+    ratio and each side's p50. The self-check times two fresh loads of the
+    change against each other and should read 1.00 within its interval.
+
+    Limits: both sides share one allocator and one garbage collector; each
+    keeps its own per-quiver stores, so alternating the first side spreads
+    the effect of warm processor caches over both; times are raw CPU
+    seconds, not scaled as perfbench scales them.
+    """
+    perfbench = trees["change"] / "perfbench"
+    sides = {side: load_sga(tree / "src") for side, tree in trees.items()}
+    self_sides = {side: load_sga(trees["change"] / "src") for side in trees}
+    out: dict = {"how": "one process loads both src trees; per shuffle a fresh set-up "
+                        "per side, items in a seeded order, the first side alternating "
+                        "per item, each item timed with thread_time; ratio = change / "
+                        f"parent per item, median with a {BOOTSTRAP}-resample bootstrap "
+                        "95 % interval; raw CPU times; self_check = two fresh loads of "
+                        "the change against each other",
+                 "workloads": {}, "self_check": {}}
+    for name in PAIRED:
+        out["workloads"][name] = [paired_shuffle(perfbench, name, sides, first_seed + k)
+                                  for k in range(shuffles)]
+        out["self_check"][name] = paired_shuffle(perfbench, name, self_sides, first_seed)
+        for r in out["workloads"][name] + [out["self_check"][name]]:
+            print("paired", name, json.dumps(r), flush=True)
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
-    ap.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N")
+    ap.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=N")
     ap.add_argument("--first-seed", type=int, required=True)
     ap.add_argument("--trace-seed", type=int, help="one traced run per side and workload")
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the metric the change claims")
     ap.add_argument("--workdir", type=Path, help="where the two trees go (default: a temp dir)")
+    ap.add_argument("--paired", type=int, metavar="SHUFFLES",
+                    help="add the paired in-process timing, this many shuffles")
     args = ap.parse_args(argv)
+    if not args.pairs and not args.paired:
+        ap.error("give --pairs, --paired or both")
 
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in contract["end_to_end"]}
@@ -193,8 +329,14 @@ def main(argv=None) -> int:
                         differ.add(name)
         traced["counters_that_differ"] = sorted(differ)
         result["traced"] = traced
+    if not pairs:
+        result, claim = {}, "paired timing only"
+    if args.paired:
+        result["paired"] = {"parent": parent_sha, "shuffles": args.paired,
+                            **paired(trees, args.paired, args.first_seed)}
     path = ROOT / f"BENCH_{args.number}.json"
-    path.write_text(json.dumps(result, indent=1) + "\n")
+    kept = json.loads(path.read_text()) if path.exists() else {}
+    path.write_text(json.dumps({**kept, **result}, indent=1) + "\n")
     print(f"wrote {path.name}: {claim}")
     return 0
 
