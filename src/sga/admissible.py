@@ -45,8 +45,9 @@ def f_word(q: PolarizedQuiver, w: Word) -> Word:
 
 class AdmWord(Frozen):
     """An admissible word with its type; immutable, equal and hashed by
-    (letters, wtype)."""
-    __slots__ = ("letters", "wtype", "_hash")
+    (letters, wtype).  Its text (``format_word`` of the letters) is kept in
+    ``_text`` on the first ``str``."""
+    __slots__ = ("letters", "wtype", "_hash", "_text")
     letters: Word
     wtype: str  # 'uu' | 'up' | 'pu' | 'pp' | 'b'
 
@@ -54,13 +55,18 @@ class AdmWord(Frozen):
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "wtype", wtype)
         object.__setattr__(self, "_hash", hash((letters, wtype)))
+        object.__setattr__(self, "_text", None)
 
     @property
     def key(self) -> tuple[Word, str]:
         return self.letters, self.wtype
 
     def __str__(self) -> str:
-        return format_word(self.letters)
+        text = self._text
+        if text is None:
+            text = format_word(self.letters)
+            object.__setattr__(self, "_text", text)
+        return text
 
     def inverse(self) -> "AdmWord":
         t = {"uu": "uu", "up": "pu", "pu": "up", "pp": "pp", "b": "b"}[self.wtype]

@@ -41,9 +41,9 @@ class Winding(NamedTuple):
     edges and loops by image, the boundary vertices (valency <= 1, a loop
     counting one end) and, per vertex, the doublebar and hat rays, the
     interned id of the doublebar first letters and the labels of the rays,
-    each read over q on first use.  Built once per word by :func:`build_H`
-    and shared by every caller, so it is frozen; callers must not modify
-    its dicts."""
+    each read over q on first use, as are the vertices of a label with
+    their head ids.  Built once per word by :func:`build_H` and shared by
+    every caller, so it is frozen; callers must not modify its dicts."""
     q: PolarizedQuiver
     word: AdmWord
     shape: str                                 # 'A' | 'Dp' | 'At' | 'Dpt'
@@ -58,6 +58,7 @@ class Winding(NamedTuple):
     doublebars: dict[int, tuple[Ray, Ray]]     # filled by doublebar()
     hats: dict[int, Ray]                       # filled by hat()
     head_ids: dict[int, int]                   # filled by head_id()
+    label_heads: dict[str, tuple[tuple[int, int], ...]]  # by heads()
     hat_labels: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]  # by ray_labels()
     bar_labels: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]  # by ray_labels()
 
@@ -88,6 +89,14 @@ class Winding(NamedTuple):
             pair = tuple(r.first() for r in self.doublebar(v))
             hid = self.head_ids[v] = ids.setdefault(pair, len(ids))
         return hid
+
+    def heads(self, lab: str) -> tuple[tuple[int, int], ...]:
+        """The vertices of label lab, ascending, each with its
+        :meth:`head_id`, kept in ``label_heads``; read on first use, so only
+        a label that the other word shares reads rays."""
+        pairs = self.label_heads[lab] = tuple([(v, self.head_id(v))
+                                               for v in self.by_label[lab]])
+        return pairs
 
     def ray_labels(self, v: int, hat: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The chain ids and the labels (:func:`words.ray_label`) of the four
@@ -149,7 +158,7 @@ def build_H(q: PolarizedQuiver, x: AdmWord) -> Winding:
         q, x, shape, vertices, vlabel, edges, tuple(loops),
         _group(vertices, vlabel.get),
         _group(edges, lambda e: e.image), _group(loops, lambda l: l.image),
-        frozenset(v for v in vertices if ends.count(v) <= 1), {}, {}, {}, {}, {})
+        frozenset(v for v in vertices if ends.count(v) <= 1), {}, {}, {}, {}, {}, {})
 
 
 # -- the decorated product quiver ---------------------------------------------

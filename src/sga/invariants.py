@@ -8,7 +8,6 @@ the E-invariant and g-vector without touching any matrices.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 from .admissible import AdmWord, enumerate_adm, tau_adm
@@ -102,7 +101,8 @@ def p_set(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[tuple[int, int], 
     if x.wtype in ("uu", "up", "pu", "pp") and y.wtype == x.wtype \
             and y.letters == x.letters:
         excl = {(0, 0), (1, 1)}
-    elif y.wtype in ("uu", "up", "pu", "pp") and y.letters == winv(x.letters):
+    elif y.wtype in ("uu", "up", "pu", "pp") and len(y.letters) == len(x.letters) \
+            and y.letters == winv(x.letters):
         excl = {(1, 0), (0, 1)}
     else:
         excl = set()
@@ -125,8 +125,10 @@ def kiss_census(q: PolarizedQuiver, fr: Fringing, x: AdmWord, y: AdmWord) -> Kis
     census = store.get((q, x, y))
     if census is not None:
         return census
-    counts = Counter(t for sites in kiss_sites(qf, tau_adm(qf, x), tau_adm(qf, y))
-                     for t, _ in sites)
+    counts = {"A": 0, "Dp": 0, "At": 0, "Dpt": 0}
+    for sites in kiss_sites(qf, tau_adm(qf, x), tau_adm(qf, y)):
+        for ctype, _ in sites:
+            counts[ctype] += 1
     ps = p_set(q, x, y)
     diag = diag_b(x, y)
     # (x, y) comes last, so its census is the one returned

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
 
@@ -12,8 +14,8 @@ from sga.checks import A_IMAGE, TAU_ROUTES, Budget, checked_adm, verify
 from sga.errors import IsProjective, WordError
 from sga.quiver import validate
 from sga.randquiver import random_skewed_gentle_quiver
-from sga.words import (enumerate_strings, invl, letters_at, ordl, ray_compare,
-                       rotations, spel, tau_string, tinvl, trivl, winv)
+from sga.words import (enumerate_strings, format_word, invl, letters_at, ordl,
+                       ray_compare, rotations, spel, tau_string, tinvl, trivl, winv)
 
 
 def test_hat_letter_order(ex1):
@@ -243,6 +245,25 @@ def test_adm_word_hash_kept_fields_unchanged(ex1):
         assert y == x and y is not x and hash(y) == hash(x)
         assert repr(y) == f"AdmWord(letters={x.letters!r}, wtype={x.wtype!r})"
 
+
+
+@pytest.mark.parametrize("seed", [None, 42])
+def test_adm_word_text_is_the_formatted_word(ex1, seed):
+    """``str`` of a word is ``format_word`` of its letters, on repeat and on
+    a deep copy or a pickle round trip, made before or after the first
+    ``str``; the kept text is no field, so neither equality nor ``repr``
+    sees it."""
+    q = ex1 if seed is None else random_skewed_gentle_quiver(seed)
+    sets = enumerate_adm(q, 8)
+    words = list(sets.strings) + list(sets.bands)
+    assert words
+    for x in words:
+        text = format_word(x.letters)
+        early = [copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+        assert str(x) == text and str(x) == text
+        for y in early + [copy.deepcopy(x), pickle.loads(pickle.dumps(x))]:
+            assert y == x and y is not x and str(y) == text and str(y) == text
+            assert repr(y) == repr(x) == f"AdmWord(letters={x.letters!r}, wtype={x.wtype!r})"
 
 _PICKLE_WORDS = """
 import pickle, sys

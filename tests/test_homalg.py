@@ -9,13 +9,13 @@ import pytest
 import sga.homalg
 from sga import gf
 from sga.admissible import classify, enumerate_adm
-from sga.errors import SgaError
-from sga.homalg import (direct_sum, hom_dim_oracle, iso_witness, simple,
-                        verify_relations, zero)
+from sga.errors import SgaError, TheoremViolation
+from sga.homalg import (Rep, _verify_basis, direct_sum, hom_basis_oracle, hom_dim_oracle,
+                        iso_witness, simple, verify_relations, zero)
 from sga.quiver import tilde_vertices
 from sga.randquiver import random_skewed_gentle_quiver
 from sga.repmod import build_module, indecomposables_Ax, module_k, module_V
-from sga.words import tinvl, trivl
+from sga.words import invl, tinvl, trivl
 
 SOURCE = Path(sga.homalg.__file__).read_text(encoding="utf-8")
 
@@ -104,3 +104,56 @@ def test_iso_witness_of_a_direct_sum(ex1):
         assert gf.mul(f[a.target], M.mats[a.name], 5) == gf.mul(M.mats[a.name], f[a.source], 5)
     N = direct_sum(plus, minus)
     assert hom_dim_oracle(M, N) == 2 and iso_witness(M, N) is None
+
+
+def _is_isomorphism(f, M, N) -> bool:
+    """f is an invertible intertwiner from M to N."""
+    p, q = M.p, M.q
+    return all(gf.is_invertible(f[v], p) for v in q.vertices) and \
+        all(gf.mul(f[a.target], M.mats[a.name], p) == gf.mul(N.mats[a.name], f[a.source], p)
+            for a in q.arrows)
+
+
+def test_verify_basis_reads_each_block_at_its_own_columns(ex1):
+    """A negative control of the structured-basis check: End(S(1) + 2 S(2,+))
+    has a 1 x 1 block at vertex 1 and after it a 2 x 2 block at vertex 2,
+    whose second row must land past the first; its oracle basis passes, and
+    the same basis with an element repeated or dropped does not."""
+    S = simple(ex1, "2", "+", 5)
+    M = direct_sum(simple(ex1, "1", "o", 5), direct_sum(S, S))
+    basis = hom_basis_oracle(M, M)
+    assert M.dims == {"1": 1, "2": 2, "3": 0} and len(basis) == 5
+    _verify_basis(M, M, basis)
+    with pytest.raises(TheoremViolation, match="not linearly independent"):
+        _verify_basis(M, M, basis + basis[:1])
+    with pytest.raises(TheoremViolation, match="does not span"):
+        _verify_basis(M, M, basis[1:])
+
+
+def test_iso_witness_through_overlapping_basis_vectors(ex1):
+    """V + V, for the string module V of 1(1,-)- a- e- 1(2,+), against its
+    image N under a base change g with 2s above the diagonal: no element of
+    the Hom basis is invertible, and the basis matrices share entries, with
+    weights other than 1, so a random combination must add each coefficient
+    times its weight into the entries they share.  The witness is an
+    isomorphism."""
+    p = 5
+    x = classify(ex1, (tinvl("1", -1), invl("a"), invl("e"), trivl("2", 1)))
+    V = build_module(ex1, x, module_k(p))
+    M = direct_sum(V, V)
+    g = {v: gf.matrix([{c: 1 if c == r else 2 for c in range(r, n)} for r in range(n)], p)
+         for v, n in M.dims.items()}
+    N = Rep(ex1, p, dict(M.dims), {a.name: gf.mul(gf.mul(g[a.target], M.mats[a.name], p),
+                                                  gf.inv(g[a.source], p), p)
+                                   for a in ex1.arrows})
+    verify_relations(N)
+    assert _is_isomorphism(g, M, N)
+    basis = hom_basis_oracle(M, N)
+    entries = [{(v, i, k): w for v in ex1.vertices for i, row in enumerate(f[v])
+                for k, w in row} for f in basis]
+    assert len(basis) == 4
+    assert not any(all(gf.is_invertible(f[v], p) for v in ex1.vertices) for f in basis)
+    assert any(e.keys() & d.keys() for k, e in enumerate(entries) for d in entries[k + 1:])
+    assert {w for e in entries for w in e.values()} > {1}
+    f = iso_witness(M, N)
+    assert f is not None and _is_isomorphism(f, M, N)

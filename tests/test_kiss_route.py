@@ -4,6 +4,7 @@ both directions that ``kiss_census`` stores from one pass, and the import
 rule that keeps the two routes apart."""
 
 import ast
+import hashlib
 import inspect
 import os
 
@@ -28,6 +29,12 @@ def _translates(q, max_len):
     return fr.extended, [tau_adm(fr.extended, x) for x in adm_words(q, max_len)]
 
 
+def _data_quiver(name):
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.quiver")
+    with open(path, encoding="utf-8") as fh:
+        return parse_quiver(fh.read())
+
+
 @pytest.mark.parametrize("seed, max_len, pairs", [
     (None, 8, 676), (9, 6, 1521), (11, 6, 961), (42, 6, 1444)])
 def test_kiss_sites_equal_classify_components(ex1, seed, max_len, pairs):
@@ -42,15 +49,31 @@ def test_kiss_sites_equal_classify_components_on_the_quiver(name):
     """The same on every ordered pair of the max-len 6 words of the quiver
     itself, not of a fringing: there an end of one winding meets inner
     vertices of the other, so both sides of the boundary test count."""
-    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.quiver")
-    with open(path, encoding="utf-8") as fh:
-        q = parse_quiver(fh.read())
+    q = _data_quiver(name)
     words = adm_words(q, 6)
     for x in words:
         for y in words:
             rep = classify_components(build_HQ(q, x, y))
             assert kiss_sites(q, x, y)[0] == \
                 tuple((c.ctype, c.vertices[0]) for c in rep.plus if c.kiss), (str(x), str(y))
+
+
+# sha256 of the repr of both halves of ``kiss_sites``, one line per pair
+SITES_DIGEST = "4ac71444cb406827f4762eeeaccc857357348125b11830007b44e6ef2c78d4bd"
+
+
+def test_kiss_sites_all_pairs_digest():
+    """Byte-exact pin of both halves of ``kiss_sites`` on every unordered
+    pair of fringed translates of ex1 at max-len 8, seed 9 at max-len 6 and
+    the two loop quivers at max-len 4."""
+    lines = []
+    for q, max_len in ((_data_quiver("ex1"), 8), (random_skewed_gentle_quiver(9), 6),
+                       (_data_quiver("l4"), 4), (_data_quiver("l6"), 4)):
+        qf, translates = _translates(q, max_len)
+        for k, x in enumerate(translates):
+            lines += [repr(kiss_sites(qf, x, y)) for y in translates[k:]]
+    assert (len(lines), sum(line != "((), ())" for line in lines)) == (1386, 1020)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SITES_DIGEST
 
 
 def _rays_at(h, v, hat):

@@ -61,6 +61,10 @@ def test_winding_tables_match_the_blueprint(word_pairs):
                     assert h.hat(v, rho, delta) is ray
             hid = h.head_id(v)
             assert ids[tuple(r.first() for r in bars)] == hid == h.head_ids[v]
+        # per label, its vertices with their head ids, kept once read
+        for lab, vs in h.by_label.items():
+            heads = h.heads(lab)
+            assert heads == tuple((v, h.head_id(v)) for v in vs) and h.label_heads[lab] is heads
         # one kept hat ray per vertex, rho and delta
         assert len(h.hats) == 4 * len(h.vertices)
         # the ids are interned: equal first-letter pairs, equal ids
@@ -71,7 +75,8 @@ def test_winding_is_frozen(ex1):
     x = enumerate_adm(ex1, 4).strings[0]
     h = build_H(ex1, x)
     for name, value in (("shape", "A"), ("boundary", frozenset()),
-                        ("doublebars", {}), ("hats", {}), ("head_ids", {})):
+                        ("doublebars", {}), ("hats", {}), ("head_ids", {}),
+                        ("label_heads", {})):
         with pytest.raises(AttributeError):
             setattr(h, name, value)
     assert build_H(ex1, x) is h
@@ -79,13 +84,18 @@ def test_winding_is_frozen(ex1):
 
 def test_rays_are_read_on_first_use(ex1):
     """A fresh winding holds no rays; a head id reads only the doublebar
-    rays of its own vertex, and a hat ray only itself."""
+    rays of its own vertex, a hat ray only itself, and the head ids of a
+    label only the doublebar rays of that label's vertices."""
     q = PolarizedQuiver(ex1.vertices, ex1.arrows)
     x = enumerate_adm(q, 4).strings[0]
     h = build_H(q, x)
-    assert h.doublebars == h.hats == h.head_ids == {}
+    assert h.doublebars == h.hats == h.head_ids == h.label_heads == {}
     v = h.vertices[0]
     h.head_id(v)
     assert list(h.doublebars) == list(h.head_ids) == [v] and h.hats == {}
     ray = h.hat(v, 1, -1)
     assert list(h.hats.values()) == [ray]
+    lab = next(lab for lab, vs in h.by_label.items() if v not in vs)
+    h.heads(lab)
+    assert list(h.label_heads) == [lab]
+    assert list(h.doublebars) == list(h.head_ids) == [v, *h.by_label[lab]]

@@ -29,6 +29,7 @@ write are kept from an existing BENCH_<n>.json.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -135,7 +136,10 @@ def quantile(xs: list[float], f: float) -> float:
 def paired_shuffle(perfbench: Path, name: str, sides: dict, seed: int) -> dict:
     """One shuffled pass of a perfbench workload per side, item by item: the
     sides alternate which goes first on each item, and each item is timed
-    with ``thread_time`` with its side's modules in ``sys.modules``."""
+    with ``thread_time`` with its side's modules in ``sys.modules``.  The
+    objects of both set-ups are collected and frozen out of the garbage
+    collector before the first item, so a full collection during the pass
+    does not walk them, and unfrozen after it."""
     if str(perfbench) not in sys.path:
         sys.path.insert(0, str(perfbench))
     workloads = importlib.import_module("workloads")
@@ -150,31 +154,43 @@ def paired_shuffle(perfbench: Path, name: str, sides: dict, seed: int) -> dict:
     random.Random(seed).shuffle(order)
     times = {side: [0.0] * len(order) for side in sides}
     first = list(sides)
-    for k, n in enumerate(order):
-        for side in (first if k % 2 == 0 else first[::-1]):
-            use(sides[side])
-            wl, items = runs[side]
-            error = sides[side]["sga.errors"].SgaError
-            t0 = time.thread_time()
-            try:
-                problem = wl.run(items[n])
-            except error as exc:
-                problem = f"{type(exc).__name__}: {exc}"
-            times[side][n] = time.thread_time() - t0
-            if problem:
-                problems.append(f"{side}: {problem}")
+    gc.collect()
+    gc.freeze()
+    try:
+        for k, n in enumerate(order):
+            for side in (first if k % 2 == 0 else first[::-1]):
+                use(sides[side])
+                wl, items = runs[side]
+                error = sides[side]["sga.errors"].SgaError
+                t0 = time.thread_time()
+                try:
+                    problem = wl.run(items[n])
+                except error as exc:
+                    problem = f"{type(exc).__name__}: {exc}"
+                times[side][n] = time.thread_time() - t0
+                if problem:
+                    problems.append(f"{side}: {problem}")
+    finally:
+        gc.unfreeze()
     for side in sides:
         use(sides[side])
         problems += [f"{side}: {p}" for p in runs[side][0].check()]
     drop_sga()
-    ratios = sorted(c / p for p, c in zip(times["parent"], times["change"]) if p > 0)
+    pairs = list(zip(times["parent"], times["change"]))
+    ratios = sorted(c / p for p, c in pairs if p > 0)
     rng = random.Random(seed)
     medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
                      for _ in range(BOOTSTRAP))
+    totals = []
+    for _ in range(BOOTSTRAP):
+        sample = rng.choices(pairs, k=len(pairs))
+        totals.append(sum(c for _, c in sample) / sum(p for p, _ in sample))
+    totals.sort()
     return {"seed": seed, "items": len(order),
             "median_ratio": round(statistics.median(ratios), 4),
             "ci95": [round(quantile(medians, 0.025), 4), round(quantile(medians, 0.975), 4)],
             "total_ratio": round(sum(times["change"]) / sum(times["parent"]), 4),
+            "total_ci95": [round(quantile(totals, 0.025), 4), round(quantile(totals, 0.975), 4)],
             "parent_p50_ms": round(1000 * statistics.median(times["parent"]), 4),
             "change_p50_ms": round(1000 * statistics.median(times["change"]), 4),
             "problems": problems[:10]}
@@ -192,23 +208,27 @@ def paired(trees: dict[str, Path], shuffles: int, first_seed: int) -> dict:
     set-ups), the side that goes first alternates per item, and the ratio
     change / parent of each item's ``thread_time`` gives the median ratio
     with a bootstrap 95 % interval (resampled items), beside the total
-    ratio and each side's p50. The self-check times two fresh loads of the
-    change against each other and should read 1.00 within its interval.
+    ratio, with its own interval from the same resampling, and each side's
+    p50. The self-check times two fresh loads of the change against each
+    other and should read 1.00 within its intervals.
 
-    Limits: both sides share one allocator and one garbage collector; each
-    keeps its own per-quiver stores, so alternating the first side spreads
-    the effect of warm processor caches over both; times are raw CPU
-    seconds, not scaled as perfbench scales them.
+    Limits: both sides share one allocator and one garbage collector (the
+    set-ups are frozen out of its full collections, which otherwise fell
+    on one side's items and moved the total by up to 27 % on generic-e);
+    each keeps its own per-quiver stores, so alternating the first side
+    spreads the effect of warm processor caches over both; times are raw
+    CPU seconds, not scaled as perfbench scales them.
     """
     perfbench = trees["change"] / "perfbench"
     sides = {side: load_sga(tree / "src") for side, tree in trees.items()}
     self_sides = {side: load_sga(trees["change"] / "src") for side in trees}
     out: dict = {"how": "one process loads both src trees; per shuffle a fresh set-up "
-                        "per side, items in a seeded order, the first side alternating "
-                        "per item, each item timed with thread_time; ratio = change / "
-                        f"parent per item, median with a {BOOTSTRAP}-resample bootstrap "
-                        "95 % interval; raw CPU times; self_check = two fresh loads of "
-                        "the change against each other",
+                        "per side, collected and frozen out of the garbage collector, "
+                        "items in a seeded order, the first side alternating per item, "
+                        "each item timed with thread_time; ratio = change / parent per "
+                        f"item, median and total ratio each with a {BOOTSTRAP}-resample "
+                        "bootstrap 95 % interval; raw CPU times; self_check = two fresh "
+                        "loads of the change against each other",
                  "workloads": {}, "self_check": {}}
     for name in PAIRED:
         out["workloads"][name] = [paired_shuffle(perfbench, name, sides, first_seed + k)
