@@ -39,11 +39,13 @@ class Winding(NamedTuple):
     """The blueprint quiver of one word over the quiver q it was built in,
     and what the product quiver reads of it: vertices by label (ascending),
     edges and loops by image, the boundary vertices (valency <= 1, a loop
-    counting one end) and, per vertex, the doublebar and hat rays, the
-    interned id of the doublebar first letters and the labels of the rays,
-    each read over q on first use, as are the vertices of a label with
-    their head ids.  Built once per word by :func:`build_H` and shared by
-    every caller, so it is frozen; callers must not modify its dicts."""
+    counting one end) and, per vertex, the interned id of the doublebar
+    first letters and the labels of the rays, each read over q on first
+    use, as are the vertices of a label with their head ids.  The rays
+    themselves are the memoised readings :func:`admissible.doublebar_ray`
+    and :func:`admissible.hat_ray`.  Built once per word by
+    :func:`build_H` and shared by every caller, so it is frozen; callers
+    must not modify its dicts."""
     q: PolarizedQuiver
     word: AdmWord
     shape: str                                 # 'A' | 'Dp' | 'At' | 'Dpt'
@@ -55,30 +57,20 @@ class Winding(NamedTuple):
     edges_by_image: dict[str, tuple[HEdge, ...]]
     loops_by_image: dict[str, tuple[HLoop, ...]]
     boundary: frozenset[int]
-    doublebars: dict[int, tuple[Ray, Ray]]     # filled by doublebar()
-    hats: dict[int, Ray]                       # filled by hat()
     head_ids: dict[int, int]                   # filled by head_id()
     label_heads: dict[str, tuple[tuple[int, int], ...]]  # by heads()
     hat_labels: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]  # by ray_labels()
     bar_labels: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]  # by ray_labels()
 
     def doublebar(self, v: int) -> tuple[Ray, Ray]:
-        """The doublebar rays at v towards rho = -1, +1, read on first use."""
-        rays = self.doublebars.get(v)
-        if rays is None:
-            rays = self.doublebars[v] = (doublebar_ray(self.q, self.word, v, -1),
-                                         doublebar_ray(self.q, self.word, v, 1))
-        return rays
+        """The doublebar rays at v towards rho = -1, +1."""
+        return (doublebar_ray(self.q, self.word, v, -1),
+                doublebar_ray(self.q, self.word, v, 1))
 
     def hat(self, v: int, rho: int, delta: int) -> Ray:
         """The hat ray at v towards rho with punctured letters oriented by
-        delta, read on first use; the ray checks stop at their first
-        failure, so each hat ray is read only when compared."""
-        key = 4 * v + rho + 1 + (delta + 1) // 2   # a small int, not a tuple
-        ray = self.hats.get(key)
-        if ray is None:
-            ray = self.hats[key] = hat_ray(self.q, self.word, v, rho, delta)
-        return ray
+        delta."""
+        return hat_ray(self.q, self.word, v, rho, delta)
 
     def head_id(self, v: int) -> int:
         """The id of the pair of first letters of the doublebar rays at v,
@@ -158,7 +150,7 @@ def build_H(q: PolarizedQuiver, x: AdmWord) -> Winding:
         q, x, shape, vertices, vlabel, edges, tuple(loops),
         _group(vertices, vlabel.get),
         _group(edges, lambda e: e.image), _group(loops, lambda l: l.image),
-        frozenset(v for v in vertices if ends.count(v) <= 1), {}, {}, {}, {}, {}, {})
+        frozenset(v for v in vertices if ends.count(v) <= 1), {}, {}, {}, {})
 
 
 # -- the decorated product quiver ---------------------------------------------
@@ -217,7 +209,9 @@ class HomGraph(NamedTuple):
 
 def build_HQ(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> HomGraph:
     """Vertices are label-matching pairs; arrows pair up equal-image edges
-    and loops; red and blue record one-letter ray comparisons."""
+    and loops; red and blue record one-letter ray comparisons.  The ends of
+    equal-image edges and loops carry equal labels, so every arrow joins
+    two vertices."""
     hx, hy = build_H(q, x), build_H(q, y)
     vertices: list[tuple[int, int]] = []
     red, blue = {}, {}                  # (j, i) -> count
@@ -237,35 +231,28 @@ def build_HQ(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> HomGraph:
                 red[v] = r
             if b:
                 blue[v] = b
-    vset = set(vertices)
     arrows: list[HArrow] = []
     for ny in hy.edges:
         exs = hx.edges_by_image.get(ny.image, ())
         special = bool(exs) and q.by_name[ny.image].special
         for nx in exs:
-            s, t = (ny.src, nx.src), (ny.tgt, nx.tgt)
-            if s in vset:
-                arrows.append(HArrow(PLUS, s, t, ("edge", ny.idx), ("edge", nx.idx)))
+            arrows.append(HArrow(PLUS, (ny.src, nx.src), (ny.tgt, nx.tgt),
+                                 ("edge", ny.idx), ("edge", nx.idx)))
             if special:
-                s2, t2 = (ny.tgt, nx.src), (ny.src, nx.tgt)
-                if s2 in vset:
-                    arrows.append(HArrow(CROSS, s2, t2,
-                                         ("edge", ny.idx), ("edge", nx.idx)))
+                arrows.append(HArrow(CROSS, (ny.tgt, nx.src), (ny.src, nx.tgt),
+                                     ("edge", ny.idx), ("edge", nx.idx)))
     for ly in hy.loops:
         for lx in hx.loops_by_image.get(ly.image, ()):
             v = (ly.vertex, lx.vertex)
-            if v in vset:
-                arrows.append(HArrow(PLUS, v, v, ("loop", ly.key), ("loop", lx.key)))
+            arrows.append(HArrow(PLUS, v, v, ("loop", ly.key), ("loop", lx.key)))
     for ny in hy.edges:
         for lx in hx.loops_by_image.get(ny.image, ()):
-            s, t = (ny.tgt, lx.vertex), (ny.src, lx.vertex)
-            if s in vset:
-                arrows.append(HArrow(CIRC, s, t, ("edge", ny.idx), ("loop", lx.key)))
+            arrows.append(HArrow(CIRC, (ny.tgt, lx.vertex), (ny.src, lx.vertex),
+                                 ("edge", ny.idx), ("loop", lx.key)))
     for ly in hy.loops:
         for nx in hx.edges_by_image.get(ly.image, ()):
-            s, t = (ly.vertex, nx.src), (ly.vertex, nx.tgt)
-            if s in vset:
-                arrows.append(HArrow(CIRC, s, t, ("loop", ly.key), ("edge", nx.idx)))
+            arrows.append(HArrow(CIRC, (ly.vertex, nx.src), (ly.vertex, nx.tgt),
+                                 ("loop", ly.key), ("edge", nx.idx)))
     return HomGraph(hx, hy, tuple(vertices), tuple(arrows), red, blue)
 
 

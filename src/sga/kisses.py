@@ -63,7 +63,9 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites
                 if b:
                     blue.append(v)
 
-    # plus links, each linked when found; one that closes a cycle is kept
+    # plus links, each linked when found; one that closes a cycle is kept.
+    # The ends of equal-image edges and loops carry equal labels, so every
+    # link and loop joins two vertices of parent.
     closing, loops, links = [], [], []     # links: cross and circle, (s, t)
     for image, eys in hy.edges_by_image.items():
         exs = hx.edges_by_image.get(image)
@@ -74,23 +76,21 @@ def kiss_sites(q: PolarizedQuiver, x: AdmWord, y: AdmWord) -> tuple[Sites, Sites
             ys, yt = ys * m, yt * m
             for _, xs, xt, _ in exs:
                 s = ys + xs
-                if s in parent and not _link(parent, s, yt + xt):
+                if not _link(parent, s, yt + xt):
                     closing.append(s)
                 if special:
-                    s = yt + xs
-                    if s in parent:
-                        links.append((s, ys + xt))
+                    links.append((yt + xs, ys + xt))
     for image, lys in hy.loops_by_image.items():
         lxs = hx.loops_by_image.get(image, ())
         exs = hx.edges_by_image.get(image, ())
         for _, ly, _ in lys:
             ly *= m
-            loops += [ly + lx for _, lx, _ in lxs if ly + lx in parent]
-            links += [(ly + xs, ly + xt) for _, xs, xt, _ in exs if ly + xs in parent]
+            loops += [ly + lx for _, lx, _ in lxs]
+            links += [(ly + xs, ly + xt) for _, xs, xt, _ in exs]
     for image, lxs in hx.loops_by_image.items():
         for _, ys, yt, _ in hy.edges_by_image.get(image, ()):
             ys, yt = ys * m, yt * m
-            links += [(yt + lx, ys + lx) for _, lx, _ in lxs if yt + lx in parent]
+            links += [(yt + lx, ys + lx) for _, lx, _ in lxs]
 
     verts = sorted(parent)
     least = _sweep(parent, verts, transposed)

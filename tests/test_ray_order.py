@@ -1,8 +1,8 @@
-"""The interned rays and the memoised ray order: ``ray_compare`` against the
-unmemoised scan on every ray pair a census compares and against a
-letter-by-letter reference scan on every pair of rays read, ``Ray.prefix``,
-the kept hash of ``Ray``, one object per ray content, no scan repeated by
-a census, and the ray labels against ``ray_compare`` on every pair of
+"""The interned rays and the ray order: ``ray_compare`` against a
+letter-by-letter reference scan on every pair of rays read and on every
+pair a census compares, ``Ray.prefix``, the kept hash of ``Ray``, one
+object per ray content, no comparison repeated by a census, one chain per
+start slot, and the ray labels against ``ray_compare`` on every pair of
 interned rays, also when chains run out of labels or meet an equal ray."""
 
 import os
@@ -21,7 +21,7 @@ from sga.invariants import kiss_census
 from sga.parsing import parse_quiver, print_quiver
 from sga.quiver import Arrow, PolarizedQuiver, auto_fringe, hat_quiver
 from sga.randquiver import random_skewed_gentle_quiver
-from sga.words import (Letter, Ray, _ray_scan, compare_letters, invl, letter_target,
+from sga.words import (Letter, Ray, compare_letters, invl, letter_target,
                        letter_valid, letters_at, ordl, ray_compare, ray_label, spel,
                        trivl)
 
@@ -104,7 +104,7 @@ def test_letter_order_is_total_on_each_slot(ex1, name):
 def test_order_equals_reference_scan_on_all_ray_pairs(ex1, seed):
     """Every ordered pair of doublebar rays (over q) and of hat rays (over
     its companion quiver) of the max-len 6 words compares as the
-    letter-by-letter reference does, through the scan and the memo."""
+    letter-by-letter reference does."""
     q = ex1 if seed is None else random_skewed_gentle_quiver(seed, forbid_pp=seed == 11)
     sets = enumerate_adm(q, 6)
     bars, hats = set(), set()
@@ -119,7 +119,7 @@ def test_order_equals_reference_scan_on_all_ray_pairs(ex1, seed):
         for v in rays:
             for w in rays:
                 rel = reference_scan(over, v, w)
-                assert _ray_scan(over, v, w) == ray_compare(over, v, w) == rel, (v, w)
+                assert ray_compare(over, v, w) == rel, (v, w)
                 seen.add(rel[0])
     assert seen == {"<", "=", ">", "incomparable"}
 
@@ -170,8 +170,8 @@ def _census_pairs(q, max_len, monkeypatch):
 @pytest.mark.parametrize("seed", [None, 11])
 def test_memoised_order_equals_scan(ex1, seed, monkeypatch):
     """Every pair a census compares, each once as the rays are labelled,
-    compares as the scan does, through the memo, as copies, reversed and
-    over a re-parsed quiver."""
+    compares as the reference scan does, as copies, reversed and over a
+    re-parsed quiver."""
     q = ex1 if seed is None else random_skewed_gentle_quiver(seed, forbid_pp=True)
     seen = _census_pairs(q, 6, monkeypatch)
     distinct = {(id(qq), v, w): (qq, v, w) for qq, v, w in seen}
@@ -179,7 +179,7 @@ def test_memoised_order_equals_scan(ex1, seed, monkeypatch):
     fresh = {}
     for qq, v, w in distinct.values():
         rel = ray_compare(qq, v, w)
-        assert rel == _ray_scan(qq, v, w), (v, w)
+        assert rel == reference_scan(qq, v, w), (v, w)
         assert ray_compare(qq, Ray(v.pre, v.per), Ray(w.pre, w.per)) == rel
         back = ray_compare(qq, w, v)
         assert back == (MIRROR[rel[0]], rel[1]), (v, w, rel, back)
@@ -199,8 +199,8 @@ def test_scan_reaches_a_late_first_difference(ex1):
     a, b_inv = ordl("a"), invl("b")
     v, w = Ray((), (a,)), Ray((a, a, a, a), (b_inv,))
     assert compare_letters(ex1, a, b_inv) == -1
-    assert _ray_scan(ex1, v, w) == reference_scan(ex1, v, w) == ("<", 4)
-    assert _ray_scan(ex1, w, v) == (">", 4)
+    assert ray_compare(ex1, v, w) == reference_scan(ex1, v, w) == ("<", 4)
+    assert ray_compare(ex1, w, v) == (">", 4)
 
 
 def test_order_is_per_quiver():
@@ -215,11 +215,9 @@ def test_order_is_per_quiver():
     assert ray_compare(quiver(-1), v, w) == ("incomparable", None)
 
 
-def test_order_store_keeps_pairs_by_content(monkeypatch):
-    """The store ``ray_compare`` is keyed by the kept hashes: rays forced to
-    one hash still compare by content, in both orders and again; a
-    content-equal copy that is not interned gets the kept order without a
-    scan; and each quiver keeps its own order."""
+def test_order_store_keeps_pairs_by_content():
+    """Rays forced to one hash still compare by content, in both orders and
+    again, and each quiver keeps its own order."""
     v = Ray((ordl("a"), invl("a"), trivl("1", 1)))
     w = Ray((invl("b"), ordl("b"), trivl("2", 1)))
     object.__setattr__(w, "_hash", v._hash)
@@ -227,22 +225,13 @@ def test_order_store_keeps_pairs_by_content(monkeypatch):
                                                   Arrow("b", "2", sign, "3", 1)])
                 for sign in (1, -1))
     for _ in range(2):
-        assert ray_compare(q, v, w) == _ray_scan(q, v, w) == ("<", 0)
-        assert ray_compare(q, w, v) == _ray_scan(q, w, v) == (">", 0)
+        assert ray_compare(q, v, w) == ("<", 0)
+        assert ray_compare(q, w, v) == (">", 0)
         assert ray_compare(q, v, v) == ("=", None)
         assert ray_compare(q, w, w) == ("=", None)
     u, t = Ray(v.pre, (ordl("a"),)), Ray(w.pre)
     assert ray_compare(q, u, t) == ("<", 0)
     assert ray_compare(q_neg, u, t) == ("incomparable", None)
-
-    def no_scan(*args):
-        raise AssertionError("scanned a kept pair")
-
-    monkeypatch.setattr(words, "_ray_scan", no_scan)
-    copy_u, copy_t = Ray(u.pre, u.per), Ray(t.pre, t.per)
-    assert copy_u is not u and copy_t is not t
-    assert ray_compare(q, copy_u, t) == ray_compare(q, u, copy_t) == ("<", 0)
-    assert ray_compare(q_neg, copy_u, copy_t) == ("incomparable", None)
 
 
 def test_ray_hash_kept_fields_unchanged(monkeypatch):
@@ -321,24 +310,19 @@ def test_equal_readings_are_one_object(ex1):
 
 def test_repeated_census_scans_nothing(monkeypatch):
     """A census labels each ray once: repeated on emptied census stores, it
-    makes no scan and no comparison, as every ray check reads the labels
-    its windings keep."""
+    makes no comparison, as every ray check reads the labels its windings
+    keep."""
     q = random_skewed_gentle_quiver(11, forbid_pp=True)
     fr = auto_fringe(q)
     sets = enumerate_adm(q, 6)
     ws = list(sets.strings) + list(sets.bands)
-    scans, calls = [], []
-    scan, compare = words._ray_scan, words.ray_compare
-
-    def counted_scan(*args):
-        scans.append(args)
-        return scan(*args)
+    calls = []
+    compare = words.ray_compare
 
     def counted_compare(*args):
         calls.append(args)
         return compare(*args)
 
-    monkeypatch.setattr(words, "_ray_scan", counted_scan)
     monkeypatch.setattr(words, "ray_compare", counted_compare)
     monkeypatch.setattr(homgraph, "ray_compare", counted_compare)
 
@@ -350,11 +334,10 @@ def test_repeated_census_scans_nothing(monkeypatch):
                 kiss_census(q, fr, x, y)
 
     census()
-    first_scans, first_calls = len(scans), len(calls)
-    assert 0 < first_scans <= first_calls
+    first_calls = len(calls)
+    assert first_calls > 0
     census()
     assert len(calls) == first_calls
-    assert len(scans) == first_scans
 
 
 def test_rebuilt_quiver_reads_its_own_rays(monkeypatch):
@@ -435,18 +418,37 @@ def _labels_agree(over):
     return across
 
 
-@pytest.mark.parametrize("name", ["ex1", "l4", "l6", 9, 11, 42])
+@pytest.mark.parametrize("name", ["ex1", "l4", "l6", 7, 9, 11, 42])
 def test_labels_agree_with_ray_compare(name):
     """The labels of every interned ray, over the quiver (doublebar rays)
     and over its companion quiver (hat rays), order every pair of one chain
-    as ``ray_compare`` does; each chain holds the rays of one start slot, so
+    as ``ray_compare`` does; each start slot holds exactly one chain, so
     pairs across chains are incomparable here, and there are such pairs."""
     q = _quiver(name)
     _read_labels(q, 8)
     for over in (q, hat_of(q)):
         assert set(over.store("ray_labels")) == set(over.store("rays"))
+        assert all(len(chains) == 1 for chains in over.store("ray_chains").values())
         across = _labels_agree(over)
         assert set(across) == {"incomparable"} and across["incomparable"] > 0
+
+
+def test_census_never_compares_across_chains(monkeypatch):
+    """The seed-11 all-pairs census at max-len 8, over the quiver and its
+    fringing, answers every ray check by label: ``homgraph._below``, the
+    fallback for rays in different chains, is never reached."""
+    def no_fallback(*args):
+        raise AssertionError("ray check across chains")
+
+    monkeypatch.setattr(homgraph, "_below", no_fallback)
+    q = _quiver(11)
+    fr = auto_fringe(q)
+    sets = enumerate_adm(q, 8)
+    ws = list(sets.strings) + list(sets.bands)
+    for x in ws:
+        for y in ws:
+            kiss_census(q, fr, x, y)
+    assert fr.extended.store("census")
 
 
 def test_labels_survive_deep_insertions_and_equal_rays(monkeypatch):

@@ -57,6 +57,14 @@ def test_s_tilde_small():
                 assert gf.mul(st, j, p) == gf.mul(gf.inv(j, p), st, p)
 
 
+def test_Vt_refuses_the_parameters_0_and_plus_minus_1():
+    for p in (5, 7):
+        for s in (0, 1, p - 1, p, p + 1, -1):
+            with pytest.raises(SgaError, match="parameter must avoid 0 and"):
+                module_Vt(2, s, p)
+        assert module_Vt(2, 2, p).dim == 4
+
+
 def test_W_and_Vt_relations():
     for p in (5, 7):
         for m in (1, 2, 3):

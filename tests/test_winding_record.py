@@ -8,7 +8,7 @@ translate of each word in the auto-fringed quiver.
 
 import pytest
 
-from sga.admissible import doublebar_ray, enumerate_adm, hat_ray, tau_adm
+from sga.admissible import doublebar_ray, enumerate_adm, hat_of, hat_ray, tau_adm
 from sga.homgraph import build_H
 from sga.quiver import PolarizedQuiver, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
@@ -48,25 +48,23 @@ def test_winding_tables_match_the_blueprint(word_pairs):
         # the by-image maps partition edges and loops, in order
         assert h.edges_by_image == _by(h.edges, lambda e: e.image)
         assert h.loops_by_image == _by(h.loops, lambda l: l.image)
-        # the per-vertex rays, kept once read
+        # the per-vertex rays are the interned ones of the reading memos
         ids = q.store("head_ids")
         for v in h.vertices:
             bars = h.doublebar(v)
-            assert bars == tuple(doublebar_ray(q, x, v, rho) for rho in (-1, 1))
-            assert h.doublebar(v) is bars and h.doublebars[v] is bars
+            assert all(r is doublebar_ray(q, x, v, rho) for r, rho in zip(bars, (-1, 1)))
+            assert all(r is q.store("rays")[r] for r in bars)
             for rho in (-1, 1):
                 for delta in (-1, 1):
                     ray = h.hat(v, rho, delta)
-                    assert ray == hat_ray(q, x, v, rho, delta)
-                    assert h.hat(v, rho, delta) is ray
+                    assert ray is hat_ray(q, x, v, rho, delta)
+                    assert ray is hat_of(q).store("rays")[ray]
             hid = h.head_id(v)
             assert ids[tuple(r.first() for r in bars)] == hid == h.head_ids[v]
         # per label, its vertices with their head ids, kept once read
         for lab, vs in h.by_label.items():
             heads = h.heads(lab)
             assert heads == tuple((v, h.head_id(v)) for v in vs) and h.label_heads[lab] is heads
-        # one kept hat ray per vertex, rho and delta
-        assert len(h.hats) == 4 * len(h.vertices)
         # the ids are interned: equal first-letter pairs, equal ids
         assert sorted(ids.values()) == list(range(len(ids)))
 
@@ -75,27 +73,33 @@ def test_winding_is_frozen(ex1):
     x = enumerate_adm(ex1, 4).strings[0]
     h = build_H(ex1, x)
     for name, value in (("shape", "A"), ("boundary", frozenset()),
-                        ("doublebars", {}), ("hats", {}), ("head_ids", {}),
-                        ("label_heads", {})):
+                        ("head_ids", {}), ("label_heads", {}), ("hat_labels", {}),
+                        ("bar_labels", {})):
         with pytest.raises(AttributeError):
             setattr(h, name, value)
     assert build_H(ex1, x) is h
 
 
 def test_rays_are_read_on_first_use(ex1):
-    """A fresh winding holds no rays; a head id reads only the doublebar
-    rays of its own vertex, a hat ray only itself, and the head ids of a
-    label only the doublebar rays of that label's vertices."""
+    """A fresh winding holds nothing read; a head id reads only the
+    doublebar rays of its own vertex, a hat ray only itself, and the head
+    ids of a label only the doublebar rays of that label's vertices."""
     q = PolarizedQuiver(ex1.vertices, ex1.arrows)
     x = enumerate_adm(q, 4).strings[0]
     h = build_H(q, x)
-    assert h.doublebars == h.hats == h.head_ids == h.label_heads == {}
+    assert h.head_ids == h.label_heads == h.hat_labels == h.bar_labels == {}
+
+    def read(name):
+        return [key[1:] for key in q.store(name)]
+
     v = h.vertices[0]
     h.head_id(v)
-    assert list(h.doublebars) == list(h.head_ids) == [v] and h.hats == {}
-    ray = h.hat(v, 1, -1)
-    assert list(h.hats.values()) == [ray]
+    assert read("doublebar_ray") == [(v, -1), (v, 1)] and read("hat_ray") == []
+    assert list(h.head_ids) == [v]
+    h.hat(v, 1, -1)
+    assert read("hat_ray") == [(v, 1, -1)]
     lab = next(lab for lab, vs in h.by_label.items() if v not in vs)
     h.heads(lab)
     assert list(h.label_heads) == [lab]
-    assert list(h.doublebars) == list(h.head_ids) == [v, *h.by_label[lab]]
+    assert list(h.head_ids) == [v, *h.by_label[lab]]
+    assert read("doublebar_ray") == [(u, rho) for u in h.head_ids for rho in (-1, 1)]

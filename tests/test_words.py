@@ -7,7 +7,7 @@ from sga.checks import TAU_INVERSE, Budget, verify
 from sga.cli import main
 from sga.errors import AtMaximum, IsProjective, WordError
 from sga.quiver import Arrow, PolarizedQuiver, validate
-from sga.words import (Ray, enumerate_bands, enumerate_strings,
+from sga.words import (Ray, check_word, enumerate_bands, enumerate_strings,
                        enumerate_strings_at, injective_strings, invl, is_band,
                        is_string, is_word, letters_at, lex_compare,
                        max_word_into, min_word_into, ordl, predecessor,
@@ -35,6 +35,22 @@ def ex1_st1minus():
         W(t, ordl("g"), ordl("b"), spel("e"), trivl("2", 1)),
         W(t, ordl("g"), ordl("b"), spel("e"), ordl("a"), trivl("1", -1)),
     ]
+
+
+def test_check_word_refuses_hand_built_letters(ex1):
+    """Letters the parser never makes: a direct or inverse letter of the
+    special loop e, a special letter of the ordinary arrow a, an unknown
+    name, and an inverse trivial letter inside a word, which has no target
+    slot to concatenate with."""
+    for letter in (ordl("e"), invl("e"), spel("a"), ordl("z"), spel("z")):
+        with pytest.raises(WordError, match="is not a letter of this quiver"):
+            check_word(ex1, (letter,))
+        assert not is_word(ex1, (letter,))
+    check_word(ex1, (tinvl("1", 1), trivl("1", -1)))
+    with pytest.raises(WordError, match="do not concatenate"):
+        check_word(ex1, (ordl("a"), tinvl("1", -1)))   # a starts at (1,+)
+    with pytest.raises(WordError, match="do not concatenate"):
+        check_word(ex1, (trivl("1", 1), ordl("g")))
 
 
 def test_simple_string_refused_at_a_special_vertex(ex1):
