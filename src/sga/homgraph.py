@@ -14,12 +14,15 @@ components classify homomorphism contributions, kisses among them, which
 from __future__ import annotations
 
 from operator import le
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .admissible import AdmWord, doublebar_ray, hat_of, hat_ray
 from .errors import TheoremViolation, WordError
 from .quiver import PolarizedQuiver, per_quiver
-from .words import INV, ORD, Ray, compare_letters, ray_compare, ray_label
+from .words import INV, ORD, Ray, compare_letters, ray_label
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class HEdge(NamedTuple):
@@ -59,8 +62,8 @@ class Winding(NamedTuple):
     boundary: frozenset[int]
     head_ids: dict[int, int]                   # filled by head_id()
     label_heads: dict[str, tuple[tuple[int, int], ...]]  # by heads()
-    hat_labels: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]  # by ray_labels()
-    bar_labels: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]  # by ray_labels()
+    hat_labels: dict[int, tuple[tuple[int, ...], tuple[int | Fraction, ...]]]  # by ray_labels()
+    bar_labels: dict[int, tuple[tuple[int, ...], tuple[int | Fraction, ...]]]  # by ray_labels()
 
     def doublebar(self, v: int) -> tuple[Ray, Ray]:
         """The doublebar rays at v towards rho = -1, +1."""
@@ -90,8 +93,8 @@ class Winding(NamedTuple):
                                                for v in self.by_label[lab]])
         return pairs
 
-    def ray_labels(self, v: int, hat: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The chain ids and the labels (:func:`words.ray_label`) of the four
+    def ray_labels(self, v: int, hat: bool) -> tuple[tuple[int, ...], tuple[int | Fraction, ...]]:
+        """The slot ids and the labels (:func:`words.ray_label`) of the four
         hat rays at v, in the order of the checks of :func:`ray_real`, over
         the companion quiver, kept in ``hat_labels``; or of the two
         doublebar rays at v over q, kept in ``bar_labels``.  Read on first
@@ -294,15 +297,12 @@ _HAT_CHECKS = tuple((rho, delta) for delta in (-1, 1) for rho in (-1, 1))
 def ray_real(hx: Winding, hy: Winding, v) -> bool:
     """The hat-ray characterization of a real h-line through v = (j, i) of
     the product quiver of (x, y), read from their windings hx and hy (over
-    one quiver) and compared over the companion quiver: by label where the
-    two vertices' rays lie in the same chains."""
+    one quiver) and compared over the companion quiver by label: a differing
+    slot id marks a pair of incomparable rays."""
     j, i = v
     cy, ly = hy.hat_labels.get(j) or hy.ray_labels(j, True)
     cx, lx = hx.hat_labels.get(i) or hx.ray_labels(i, True)
-    if cy == cx:
-        return all(map(le, ly, lx))
-    return _below(hat_of(hx.q), [hy.hat(j, *c) for c in _HAT_CHECKS],
-                  [hx.hat(i, *c) for c in _HAT_CHECKS], cy, ly, cx, lx)
+    return cy == cx and all(map(le, ly, lx))
 
 
 def ray_long(hx: Winding, hy: Winding, v) -> bool:
@@ -310,17 +310,7 @@ def ray_long(hx: Winding, hy: Winding, v) -> bool:
     j, i = v
     cy, ly = hy.bar_labels.get(j) or hy.ray_labels(j, False)
     cx, lx = hx.bar_labels.get(i) or hx.ray_labels(i, False)
-    if cy == cx:
-        return all(map(le, ly, lx))
-    return _below(hx.q, hy.doublebar(j), hx.doublebar(i), cy, ly, cx, lx)
-
-
-def _below(q: PolarizedQuiver, ys, xs, cy, ly, cx, lx) -> bool:
-    """Each ray of ys is '<' or '=' its partner in xs over q, given the
-    chain ids and labels of both: by label for a pair in one chain, else by
-    :func:`ray_compare`; stops at the first failure."""
-    return all(a <= b if c == d else ray_compare(q, ry, rx)[0] in ("<", "=")
-               for ry, rx, c, a, d, b in zip(ys, xs, cy, ly, cx, lx))
+    return cy == cx and all(map(le, ly, lx))
 
 
 def _split(verts, root, arrows, n: int) -> list[tuple]:
@@ -428,9 +418,7 @@ def classify_components(g: HomGraph) -> ComponentReport:
 
 def generalized_diagonal(g: HomGraph, comp: PlusComponent) -> bool:
     """Some vertex of the component pairs equal doublebar rays on both sides."""
-    q = g.hx.q
-    return any(all(ray_compare(q, ry, rx)[0] == "="
-                   for ry, rx in zip(g.hy.doublebar(j), g.hx.doublebar(i)))
+    return any(g.hy.ray_labels(j, False) == g.hx.ray_labels(i, False)
                for (j, i) in comp.vertices)
 
 

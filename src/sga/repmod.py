@@ -350,7 +350,7 @@ def hom_dim_formula(q: PolarizedQuiver, x: AdmWord, X: AxModule,
             total += Y.dim * X.dim
             continue
         cons, _ = _component_base_space(x, y, X, Y, comp, X.p)
-        total += Y.dim * X.dim - (gf.rank(cons, X.p) if cons else 0)
+        total += Y.dim * X.dim - gf.rank(cons, X.p)
     return total
 
 

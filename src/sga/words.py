@@ -8,10 +8,13 @@ live over, since sources, targets, and the letter order depend on it.
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import AtMaximum, AtMinimum, IsProjective, WordError
+from .errors import AtMaximum, AtMinimum, IsProjective, TheoremViolation, WordError
 from .quiver import Frozen, PolarizedQuiver, Slot, per_quiver
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ORD, INV, SPE, TRIV, TINV = "ord", "inv", "spe", "triv", "tinv"
 
@@ -276,48 +279,50 @@ def ray_compare(q: PolarizedQuiver, v: Ray, w: Ray) -> tuple[str, int | None]:
 
 # -- stable labels of the rays in ray_compare order -----------------------------
 
-LABEL_GAP = 1 << 32   # between the labels of a chain's ends and a new end ray
+LABEL_GAP = 1 << 32   # between the label of a slot's end ray and a new end ray
 
 
-def ray_label(q: PolarizedQuiver, r: Ray) -> tuple[int, int]:
-    """The chain id and label of r over q, kept in q's store ``ray_labels``
+def ray_label(q: PolarizedQuiver, r: Ray) -> tuple[int, int | Fraction]:
+    """The slot id and label of r over q, kept in q's store ``ray_labels``
     and never changed once handed out.
 
-    For two rays of one chain, ``ray_compare(q, v, w)`` is '<', '=' or '>'
-    exactly as the label of v is <, == or > that of w; rays of different
-    chains compare only through :func:`ray_compare`.  The chains of q are
-    kept in its store ``ray_chains`` by the target slot of their rays' first
-    letters, the start slot: rays with different start slots are
-    incomparable.  A ray joins the first chain of its start slot that takes
-    it (:func:`_chain_insert`), else starts a chain of its own.
+    Rays of one slot id compare by ``ray_compare(q, v, w)`` as '<', '=' or
+    '>' exactly as the label of v is <, == or > that of w; rays of
+    different slot ids are incomparable.  q's store ``ray_chains`` keeps,
+    per start slot (the target slot of a ray's first letter), one list
+    ``(id, rays, labels)`` with its rays ascending (:func:`_chain_insert`).
+
+    One list per slot suffices.  Two rays that share a prefix reach the
+    same slot after it; the letter order is total on a slot; and a finite
+    ray read from a word ends in a trivial letter, after which nothing can
+    follow.  So two rays read over q with the same start slot compare '<',
+    '=' or '>', never 'incomparable'; rays of different start slots differ
+    in their first letters' slots, so they are incomparable.
     """
     labels = q.store("ray_labels")
     got = labels.get(r)
     if got is None:
-        chains = q.store("ray_chains").setdefault(letter_target(q, r.first()), [])
-        for chain in chains:
-            label = _chain_insert(q, chain, r)
-            if label is not None:
-                break
+        slots = q.store("ray_chains")
+        slot = letter_target(q, r.first())
+        chain = slots.get(slot)
+        if chain is None:   # the slot's first ray; slot ids count the slots
+            chain = slots[slot] = (len(slots), [r], [0])
+            got = labels[r] = (chain[0], 0)
         else:
-            # the number of rays labelled before it: distinct for every chain
-            chain, label = (len(labels), [r], [0]), 0
-            chains.append(chain)
-        got = labels[r] = (chain[0], label)
+            got = labels[r] = (chain[0], _chain_insert(q, chain, r))
     return got
 
 
-def _chain_insert(q: PolarizedQuiver, chain: tuple[int, list, list], r: Ray) -> int | None:
-    """Insert r into the chain ``(id, rays, labels)``, rays ascending and
-    pairwise comparable, and return its label; None, leaving the chain as
-    it was, when r meets '=' or 'incomparable' or finds no free integer
-    between its neighbours' labels.
+def _chain_insert(q: PolarizedQuiver, chain: tuple[int, list, list], r: Ray) -> int | Fraction:
+    """The label of r in its slot's list ``(id, rays, labels)``, rays
+    ascending: the label of the ray of the list equal to r, else a new
+    label between those of r's neighbours, with r inserted there.  Beyond
+    an end the new label lies ``LABEL_GAP`` past the end's; between two
+    labels it is the integer midpoint while one fits, else the exact
+    ``Fraction`` midpoint, so labels never run out.
 
-    The binary search compares r with both of its new neighbours last: the
-    one below set ``lo`` and the one above set ``hi``.  r is then comparable
-    with every ray of the chain, because the first differences of words
-    that share a prefix are letters of one target slot, and the letter
-    order is total on a slot.
+    Raises ``TheoremViolation`` when r is incomparable with a ray of the
+    list, which no two rays read from words can be (:func:`ray_label`).
     """
     _, rays, labels = chain
     lo, hi = 0, len(rays)
@@ -328,8 +333,10 @@ def _chain_insert(q: PolarizedQuiver, chain: tuple[int, list, list], r: Ray) -> 
             hi = mid
         elif rel == ">":
             lo = mid + 1
+        elif rel == "=":   # the same ray read with another period
+            return labels[mid]
         else:
-            return None
+            raise TheoremViolation(f"rays of one start slot are incomparable: {r} and {rays[mid]}")
     if lo == len(rays):
         label = labels[-1] + LABEL_GAP
     elif lo == 0:
@@ -337,8 +344,10 @@ def _chain_insert(q: PolarizedQuiver, chain: tuple[int, list, list], r: Ray) -> 
     else:
         below, above = labels[lo - 1], labels[lo]
         if above - below < 2:
-            return None
-        label = (below + above) // 2
+            from fractions import Fraction   # only here: a cold start never loads it
+            label = Fraction(below + above, 2)
+        else:
+            label = (below + above) // 2
     rays.insert(lo, r)
     labels.insert(lo, label)
     return label

@@ -5,7 +5,8 @@ oracle name. The checked identities (``sga.checks``) load only for the
 commands that check a second route, never for ``components``. The oracle
 is pure Python: no command loads numpy. The records are tuples and plain
 classes, so no step loads ``dataclasses`` or the ``inspect`` module it
-imports."""
+imports. The ray labels load ``fractions`` only once two neighbours have
+no free integer label between them, which no step here reaches."""
 
 import json
 import os
@@ -20,7 +21,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 EX1 = os.path.join(ROOT, "tests", "data", "ex1.quiver")
 ORACLE = ("sga.gf", "sga.homalg", "sga.repmod")
 CHECKS = ("sga.checks",)
-WATCHED = ("dataclasses", "inspect", "numpy") + CHECKS + ORACLE
+WATCHED = ("dataclasses", "fractions", "inspect", "numpy") + CHECKS + ORACLE
 X, Y = "1(1,-)- g b e b- 1(3,+)", "1(2,-)- a 1(1,-)"
 
 _PROBE = """

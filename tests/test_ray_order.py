@@ -1,15 +1,16 @@
 """The interned rays and the ray order: ``ray_compare`` against a
 letter-by-letter reference scan on every pair of rays read and on every
 pair a census compares, ``Ray.prefix``, the kept hash of ``Ray``, one
-object per ray content, no comparison repeated by a census, one chain per
+object per ray content, no comparison repeated by a census, one list per
 start slot, and the ray labels against ``ray_compare`` on every pair of
-interned rays, also when chains run out of labels or meet an equal ray."""
+interned rays, also past the integer labels and on equal rays."""
 
 import os
 import pickle
 import subprocess
 import sys
 from collections import defaultdict
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -17,6 +18,8 @@ import pytest
 from sga import homgraph, words
 from sga.admissible import doublebar_ray, enumerate_adm, hat_of, hat_ray
 from sga.checks import KISS, Budget, verify
+from sga.cli import main
+from sga.errors import TheoremViolation
 from sga.invariants import kiss_census
 from sga.parsing import parse_quiver, print_quiver
 from sga.quiver import Arrow, PolarizedQuiver, auto_fringe, hat_quiver
@@ -157,7 +160,6 @@ def _census_pairs(q, max_len, monkeypatch):
         return compare(qq, v, w)
 
     monkeypatch.setattr(words, "ray_compare", record)
-    monkeypatch.setattr(homgraph, "ray_compare", record)
     fr = auto_fringe(q)
     sets = enumerate_adm(q, max_len)
     ws = list(sets.strings) + list(sets.bands)
@@ -324,7 +326,6 @@ def test_repeated_census_scans_nothing(monkeypatch):
         return compare(*args)
 
     monkeypatch.setattr(words, "ray_compare", counted_compare)
-    monkeypatch.setattr(homgraph, "ray_compare", counted_compare)
 
     def census():
         # empty the census stores so that the repeat checks its rays again
@@ -398,15 +399,18 @@ def _read_labels(q, max_len):
 
 
 def _labels_agree(over):
-    """Every ordered pair of rays labelled over ``over``: within a chain the
-    labels order the pair as ``ray_compare`` does; the relations of the
-    pairs across chains, counted."""
-    labels = over.store("ray_labels")
-    for slot, chains in over.store("ray_chains").items():
-        for cid, rays, marks in chains:
-            assert marks == sorted(set(marks)) and len(rays) == len(marks)
-            assert all(labels[r] == (cid, m) and letter_target(over, r.first()) == slot
-                       for r, m in zip(rays, marks))
+    """Every ordered pair of rays labelled over ``over``: each start slot
+    keeps one list of rays, ascending by label, under an id of its own that
+    every ray of the slot carries, and the labels of two rays of one slot
+    id order the pair as ``ray_compare`` does; the relations of the pairs
+    across slots, counted."""
+    labels, slots = over.store("ray_labels"), over.store("ray_chains")
+    assert len({sid for sid, _, _ in slots.values()}) == len(slots)
+    for slot, (sid, rays, marks) in slots.items():
+        assert marks == sorted(set(marks)) and len(rays) == len(marks)
+        assert all(labels[r] == (sid, m) for r, m in zip(rays, marks))
+    assert all(cid == slots[letter_target(over, r.first())][0]
+               for r, (cid, _) in labels.items())
     across = defaultdict(int)
     for v, (cv, lv) in labels.items():
         for w, (cw, lw) in labels.items():
@@ -421,44 +425,29 @@ def _labels_agree(over):
 @pytest.mark.parametrize("name", ["ex1", "l4", "l6", 7, 9, 11, 42])
 def test_labels_agree_with_ray_compare(name):
     """The labels of every interned ray, over the quiver (doublebar rays)
-    and over its companion quiver (hat rays), order every pair of one chain
-    as ``ray_compare`` does; each start slot holds exactly one chain, so
-    pairs across chains are incomparable here, and there are such pairs."""
+    and over its companion quiver (hat rays), order every pair of one start
+    slot as ``ray_compare`` does; each slot's list holds every ray of the
+    slot, as no two interned rays are equal, and pairs across slots are
+    incomparable, and there are such pairs."""
     q = _quiver(name)
     _read_labels(q, 8)
     for over in (q, hat_of(q)):
-        assert set(over.store("ray_labels")) == set(over.store("rays"))
-        assert all(len(chains) == 1 for chains in over.store("ray_chains").values())
+        labels = over.store("ray_labels")
+        assert set(labels) == set(over.store("rays"))
+        assert sum(len(rays) for _, rays, _ in over.store("ray_chains").values()) == len(labels)
         across = _labels_agree(over)
         assert set(across) == {"incomparable"} and across["incomparable"] > 0
 
 
-def test_census_never_compares_across_chains(monkeypatch):
-    """The seed-11 all-pairs census at max-len 8, over the quiver and its
-    fringing, answers every ray check by label: ``homgraph._below``, the
-    fallback for rays in different chains, is never reached."""
-    def no_fallback(*args):
-        raise AssertionError("ray check across chains")
-
-    monkeypatch.setattr(homgraph, "_below", no_fallback)
-    q = _quiver(11)
-    fr = auto_fringe(q)
-    sets = enumerate_adm(q, 8)
-    ws = list(sets.strings) + list(sets.bands)
-    for x in ws:
-        for y in ws:
-            kiss_census(q, fr, x, y)
-    assert fr.extended.store("census")
-
-
 def test_labels_survive_deep_insertions_and_equal_rays(monkeypatch):
-    """With one free label between a chain's ends, rays inserted between
-    neighbours with no free integer between their labels start further
-    chains of their slot, and a ray equal to a labelled one of another
-    content (a rotated period) starts a chain too: every label handed out
-    stays unchanged, the labels still agree with ``ray_compare``, and the
-    kiss route and ``classify_components`` pass their ray checks through
-    the comparisons across chains."""
+    """With one free label between a slot's end ray and a new end ray, rays
+    inserted between neighbours with no free integer between their labels
+    get ``Fraction`` labels, and a ray equal to a labelled one of another
+    content (a rotated period) gets that ray's label: each slot keeps one
+    list, every label handed out stays unchanged, the labels agree with
+    ``ray_compare``, and the kiss route and ``classify_components`` pass
+    their ray checks.  A finite ray that is a proper prefix of a labelled
+    one, which no word reads, is refused."""
     monkeypatch.setattr(words, "LABEL_GAP", 2)
     q = random_skewed_gentle_quiver(42)
     handed = {}
@@ -474,9 +463,31 @@ def test_labels_survive_deep_insertions_and_equal_rays(monkeypatch):
     periodic = next(r for r in q.store("rays") if r.per)
     rotated = Ray(periodic.per[:1], periodic.per[1:] + periodic.per[:1])
     assert rotated != periodic and ray_compare(q, rotated, periodic)[0] == "="
-    assert ray_label(q, rotated)[0] != ray_label(q, periodic)[0]
-    for over, equal_pairs in ((q, 2), (hat_of(q), 0)):   # (rotated, periodic) both ways
+    assert ray_label(q, rotated) == ray_label(q, periodic)
+    _, rays, _ = q.store("ray_chains")[letter_target(q, periodic.first())]
+    assert periodic in rays and rotated not in rays
+    for over in (q, hat_of(q)):
+        assert any(type(m) is Fraction for _, m in over.store("ray_labels").values())
         across = _labels_agree(over)
-        assert across["<"] == across[">"] > 0 and across["="] == equal_pairs
-        assert max(len(c) for c in over.store("ray_chains").values()) > 1
+        assert set(across) == {"incomparable"} and across["incomparable"] > 0
+    lap = Ray(periodic.pre + periodic.per)   # finite: a proper prefix of periodic
+    with pytest.raises(TheoremViolation, match="incomparable"):
+        ray_label(q, lap)
+    assert lap not in q.store("ray_labels")
     assert verify(KISS, q, Budget(6)) > 0
+
+
+def test_equal_rays_through_the_cli(tmp_path, capsys):
+    """``sga hquiver`` on a band and its square over the seed-9 quiver reads
+    the doublebar rays of the square, equal to those of the band with a
+    doubled period, and pairs them by label: one component of every flag,
+    generalized diagonal among them."""
+    path = tmp_path / "seed9.quiver"
+    path.write_text(print_quiver(random_skewed_gentle_quiver(9)), encoding="utf-8")
+    band = "a1- a3 e1 a4"
+    assert main(["hquiver", str(path), "--x", f"band: {band}",
+                 "--y", f"band: {band} {band}", "--allow-nonadmissible"]) == 0
+    assert capsys.readouterr().out == (
+        "At: [(0, 0), (1, 1), (2, 2), (3, 3), (4, 0), (5, 1), (6, 2), (7, 3)] real"
+        " dual_real hline dual_hline kiss dual_kiss generalized_diagonal\n"
+        "A: [(2, 3)] \nA: [(3, 2)] \nA: [(6, 3)] \nA: [(7, 2)] \n")
