@@ -288,27 +288,49 @@ def _inv_keep_mark(l: Letter) -> Letter:
 class Reading(NamedTuple):
     """A word unfolded once for its rays (see :func:`_unfold`), over the
     quiver the rays are read over; per delta, the letters forwards and
-    inverted backwards, each punctured mark oriented by delta."""
+    inverted backwards, each punctured mark oriented by delta (one pair
+    for all deltas when there is no mark)."""
     over: PolarizedQuiver
     letters: Word
     offset: int
     periodic: bool
     sides: dict[int, tuple[Word, Word]]
 
-    def ray(self, i: int, rho: int, delta: int = 0) -> Ray:
-        """The ray read at i towards rho, as the one ray of its content in
-        the store ``rays`` of the quiver it is read over, so that equal
+    def rays(self, vertices) -> list[Ray]:
+        """Per vertex, and per delta of the reading (ascending), the rays
+        towards rho = -1 and +1, in one pass: four per vertex for the hat
+        reading, in the order of ``homgraph``'s ray checks, two for the
+        doublebar one.  Each is the one ray of its content ``(pre, per)``
+        in the store ``rays`` of the quiver it is read over, keyed by that
+        content and made only when the content is new, so that equal
         readings at different positions are the same object."""
-        letters, n, s = self.letters, len(self.letters), self.offset + i
-        here = letters[s % n] if self.periodic else letters[s]
-        forward = rho == (-1 if here.kind == PUNCT else letter_target(self.over, here)[1])
-        fwd, back = self.sides[delta]
-        if self.periodic:
-            side, k = (fwd, s % n) if forward else (back, -s % n)
-            ray = Ray((), side[k:] + side[:k])
-        else:
-            ray = Ray(fwd[s:] if forward else back[n - s:])
-        return self.over.store("rays").setdefault(ray, ray)
+        letters, n, periodic, over = self.letters, len(self.letters), self.periodic, self.over
+        store = over.store("rays")
+        out = []
+        for i in vertices:
+            s = self.offset + i
+            here = letters[s % n] if periodic else letters[s]
+            up = (-1 if here.kind == PUNCT else letter_target(over, here)[1]) == 1
+            k, m, last = s % n, -s % n, None
+            for side in self.sides.values():
+                if side is last:    # the same letters as the delta before
+                    out += out[-2:]
+                    continue
+                fwd, back = last = side
+                if periodic:
+                    f, b = ((), fwd[k:] + fwd[:k]), ((), back[m:] + back[:m])
+                else:
+                    f, b = (fwd[s:], ()), (back[n - s:], ())
+                for content in ((b, f) if up else (f, b)):
+                    ray = store.get(content)
+                    if ray is None:
+                        ray = store[content] = Ray(*content)
+                    out.append(ray)
+        return out
+
+    def ray(self, i: int, rho: int, delta: int = 0) -> Ray:
+        """The ray read at i towards rho, one of :meth:`rays`."""
+        return self.rays((i,))[2 * list(self.sides).index(delta) + (rho > 0)]
 
 
 @per_quiver
@@ -323,8 +345,12 @@ def reading(q: PolarizedQuiver, x: AdmWord, hat: bool) -> Reading:
         f = partial(f_letter, q)
         over, (letters, offset, periodic) = q, _unfold(x, f, f)
     back = tuple(map(_inv_keep_mark, reversed(letters)))
-    sides = {d: (tuple(_subst(l, d) for l in letters), tuple(_subst(l, d) for l in back))
-             for d in ((-1, 1) if hat else (0,))}
+    deltas = (-1, 1) if hat else (0,)
+    if any(l.kind == PUNCT for l in letters):
+        sides = {d: (tuple(_subst(l, d) for l in letters), tuple(_subst(l, d) for l in back))
+                 for d in deltas}
+    else:   # nothing to orient: every delta reads the same two sides
+        sides = dict.fromkeys(deltas, (letters, back))
     return Reading(over, letters, offset, periodic, sides)
 
 

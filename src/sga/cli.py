@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 2 parse error, 3 precondition violation, 4 a verified
-identity failed (a ``TheoremViolation``, printed as ``theorem violation: ...``).
+Exit codes: 0 ok, 2 parse error, 3 precondition violation (a closed
+standard output too), 4 a verified identity failed (a
+``TheoremViolation``, printed as ``theorem violation: ...``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .admissible import classify, is_admissible
@@ -22,11 +24,19 @@ from .words import (enumerate_bands, enumerate_strings_at, format_word, is_band,
 
 
 def _load_quiver(path: str):
+    """The quiver of the file at path: exit 3 when it cannot be read, 2
+    when it is not UTF-8 (naming the offset of the first bad byte) or does
+    not parse."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise SgaError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: byte {data[exc.start]:#04x} "
+                         f"at offset {exc.start}") from None
     return parse_quiver(text)
 
 
@@ -382,7 +392,16 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()   # so that a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``sga components ... | head -1``): point
+        # it at os.devnull, as the Python docs advise, so that the flush at
+        # exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed", file=sys.stderr)
+        return 3
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

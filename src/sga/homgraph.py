@@ -13,13 +13,12 @@ components classify homomorphism contributions, kisses among them, which
 
 from __future__ import annotations
 
-from operator import le
 from typing import TYPE_CHECKING, NamedTuple
 
-from .admissible import AdmWord, doublebar_ray, hat_of, hat_ray
+from .admissible import AdmWord, doublebar_ray, hat_of, hat_ray, reading
 from .errors import TheoremViolation, WordError
 from .quiver import PolarizedQuiver, per_quiver
-from .words import INV, ORD, Ray, compare_letters, ray_label
+from .words import INV, ORD, Ray, compare_letters, label_rays
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -43,10 +42,9 @@ class Winding(NamedTuple):
     and what the product quiver reads of it: vertices by label (ascending),
     edges and loops by image, the boundary vertices (valency <= 1, a loop
     counting one end) and, per vertex, the interned id of the doublebar
-    first letters and the labels of the rays, each read over q on first
-    use, as are the vertices of a label with their head ids.  The rays
-    themselves are the memoised readings :func:`admissible.doublebar_ray`
-    and :func:`admissible.hat_ray`.  Built once per word by
+    first letters and the labels of the rays, and per label its vertices
+    with their head ids.  These four are filled by one first-use pass
+    (:meth:`read_rays`), for every vertex at once.  Built once per word by
     :func:`build_H` and shared by every caller, so it is frozen; callers
     must not modify its dicts."""
     q: PolarizedQuiver
@@ -60,10 +58,10 @@ class Winding(NamedTuple):
     edges_by_image: dict[str, tuple[HEdge, ...]]
     loops_by_image: dict[str, tuple[HLoop, ...]]
     boundary: frozenset[int]
-    head_ids: dict[int, int]                   # filled by head_id()
-    label_heads: dict[str, tuple[tuple[int, int], ...]]  # by heads()
-    hat_labels: dict[int, tuple[tuple[int, ...], tuple[int | Fraction, ...]]]  # by ray_labels()
-    bar_labels: dict[int, tuple[tuple[int, ...], tuple[int | Fraction, ...]]]  # by ray_labels()
+    head_ids: dict[int, int]                   # filled by read_rays()
+    label_heads: dict[str, tuple[tuple[int, int], ...]]
+    hat_labels: dict[int, tuple[tuple[int, ...], tuple[int | Fraction, ...]]]
+    bar_labels: dict[int, tuple[tuple[int, ...], tuple[int | Fraction, ...]]]
 
     def doublebar(self, v: int) -> tuple[Ray, Ray]:
         """The doublebar rays at v towards rho = -1, +1."""
@@ -75,42 +73,59 @@ class Winding(NamedTuple):
         delta."""
         return hat_ray(self.q, self.word, v, rho, delta)
 
+    def read_rays(self) -> None:
+        """The first-use pass: read every hat ray of the word (over the
+        companion quiver) and every doublebar ray (over q) from its two
+        readings (:meth:`admissible.Reading.rays`), label each reading's
+        rays in one merge (:func:`words.label_rays`), and fill, for every
+        vertex, ``head_ids`` (the id of the pair of first letters of the
+        doublebar rays, interned in q's store ``head_ids``: equal pairs get
+        equal ids), ``hat_labels`` (the slot ids and labels of the four hat
+        rays, in the order of the checks of :func:`ray_real`) and
+        ``bar_labels`` (those of the two doublebar rays), and for every
+        label ``label_heads`` (its vertices, ascending, with their head
+        ids).  The readers below call it on a miss."""
+        q, vs, heads = self.q, self.vertices, self.head_ids
+        bars = reading(q, self.word, False).rays(vs)
+        sids, marks = zip(*label_rays(hat_of(q), reading(q, self.word, True).rays(vs)))
+        self.hat_labels.update(zip(vs, [(sids[k:k + 4], marks[k:k + 4])
+                                        for k in range(0, len(sids), 4)]))
+        sids, marks = zip(*label_rays(q, bars))
+        self.bar_labels.update(zip(vs, [(sids[k:k + 2], marks[k:k + 2])
+                                        for k in range(0, len(sids), 2)]))
+        ids = q.store("head_ids")
+        for k, v in enumerate(vs):
+            heads[v] = ids.setdefault((bars[2 * k].first(), bars[2 * k + 1].first()), len(ids))
+        for lab, lvs in self.by_label.items():
+            self.label_heads[lab] = tuple([(v, heads[v]) for v in lvs])
+
     def head_id(self, v: int) -> int:
-        """The id of the pair of first letters of the doublebar rays at v,
-        interned in q's store ``head_ids``: equal pairs get equal ids."""
+        """The head id of v (:meth:`read_rays`)."""
         hid = self.head_ids.get(v)
         if hid is None:
-            ids = self.q.store("head_ids")
-            pair = tuple(r.first() for r in self.doublebar(v))
-            hid = self.head_ids[v] = ids.setdefault(pair, len(ids))
+            self.read_rays()
+            hid = self.head_ids[v]
         return hid
 
     def heads(self, lab: str) -> tuple[tuple[int, int], ...]:
-        """The vertices of label lab, ascending, each with its
-        :meth:`head_id`, kept in ``label_heads``; read on first use, so only
-        a label that the other word shares reads rays."""
-        pairs = self.label_heads[lab] = tuple([(v, self.head_id(v))
-                                               for v in self.by_label[lab]])
+        """The vertices of label lab, ascending, each with its head id
+        (:meth:`read_rays`)."""
+        pairs = self.label_heads.get(lab)
+        if pairs is None:
+            self.read_rays()
+            pairs = self.label_heads[lab]
         return pairs
 
     def ray_labels(self, v: int, hat: bool) -> tuple[tuple[int, ...], tuple[int | Fraction, ...]]:
-        """The slot ids and the labels (:func:`words.ray_label`) of the four
-        hat rays at v, in the order of the checks of :func:`ray_real`, over
-        the companion quiver, kept in ``hat_labels``; or of the two
-        doublebar rays at v over q, kept in ``bar_labels``.  Read on first
-        use, all rays of the vertex at once; the ray checks look the kept
+        """The slot ids and the labels of the four hat rays at v, kept in
+        ``hat_labels``, or of the two doublebar rays, kept in
+        ``bar_labels`` (:meth:`read_rays`); the ray checks look the kept
         labels up themselves and call this on a miss."""
         kept = self.hat_labels if hat else self.bar_labels
         labels = kept.get(v)
         if labels is None:
-            if hat:
-                over = hat_of(self.q)
-                rays = [self.hat(v, rho, delta) for rho, delta in _HAT_CHECKS]
-            else:
-                over, rays = self.q, self.doublebar(v)
-            known = over.store("ray_labels")   # most rays have one: no call then
-            labels = kept[v] = tuple(zip(*[known.get(r) or ray_label(over, r)
-                                           for r in rays]))
+            self.read_rays()
+            labels = kept[v]
         return labels
 
 
@@ -298,19 +313,20 @@ def ray_real(hx: Winding, hy: Winding, v) -> bool:
     """The hat-ray characterization of a real h-line through v = (j, i) of
     the product quiver of (x, y), read from their windings hx and hy (over
     one quiver) and compared over the companion quiver by label: a differing
-    slot id marks a pair of incomparable rays."""
+    slot id marks a pair of incomparable rays.  It runs at every component
+    of every pair, so the four label comparisons are written out."""
     j, i = v
-    cy, ly = hy.hat_labels.get(j) or hy.ray_labels(j, True)
-    cx, lx = hx.hat_labels.get(i) or hx.ray_labels(i, True)
-    return cy == cx and all(map(le, ly, lx))
+    cy, (a, b, c, d) = hy.hat_labels.get(j) or hy.ray_labels(j, True)
+    cx, (e, f, g, h) = hx.hat_labels.get(i) or hx.ray_labels(i, True)
+    return cy == cx and a <= e and b <= f and c <= g and d <= h
 
 
 def ray_long(hx: Winding, hy: Winding, v) -> bool:
     """The doublebar-ray characterization of a long h-line through v."""
     j, i = v
-    cy, ly = hy.bar_labels.get(j) or hy.ray_labels(j, False)
-    cx, lx = hx.bar_labels.get(i) or hx.ray_labels(i, False)
-    return cy == cx and all(map(le, ly, lx))
+    cy, (a, b) = hy.bar_labels.get(j) or hy.ray_labels(j, False)
+    cx, (c, d) = hx.bar_labels.get(i) or hx.ray_labels(i, False)
+    return cy == cx and a <= c and b <= d
 
 
 def _split(verts, root, arrows, n: int) -> list[tuple]:

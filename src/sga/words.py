@@ -7,7 +7,8 @@ live over, since sources, targets, and the letter order depend on it.
 
 from __future__ import annotations
 
-from math import gcd
+from bisect import bisect_left
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import AtMaximum, AtMinimum, IsProjective, TheoremViolation, WordError
@@ -260,7 +261,7 @@ class Ray(Frozen):
         return (self.pre + self.per * laps)[:n]
 
     def first(self) -> Letter:
-        return self[0]
+        return self.pre[0] if self.pre else self.per[0]
 
 
 def ray_compare(q: PolarizedQuiver, v: Ray, w: Ray) -> tuple[str, int | None]:
@@ -268,12 +269,12 @@ def ray_compare(q: PolarizedQuiver, v: Ray, w: Ray) -> tuple[str, int | None]:
     :func:`lex_compare` of bounded prefixes, a finite ray whole (it is
     shorter than the bound).
 
-    Two rays agreeing beyond both preperiods plus a common period multiple
-    agree forever, which bounds the prefixes.
+    Past both preperiods, two rays are periodic with the periods p and q of
+    their periods; agreeing there on p + q - gcd(p, q) letters, they agree
+    forever (Fine and Wilf, 1965).  So prefixes of the two preperiods and
+    the two periods together decide.
     """
-    pv, pw = len(v.per), len(w.per)
-    lcm = pv * pw // gcd(pv, pw) if pv and pw else max(pv, pw, 1)
-    bound = len(v.pre) + len(w.pre) + 2 * lcm + 2
+    bound = len(v.pre) + len(w.pre) + len(v.per) + len(w.per)
     return lex_compare(q, v.prefix(bound), w.prefix(bound))
 
 
@@ -281,76 +282,131 @@ def ray_compare(q: PolarizedQuiver, v: Ray, w: Ray) -> tuple[str, int | None]:
 
 LABEL_GAP = 1 << 32   # between the label of a slot's end ray and a new end ray
 
+# the rank of a letter among the letters of its target slot (see
+# letters_at); a special letter is alone at its slot and no ray reads a
+# trivial inverse letter, so their ranks never decide an order
+_KEY_RANK = {ORD: 0, SPE: 1, TRIV: 1, TINV: 1, INV: 2}
 
-def ray_label(q: PolarizedQuiver, r: Ray) -> tuple[int, int | Fraction]:
-    """The slot id and label of r over q, kept in q's store ``ray_labels``
-    and never changed once handed out.
+
+class _Slot:
+    """One start slot's rays over a quiver, ascending: per ray its label
+    and its key, the letter ranks of its first ``length`` letters (all of
+    a finite ray's) as bytes; ``length`` is at least twice the size
+    (preperiod plus period) of every ray of the list, so two keys order
+    their rays as :func:`ray_compare` does."""
+    __slots__ = ("id", "rays", "labels", "keys", "length")
+
+    def __init__(self, sid: int) -> None:
+        self.id, self.rays, self.labels, self.keys, self.length = sid, [], [], [], 0
+
+
+def _ranks(letters: Word) -> bytes:
+    return bytes(map(_KEY_RANK.__getitem__, map(itemgetter(0), letters)))
+
+
+def _key(r: Ray, n: int) -> bytes:
+    """The ranks of the first n letters of r, or of all of them."""
+    pre = _ranks(r.pre)
+    if not r.per:
+        return pre
+    per = _ranks(r.per)
+    return (pre + per * -((len(pre) - n) // len(per)))[:n]
+
+
+def label_rays(q: PolarizedQuiver, rays) -> list[tuple[int, int | Fraction]]:
+    """The slot id and label of each of the rays over q, kept in q's store
+    ``ray_labels`` and never changed once handed out.
 
     Rays of one slot id compare by ``ray_compare(q, v, w)`` as '<', '=' or
     '>' exactly as the label of v is <, == or > that of w; rays of
     different slot ids are incomparable.  q's store ``ray_chains`` keeps,
-    per start slot (the target slot of a ray's first letter), one list
-    ``(id, rays, labels)`` with its rays ascending (:func:`_chain_insert`).
+    per start slot (the target slot of a ray's first letter), one
+    ascending list (:class:`_Slot`), and the rays not yet labelled are
+    merged into it, one slot at a time (:func:`_merge`).
 
     One list per slot suffices.  Two rays that share a prefix reach the
     same slot after it; the letter order is total on a slot; and a finite
     ray read from a word ends in a trivial letter, after which nothing can
     follow.  So two rays read over q with the same start slot compare '<',
     '=' or '>', never 'incomparable'; rays of different start slots differ
-    in their first letters' slots, so they are incomparable.
+    in their first letters' slots, so they are incomparable.  For the same
+    reason a ray of a slot is fixed by the ranks of its letters among the
+    letters of their slots, and two such rays compare as the sequences of
+    ranks do: the keys of :class:`_Slot`.
     """
     labels = q.store("ray_labels")
-    got = labels.get(r)
-    if got is None:
+    got = list(map(labels.get, rays))
+    if None in got:
+        new: dict = {}
+        for r, g in zip(rays, got):
+            if g is None:
+                new.setdefault(letter_target(q, r.first()), {})[r] = None
         slots = q.store("ray_chains")
-        slot = letter_target(q, r.first())
-        chain = slots.get(slot)
-        if chain is None:   # the slot's first ray; slot ids count the slots
-            chain = slots[slot] = (len(slots), [r], [0])
-            got = labels[r] = (chain[0], 0)
-        else:
-            got = labels[r] = (chain[0], _chain_insert(q, chain, r))
+        for start, rs in new.items():
+            slot = slots.get(start)
+            if slot is None:   # slot ids count the slots
+                slot = slots[start] = _Slot(len(slots))
+            _merge(q, slot, list(rs), labels)
+        got = [g or labels[r] for r, g in zip(rays, got)]
     return got
 
 
-def _chain_insert(q: PolarizedQuiver, chain: tuple[int, list, list], r: Ray) -> int | Fraction:
-    """The label of r in its slot's list ``(id, rays, labels)``, rays
-    ascending: the label of the ray of the list equal to r, else a new
-    label between those of r's neighbours, with r inserted there.  Beyond
-    an end the new label lies ``LABEL_GAP`` past the end's; between two
-    labels it is the integer midpoint while one fits, else the exact
+def _merge(q: PolarizedQuiver, slot: _Slot, new: list[Ray], labels: dict) -> None:
+    """Label the new rays of one start slot and merge them into its list.
+
+    The new rays are taken in the order of their keys, and each one's place
+    is a binary search of the listed keys from the place of the one before,
+    so the merge passes the list once.  A new ray whose key is listed (the
+    same ray read with another period) takes that ray's label; any other
+    is inserted with a label between its neighbours': ``LABEL_GAP`` past
+    an end's, else the integer midpoint while one fits, else the exact
     ``Fraction`` midpoint, so labels never run out.
 
-    Raises ``TheoremViolation`` when r is incomparable with a ray of the
-    list, which no two rays read from words can be (:func:`ray_label`).
+    Each new ray is checked by :func:`ray_compare` against its neighbours
+    before it is stored, and one that is not above the ray before it and
+    below the ray after it (or equal to the listed ray with its key) raises
+    ``TheoremViolation``, which no two rays read from words can do
+    (:func:`label_rays`).  Neighbours in order are in order with the whole
+    list, as the first differences of words with a common prefix share a
+    target slot.
     """
-    _, rays, labels = chain
-    lo, hi = 0, len(rays)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        rel = ray_compare(q, r, rays[mid])[0]
-        if rel == "<":
-            hi = mid
-        elif rel == ">":
-            lo = mid + 1
-        elif rel == "=":   # the same ray read with another period
-            return labels[mid]
-        else:
-            raise TheoremViolation(f"rays of one start slot are incomparable: {r} and {rays[mid]}")
-    if lo == len(rays):
-        label = labels[-1] + LABEL_GAP
-    elif lo == 0:
-        label = labels[0] - LABEL_GAP
-    else:
-        below, above = labels[lo - 1], labels[lo]
-        if above - below < 2:
+    need = 2 * max([len(r.pre) + len(r.per) for r in new])
+    if need > slot.length:
+        slot.length = max(need, 2 * slot.length)
+        slot.keys = [_key(r, slot.length) for r in slot.rays]
+    rays, marks, keys = slot.rays, slot.labels, slot.keys
+    at = 0
+    for k, r in sorted([(_key(r, slot.length), r) for r in new], key=itemgetter(0)):
+        at = bisect_left(keys, k, at)
+        end = at == len(keys)
+        if not end and keys[at] == k:
+            _check(q, rays[at], r, "=")
+            labels[r] = (slot.id, marks[at])
+            continue
+        if at:
+            _check(q, rays[at - 1], r, "<")
+        if not end:
+            _check(q, r, rays[at], "<")
+        if end:
+            label = marks[-1] + LABEL_GAP if at else 0
+        elif at == 0:
+            label = marks[0] - LABEL_GAP
+        elif marks[at] - marks[at - 1] < 2:
             from fractions import Fraction   # only here: a cold start never loads it
-            label = Fraction(below + above, 2)
+            label = Fraction(marks[at - 1] + marks[at], 2)
         else:
-            label = (below + above) // 2
-    rays.insert(lo, r)
-    labels.insert(lo, label)
-    return label
+            label = (marks[at - 1] + marks[at]) // 2
+        rays.insert(at, r)
+        keys.insert(at, k)
+        marks.insert(at, label)
+        labels[r] = (slot.id, label)
+
+
+def _check(q: PolarizedQuiver, a: Ray, b: Ray, expected: str) -> None:
+    rel = ray_compare(q, a, b)[0]
+    if rel != expected:
+        what = "incomparable" if rel == "incomparable" else f"out of order ({rel!r})"
+        raise TheoremViolation(f"rays of one start slot are {what}: {a} and {b}")
 
 
 # -- greedy extremal words ----------------------------------------------------

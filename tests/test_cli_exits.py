@@ -3,6 +3,8 @@
 traceback."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -114,6 +116,41 @@ def test_duplicate_vertex_line(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
     line = len(text.splitlines()) + 1
     assert f"parse error: {line}:1: duplicate vertex 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    lambda bad: ["check", bad],
+    lambda bad: ["components", EX1, "--max-len", "4", "--fringe", bad],
+    lambda bad: ["fringe", EX1, "--check", bad]], ids=["quiver", "fringe", "fringe-check"])
+def test_quiver_file_that_is_not_utf8(tmp_path, capsys, argv):
+    """A quiver file holding a byte that is not UTF-8 is a parse error
+    (2) naming the byte and its offset, as the quiver, as ``--fringe`` and
+    as ``fringe --check``, never a traceback."""
+    with open(EX1, "rb") as fh:
+        data = fh.read()
+    bad = tmp_path / "bad.quiver"
+    bad.write_bytes(data + b"# \xff\n")
+    assert main(argv(str(bad))) == 2
+    assert capsys.readouterr().err == \
+        f"parse error: {bad} is not UTF-8: byte 0xff at offset {len(data) + 2}\n"
+
+
+def test_closed_stdout_exits_3():
+    """A reader that closes the pipe after one line, as ``sga ... | head -1``
+    does: sga exits 3 with one line on stderr, no traceback.  The output,
+    about 1 MB, is more than the pipe holds, so sga is still writing when
+    the pipe closes."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "sga.cli", "strings",
+                             os.path.join(DATA, "l6.quiver"), "--at", "1,-", "--max-len", "26"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 3
+    assert first.startswith(b"1(1,-)- ")
+    assert err == b"error: standard output closed\n"
 
 
 def _einv(*extra):

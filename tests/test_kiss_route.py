@@ -83,17 +83,25 @@ def _rays_at(h, v, hat):
 
 def _forget_labels(qf, *words):
     """Empty the label caches of the words' windings, so that the ray checks
-    read the labels through ``Winding.ray_labels`` again."""
+    make the first-use pass ``Winding.read_rays`` again."""
     for w in words:
         h = build_H(qf, w)
         h.hat_labels.clear()
         h.bar_labels.clear()
 
 
-def _keep(h, v, hat, labels):
-    """Keep labels where ``Winding.ray_labels`` keeps them, and return them."""
-    (h.hat_labels if hat else h.bar_labels)[v] = labels
-    return labels
+def _contradict(monkeypatch, change):
+    """Make the first-use pass keep, for every vertex v of a winding h,
+    ``change(h, v, hat, (chains, labels))`` in place of the labels it read."""
+    read = homgraph.Winding.read_rays
+
+    def contradicted(self):
+        read(self)
+        for hat, kept in ((True, self.hat_labels), (False, self.bar_labels)):
+            for v, got in kept.items():
+                kept[v] = change(self, v, hat, got)
+
+    monkeypatch.setattr(homgraph.Winding, "read_rays", contradicted)
 
 
 @pytest.mark.parametrize("on_hat, message", [
@@ -107,15 +115,12 @@ def test_ray_checks_are_live(ex1, monkeypatch, on_hat, message):
     u = v = translates[0]
     rep = classify_components(build_HQ(qf, u, v))
     assert any(c.real for c in rep.plus) and any(c.long for c in rep.full)
-    read = homgraph.Winding.ray_labels
 
-    def contradict(self, w, hat):
-        chains, labels = read(self, w, hat)
-        if hat == on_hat:
-            labels = tuple(-l for l in labels)
-        return _keep(self, w, hat, (chains, labels))
+    def change(h, w, hat, got):
+        chains, labels = got
+        return (chains, tuple(-l for l in labels)) if hat == on_hat else got
 
-    monkeypatch.setattr(homgraph.Winding, "ray_labels", contradict)
+    _contradict(monkeypatch, change)
     _forget_labels(qf, u)
     with pytest.raises(TheoremViolation, match=message):
         kiss_sites(qf, u, v)
@@ -134,7 +139,6 @@ def test_reverse_ray_checks_are_live(ex1, monkeypatch, on_hat, message):
     v lacks are raised above every label of their chains, so (v, u), which
     asks whether a ray of u lies at or below one of v, finds them above."""
     qf, translates = _translates(ex1, 6)
-    read = homgraph.Winding.ray_labels
 
     def rays(u):
         h = build_H(qf, u)
@@ -142,12 +146,12 @@ def test_reverse_ray_checks_are_live(ex1, monkeypatch, on_hat, message):
 
     only = {}
 
-    def contradict(self, w, hat):
-        chains, labels = read(self, w, hat)
-        if hat == on_hat and self.word == only["u"]:
-            labels = tuple(l + (1 << 80) if r in only["rays"] else l
-                           for r, l in zip(_rays_at(self, w, hat), labels))
-        return _keep(self, w, hat, (chains, labels))
+    def change(h, w, hat, got):
+        if hat != on_hat or h.word != only["u"]:
+            return got
+        chains, labels = got
+        return chains, tuple(l + (1 << 80) if r in only["rays"] else l
+                             for r, l in zip(_rays_at(h, w, hat), labels))
 
     def raises(x, y):
         _forget_labels(qf, x, y)
@@ -161,7 +165,7 @@ def test_reverse_ray_checks_are_live(ex1, monkeypatch, on_hat, message):
         only["u"], only["rays"] = u, rays(u) - rays(v)
         return raises(v, u) and not raises(u, v)
 
-    monkeypatch.setattr(homgraph.Winding, "ray_labels", contradict)
+    _contradict(monkeypatch, change)
     u, v = next((u, v) for u in translates for v in translates
                 if u != v and contradicted(u, v))
     classify_components(build_HQ(qf, u, v))

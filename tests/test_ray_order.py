@@ -16,7 +16,7 @@ from math import gcd
 import pytest
 
 from sga import homgraph, words
-from sga.admissible import doublebar_ray, enumerate_adm, hat_of, hat_ray
+from sga.admissible import doublebar_ray, enumerate_adm, hat_of, hat_ray, reading
 from sga.checks import KISS, Budget, verify
 from sga.cli import main
 from sga.errors import TheoremViolation
@@ -25,7 +25,7 @@ from sga.parsing import parse_quiver, print_quiver
 from sga.quiver import Arrow, PolarizedQuiver, auto_fringe, hat_quiver
 from sga.randquiver import random_skewed_gentle_quiver
 from sga.words import (Letter, Ray, compare_letters, invl, letter_target,
-                       letter_valid, letters_at, ordl, ray_compare, ray_label, spel,
+                       label_rays, letter_valid, letters_at, ordl, ray_compare, spel,
                        trivl)
 
 MIRROR = {"<": ">", ">": "<", "=": "=", "incomparable": "incomparable"}
@@ -195,14 +195,31 @@ def test_memoised_order_equals_scan(ex1, seed, monkeypatch):
 def test_scan_reaches_a_late_first_difference(ex1):
     """Two periodic rays that agree on the whole preperiod of w, the longer
     one, and first differ right after it: the scan's bound (both
-    preperiods, two common periods and two letters) reaches the
-    difference, where a bound that subtracted w's preperiod or the periods
-    would call the rays equal.  a and b- both end at the slot (2,+)."""
+    preperiods and both periods) reaches the difference, where a bound
+    that subtracted w's preperiod or the periods would call the rays
+    equal.  a and b- both end at the slot (2,+)."""
     a, b_inv = ordl("a"), invl("b")
     v, w = Ray((), (a,)), Ray((a, a, a, a), (b_inv,))
     assert compare_letters(ex1, a, b_inv) == -1
     assert ray_compare(ex1, v, w) == reference_scan(ex1, v, w) == ("<", 4)
     assert ray_compare(ex1, w, v) == (">", 4)
+
+
+@pytest.mark.parametrize("per_v, per_w, rel", [("aba", "ab", "<"), ("abaab", "aba", ">")])
+def test_scan_reaches_the_fine_wilf_bound(ex1, per_v, per_w, rel):
+    """Two periodic rays with periods of p and q letters that agree on
+    p + q - gcd(p, q) - 1 letters and differ at the next one, the longest
+    agreement of two different such rays (Fine and Wilf): the scan's bound
+    of p + q letters reaches the difference, where one letter fewer than
+    it would call the rays equal.  a and b- both end at the slot (2,+)."""
+    letter = {"a": ordl("a"), "b": invl("b")}
+    v = Ray((), tuple(letter[c] for c in per_v))
+    w = Ray((), tuple(letter[c] for c in per_w))
+    p, q = len(per_v), len(per_w)
+    k = p + q - gcd(p, q) - 1
+    assert v.prefix(k) == w.prefix(k) and v[k] != w[k]
+    assert ray_compare(ex1, v, w) == reference_scan(ex1, v, w) == (rel, k)
+    assert ray_compare(ex1, w, v) == (MIRROR[rel], k)
 
 
 def test_order_is_per_quiver():
@@ -307,7 +324,7 @@ def test_equal_readings_are_one_object(ex1):
     assert keys > 2 * (len(by_content[q]) + len(by_content[h]))
     for over, rays in by_content.items():
         assert all(len(ids) == 1 for ids in rays.values())
-        assert all(over.store("rays")[r] is r for r in rays)
+        assert all(over.store("rays")[r.key] is r for r in rays)
 
 
 def test_repeated_census_scans_nothing(monkeypatch):
@@ -372,7 +389,7 @@ def test_rebuilt_quiver_reads_its_own_rays(monkeypatch):
     for x in sets.strings + sets.bands:
         for i in homgraph.build_H(q2, x).vertices:
             r = doublebar_ray(q2, x, i, 1)
-            assert q2.store("rays")[r] is r
+            assert q2.store("rays")[r.key] is r
 
 
 def _quiver(name):
@@ -392,10 +409,10 @@ def _read_labels(q, max_len):
         h = homgraph.build_H(q, x)
         for v in h.vertices:
             for hat in (True, False):
-                assert h.ray_labels(v, hat) == tuple(zip(*[
-                    ray_label(hat_of(q) if hat else q, r)
-                    for r in ([h.hat(v, rho, delta) for delta in (-1, 1) for rho in (-1, 1)]
-                              if hat else h.doublebar(v))]))
+                rays = ([h.hat(v, rho, delta) for delta in (-1, 1) for rho in (-1, 1)]
+                        if hat else h.doublebar(v))
+                assert h.ray_labels(v, hat) == tuple(zip(*label_rays(
+                    hat_of(q) if hat else q, rays)))
 
 
 def _labels_agree(over):
@@ -405,11 +422,11 @@ def _labels_agree(over):
     id order the pair as ``ray_compare`` does; the relations of the pairs
     across slots, counted."""
     labels, slots = over.store("ray_labels"), over.store("ray_chains")
-    assert len({sid for sid, _, _ in slots.values()}) == len(slots)
-    for slot, (sid, rays, marks) in slots.items():
-        assert marks == sorted(set(marks)) and len(rays) == len(marks)
-        assert all(labels[r] == (sid, m) for r, m in zip(rays, marks))
-    assert all(cid == slots[letter_target(over, r.first())][0]
+    assert len({s.id for s in slots.values()}) == len(slots)
+    for s in slots.values():
+        assert s.labels == sorted(set(s.labels)) and len(s.rays) == len(s.labels)
+        assert all(labels[r] == (s.id, m) for r, m in zip(s.rays, s.labels))
+    assert all(cid == slots[letter_target(over, r.first())].id
                for r, (cid, _) in labels.items())
     across = defaultdict(int)
     for v, (cv, lv) in labels.items():
@@ -433,10 +450,65 @@ def test_labels_agree_with_ray_compare(name):
     _read_labels(q, 8)
     for over in (q, hat_of(q)):
         labels = over.store("ray_labels")
-        assert set(labels) == set(over.store("rays"))
-        assert sum(len(rays) for _, rays, _ in over.store("ray_chains").values()) == len(labels)
+        assert set(labels) == set(over.store("rays").values())
+        assert sum(len(s.rays) for s in over.store("ray_chains").values()) == len(labels)
         across = _labels_agree(over)
         assert set(across) == {"incomparable"} and across["incomparable"] > 0
+
+
+@pytest.mark.parametrize("name", ["ex1", 9, 11, 42])
+def test_one_merge_of_every_ray_agrees_with_ray_compare(name):
+    """Every ray of every word at max-len 8 read at once and labelled in
+    one call, over the quiver (doublebar rays) and over its companion
+    quiver (hat rays), so that each slot merges all its rays in one pass:
+    the merged labels order every pair of one start slot as
+    ``ray_compare`` does, each ray read again keeps its label, and the
+    windings read those labels."""
+    q = _quiver(name)
+    sets = enumerate_adm(q, 8)
+    for hat, over in ((False, q), (True, hat_of(q))):
+        rays = [r for x in sets.strings + sets.bands
+                for r in reading(q, x, hat).rays(homgraph.build_H(q, x).vertices)]
+        got = label_rays(over, rays)
+        assert over.store("ray_labels") == dict(zip(rays, got))
+        assert max(len(s.rays) for s in over.store("ray_chains").values()) > 5
+        across = _labels_agree(over)
+        assert set(across) == {"incomparable"} and across["incomparable"] > 0
+        assert label_rays(over, rays[::-1]) == got[::-1]
+    _read_labels(q, 8)
+
+
+@pytest.mark.parametrize("rel, message", [("incomparable", "incomparable"),
+                                          (">", "out of order")])
+def test_a_pair_out_of_the_order_in_the_merge_raises(monkeypatch, rel, message):
+    """A new ray that ``ray_compare`` finds incomparable with a neighbour
+    in its slot's list, or on the wrong side of it, makes the merge raise
+    ``TheoremViolation`` naming both, and leaves the ray unlabelled and
+    every label handed out unchanged."""
+    q = _quiver(42)
+    sets = enumerate_adm(q, 8)
+    ws = sets.strings + sets.bands
+    for x in ws[:-1]:
+        homgraph.build_H(q, x).read_rays()
+    handed = dict(q.store("ray_labels"))
+    slots = q.store("ray_chains")
+    h = homgraph.build_H(q, ws[-1])
+    bad = next(r for r in reading(q, ws[-1], False).rays(h.vertices)
+               if r not in handed and letter_target(q, r.first()) in slots)
+    compare = words.ray_compare
+
+    def wrong(qq, v, w):
+        return (rel, None) if bad in (v, w) else compare(qq, v, w)
+
+    monkeypatch.setattr(words, "ray_compare", wrong)
+    with pytest.raises(TheoremViolation, match=message) as err:
+        label_rays(q, [bad])
+    assert str(bad) in str(err.value)
+    assert bad not in q.store("ray_labels") and bad not in slots[letter_target(q, bad.first())].rays
+    assert all(q.store("ray_labels")[r] == got for r, got in handed.items())
+    monkeypatch.setattr(words, "ray_compare", compare)
+    label_rays(q, [bad])
+    _labels_agree(q)
 
 
 def test_labels_survive_deep_insertions_and_equal_rays(monkeypatch):
@@ -460,11 +532,11 @@ def test_labels_survive_deep_insertions_and_equal_rays(monkeypatch):
         for over in (q, hat_of(q)):
             for r, got in over.store("ray_labels").items():
                 assert handed.setdefault((id(over), r), got) == got
-    periodic = next(r for r in q.store("rays") if r.per)
+    periodic = next(r for r in q.store("rays").values() if r.per)
     rotated = Ray(periodic.per[:1], periodic.per[1:] + periodic.per[:1])
     assert rotated != periodic and ray_compare(q, rotated, periodic)[0] == "="
-    assert ray_label(q, rotated) == ray_label(q, periodic)
-    _, rays, _ = q.store("ray_chains")[letter_target(q, periodic.first())]
+    assert label_rays(q, [rotated]) == label_rays(q, [periodic])
+    rays = q.store("ray_chains")[letter_target(q, periodic.first())].rays
     assert periodic in rays and rotated not in rays
     for over in (q, hat_of(q)):
         assert any(type(m) is Fraction for _, m in over.store("ray_labels").values())
@@ -472,7 +544,7 @@ def test_labels_survive_deep_insertions_and_equal_rays(monkeypatch):
         assert set(across) == {"incomparable"} and across["incomparable"] > 0
     lap = Ray(periodic.pre + periodic.per)   # finite: a proper prefix of periodic
     with pytest.raises(TheoremViolation, match="incomparable"):
-        ray_label(q, lap)
+        label_rays(q, [lap])
     assert lap not in q.store("ray_labels")
     assert verify(KISS, q, Budget(6)) > 0
 

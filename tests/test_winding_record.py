@@ -8,10 +8,12 @@ translate of each word in the auto-fringed quiver.
 
 import pytest
 
+from sga import admissible
 from sga.admissible import doublebar_ray, enumerate_adm, hat_of, hat_ray, tau_adm
-from sga.homgraph import build_H
+from sga.homgraph import _HAT_CHECKS, build_H, ray_long, ray_real
 from sga.quiver import PolarizedQuiver, auto_fringe
 from sga.randquiver import random_skewed_gentle_quiver
+from sga.words import ray_compare
 
 
 @pytest.fixture(params=[None, 7, 9, 11, 42],
@@ -53,12 +55,12 @@ def test_winding_tables_match_the_blueprint(word_pairs):
         for v in h.vertices:
             bars = h.doublebar(v)
             assert all(r is doublebar_ray(q, x, v, rho) for r, rho in zip(bars, (-1, 1)))
-            assert all(r is q.store("rays")[r] for r in bars)
+            assert all(r is q.store("rays")[r.key] for r in bars)
             for rho in (-1, 1):
                 for delta in (-1, 1):
                     ray = h.hat(v, rho, delta)
                     assert ray is hat_ray(q, x, v, rho, delta)
-                    assert ray is hat_of(q).store("rays")[ray]
+                    assert ray is hat_of(q).store("rays")[ray.key]
             hid = h.head_id(v)
             assert ids[tuple(r.first() for r in bars)] == hid == h.head_ids[v]
         # per label, its vertices with their head ids, kept once read
@@ -80,26 +82,63 @@ def test_winding_is_frozen(ex1):
     assert build_H(ex1, x) is h
 
 
-def test_rays_are_read_on_first_use(ex1):
-    """A fresh winding holds nothing read; a head id reads only the
-    doublebar rays of its own vertex, a hat ray only itself, and the head
-    ids of a label only the doublebar rays of that label's vertices."""
-    q = PolarizedQuiver(ex1.vertices, ex1.arrows)
-    x = enumerate_adm(q, 4).strings[0]
-    h = build_H(q, x)
-    assert h.head_ids == h.label_heads == h.hat_labels == h.bar_labels == {}
+def test_rays_are_read_on_first_use(ex1, monkeypatch):
+    """A fresh winding holds nothing read; the first read of any kind
+    (a head id, the head ids of a label, the hat or the doublebar labels
+    of a vertex) reads both readings of the word once and fills every
+    vertex and every label, without the per-position ray memos; a second
+    read of any kind reads no ray."""
+    reads = []
+    rays = admissible.Reading.rays
 
-    def read(name):
-        return [key[1:] for key in q.store(name)]
+    def counted(self, vertices):
+        reads.append((self.over, tuple(vertices)))
+        return rays(self, vertices)
 
-    v = h.vertices[0]
-    h.head_id(v)
-    assert read("doublebar_ray") == [(v, -1), (v, 1)] and read("hat_ray") == []
-    assert list(h.head_ids) == [v]
-    h.hat(v, 1, -1)
-    assert read("hat_ray") == [(v, 1, -1)]
-    lab = next(lab for lab, vs in h.by_label.items() if v not in vs)
-    h.heads(lab)
-    assert list(h.label_heads) == [lab]
-    assert list(h.head_ids) == [v, *h.by_label[lab]]
-    assert read("doublebar_ray") == [(u, rho) for u in h.head_ids for rho in (-1, 1)]
+    monkeypatch.setattr(admissible.Reading, "rays", counted)
+    for first in ("head_id", "heads", "hat", "bar"):
+        q = PolarizedQuiver(ex1.vertices, ex1.arrows)
+        x = next(x for x in enumerate_adm(q, 6).strings if x.wtype == "up")
+        h = build_H(q, x)
+        assert h.head_ids == h.label_heads == h.hat_labels == h.bar_labels == {}
+        reads.clear()
+        v = h.vertices[-1]
+        {"head_id": lambda: h.head_id(v), "heads": lambda: h.heads(h.vlabel[v]),
+         "hat": lambda: h.ray_labels(v, True), "bar": lambda: h.ray_labels(v, False)}[first]()
+        assert reads == [(q, h.vertices), (hat_of(q), h.vertices)], first
+        assert set(h.head_ids) == set(h.hat_labels) == set(h.bar_labels) == set(h.vertices)
+        assert set(h.label_heads) == set(h.by_label)
+        assert q.store("doublebar_ray") == q.store("hat_ray") == {}
+        for u in h.vertices:
+            h.head_id(u)
+            h.ray_labels(u, True)
+            h.ray_labels(u, False)
+        for lab in h.by_label:
+            h.heads(lab)
+        assert len(reads) == 2
+
+
+def test_ray_checks_read_fresh_windings(ex1):
+    """``ray_real`` and ``ray_long``, each called first on fresh windings,
+    make their first-use pass and answer as ``ray_compare`` does on the
+    hat rays (over the companion quiver) and the doublebar rays: every ray
+    of y at or below the matching ray of x."""
+    def at_most(over, ys, xs):
+        return all(ray_compare(over, ry, rx)[0] in ("<", "=") for ry, rx in zip(ys, xs))
+
+    for check in (ray_real, ray_long):
+        q = PolarizedQuiver(ex1.vertices, ex1.arrows)
+        words = enumerate_adm(q, 5).strings
+        for x, y in zip(words, words[1:] + words[:1]):
+            hx, hy = build_H(q, x), build_H(q, y)
+            pairs = [(j, i) for j in hy.vertices for i in hx.by_label.get(hy.vlabel[j], ())]
+            if not pairs:
+                continue
+            got = [check(hx, hy, v) for v in pairs]
+            for (j, i), answer in zip(pairs, got):
+                if check is ray_real:
+                    want = at_most(hat_of(q), [hy.hat(j, *c) for c in _HAT_CHECKS],
+                                   [hx.hat(i, *c) for c in _HAT_CHECKS])
+                else:
+                    want = at_most(q, hy.doublebar(j), hx.doublebar(i))
+                assert answer == want, (check.__name__, str(x), str(y), j, i)
